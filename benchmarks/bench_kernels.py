@@ -1,70 +1,66 @@
-"""Benchmark the compiled recursion kernels against the pure-Python fallback.
+"""Time the recursion kernels, called directly: the numpy/BLAS fallback
+``garchmc._kernels_py`` and, when it imports, the compiled ``garchmc._kernels``.
 
-Usage: python benchmarks/bench_kernels.py [--n 2000] [--steps 20000]
+Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
+
+End-to-end run timing is the job of ``perfbench/run.py``.
 """
 import argparse
+import statistics
 import time
 
 import numpy as np
 
-from garchmc import _kernels_py, data, model, samplers
+from garchmc import _kernels_py, data, model
 
 try:
     from garchmc import _kernels
 except ImportError:
     _kernels = None
 
-
-def time_loglik(kernels, y, repeats):
-    theta = (0.05, 0.90, 0.01)
-    start = time.perf_counter()
-    for _ in range(repeats):
-        kernels.log_likelihood(y, *theta, 0.3)
-    return (time.perf_counter() - start) / repeats
+THETA = (0.05, 0.90, 0.01)
+BATCHES = 7
 
 
-def time_sampler(y, steps, force_python):
-    import importlib
-    import os
-
-    if force_python:
-        os.environ["GARCHMC_PURE_PYTHON"] = "1"
-    else:
-        os.environ.pop("GARCHMC_PURE_PYTHON", None)
-    import garchmc.backend
-    importlib.reload(garchmc.backend)
-    importlib.reload(model)
-    importlib.reload(samplers)
-    sched = samplers.AdaptiveSchedule(burn_in=500, pilot=500, refit_interval=1000, total=steps)
-    start = time.perf_counter()
-    samplers.run_adaptive(y, sched, seed=1)
-    return time.perf_counter() - start
+def time_call(fn, args, batch_s=0.1):
+    """Median seconds per call of fn(*args) over batches of about batch_s."""
+    reps, spent = 1, 0.0
+    while spent < batch_s:
+        reps *= 2
+        start = time.perf_counter()
+        for _ in range(reps):
+            fn(*args)
+        spent = time.perf_counter() - start
+    times = []
+    for _ in range(BATCHES):
+        start = time.perf_counter()
+        for _ in range(reps):
+            fn(*args)
+        times.append((time.perf_counter() - start) / reps)
+    return statistics.median(times)
 
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--n", type=int, default=2000, help="return series length")
-    parser.add_argument("--steps", type=int, default=20000, help="adaptive draws to time")
+    parser.add_argument("--n", type=int, nargs="+", default=[250, 2000],
+                        help="return series lengths")
     args = parser.parse_args()
 
-    spec = data.SyntheticSpec(model.ParamVector(0.05, 0.9, 0.01), n=args.n, seed=1)
-    y = np.ascontiguousarray(data.generate_synthetic(spec))
-
-    print(f"log-likelihood, n={args.n} (per call):")
-    t_py = time_loglik(_kernels_py, y, 2000)
-    print(f"  python  {t_py * 1e6:9.2f} us")
+    backends = {"python": _kernels_py}
     if _kernels is not None:
-        t_cy = time_loglik(_kernels, y, 2000)
-        print(f"  cython  {t_cy * 1e6:9.2f} us   ({t_py / t_cy:.1f}x speedup)")
+        backends["compiled"] = _kernels
     else:
-        print("  cython  (extension not built)")
+        print("compiled extension not built; timing the fallback only")
 
-    print(f"\nadaptive run, {args.steps} draws on n={args.n}:")
-    t_py = time_sampler(y, args.steps, force_python=True)
-    print(f"  python  {t_py:9.2f} s")
-    if _kernels is not None:
-        t_cy = time_sampler(y, args.steps, force_python=False)
-        print(f"  cython  {t_cy:9.2f} s   ({t_py / t_cy:.1f}x speedup)")
+    print(f"{'kernel':>14} {'backend':>9} {'n':>6} {'us/call':>10} {'ns/step':>9}")
+    for n in args.n:
+        spec = data.SyntheticSpec(model.ParamVector(*THETA), n=n, seed=1)
+        y = np.ascontiguousarray(data.generate_synthetic(spec))
+        call_args = (y, *THETA, float(np.var(y)))
+        for fn_name in ("volatility", "log_likelihood"):
+            for name, kernels in backends.items():
+                t = time_call(getattr(kernels, fn_name), call_args)
+                print(f"{fn_name:>14} {name:>9} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Select the recursion kernel backend at import time.
 
-Prefers the compiled Cython extension; falls back to the numpy/scipy
+Prefers the compiled Cython extension; falls back to the numpy/BLAS
 implementation when the extension is not built. Set ``GARCHMC_PURE_PYTHON=1``
-to force the fallback (used by the benchmark).
+to force the fallback.
 """
 import os
 

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .exceptions import DegenerateSeriesError, NoPlateauError
 
@@ -18,6 +17,20 @@ DEFAULT_WINDOW_FACTOR = 5.0
 JACKKNIFE_BLOCKS = 10
 
 PARAM_NAMES = ("alpha", "beta", "omega")
+
+
+def _next_fast_len(target):
+    """Smallest 2,3,5,7,11-smooth integer >= target: scipy.fft's default
+    FFT length, which fixes the ACF's rounding."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 @dataclass(frozen=True)
@@ -44,7 +57,7 @@ def acf(x, t_max):
     if not n > t_max >= 1:
         raise ValueError(f"need series length > t_max >= 1, got N={n}, t_max={t_max}")
     xc = x - x.mean()
-    nfft = next_fast_len(2 * n)
+    nfft = _next_fast_len(2 * n)
     f = np.fft.rfft(xc, nfft)
     sums = np.fft.irfft(f * np.conj(f), nfft)[: t_max + 1]
     var = sums[0] / n
@@ -77,8 +90,13 @@ def tau_int(acf_series, window_factor=DEFAULT_WINDOW_FACTOR):
     return tau, t_star, err
 
 
-def default_lag_bound(x, cap=LAG_CAP):
-    """min(N/10, 10 * first lag with ACF < 0.01), capped."""
+def bounded_acf(x, cap=LAG_CAP):
+    """ACF up to the default lag bound min(N/10, 10 * first lag with
+    ACF < 0.01), capped.
+
+    The FFT length depends only on N, so the prefix of the ACF computed to
+    find the bound is bit-identical to ``acf(x, bound)`` and is returned as is.
+    """
     n = np.asarray(x).size
     t_hi = min(n // 10, cap)
     if t_hi < 1:
@@ -87,7 +105,7 @@ def default_lag_bound(x, cap=LAG_CAP):
     below = np.nonzero(series.values[1:] < 0.01)[0]
     if below.size:
         t_hi = min(t_hi, 10 * (int(below[0]) + 1))
-    return max(t_hi, 1)
+    return AcfSeries(values=series.values[: t_hi + 1], n=n)
 
 
 def _jackknife_tau_err(x, window_factor):
@@ -100,7 +118,7 @@ def _jackknife_tau_err(x, window_factor):
     for i in range(JACKKNIFE_BLOCKS):
         sub = np.concatenate([x[: edges[i]], x[edges[i + 1]:]])
         try:
-            t, _, _ = tau_int(acf(sub, default_lag_bound(sub)), window_factor)
+            t, _, _ = tau_int(bounded_acf(sub), window_factor)
         except (NoPlateauError, DegenerateSeriesError):
             return float("nan")
         estimates.append(t)
@@ -185,7 +203,7 @@ def summarize(chain, param_names=PARAM_NAMES, window_factor=DEFAULT_WINDOW_FACTO
         mean = float(x.mean())
         std = float(x.std())
         try:
-            series = acf(x, default_lag_bound(x))
+            series = bounded_acf(x)
         except DegenerateSeriesError:
             params[name] = ParamSummary(mean, std, 0.0, float("nan"), float("nan"),
                                         float("nan"), 0, False)

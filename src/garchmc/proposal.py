@@ -4,9 +4,9 @@ The proposal covariance is nu*Sigma/(nu-2); fitting from accumulated draws
 sets Sigma = ((nu-2)/nu) * V with V the empirical (population-normalized)
 covariance of the draws.
 """
+import math
+
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
 
 from .exceptions import DegenerateSampleError
 
@@ -78,8 +78,8 @@ class StudentTProposal:
         self.chol = _cholesky_with_jitter(sigma)
         p = self.dim
         self._log_norm = (
-            gammaln((self.nu + p) / 2.0)
-            - gammaln(self.nu / 2.0)
+            math.lgamma((self.nu + p) / 2.0)
+            - math.lgamma(self.nu / 2.0)
             - np.sum(np.log(np.diag(self.chol)))
             - (p / 2.0) * np.log(self.nu * np.pi)
         )
@@ -101,9 +101,17 @@ class StudentTProposal:
         """Log of the multivariate Student-t density at theta (or batch)."""
         theta = np.asarray(theta, dtype=np.float64)
         single = theta.ndim == 1
-        dev = np.atleast_2d(theta) - self.mean
-        z = solve_triangular(self.chol, dev.T, lower=True)
-        q = np.sum(z * z, axis=0)
+        dev = (np.atleast_2d(theta) - self.mean).T
+        # Forward substitution z = L^-1 dev, elementwise over the candidate
+        # columns: a BLAS triangular solve on a wide batch wakes threaded
+        # workers that spin on the other cores.
+        z = []
+        for i, row in enumerate(self.chol):
+            zi = dev[i]
+            for j in range(i):
+                zi = zi - row[j] * z[j]
+            z.append(zi / row[i])
+        q = sum(zi * zi for zi in z)
         out = self._log_norm - ((self.nu + self.dim) / 2.0) * np.log1p(q / self.nu)
         return float(out[0]) if single else out
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,3 +135,16 @@ def test_config_requires_one_source():
         cli.RunConfig(csv=None, synthetic=False).validate()
     with pytest.raises(cli.GarchMCError):
         cli.RunConfig(csv="x.csv", synthetic=True).validate()
+
+
+def test_import_loads_no_heavy_scipy_modules():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.special", "scipy.fft")
+    code = (
+        "import sys, garchmc.cli\n"
+        f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == ""

@@ -142,5 +142,22 @@ class TestSummarize:
 
 def test_default_lag_bound_caps():
     x = np.random.default_rng(16).standard_normal(100000)
-    bound = diagnostics.default_lag_bound(x)
+    bound = diagnostics.bounded_acf(x).t_max
     assert 1 <= bound <= 10000
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(17).standard_normal(5000),  # bound from the 0.01 crossing
+    ar1(0.9995, 2000, seed=18),  # no crossing: bound N/10
+], ids=["crossing", "n_over_10"])
+def test_bounded_acf_is_bitwise_acf_to_the_bound(x):
+    series = diagnostics.bounded_acf(x)
+    assert np.array_equal(series.values, diagnostics.acf(x, series.t_max).values)
+    assert series.n == x.size
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    for target in range(1, 20001):
+        assert diagnostics._next_fast_len(target) == next_fast_len(target), target

@@ -83,6 +83,19 @@ class TestComputeVolatility:
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [1, 2, 250, 2000])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.999999])
+def test_fallback_volatility_is_the_plain_float_recursion(n, beta):
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n)
+    alpha, omega, s = 0.3 * (1.0 - beta), 0.05, 0.7
+    want = [s]
+    for yt in y[:-1].tolist():
+        s = (omega + alpha * (yt * yt)) + beta * s
+        want.append(s)
+    assert np.array_equal(_kernels_py.volatility(y, alpha, beta, omega, 0.7), want)
+
+
 class TestLogLikelihood:
     def test_standard_normal_at_zero(self):
         got = model.log_likelihood((0.1, 0.8, 0.01), [0.0], 1.0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import simpson
+from scipy.linalg import solve_triangular
+from scipy.special import gammaln
 
 from garchmc import proposal
 from garchmc.exceptions import DegenerateSampleError
@@ -132,6 +134,20 @@ class TestLogDensity:
         x = np.linspace(-60, 60, 200001)
         pdf = np.exp(prop.log_density(x[:, None]))
         assert simpson(pdf, x=x) == pytest.approx(1.0, abs=1e-4)
+
+    def test_matches_triangular_solve_reference(self):
+        sigma = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
+        prop = make_proposal([0.1, 0.2, 0.3], sigma)
+        theta = prop.sample(np.random.default_rng(8), size=1000)
+        z = solve_triangular(prop.chol, (theta - prop.mean).T, lower=True)
+        log_norm = (gammaln(6.5) - gammaln(5.0) - np.sum(np.log(np.diag(prop.chol)))
+                    - 1.5 * np.log(10.0 * np.pi))
+        want = log_norm - 6.5 * np.log1p(np.sum(z * z, axis=0) / 10.0)
+        # A log-density near zero is the difference of two O(1) terms, so the
+        # tolerance is relative to the normalising term as well.
+        atol = 1e-14 * abs(log_norm)
+        np.testing.assert_allclose(prop.log_density(theta), want, rtol=1e-14, atol=atol)
+        assert prop.log_density(theta[7]) == pytest.approx(want[7], rel=1e-14, abs=atol)
 
     def test_large_nu_approaches_gaussian(self):
         sigma = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
