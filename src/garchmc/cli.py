@@ -107,31 +107,29 @@ def _run_one_chain(config, y, seed, out):
         total=config.total,
     )
     if config.sampler == "adaptive":
-        chain, history, trace, checkpoint = samplers._run_adaptive_full(
+        res = samplers.run_adaptive(
             y, sched, nu=config.nu, seed=seed, sigma1_sq=sigma1_sq,
             freeze_after=config.freeze_after,
         )
-        _write_covariance_trace(out / "covariance_trace.csv", history)
+        _write_covariance_trace(out / "covariance_trace.csv", res.history)
         with open(out / "proposal_history.json", "w", encoding="utf-8") as fh:
-            json.dump([p.to_dict() for p in history], fh, indent=1)
+            json.dump([p.to_dict() for p in res.history], fh, indent=1)
     else:
-        chain, trace, checkpoint = samplers._run_metropolis_full(
-            y, sched, seed=seed, sigma1_sq=sigma1_sq
-        )
+        res = samplers.run_metropolis(y, sched, seed=seed, sigma1_sq=sigma1_sq)
 
     report = diagnostics.summarize(
-        chain,
+        res.chain,
         window_factor=config.window_factor,
         metadata={"sampler": config.sampler, "seed": seed},
     )
-    _write_chain_csv(out / "chain.csv", chain)
-    _write_trace_csv(out / "acceptance_trace.csv", trace)
+    _write_chain_csv(out / "chain.csv", res.chain)
+    _write_trace_csv(out / "acceptance_trace.csv", res.trace)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=1)
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(report.to_text(title=f"{config.sampler} run (seed {seed})") + "\n")
     with open(out / "checkpoint.json", "w", encoding="utf-8") as fh:
-        json.dump(checkpoint, fh, indent=1)
+        json.dump(res.checkpoint, fh, indent=1)
     return report
 
 
@@ -191,32 +189,20 @@ def compare_runs(dir_a, dir_b):
         with open(d / "report.json", encoding="utf-8") as fh:
             report = json.load(fh)
         fingerprints.append(manifest["data_fingerprint"])
-        blocks.append((manifest["config"]["sampler"], report))
+        blocks.append((manifest["config"]["sampler"], diagnostics.DiagnosticsReport(
+            params={n: diagnostics.ParamSummary(**p) for n, p in report["params"].items()},
+            acceptance=report["acceptance"],
+            n_draws=report["n_draws"],
+        )))
     if fingerprints[0] != fingerprints[1]:
         raise ComparisonRefusedError("runs were made on different data; comparison refused")
 
-    names = list(blocks[0][1]["params"])
-    col = 14
     lines = []
-    header = " " * 22 + "".join(n.ljust(col) for n in names)
     for sampler, report in blocks:
-        lines.append(sampler.capitalize())
-        lines.append(header)
-        p = report["params"]
-        lines.append("mean".ljust(22) + "".join(f"{p[n]['mean']:.5g}".ljust(col) for n in names))
-        lines.append("standard deviation".ljust(22)
-                     + "".join(f"{p[n]['stddev']:.3g}".ljust(col) for n in names))
-        lines.append("statistical error".ljust(22)
-                     + "".join(f"{p[n]['stat_error']:.2g}".ljust(col) for n in names))
-        lines.append("2tau_int".ljust(22)
-                     + "".join(f"{p[n]['two_tau_int']:.3g}".ljust(col) for n in names))
-        lines.append("")
-    ratios = {
-        n: blocks[1][1]["params"][n]["two_tau_int"] / blocks[0][1]["params"][n]["two_tau_int"]
-        for n in names
-    }
-    lines.append("2tau_int ratio (B/A)".ljust(22)
-                 + "".join(f"{ratios[n]:.3g}".ljust(col) for n in names))
+        lines += [report.to_text(title=sampler.capitalize()), ""]
+    (_, a), (_, b) = blocks
+    ratios = [f"{b.params[n].two_tau_int / a.params[n].two_tau_int:.3g}" for n in a.params]
+    lines.append("2tau_int ratio (B/A)".ljust(22) + "".join(r.ljust(14) for r in ratios))
     return "\n".join(lines)
 
 
@@ -225,26 +211,27 @@ def _build_parser():
                                      description="Bayesian GARCH(1,1) estimation by MCMC")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a sampler and write artifacts")
+    run_p = sub.add_parser("run", help="run a sampler and write artifacts",
+                           argument_default=argparse.SUPPRESS)
     src = run_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--csv", help="two-column CSV of label,price rows")
     src.add_argument("--synthetic", action="store_true", help="generate synthetic GARCH data")
-    run_p.add_argument("--alpha", type=float, default=0.03)
-    run_p.add_argument("--beta", type=float, default=0.94)
-    run_p.add_argument("--omega", type=float, default=0.011)
-    run_p.add_argument("--n", type=int, default=2000, help="synthetic series length")
-    run_p.add_argument("--sampler", choices=["adaptive", "metropolis"], default="adaptive")
-    run_p.add_argument("--burn-in", type=int, default=3000)
-    run_p.add_argument("--pilot", type=int, default=1000)
-    run_p.add_argument("--refit-interval", type=int, default=1000)
-    run_p.add_argument("--total", type=int, default=100000)
-    run_p.add_argument("--nu", type=float, default=10.0)
-    run_p.add_argument("--seed", type=int, default=12345)
-    run_p.add_argument("--sigma1", default="var", help="'var' or an explicit positive value")
-    run_p.add_argument("--window-factor", type=float, default=5.0)
-    run_p.add_argument("--out", default="garchmc_out")
-    run_p.add_argument("--chains", type=int, default=1)
-    run_p.add_argument("--freeze-after", type=int, default=None,
+    run_p.add_argument("--alpha", type=float)
+    run_p.add_argument("--beta", type=float)
+    run_p.add_argument("--omega", type=float)
+    run_p.add_argument("--n", type=int, help="synthetic series length")
+    run_p.add_argument("--sampler", choices=["adaptive", "metropolis"])
+    run_p.add_argument("--burn-in", type=int)
+    run_p.add_argument("--pilot", type=int)
+    run_p.add_argument("--refit-interval", type=int)
+    run_p.add_argument("--total", type=int)
+    run_p.add_argument("--nu", type=float)
+    run_p.add_argument("--seed", type=int)
+    run_p.add_argument("--sigma1", help="'var' or an explicit positive value")
+    run_p.add_argument("--window-factor", type=float)
+    run_p.add_argument("--out")
+    run_p.add_argument("--chains", type=int)
+    run_p.add_argument("--freeze-after", type=int,
                        help="stop re-fitting the proposal after this many refits")
     run_p.add_argument("--dump-returns", action="store_true")
 
@@ -258,16 +245,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = RunConfig(
-                csv=args.csv, synthetic=args.synthetic,
-                alpha=args.alpha, beta=args.beta, omega=args.omega, n=args.n,
-                sampler=args.sampler, burn_in=args.burn_in, pilot=args.pilot,
-                refit_interval=args.refit_interval, total=args.total, nu=args.nu,
-                seed=args.seed, sigma1=args.sigma1, window_factor=args.window_factor,
-                out=args.out, chains=args.chains, freeze_after=args.freeze_after,
-                dump_returns=args.dump_returns,
-            )
-            return run(config)
+            del args.command
+            return run(RunConfig(**vars(args)))
         print(compare_runs(args.dir_a, args.dir_b))
         return 0
     except (GarchMCError, OSError) as exc:

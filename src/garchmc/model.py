@@ -26,11 +26,6 @@ class ParamVector:
     def as_array(self):
         return np.array([self.alpha, self.beta, self.omega], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, arr):
-        a, b, w = (float(v) for v in arr)
-        return cls(alpha=a, beta=b, omega=w)
-
 
 def _components(theta):
     if isinstance(theta, ParamVector):
@@ -74,7 +69,10 @@ def log_likelihood(theta, y, sigma1_sq):
     if y.size < 1:
         raise InvalidParameterError("return series must be non-empty")
     try:
-        return kernels.log_likelihood(y, a, b, w, float(sigma1_sq))
+        # The kernel's own non-finite check raises; numpy's warnings on the
+        # way there would only precede that error.
+        with np.errstate(all="ignore"):
+            return kernels.log_likelihood(y, a, b, w, float(sigma1_sq))
     except FloatingPointError as exc:
         raise NumericOverflowError(str(exc)) from exc
 
@@ -85,11 +83,6 @@ def log_posterior(theta, y, sigma1_sq):
     if not check_constraints(theta):
         return LOG_ZERO
     return log_likelihood(theta, y, sigma1_sq)
-
-
-def is_rejected(log_post):
-    """True iff a log-posterior value lies in the zero-prior region."""
-    return log_post == LOG_ZERO
 
 
 def make_log_posterior(y, sigma1_sq):

@@ -36,12 +36,6 @@ class SampleAccumulator:
         self._sum = np.zeros(dim)
         self._sumsq = np.zeros((dim, dim))
 
-    def add(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        self.count += 1
-        self._sum += theta
-        self._sumsq += np.outer(theta, theta)
-
     def add_batch(self, draws):
         draws = np.asarray(draws, dtype=np.float64)
         self.count += draws.shape[0]

@@ -1,8 +1,11 @@
-"""Random-walk Metropolis, independence MH, and the adaptive driver.
+"""Random-walk Metropolis and adaptive independence MH on one driver.
 
-The kernels are dimension-agnostic: the target is any callable returning a
-log-density (or ``model.LOG_ZERO`` outside its support) for a 1-D parameter
-array. The adaptive driver wires them to the GARCH posterior.
+The batch kernels ``_rw_chain`` and ``_independence_batch`` are
+dimension-agnostic: the target is any callable returning a log-density (or
+``model.LOG_ZERO`` outside its support) for a 1-D parameter array, and both
+accept through ``_accept``. The one driver, ``_run``, wires them to the GARCH
+posterior: ``run_metropolis`` and ``run_adaptive`` differ only in the kernel
+that fills each retained batch.
 """
 import math
 from dataclasses import dataclass, field, replace
@@ -68,18 +71,9 @@ class MetropolisConfig:
             raise ValueError("target_acceptance_floor must lie in (0, 1)")
 
 
-def metropolis_step(current, cfg, target, rng):
-    """One random-walk step: theta' = theta + d*(r - 0.5), Metropolis accept."""
-    current = np.asarray(current, dtype=np.float64)
-    log_p = target(current)
-    cand = current + cfg.d * (rng.random(current.size) - 0.5)
-    log_p_cand = target(cand)
-    if log_p_cand == LOG_ZERO:
-        return current, False
-    delta = log_p_cand - log_p
-    if delta >= 0.0 or rng.random() < math.exp(delta):
-        return cand, True
-    return current, False
+def _accept(delta, u):
+    """Metropolis-Hastings rule for log acceptance ratio delta and u ~ U(0, 1)."""
+    return delta >= 0.0 or u < math.exp(delta)
 
 
 def _rw_chain(theta, log_p, n_steps, d, target, rng):
@@ -93,12 +87,10 @@ def _rw_chain(theta, log_p, n_steps, d, target, rng):
     for i in range(n_steps):
         cand = theta + shifts[i]
         log_p_cand = target(cand)
-        if log_p_cand != LOG_ZERO:
-            delta = log_p_cand - log_p
-            if delta >= 0.0 or u[i] < math.exp(delta):
-                theta = cand
-                log_p = log_p_cand
-                accepted[i] = True
+        if log_p_cand != LOG_ZERO and _accept(log_p_cand - log_p, u[i]):
+            theta = cand
+            log_p = log_p_cand
+            accepted[i] = True
         draws[i] = theta
         log_posts[i] = log_p
     return draws, accepted, log_posts, theta, log_p
@@ -126,20 +118,6 @@ def tune_metropolis(cfg, target, rng, theta0):
     )
 
 
-def independence_mh_step(current, prop, target, rng):
-    """One independence-MH step with the full Hastings correction."""
-    current = np.asarray(current, dtype=np.float64)
-    log_p = target(current)
-    cand = prop.sample(rng)
-    log_p_cand = target(cand)
-    if log_p_cand == LOG_ZERO:
-        return current, False
-    delta = (log_p_cand - log_p) + (prop.log_density(current) - prop.log_density(cand))
-    if delta >= 0.0 or rng.random() < math.exp(delta):
-        return cand, True
-    return current, False
-
-
 def _independence_batch(theta, log_p, log_g, prop, target, n_steps, rng):
     """Run n_steps of independence MH with vectorized candidate generation."""
     cands = prop.sample(rng, n_steps)
@@ -153,7 +131,7 @@ def _independence_batch(theta, log_p, log_g, prop, target, n_steps, rng):
         log_p_cand = target(cands[i])
         if log_p_cand != LOG_ZERO:
             delta = (log_p_cand - log_p) + (log_g - log_g_cands[i])
-            if delta >= 0.0 or u[i] < math.exp(delta):
+            if _accept(delta, u[i]):
                 theta = cands[i]
                 log_p = log_p_cand
                 log_g = log_g_cands[i]
@@ -161,27 +139,6 @@ def _independence_batch(theta, log_p, log_g, prop, target, n_steps, rng):
         draws[i] = theta
         log_posts[i] = log_p
     return draws, accepted, log_posts, theta, log_p, log_g
-
-
-def sample_independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
-    """Fixed-proposal independence MH chain of n_draws steps."""
-    theta = np.asarray(theta0, dtype=np.float64)
-    log_p = target(theta)
-    log_g = float(prop.log_density(theta))
-    parts = []
-    remaining = n_draws
-    while remaining > 0:
-        k = min(batch, remaining)
-        d, a, lp, theta, log_p, log_g = _independence_batch(
-            theta, log_p, log_g, prop, target, k, rng
-        )
-        parts.append((d, a, lp))
-        remaining -= k
-    return Chain(
-        draws=np.concatenate([p[0] for p in parts]),
-        accepted=np.concatenate([p[1] for p in parts]),
-        log_posts=np.concatenate([p[2] for p in parts]),
-    )
 
 
 def _initial_theta(y):
@@ -220,36 +177,46 @@ def _rng_state_token(rng):
     }
 
 
-def _run_metropolis_full(y, sched, cfg=None, seed=0, sigma1_sq=None):
-    """run_metropolis plus a resumption checkpoint payload."""
+@dataclass
+class RunResult:
+    """A finished run: retained chain, acceptance per batch, fitted proposals
+    (empty for Metropolis) and the resumption checkpoint payload."""
+
+    chain: Chain
+    trace: np.ndarray
+    history: list
+    checkpoint: dict
+
+
+def _run(y, sched, seed, sigma1_sq, step, history):
+    """The sampler driver shared by both schemes.
+
+    Tunes random-walk widths, discards sched.burn_in random-walk draws, then
+    retains sched.total draws in refit_interval-sized batches, each filled by
+    ``step``, which has the signature of ``_rw_chain``. ``history`` is the
+    list the step appends fitted proposals to.
+    """
     y = np.ascontiguousarray(y, dtype=np.float64)
     if sigma1_sq is None:
         sigma1_sq = float(np.var(y))
     target = model.make_log_posterior(y, sigma1_sq)
     theta0 = _initial_theta(y)
-    cfg = _tuned_config(target, theta0, cfg or MetropolisConfig(), named_rng(seed, "tuning"))
-
-    rng_burn = named_rng(seed, "burnin")
-    log_p0 = target(theta0)
-    _, _, _, theta, log_p = _rw_chain(theta0, log_p0, sched.burn_in, cfg.d, target, rng_burn)
-
-    rng_samp = named_rng(seed, "sampling")
-    parts = []
-    trace = []
-    for k in _batch_sizes(sched.total, sched.refit_interval):
-        d, a, lp, theta, log_p = _rw_chain(theta, log_p, k, cfg.d, target, rng_samp)
-        parts.append((d, a, lp))
-        trace.append(float(a.mean()))
-    chain = Chain(
-        draws=np.concatenate([p[0] for p in parts]),
-        accepted=np.concatenate([p[1] for p in parts]),
-        log_posts=np.concatenate([p[2] for p in parts]),
+    d = _tuned_config(target, theta0, MetropolisConfig(), named_rng(seed, "tuning")).d
+    _, _, _, theta, log_p = _rw_chain(
+        theta0, target(theta0), sched.burn_in, d, target, named_rng(seed, "burnin")
     )
+
+    rng = named_rng(seed, "sampling")
+    parts = []
+    for k in _batch_sizes(sched.total, sched.refit_interval):
+        draws, accepted, log_posts, theta, log_p = step(theta, log_p, k, d, target, rng)
+        parts.append((draws, accepted, log_posts))
+    chain = Chain(*(np.concatenate(col) for col in zip(*parts)))
     checkpoint = {
         "position": len(chain),
         "theta": theta.tolist(),
-        "rng_state": _rng_state_token(rng_samp),
-        "proposal": None,
+        "rng_state": _rng_state_token(rng),
+        "proposal": history[-1].to_dict() if history else None,
         "schedule": {
             "burn_in": sched.burn_in,
             "pilot": sched.pilot,
@@ -257,85 +224,46 @@ def _run_metropolis_full(y, sched, cfg=None, seed=0, sigma1_sq=None):
             "total": sched.total,
         },
     }
-    return chain, np.array(trace), checkpoint
+    trace = np.array([float(a.mean()) for _, a, _ in parts])
+    return RunResult(chain, trace, history, checkpoint)
 
 
-def run_metropolis(y, sched, cfg=None, seed=0, sigma1_sq=None):
+def run_metropolis(y, sched, seed=0, sigma1_sq=None):
     """Tuned random-walk Metropolis run: burn-in discarded, total retained.
 
-    Returns (Chain, acceptance_trace) with one trace entry per
-    refit_interval-sized batch of retained draws.
+    Returns a RunResult with one trace entry per refit_interval-sized batch
+    of retained draws and an empty proposal history.
     """
-    chain, trace, _ = _run_metropolis_full(y, sched, cfg=cfg, seed=seed, sigma1_sq=sigma1_sq)
-    return chain, trace
+    return _run(y, sched, seed, sigma1_sq, _rw_chain, [])
 
 
-def run_adaptive(y, sched, nu=10.0, seed=0, sigma1_sq=None, cfg=None, freeze_after=None):
+def run_adaptive(y, sched, nu=10.0, seed=0, sigma1_sq=None, freeze_after=None):
     """Adaptive scheme: tuned Metropolis pilot, then independence MH with the
     Student-t proposal re-fitted every refit_interval draws from all retained
-    post-burn-in draws (pilot included).
+    post-burn-in draws (pilot included), until freeze_after refits if given.
 
-    Returns (Chain of sched.total independence-MH draws, proposal_history,
-    acceptance_trace).
+    Returns a RunResult of sched.total independence-MH draws whose history
+    holds one fitted proposal per refit.
     """
-    chain, history, trace, _ = _run_adaptive_full(
-        y, sched, nu=nu, seed=seed, sigma1_sq=sigma1_sq, cfg=cfg, freeze_after=freeze_after
-    )
-    return chain, history, trace
-
-
-def _run_adaptive_full(y, sched, nu=10.0, seed=0, sigma1_sq=None, cfg=None, freeze_after=None):
-    """run_adaptive plus a resumption checkpoint payload."""
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if sigma1_sq is None:
-        sigma1_sq = float(np.var(y))
-    target = model.make_log_posterior(y, sigma1_sq)
-    theta0 = _initial_theta(y)
-    cfg = _tuned_config(target, theta0, cfg or MetropolisConfig(), named_rng(seed, "tuning"))
-
-    rng_burn = named_rng(seed, "burnin")
-    log_p0 = target(theta0)
-    _, _, _, theta, log_p = _rw_chain(theta0, log_p0, sched.burn_in, cfg.d, target, rng_burn)
-
-    rng_samp = named_rng(seed, "sampling")
-    pilot_draws, _, _, theta, log_p = _rw_chain(theta, log_p, sched.pilot, cfg.d, target, rng_samp)
-    acc = proposal.SampleAccumulator(dim=theta.size)
-    acc.add_batch(pilot_draws)
-
-    parts = []
     history = []
-    trace = []
-    prop = None
+    acc = proposal.SampleAccumulator()
     log_g = None
-    for batch_index, k in enumerate(_batch_sizes(sched.total, sched.refit_interval)):
-        if prop is None or freeze_after is None or len(history) < freeze_after:
+
+    def step(theta, log_p, n_steps, d, target, rng):
+        nonlocal log_g
+        if not history:
+            pilot, _, _, theta, log_p = _rw_chain(theta, log_p, sched.pilot, d, target, rng)
+            acc.add_batch(pilot)
+        if not history or freeze_after is None or len(history) < freeze_after:
             try:
-                prop = proposal.fit(acc, nu)
+                history.append(proposal.fit(acc, nu))
             except DegenerateSampleError as exc:
-                raise DegenerateSampleError(f"batch {batch_index}: {exc}") from exc
-            history.append(prop)
-            log_g = float(prop.log_density(theta))
-        d, a, lp, theta, log_p, log_g = _independence_batch(
-            theta, log_p, log_g, prop, target, k, rng_samp
+                raise DegenerateSampleError(f"batch {len(history)}: {exc}") from exc
+            log_g = float(history[-1].log_density(theta))
+        draws, accepted, log_posts, theta, log_p, log_g = _independence_batch(
+            theta, log_p, log_g, history[-1], target, n_steps, rng
         )
-        acc.add_batch(d)
-        parts.append((d, a, lp))
-        trace.append(float(a.mean()))
-    chain = Chain(
-        draws=np.concatenate([p[0] for p in parts]),
-        accepted=np.concatenate([p[1] for p in parts]),
-        log_posts=np.concatenate([p[2] for p in parts]),
-    )
-    checkpoint = {
-        "position": len(chain),
-        "theta": theta.tolist(),
-        "rng_state": _rng_state_token(rng_samp),
-        "proposal": prop.to_dict() if prop is not None else None,
-        "schedule": {
-            "burn_in": sched.burn_in,
-            "pilot": sched.pilot,
-            "refit_interval": sched.refit_interval,
-            "total": sched.total,
-        },
-    }
-    return chain, history, np.array(trace), checkpoint
+        acc.add_batch(draws)
+        return draws, accepted, log_posts, theta, log_p
+
+    return _run(y, sched, seed, sigma1_sq, step, history)

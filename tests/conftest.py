@@ -1,0 +1,27 @@
+import numpy as np
+import pytest
+
+from garchmc import samplers
+
+
+def _independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
+    """Fixed-proposal independence MH chain of n_draws steps, run through the
+    production batch kernel in batches of at most ``batch`` draws."""
+    theta = np.asarray(theta0, dtype=np.float64)
+    log_p = target(theta)
+    log_g = float(prop.log_density(theta))
+    parts = []
+    remaining = n_draws
+    while remaining > 0:
+        k = min(batch, remaining)
+        d, a, lp, theta, log_p, log_g = samplers._independence_batch(
+            theta, log_p, log_g, prop, target, k, rng
+        )
+        parts.append((d, a, lp))
+        remaining -= k
+    return samplers.Chain(*(np.concatenate(col) for col in zip(*parts)))
+
+
+@pytest.fixture
+def independence_chain():
+    return _independence_chain

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from garchmc import cli, data, diagnostics, model, proposal, samplers
+from garchmc import cli, data, diagnostics, model, proposal
 
 TRUTH = model.ParamVector(alpha=0.03, beta=0.94, omega=0.011)
 SEED = 5
@@ -136,13 +136,13 @@ def test_diagnostics_oracle():
     assert ok
 
 
-def test_kernel_correctness():
+def test_kernel_correctness(independence_chain):
     prop = proposal.StudentTProposal(np.array([0.0]), np.array([[1.0]]), 10.0)
     rng = np.random.default_rng(22)
-    self_chain = samplers.sample_independence_chain(
+    self_chain = independence_chain(
         lambda t: float(prop.log_density(t)), prop, np.array([0.5]), 100000, rng
     )
-    harness = samplers.sample_independence_chain(
+    harness = independence_chain(
         lambda t: -0.5 * float(t[0]) ** 2, prop, np.array([0.0]), 1000000, rng
     )
     x = harness.draws[:, 0]

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from garchmc import cli
+from garchmc import cli, diagnostics
 
 
 def run_cli(args):
@@ -123,6 +124,23 @@ class TestCompare:
         for row in ("mean", "standard deviation", "statistical error", "2tau_int"):
             assert row in text
 
+    def test_lower_bound_flag_shown(self, tmp_path):
+        summary = diagnostics.ParamSummary(0.5, 0.1, 0.01, 1370.0, 90.0, float("nan"), 999, False)
+        report = diagnostics.DiagnosticsReport(
+            params={n: summary for n in diagnostics.PARAM_NAMES}, acceptance=0.6, n_draws=30000,
+        )
+        dirs = []
+        for sampler in ("adaptive", "metropolis"):
+            d = tmp_path / sampler
+            d.mkdir()
+            (d / "manifest.json").write_text(json.dumps(
+                {"config": {"sampler": sampler}, "data_fingerprint": "same"}))
+            (d / "report.json").write_text(json.dumps(report.to_dict()))
+            dirs.append(d)
+        text = cli.compare_runs(*dirs)
+        assert text.count("(no plateau; lower bound)") == 6
+        assert "1.37e+03 +/- 90" in text
+
     def test_mismatched_data_refused(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run_cli(base_args(out_a, seed=11)) == 0
@@ -135,6 +153,32 @@ def test_config_requires_one_source():
         cli.RunConfig(csv=None, synthetic=False).validate()
     with pytest.raises(cli.GarchMCError):
         cli.RunConfig(csv="x.csv", synthetic=True).validate()
+
+
+def test_run_flags_map_onto_config(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", seen.append)
+    cli.main(["run", "--synthetic"])
+    assert seen == [cli.RunConfig(synthetic=True)]
+
+    want = cli.RunConfig(
+        csv="prices.csv", alpha=0.05, beta=0.9, omega=0.02, n=500, sampler="metropolis",
+        burn_in=10, pilot=20, refit_interval=30, total=40, nu=7.0, seed=8, sigma1="0.5",
+        window_factor=6.0, out="elsewhere", chains=3, freeze_after=2, dump_returns=True,
+    )
+    default = cli.RunConfig()
+    argv = ["run"]
+    for f in fields(cli.RunConfig):
+        value = getattr(want, f.name)
+        if f.name != "synthetic":  # exclusive with --csv; checked above
+            assert value != getattr(default, f.name), f.name
+        flag = "--" + f.name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, str(value)]
+    cli.main(argv)
+    assert seen[1:] == [want]
 
 
 def test_import_loads_no_heavy_scipy_modules():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,22 +120,22 @@ class TestLogLikelihood:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_overflow_raises(self):
-        with pytest.raises(NumericOverflowError):
-            model.log_likelihood((1e-8, 1e-8, 1e-300), [1e200, 1e200], 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError):
+                model.log_likelihood((1e-8, 1e-8, 1e-300), [1e200, 1e200], 1e-300)
 
 
 class TestLogPosterior:
     def test_outside_region_is_log_zero(self):
         lp = model.log_posterior((0.6, 0.6, 0.01), [0.1, 0.2], 0.05)
         assert lp == model.LOG_ZERO
-        assert model.is_rejected(lp)
 
     def test_inside_region_equals_likelihood(self):
         y = [0.5, -0.3, 0.2]
         lp = model.log_posterior((0.1, 0.8, 0.01), y, 0.05)
         ll = model.log_likelihood((0.1, 0.8, 0.01), y, 0.05)
         assert lp == ll
-        assert not model.is_rejected(lp)
 
     def test_log_differences_equal_likelihood_differences(self):
         y = np.random.default_rng(4).standard_normal(30)

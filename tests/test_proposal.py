@@ -19,8 +19,8 @@ class TestSampleAccumulator:
     def test_mean_and_population_covariance(self):
         a, b, c, eps = 1.0, 2.0, 3.0, 0.01
         acc = proposal.SampleAccumulator(dim=3)
-        acc.add([a, b, c])
-        acc.add([a + 2 * eps, b, c])
+        acc.add_batch([[a, b, c]])
+        acc.add_batch([[a + 2 * eps, b, c]])
         np.testing.assert_allclose(acc.mean(), [a + eps, b, c], rtol=1e-12)
         v = acc.covariance()
         assert v[0, 0] == pytest.approx(eps**2, rel=1e-9)
@@ -31,7 +31,7 @@ class TestSampleAccumulator:
         draws = rng.standard_normal((50, 3))
         one = proposal.SampleAccumulator(3)
         for d in draws:
-            one.add(d)
+            one.add_batch(d[None, :])
         many = proposal.SampleAccumulator(3)
         many.add_batch(draws)
         np.testing.assert_allclose(one.mean(), many.mean(), rtol=1e-12)

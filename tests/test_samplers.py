@@ -13,6 +13,14 @@ def std_normal_target(theta):
     return -0.5 * float(theta[0]) ** 2
 
 
+def rw_step(current, cfg, target, rng):
+    """One random-walk step through the production batch kernel."""
+    _, accepted, _, theta, _ = samplers._rw_chain(
+        current, target(current), 1, cfg.d, target, rng
+    )
+    return theta, bool(accepted[0])
+
+
 def small_series(seed=5, n=400):
     spec = data.SyntheticSpec(model.ParamVector(0.05, 0.9, 0.01), n=n, seed=seed)
     return data.generate_synthetic(spec)
@@ -24,7 +32,7 @@ class TestMetropolisStep:
         cfg = samplers.MetropolisConfig(d=np.ones(3))
         cur = np.zeros(3)
         for _ in range(100):
-            cur, accepted = samplers.metropolis_step(cur, cfg, lambda t: 0.0, rng)
+            cur, accepted = rw_step(cur, cfg, lambda t: 0.0, rng)
             assert accepted
 
     def test_zero_mass_candidate_always_rejected(self):
@@ -36,7 +44,7 @@ class TestMetropolisStep:
             return 0.0 if np.array_equal(theta, start) else LOG_ZERO
 
         for _ in range(100):
-            nxt, accepted = samplers.metropolis_step(start, cfg, target, rng)
+            nxt, accepted = rw_step(start, cfg, target, rng)
             assert not accepted
             assert np.array_equal(nxt, start)
 
@@ -50,7 +58,7 @@ class TestMetropolisStep:
             return 0.0 if theta[0] == 0.0 else -math.log(2.0)
 
         hits = sum(
-            samplers.metropolis_step(start, cfg, target, rng)[1] for _ in range(100000)
+            rw_step(start, cfg, target, rng)[1] for _ in range(100000)
         )
         assert hits / 100000 == pytest.approx(0.5, abs=0.01)
 
@@ -61,7 +69,7 @@ class TestMetropolisStep:
         def target(theta):
             return 0.0 if theta[0] == 0.0 else -700.0
 
-        nxt, accepted = samplers.metropolis_step(np.zeros(1), cfg, target, rng)
+        nxt, accepted = rw_step(np.zeros(1), cfg, target, rng)
         assert not accepted
 
 
@@ -104,15 +112,15 @@ class TestTuneMetropolis:
 
 
 class TestIndependenceStep:
-    def test_proposal_equals_target_accepts_everything(self):
+    def test_proposal_equals_target_accepts_everything(self, independence_chain):
         prop = proposal.StudentTProposal(np.array([0.0]), np.array([[1.0]]), 10.0)
         rng = np.random.default_rng(9)
-        chain = samplers.sample_independence_chain(
+        chain = independence_chain(
             lambda t: float(prop.log_density(t)), prop, np.array([0.3]), 10000, rng
         )
         assert chain.acceptance_rate == 1.0
 
-    def test_zero_mass_candidate_rejected(self):
+    def test_zero_mass_candidate_rejected(self, independence_chain):
         prop = proposal.StudentTProposal(np.array([0.0]), np.array([[1.0]]), 10.0)
         rng = np.random.default_rng(10)
         start = np.array([0.25])
@@ -120,15 +128,15 @@ class TestIndependenceStep:
         def target(theta):
             return 0.0 if theta[0] == 0.25 else LOG_ZERO
 
-        for _ in range(50):
-            nxt, accepted = samplers.independence_mh_step(start, prop, target, rng)
+        chain = independence_chain(target, prop, start, 50, rng)
+        for nxt, accepted in zip(chain.draws, chain.accepted):
             assert not accepted
             assert np.array_equal(nxt, start)
 
-    def test_one_dimensional_harness_recovers_target(self):
+    def test_one_dimensional_harness_recovers_target(self, independence_chain):
         prop = proposal.StudentTProposal(np.array([0.0]), np.array([[1.0]]), 10.0)
         rng = np.random.default_rng(11)
-        chain = samplers.sample_independence_chain(
+        chain = independence_chain(
             std_normal_target, prop, np.array([0.0]), 200000, rng
         )
         x = chain.draws[:, 0]
@@ -140,7 +148,8 @@ class TestRunAdaptive:
     def test_single_batch_schedule(self):
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=200, pilot=100, refit_interval=500, total=500)
-        chain, history, trace = samplers.run_adaptive(y, sched, seed=1)
+        res = samplers.run_adaptive(y, sched, seed=1)
+        chain, history, trace = res.chain, res.history, res.trace
         assert len(chain) == 500
         assert len(history) == 1
         assert trace.shape == (1,)
@@ -148,7 +157,8 @@ class TestRunAdaptive:
     def test_chain_respects_constraints_and_length(self):
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=300, pilot=200, refit_interval=250, total=1500)
-        chain, history, trace = samplers.run_adaptive(y, sched, seed=2)
+        res = samplers.run_adaptive(y, sched, seed=2)
+        chain, history = res.chain, res.history
         assert len(chain) == 1500
         assert len(history) == 6
         d = chain.draws
@@ -157,40 +167,40 @@ class TestRunAdaptive:
     def test_deterministic(self):
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=200, pilot=100, refit_interval=200, total=600)
-        a, _, _ = samplers.run_adaptive(y, sched, seed=3)
-        b, _, _ = samplers.run_adaptive(y, sched, seed=3)
+        a = samplers.run_adaptive(y, sched, seed=3).chain
+        b = samplers.run_adaptive(y, sched, seed=3).chain
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.accepted, b.accepted)
 
     def test_freeze_after_stops_refits(self):
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=200, pilot=100, refit_interval=200, total=1000)
-        _, history, trace = samplers.run_adaptive(y, sched, seed=4, freeze_after=2)
-        assert len(history) == 2
-        assert trace.shape == (5,)
+        res = samplers.run_adaptive(y, sched, seed=4, freeze_after=2)
+        assert len(res.history) == 2
+        assert res.trace.shape == (5,)
 
     def test_partial_final_batch(self):
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=200, pilot=100, refit_interval=400, total=900)
-        chain, history, trace = samplers.run_adaptive(y, sched, seed=5)
-        assert len(chain) == 900
-        assert trace.shape == (3,)
+        res = samplers.run_adaptive(y, sched, seed=5)
+        assert len(res.chain) == 900
+        assert res.trace.shape == (3,)
 
 
 class TestRunMetropolis:
     def test_deterministic_and_total_length(self):
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=300, pilot=100, refit_interval=500, total=2000)
-        a, trace_a = samplers.run_metropolis(y, sched, seed=6)
-        b, _ = samplers.run_metropolis(y, sched, seed=6)
-        assert len(a) == 2000
-        assert np.array_equal(a.draws, b.draws)
-        assert trace_a.shape == (4,)
+        a = samplers.run_metropolis(y, sched, seed=6)
+        b = samplers.run_metropolis(y, sched, seed=6)
+        assert len(a.chain) == 2000
+        assert np.array_equal(a.chain.draws, b.chain.draws)
+        assert a.trace.shape == (4,)
 
     def test_tuned_acceptance_above_floor(self):
         y = small_series(n=600)
         sched = samplers.AdaptiveSchedule(burn_in=500, pilot=100, refit_interval=1000, total=4000)
-        chain, _ = samplers.run_metropolis(y, sched, seed=7)
+        chain = samplers.run_metropolis(y, sched, seed=7).chain
         assert 0.4 < chain.acceptance_rate < 0.9
 
 
@@ -198,8 +208,8 @@ class TestCrossSamplerAgreement:
     def test_posterior_means_agree_within_combined_errors(self):
         y = small_series(seed=5, n=500)
         sched = samplers.AdaptiveSchedule(burn_in=1000, pilot=500, refit_interval=500, total=20000)
-        chain_a, _, _ = samplers.run_adaptive(y, sched, seed=8)
-        chain_m, _ = samplers.run_metropolis(y, sched, seed=8)
+        chain_a = samplers.run_adaptive(y, sched, seed=8).chain
+        chain_m = samplers.run_metropolis(y, sched, seed=8).chain
         rep_a = diagnostics.summarize(chain_a)
         rep_m = diagnostics.summarize(chain_m)
         for name in ("alpha", "beta", "omega"):
@@ -215,7 +225,7 @@ class TestStatisticalErrorConsistency:
         means = {n: [] for n in ("alpha", "beta", "omega")}
         errs = {n: [] for n in ("alpha", "beta", "omega")}
         for seed in range(16):
-            chain, _, _ = samplers.run_adaptive(y, sched, seed=100 + seed)
+            chain = samplers.run_adaptive(y, sched, seed=100 + seed).chain
             rep = diagnostics.summarize(chain)
             for n in means:
                 means[n].append(rep.params[n].mean)
