@@ -1,5 +1,7 @@
 """Time the recursion kernels, called directly: the numpy/BLAS fallback
-``garchmc._kernels_py`` and, when it imports, the compiled ``garchmc._kernels``.
+``garchmc._kernels_py`` and, when it imports, the compiled ``garchmc._kernels``,
+plus the fallback's batch likelihood on BATCH_K candidates per call. Every
+row is per candidate (one parameter set): a scalar call scores one.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
@@ -20,6 +22,8 @@ except ImportError:
 
 THETA = (0.05, 0.90, 0.01)
 BATCHES = 7
+#: Candidates per batch call: the default refit interval.
+BATCH_K = 1000
 
 
 def time_call(fn, args, batch_s=0.1):
@@ -52,7 +56,7 @@ def main():
     else:
         print("compiled extension not built; timing the fallback only")
 
-    print(f"{'kernel':>14} {'backend':>9} {'n':>6} {'us/call':>10} {'ns/step':>9}")
+    print(f"{'kernel':>20} {'backend':>9} {'n':>6} {'us/cand':>10} {'ns/step':>9}")
     for n in args.n:
         spec = data.SyntheticSpec(model.ParamVector(*THETA), n=n, seed=1)
         y = np.ascontiguousarray(data.generate_synthetic(spec))
@@ -60,7 +64,10 @@ def main():
         for fn_name in ("volatility", "log_likelihood"):
             for name, kernels in backends.items():
                 t = time_call(getattr(kernels, fn_name), call_args)
-                print(f"{fn_name:>14} {name:>9} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
+                print(f"{fn_name:>20} {name:>9} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
+        thetas = np.tile(THETA, (BATCH_K, 1))
+        t = time_call(_kernels_py.log_likelihood_batch, (y, thetas, call_args[-1])) / BATCH_K
+        print(f"{'log_likelihood_batch':>20} {'python':>9} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
 
 
 if __name__ == "__main__":

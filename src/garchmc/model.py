@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels_py import log_likelihood_batch
 from .backend import kernels
 from .exceptions import InvalidParameterError, NumericOverflowError
 
@@ -101,3 +102,29 @@ def make_log_posterior(y, sigma1_sq):
         return loglik(y, a, b, w, sigma1_sq)
 
     return log_post
+
+
+def make_batch_log_posterior(y, sigma1_sq):
+    """Batch twin of ``make_log_posterior``: a (k, 3) array of parameter rows
+    in, the (k,) log-posteriors out, from one batch-kernel call.
+
+    Rows outside the constraint region get exactly LOG_ZERO and are not
+    scored; a non-finite likelihood inside it raises NumericOverflowError.
+    """
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    sigma1_sq = float(sigma1_sq)
+
+    def log_post_batch(thetas):
+        out = np.full(thetas.shape[0], LOG_ZERO)
+        try:
+            # The kernel's own non-finite check raises; numpy's warnings on
+            # the way there would only precede that error.
+            with np.errstate(all="ignore"):
+                a, b, w = thetas.T
+                inside = (a > 0.0) & (b > 0.0) & (w > 0.0) & (a + b < 1.0)
+                out[inside] = log_likelihood_batch(y, thetas[inside], sigma1_sq)
+        except FloatingPointError as exc:
+            raise NumericOverflowError(str(exc)) from exc
+        return out
+
+    return log_post_batch

@@ -1,11 +1,14 @@
 """Random-walk Metropolis and adaptive independence MH on one driver.
 
 The batch kernels ``_rw_chain`` and ``_independence_batch`` are
-dimension-agnostic: the target is any callable returning a log-density (or
-``model.LOG_ZERO`` outside its support) for a 1-D parameter array, and both
-accept through ``_accept``. The one driver, ``_run``, wires them to the GARCH
-posterior: ``run_metropolis`` and ``run_adaptive`` differ only in the kernel
-that fills each retained batch.
+dimension-agnostic and both accept through ``_accept``. ``_rw_chain`` takes a
+target: any callable returning a log-density (or ``model.LOG_ZERO`` outside
+its support) for a 1-D parameter array. Independence candidates do not depend
+on the chain state, so ``_independence_batch`` takes a batch scorer instead,
+mapping a (k, p) array of candidates to their (k,) log-densities in one call.
+The one driver, ``_run``, wires them to the GARCH posterior:
+``run_metropolis`` and ``run_adaptive`` differ only in the kernel that fills
+each retained batch.
 """
 import math
 from dataclasses import dataclass, field, replace
@@ -26,11 +29,10 @@ TUNE_MAX_BLOCKS = 20
 
 @dataclass
 class Chain:
-    """Ordered draws with parallel accept flags and cached log-posteriors."""
+    """Ordered draws with parallel accept flags."""
 
     draws: np.ndarray       # (k, p)
     accepted: np.ndarray    # (k,) bool
-    log_posts: np.ndarray   # (k,)
 
     def __len__(self):
         return self.draws.shape[0]
@@ -77,11 +79,10 @@ def _accept(delta, u):
 
 
 def _rw_chain(theta, log_p, n_steps, d, target, rng):
-    """Run n_steps of random walk; returns draws, flags, log-posts, end state."""
+    """Run n_steps of random walk; returns draws, flags and the end state."""
     p = theta.size
     draws = np.empty((n_steps, p))
     accepted = np.zeros(n_steps, dtype=bool)
-    log_posts = np.empty(n_steps)
     shifts = d * (rng.random((n_steps, p)) - 0.5)
     u = rng.random(n_steps)
     for i in range(n_steps):
@@ -92,8 +93,7 @@ def _rw_chain(theta, log_p, n_steps, d, target, rng):
             log_p = log_p_cand
             accepted[i] = True
         draws[i] = theta
-        log_posts[i] = log_p
-    return draws, accepted, log_posts, theta, log_p
+    return draws, accepted, theta, log_p
 
 
 def tune_metropolis(cfg, target, rng, theta0):
@@ -107,7 +107,7 @@ def tune_metropolis(cfg, target, rng, theta0):
     d = cfg.d.copy()
     acc = float("nan")
     for _ in range(TUNE_MAX_BLOCKS):
-        _, flags, _, theta, log_p = _rw_chain(theta, log_p, TUNE_BLOCK_STEPS, d, target, rng)
+        _, flags, theta, log_p = _rw_chain(theta, log_p, TUNE_BLOCK_STEPS, d, target, rng)
         acc = float(flags.mean())
         if cfg.target_acceptance_floor <= acc <= TUNE_ACCEPT_CEIL:
             return replace(cfg, d=d)
@@ -118,17 +118,18 @@ def tune_metropolis(cfg, target, rng, theta0):
     )
 
 
-def _independence_batch(theta, log_p, log_g, prop, target, n_steps, rng):
-    """Run n_steps of independence MH with vectorized candidate generation."""
+def _independence_batch(theta, log_p, log_g, prop, score, n_steps, rng):
+    """Run n_steps of independence MH; all candidates are drawn and scored
+    (``score``: (k, p) candidates to (k,) log-densities) before the accept loop."""
     cands = prop.sample(rng, n_steps)
     log_g_cands = prop.log_density(cands)
     u = rng.random(n_steps)
+    log_p_cands = score(cands)
     p = theta.size
     draws = np.empty((n_steps, p))
     accepted = np.zeros(n_steps, dtype=bool)
-    log_posts = np.empty(n_steps)
     for i in range(n_steps):
-        log_p_cand = target(cands[i])
+        log_p_cand = log_p_cands[i]
         if log_p_cand != LOG_ZERO:
             delta = (log_p_cand - log_p) + (log_g - log_g_cands[i])
             if _accept(delta, u[i]):
@@ -137,8 +138,7 @@ def _independence_batch(theta, log_p, log_g, prop, target, n_steps, rng):
                 log_g = log_g_cands[i]
                 accepted[i] = True
         draws[i] = theta
-        log_posts[i] = log_p
-    return draws, accepted, log_posts, theta, log_p, log_g
+    return draws, accepted, theta, log_p, log_g
 
 
 def _initial_theta(y):
@@ -150,7 +150,7 @@ def _tuned_config(target, theta0, cfg, rng):
     """Tune scalar widths, rescale per-parameter from a pilot block, retune."""
     cfg = tune_metropolis(cfg, target, rng, theta0)
     log_p = target(theta0)
-    draws, _, _, _, _ = _rw_chain(theta0, log_p, 1000, cfg.d, target, rng)
+    draws, _, _, _ = _rw_chain(theta0, log_p, 1000, cfg.d, target, rng)
     stds = draws.std(axis=0)
     if np.all(stds > 0.0):
         scale = stds / math.exp(np.mean(np.log(stds)))
@@ -188,29 +188,32 @@ class RunResult:
     checkpoint: dict
 
 
-def _run(y, sched, seed, sigma1_sq, step, history):
-    """The sampler driver shared by both schemes.
+def _data(y, sigma1_sq):
+    """Contiguous float64 returns and sigma1_sq, defaulting to their variance."""
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    return y, float(np.var(y)) if sigma1_sq is None else sigma1_sq
+
+
+def _run(y, sigma1_sq, sched, seed, step, history):
+    """The sampler driver shared by both schemes, on data from ``_data``.
 
     Tunes random-walk widths, discards sched.burn_in random-walk draws, then
     retains sched.total draws in refit_interval-sized batches, each filled by
     ``step``, which has the signature of ``_rw_chain``. ``history`` is the
     list the step appends fitted proposals to.
     """
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if sigma1_sq is None:
-        sigma1_sq = float(np.var(y))
     target = model.make_log_posterior(y, sigma1_sq)
     theta0 = _initial_theta(y)
     d = _tuned_config(target, theta0, MetropolisConfig(), named_rng(seed, "tuning")).d
-    _, _, _, theta, log_p = _rw_chain(
+    _, _, theta, log_p = _rw_chain(
         theta0, target(theta0), sched.burn_in, d, target, named_rng(seed, "burnin")
     )
 
     rng = named_rng(seed, "sampling")
     parts = []
     for k in _batch_sizes(sched.total, sched.refit_interval):
-        draws, accepted, log_posts, theta, log_p = step(theta, log_p, k, d, target, rng)
-        parts.append((draws, accepted, log_posts))
+        draws, accepted, theta, log_p = step(theta, log_p, k, d, target, rng)
+        parts.append((draws, accepted))
     chain = Chain(*(np.concatenate(col) for col in zip(*parts)))
     checkpoint = {
         "position": len(chain),
@@ -224,7 +227,7 @@ def _run(y, sched, seed, sigma1_sq, step, history):
             "total": sched.total,
         },
     }
-    trace = np.array([float(a.mean()) for _, a, _ in parts])
+    trace = np.array([float(a.mean()) for _, a in parts])
     return RunResult(chain, trace, history, checkpoint)
 
 
@@ -234,7 +237,7 @@ def run_metropolis(y, sched, seed=0, sigma1_sq=None):
     Returns a RunResult with one trace entry per refit_interval-sized batch
     of retained draws and an empty proposal history.
     """
-    return _run(y, sched, seed, sigma1_sq, _rw_chain, [])
+    return _run(*_data(y, sigma1_sq), sched, seed, _rw_chain, [])
 
 
 def run_adaptive(y, sched, nu=10.0, seed=0, sigma1_sq=None, freeze_after=None):
@@ -245,6 +248,8 @@ def run_adaptive(y, sched, nu=10.0, seed=0, sigma1_sq=None, freeze_after=None):
     Returns a RunResult of sched.total independence-MH draws whose history
     holds one fitted proposal per refit.
     """
+    y, sigma1_sq = _data(y, sigma1_sq)
+    score = model.make_batch_log_posterior(y, sigma1_sq)
     history = []
     acc = proposal.SampleAccumulator()
     log_g = None
@@ -252,7 +257,7 @@ def run_adaptive(y, sched, nu=10.0, seed=0, sigma1_sq=None, freeze_after=None):
     def step(theta, log_p, n_steps, d, target, rng):
         nonlocal log_g
         if not history:
-            pilot, _, _, theta, log_p = _rw_chain(theta, log_p, sched.pilot, d, target, rng)
+            pilot, _, theta, log_p = _rw_chain(theta, log_p, sched.pilot, d, target, rng)
             acc.add_batch(pilot)
         if not history or freeze_after is None or len(history) < freeze_after:
             try:
@@ -260,10 +265,10 @@ def run_adaptive(y, sched, nu=10.0, seed=0, sigma1_sq=None, freeze_after=None):
             except DegenerateSampleError as exc:
                 raise DegenerateSampleError(f"batch {len(history)}: {exc}") from exc
             log_g = float(history[-1].log_density(theta))
-        draws, accepted, log_posts, theta, log_p, log_g = _independence_batch(
-            theta, log_p, log_g, history[-1], target, n_steps, rng
+        draws, accepted, theta, log_p, log_g = _independence_batch(
+            theta, log_p, log_g, history[-1], score, n_steps, rng
         )
         acc.add_batch(draws)
-        return draws, accepted, log_posts, theta, log_p
+        return draws, accepted, theta, log_p
 
-    return _run(y, sched, seed, sigma1_sq, step, history)
+    return _run(y, sigma1_sq, sched, seed, step, history)

@@ -6,7 +6,12 @@ from garchmc import samplers
 
 def _independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
     """Fixed-proposal independence MH chain of n_draws steps, run through the
-    production batch kernel in batches of at most ``batch`` draws."""
+    production batch kernel in batches of at most ``batch`` draws, scoring
+    candidates with the scalar ``target`` one row at a time."""
+
+    def score(cands):
+        return np.array([target(c) for c in cands], dtype=np.float64)
+
     theta = np.asarray(theta0, dtype=np.float64)
     log_p = target(theta)
     log_g = float(prop.log_density(theta))
@@ -14,10 +19,10 @@ def _independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
     remaining = n_draws
     while remaining > 0:
         k = min(batch, remaining)
-        d, a, lp, theta, log_p, log_g = samplers._independence_batch(
-            theta, log_p, log_g, prop, target, k, rng
+        d, a, theta, log_p, log_g = samplers._independence_batch(
+            theta, log_p, log_g, prop, score, k, rng
         )
-        parts.append((d, a, lp))
+        parts.append((d, a))
         remaining -= k
     return samplers.Chain(*(np.concatenate(col) for col in zip(*parts)))
 

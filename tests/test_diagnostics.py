@@ -99,7 +99,6 @@ def chain_from(draws, accepted=None):
     return samplers.Chain(
         draws=draws,
         accepted=np.ones(k, bool) if accepted is None else accepted,
-        log_posts=np.zeros(k),
     )
 
 

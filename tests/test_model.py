@@ -152,6 +152,75 @@ class TestLogPosterior:
         assert target(np.array([0.6, 0.6, 0.01])) == model.LOG_ZERO
 
 
+BLOCK = _kernels_py.BLOCK
+
+
+class TestLogLikelihoodBatch:
+    @pytest.mark.parametrize("beta", [1e-9, 0.5, 0.999999])
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 250, 2000])
+    def test_rows_match_scalar_kernel(self, n, beta):
+        # omega >= 0.2 and sigma1_sq = 1 keep every s_t above 1/(2 pi), so all
+        # terms log(2 pi s) + y^2/s are positive and the relative comparison
+        # is not spoilt by cancellation in the sum.
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n)
+        for k in (0, 1, 7, 1000):
+            thetas = np.column_stack([
+                rng.uniform(0.0, 1.0 - beta, k), np.full(k, beta), rng.uniform(0.2, 1.0, k),
+            ])
+            got = _kernels_py.log_likelihood_batch(y, thetas, 1.0)
+            want = np.array([_kernels_py.log_likelihood(y, *row, 1.0) for row in thetas])
+            assert got.shape == (k,)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_against_brute_force_oracle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = rng.integers(1, 11)
+            y = rng.standard_normal(n)
+            s1 = rng.uniform(0.01, 2.0)
+            a = rng.uniform(0.01, 0.4, 4)
+            b = rng.uniform(0.01, 0.95 - a)
+            w = rng.uniform(0.001, 0.5, 4)
+            thetas = np.column_stack([a, b, w])
+            got = _kernels_py.log_likelihood_batch(y, thetas, s1)
+            for value, theta in zip(got, thetas):
+                assert value == pytest.approx(loglik_oracle(theta, y, s1), rel=1e-12)
+
+
+class TestBatchLogPosterior:
+    def test_outside_rows_are_exactly_log_zero(self):
+        y = np.random.default_rng(8).standard_normal(300)
+        thetas = np.array([
+            [0.1, 0.8, 0.01],
+            [0.6, 0.6, 0.01],       # alpha + beta > 1
+            [0.5, 0.5, 0.01],       # alpha + beta == 1
+            [0.1, 0.8, 0.0],        # omega == 0
+            [-0.1, 0.8, 0.01],
+            [0.1, -0.8, 0.01],
+            [0.1, 1e300, 0.01],     # would overflow if it were scored
+            [np.nan, 0.8, 0.01],
+            [0.05, 0.9, 0.02],
+        ])
+        got = model.make_batch_log_posterior(y, 0.3)(thetas)
+        inside = np.array([True, False, False, False, False, False, False, False, True])
+        assert np.all(got[~inside] == model.LOG_ZERO)
+        np.testing.assert_array_equal(
+            got[inside], _kernels_py.log_likelihood_batch(y, thetas[inside], 0.3)
+        )
+        target = model.make_log_posterior(y, 0.3)
+        for value, theta in zip(got, thetas):
+            assert value == pytest.approx(target(theta), rel=1e-14)
+
+    def test_overflow_raises(self):
+        score = model.make_batch_log_posterior([1e200, 1e200], 1e-300)
+        thetas = np.array([[0.1, 0.8, 0.01], [1e-8, 1e-8, 1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError):
+                score(thetas)
+
+
 @pytest.mark.skipif(_kernels is None, reason="compiled extension not built")
 class TestBackendAgreement:
     def test_volatility_matches(self):

@@ -15,7 +15,7 @@ def std_normal_target(theta):
 
 def rw_step(current, cfg, target, rng):
     """One random-walk step through the production batch kernel."""
-    _, accepted, _, theta, _ = samplers._rw_chain(
+    _, accepted, theta, _ = samplers._rw_chain(
         current, target(current), 1, cfg.d, target, rng
     )
     return theta, bool(accepted[0])
@@ -142,6 +142,50 @@ class TestIndependenceStep:
         x = chain.draws[:, 0]
         assert x.mean() == pytest.approx(0.0, abs=0.02)
         assert x.var() == pytest.approx(1.0, rel=0.03)
+
+
+def reference_independence_batch(theta, log_p, log_g, prop, target, n_steps, rng):
+    """Independence MH written out with one scalar target call per candidate,
+    consuming the random numbers in the order the production kernel does."""
+    cands = prop.sample(rng, n_steps)
+    log_g_cands = prop.log_density(cands)
+    u = rng.random(n_steps)
+    draws, flags = [], []
+    for cand, log_g_cand, u_i in zip(cands, log_g_cands, u):
+        log_p_cand = target(cand)
+        accept = False
+        if log_p_cand != LOG_ZERO:
+            delta = (log_p_cand - log_p) + (log_g - log_g_cand)
+            accept = delta >= 0.0 or u_i < math.exp(delta)
+        if accept:
+            theta, log_p, log_g = cand, log_p_cand, log_g_cand
+        draws.append(theta)
+        flags.append(accept)
+    return np.array(draws), np.array(flags)
+
+
+def test_batch_scoring_matches_per_candidate_scoring():
+    y = small_series()
+    s1 = float(np.var(y))
+    target = model.make_log_posterior(y, s1)
+    # Wide enough that some candidates leave the constraint region.
+    prop = proposal.StudentTProposal(
+        np.array([0.05, 0.9, 0.01]), np.diag([0.03, 0.04, 0.006]) ** 2, 10.0
+    )
+    theta = np.array([0.05, 0.9, 0.01])
+    log_g = float(prop.log_density(theta))
+    draws, accepted, *_ = samplers._independence_batch(
+        theta, target(theta), log_g, prop, model.make_batch_log_posterior(y, s1),
+        2000, np.random.default_rng(12),
+    )
+    want_draws, want_accepted = reference_independence_batch(
+        theta, target(theta), log_g, prop, target, 2000, np.random.default_rng(12)
+    )
+    cands = prop.sample(np.random.default_rng(12), 2000)
+    assert not all(model.check_constraints(c) for c in cands)
+    assert 0 < accepted.sum() < 2000
+    assert np.array_equal(draws, want_draws)
+    assert np.array_equal(accepted, want_accepted)
 
 
 class TestRunAdaptive:
