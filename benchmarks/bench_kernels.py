@@ -1,7 +1,7 @@
-"""Time the recursion kernels, called directly: the numpy/BLAS fallback
-``garchmc._kernels_py`` and, when it imports, the compiled ``garchmc._kernels``,
-plus the fallback's batch likelihood on BATCH_K candidates per call. Every
-row is per candidate (one parameter set): a scalar call scores one.
+"""Time the kernels of ``garchmc._kernels_py``, called directly: the scalar
+volatility and likelihood, and the batch likelihood on BATCH_K candidates
+per call. Every row is per candidate (one parameter set): a scalar call
+scores one.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
@@ -14,11 +14,6 @@ import time
 import numpy as np
 
 from garchmc import _kernels_py, data, model
-
-try:
-    from garchmc import _kernels
-except ImportError:
-    _kernels = None
 
 THETA = (0.05, 0.90, 0.01)
 BATCHES = 7
@@ -50,24 +45,20 @@ def main():
                         help="return series lengths")
     args = parser.parse_args()
 
-    backends = {"python": _kernels_py}
-    if _kernels is not None:
-        backends["compiled"] = _kernels
-    else:
-        print("compiled extension not built; timing the fallback only")
-
-    print(f"{'kernel':>20} {'backend':>9} {'n':>6} {'us/cand':>10} {'ns/step':>9}")
+    print(f"{'kernel':>20} {'n':>6} {'us/cand':>10} {'ns/step':>9}")
     for n in args.n:
         spec = data.SyntheticSpec(model.ParamVector(*THETA), n=n, seed=1)
         y = np.ascontiguousarray(data.generate_synthetic(spec))
         call_args = (y, *THETA, float(np.var(y)))
-        for fn_name in ("volatility", "log_likelihood"):
-            for name, kernels in backends.items():
-                t = time_call(getattr(kernels, fn_name), call_args)
-                print(f"{fn_name:>20} {name:>9} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
         thetas = np.tile(THETA, (BATCH_K, 1))
-        t = time_call(_kernels_py.log_likelihood_batch, (y, thetas, call_args[-1])) / BATCH_K
-        print(f"{'log_likelihood_batch':>20} {'python':>9} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
+        rows = [
+            ("volatility", time_call(_kernels_py.volatility, call_args)),
+            ("log_likelihood", time_call(_kernels_py.log_likelihood, call_args)),
+            ("log_likelihood_batch",
+             time_call(_kernels_py.log_likelihood_batch, (y, thetas, call_args[-1])) / BATCH_K),
+        ]
+        for fn_name, t in rows:
+            print(f"{fn_name:>20} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
 
 
 if __name__ == "__main__":

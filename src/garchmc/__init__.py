@@ -1,6 +1,5 @@
 """Bayesian GARCH(1,1) estimation by MCMC with an adaptively fitted
 multivariate Student-t independence proposal."""
-from .backend import BACKEND
 from .model import ParamVector, check_constraints, compute_volatility, log_likelihood, log_posterior
 from .proposal import SampleAccumulator, StudentTProposal, fit
 from .samplers import (
@@ -15,7 +14,6 @@ from .diagnostics import DiagnosticsReport, acf, summarize, tau_int
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ParamVector",
     "check_constraints",
     "compute_volatility",

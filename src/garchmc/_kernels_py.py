@@ -1,4 +1,4 @@
-"""Pure-Python (numpy plus one BLAS call) fallback for the compiled kernels.
+"""The GARCH(1,1) likelihood kernels: numpy plus one BLAS call.
 
 The volatility recursion s_t = drive_t + beta*s_{t-1} is the transposed
 solve U^T s = drive with U unit upper bidiagonal (superdiagonal -beta), so it
@@ -7,9 +7,10 @@ transposed form takes each step as a length-1 dot product, which rounds
 exactly like the plain recursion; the ``lower=1`` form fuses the multiply
 and add and does not.
 
-``log_likelihood_batch`` scores many parameter rows at once for the
-independence sampler's candidate batches; it has no compiled twin and is used
-whichever backend serves the scalar kernels.
+``log_likelihood`` scores one parameter set, for the random-walk steps;
+``log_likelihood_batch`` scores many parameter rows at once, for the
+independence sampler's candidate batches. The module imports only numpy and
+``scipy.linalg.blas``.
 """
 import math
 

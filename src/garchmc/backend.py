@@ -1,21 +1,8 @@
-"""Select the recursion kernel backend at import time.
+"""The one likelihood kernel module, under the name the benchmark tracer patches.
 
-Prefers the compiled Cython extension; falls back to the numpy/BLAS
-implementation when the extension is not built. Set ``GARCHMC_PURE_PYTHON=1``
-to force the fallback.
+``perfbench/tracer.py`` wraps ``backend.kernels.log_likelihood`` to count and
+time scalar likelihood calls. ``model`` reaches its kernels through this
+attribute, and looks the scalar kernel up when a posterior closure is made,
+so a closure made after the patch calls the wrapper.
 """
-import os
-
-if os.environ.get("GARCHMC_PURE_PYTHON"):
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as kernels
-
-        BACKEND = "python"
+from . import _kernels_py as kernels

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backend, data, diagnostics, model, samplers
+from . import data, diagnostics, model, samplers
 from .exceptions import ComparisonRefusedError, GarchMCError
 from .rng import chain_seed
 
@@ -44,6 +44,12 @@ class RunConfig:
             raise GarchMCError(f"unknown sampler {self.sampler!r}")
         if min(self.burn_in, self.pilot, self.refit_interval, self.total, self.chains) <= 0:
             raise GarchMCError("schedule fields and --chains must be positive")
+        if not self.nu > 2.0:
+            raise GarchMCError(f"--nu must exceed 2, got {self.nu}")
+        if not self.window_factor > 0.0:
+            raise GarchMCError(f"--window-factor must be positive, got {self.window_factor}")
+        if self.freeze_after is not None and self.freeze_after < 1:
+            raise GarchMCError(f"--freeze-after must be at least 1, got {self.freeze_after}")
         if self.sigma1 != "var":
             try:
                 v = float(self.sigma1)
@@ -62,10 +68,6 @@ def _load_returns(config):
         seed=config.seed,
     )
     return data.generate_synthetic(spec)
-
-
-def _resolve_sigma1(config, y):
-    return float(np.var(y)) if config.sigma1 == "var" else float(config.sigma1)
 
 
 def _fingerprint(y):
@@ -99,7 +101,7 @@ def _write_covariance_trace(path, history):
 def _run_one_chain(config, y, seed, out):
     """Run a single chain and write all artifacts into ``out``."""
     out.mkdir(parents=True, exist_ok=True)
-    sigma1_sq = _resolve_sigma1(config, y)
+    sigma1_sq = None if config.sigma1 == "var" else float(config.sigma1)
     sched = samplers.AdaptiveSchedule(
         burn_in=config.burn_in,
         pilot=config.pilot,
@@ -145,7 +147,6 @@ def run(config):
         "seed": config.seed,
         "data_fingerprint": _fingerprint(y),
         "n_returns": int(y.size),
-        "backend": backend.BACKEND,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)

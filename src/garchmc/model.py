@@ -1,14 +1,15 @@
 """GARCH(1,1) parameters, volatility recursion, likelihood and posterior.
 
 Parameter order is fixed as (alpha, beta, omega) everywhere. Return and
-volatility series are plain float64 ndarrays.
+volatility series are plain float64 ndarrays. The numeric work is done by
+the scalar and batch kernels of ``_kernels_py``, reached through
+``backend.kernels``.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import log_likelihood_batch
 from .backend import kernels
 from .exceptions import InvalidParameterError, NumericOverflowError
 
@@ -90,6 +91,7 @@ def make_log_posterior(y, sigma1_sq):
     """Fast closure evaluating the log-posterior on a length-3 array.
 
     Avoids per-call validation overhead; intended for sampler inner loops.
+    The scalar kernel is looked up once, here.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     sigma1_sq = float(sigma1_sq)
@@ -122,7 +124,7 @@ def make_batch_log_posterior(y, sigma1_sq):
             with np.errstate(all="ignore"):
                 a, b, w = thetas.T
                 inside = (a > 0.0) & (b > 0.0) & (w > 0.0) & (a + b < 1.0)
-                out[inside] = log_likelihood_batch(y, thetas[inside], sigma1_sq)
+                out[inside] = kernels.log_likelihood_batch(y, thetas[inside], sigma1_sq)
         except FloatingPointError as exc:
             raise NumericOverflowError(str(exc)) from exc
         return out

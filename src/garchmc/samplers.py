@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model, proposal
-from .exceptions import DegenerateSampleError, TuningFailureError
+from .exceptions import DataValidationError, DegenerateSampleError, TuningFailureError
 from .rng import named_rng
 
 LOG_ZERO = model.LOG_ZERO
@@ -189,9 +189,17 @@ class RunResult:
 
 
 def _data(y, sigma1_sq):
-    """Contiguous float64 returns and sigma1_sq, defaulting to their variance."""
+    """Contiguous float64 returns and sigma1_sq, defaulting to their variance.
+
+    Returns without a positive variance (flat prices, a single return) leave
+    the GARCH scale unidentified and the default sigma1_sq zero, so they are
+    refused.
+    """
     y = np.ascontiguousarray(y, dtype=np.float64)
-    return y, float(np.var(y)) if sigma1_sq is None else sigma1_sq
+    var = float(np.var(y))
+    if not var > 0.0:
+        raise DataValidationError(f"returns need a positive variance, got {var} over {y.size} values")
+    return y, var if sigma1_sq is None else sigma1_sq
 
 
 def _run(y, sigma1_sq, sched, seed, step, history):

@@ -82,6 +82,22 @@ class TestRun:
         assert run_cli(base_args(out) + ["--sigma1", "0.25"]) == 0
         assert run_cli(base_args(tmp_path / "bad") + ["--sigma1", "-1"]) == 1
 
+    @pytest.mark.parametrize("flag", [
+        ["--nu", "2"], ["--nu", "0"], ["--nu", "-3"],
+        ["--window-factor", "0"], ["--window-factor", "-1"],
+        ["--freeze-after", "0"],
+    ])
+    def test_out_of_range_flag_exits_one(self, tmp_path, capsys, flag):
+        assert run_cli(base_args(tmp_path / "bad") + flag) == 1
+        assert capsys.readouterr().err.startswith("error: " + flag[0])
+
+    def test_zero_variance_returns_exit_one(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("date,price\n" + "".join(f"d{i},100\n" for i in range(50)))
+        for source in (["--csv", str(flat)], ["--synthetic", "--n", "1"]):
+            assert run_cli(["run", *source, "--out", str(tmp_path / "o")]) == 1
+            assert "positive variance" in capsys.readouterr().err
+
     def test_multi_chain(self, tmp_path):
         out = tmp_path / "multi"
         assert run_cli(base_args(out, total=2000) + ["--chains", "2"]) == 0

@@ -7,11 +7,6 @@ import pytest
 from garchmc import _kernels_py, model
 from garchmc.exceptions import InvalidParameterError, NumericOverflowError
 
-try:
-    from garchmc import _kernels
-except ImportError:
-    _kernels = None
-
 
 def loglik_oracle(theta, y, sigma1_sq):
     """Brute-force per-observation Gaussian log-densities, summed."""
@@ -220,17 +215,3 @@ class TestBatchLogPosterior:
             with pytest.raises(NumericOverflowError):
                 score(thetas)
 
-
-@pytest.mark.skipif(_kernels is None, reason="compiled extension not built")
-class TestBackendAgreement:
-    def test_volatility_matches(self):
-        y = np.random.default_rng(6).standard_normal(500)
-        a = _kernels.volatility(y, 0.08, 0.88, 0.02, 0.3)
-        b = _kernels_py.volatility(y, 0.08, 0.88, 0.02, 0.3)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
-
-    def test_log_likelihood_matches(self):
-        y = np.random.default_rng(7).standard_normal(500)
-        a = _kernels.log_likelihood(y, 0.08, 0.88, 0.02, 0.3)
-        b = _kernels_py.log_likelihood(y, 0.08, 0.88, 0.02, 0.3)
-        assert a == pytest.approx(b, rel=1e-12)

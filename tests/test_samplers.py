@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from garchmc import data, diagnostics, model, proposal, samplers
-from garchmc.exceptions import TuningFailureError
+from garchmc.exceptions import DataValidationError, TuningFailureError
 
 LOG_ZERO = model.LOG_ZERO
 
@@ -246,6 +246,12 @@ class TestRunMetropolis:
         sched = samplers.AdaptiveSchedule(burn_in=500, pilot=100, refit_interval=1000, total=4000)
         chain = samplers.run_metropolis(y, sched, seed=7).chain
         assert 0.4 < chain.acceptance_rate < 0.9
+
+    @pytest.mark.parametrize("run", [samplers.run_metropolis, samplers.run_adaptive])
+    def test_zero_variance_returns_refused(self, run):
+        sched = samplers.AdaptiveSchedule(burn_in=10, pilot=10, refit_interval=10, total=10)
+        with pytest.raises(DataValidationError, match="positive variance"):
+            run(np.zeros(10), sched)
 
 
 class TestCrossSamplerAgreement:
