@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -38,12 +39,13 @@ class RunConfig:
     dump_returns: bool = False
 
     def validate(self):
+        """Check every field; returns the run's AdaptiveSchedule."""
         if (self.csv is None) == (not self.synthetic):
             raise GarchMCError("exactly one input source required: --csv PATH or --synthetic")
         if self.sampler not in ("adaptive", "metropolis"):
             raise GarchMCError(f"unknown sampler {self.sampler!r}")
-        if min(self.burn_in, self.pilot, self.refit_interval, self.total, self.chains) <= 0:
-            raise GarchMCError("schedule fields and --chains must be positive")
+        if self.chains <= 0:
+            raise GarchMCError(f"--chains must be positive, got {self.chains}")
         if not self.nu > 2.0:
             raise GarchMCError(f"--nu must exceed 2, got {self.nu}")
         if not self.window_factor > 0.0:
@@ -57,6 +59,11 @@ class RunConfig:
                 raise GarchMCError(f"--sigma1 must be 'var' or a number, got {self.sigma1!r}") from None
             if v <= 0:
                 raise GarchMCError("--sigma1 value must be positive")
+        try:
+            return samplers.AdaptiveSchedule(self.burn_in, self.pilot, self.refit_interval, self.total)
+        except ValueError as exc:
+            # The message starts with the offending field: name it as its flag.
+            raise GarchMCError("--" + str(exc).replace("_", "-")) from None
 
 
 def _load_returns(config):
@@ -74,48 +81,58 @@ def _fingerprint(y):
     return hashlib.sha256(np.ascontiguousarray(y, dtype=np.float64).tobytes()).hexdigest()
 
 
-def _write_chain_csv(path, chain):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("alpha,beta,omega,accepted\n")
-        for row, acc in zip(chain.draws, chain.accepted):
-            fh.write(f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{int(acc)}\n")
+#: Rows per write of a CSV artifact, so the formatted text held at once stays
+#: bounded however long the chain.
+_CHUNK_ROWS = 4096
 
 
-def _write_trace_csv(path, trace):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("batch,acceptance\n")
-        for i, a in enumerate(trace):
-            fh.write(f"{i},{a:.17g}\n")
+def _write_atomic(path, pieces):
+    """Write the strings ``pieces`` to ``path``, all or nothing.
+
+    They go to ``<name>.part``, which replaces ``path`` only once complete
+    and is unlinked on any failure, so ``path`` is either absent, as it was,
+    or complete.
+    """
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", newline="", encoding="utf-8") as fh:
+            for piece in pieces:
+                fh.write(piece)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
-def _write_covariance_trace(path, history):
-    cols = ["V11", "V12", "V13", "V22", "V23", "V33"]
-    idx = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("refit," + ",".join(cols) + "\n")
-        for r, prop in enumerate(history):
-            v = prop.covariance()
-            fh.write(f"{r}," + ",".join(f"{v[i, j]:.17g}" for i, j in idx) + "\n")
+def _write_csv(path, header, fmt, *columns):
+    """A header line, then one ``fmt % row`` line per row of the equal-length
+    1-D arrays ``columns``, formatted _CHUNK_ROWS rows per write."""
+
+    def lines():
+        yield header + "\n"
+        for i in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [col[i:i + _CHUNK_ROWS].tolist() for col in columns]
+            yield "".join([fmt % row for row in zip(*chunk)])
+
+    _write_atomic(path, lines())
 
 
-def _run_one_chain(config, y, seed, out):
+def _write_json(path, obj):
+    _write_atomic(path, [json.dumps(obj, indent=1)])
+
+
+def _run_one_chain(config, sched, y, seed, out):
     """Run a single chain and write all artifacts into ``out``."""
     out.mkdir(parents=True, exist_ok=True)
     sigma1_sq = None if config.sigma1 == "var" else float(config.sigma1)
-    sched = samplers.AdaptiveSchedule(
-        burn_in=config.burn_in,
-        pilot=config.pilot,
-        refit_interval=config.refit_interval,
-        total=config.total,
-    )
     if config.sampler == "adaptive":
         res = samplers.run_adaptive(
             y, sched, nu=config.nu, seed=seed, sigma1_sq=sigma1_sq,
             freeze_after=config.freeze_after,
         )
-        _write_covariance_trace(out / "covariance_trace.csv", res.history)
-        with open(out / "proposal_history.json", "w", encoding="utf-8") as fh:
-            json.dump([p.to_dict() for p in res.history], fh, indent=1)
+        upper = np.array([p.covariance()[np.triu_indices(3)] for p in res.history])
+        _write_csv(out / "covariance_trace.csv", "refit,V11,V12,V13,V22,V23,V33",
+                   "%d" + ",%.17g" * 6 + "\n", np.arange(len(upper)), *upper.T)
+        _write_json(out / "proposal_history.json", [p.to_dict() for p in res.history])
     else:
         res = samplers.run_metropolis(y, sched, seed=seed, sigma1_sq=sigma1_sq)
 
@@ -124,55 +141,55 @@ def _run_one_chain(config, y, seed, out):
         window_factor=config.window_factor,
         metadata={"sampler": config.sampler, "seed": seed},
     )
-    _write_chain_csv(out / "chain.csv", res.chain)
-    _write_trace_csv(out / "acceptance_trace.csv", res.trace)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-    with open(out / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(report.to_text(title=f"{config.sampler} run (seed {seed})") + "\n")
-    with open(out / "checkpoint.json", "w", encoding="utf-8") as fh:
-        json.dump(res.checkpoint, fh, indent=1)
+    _write_csv(out / "chain.csv", "alpha,beta,omega,accepted", "%.17g,%.17g,%.17g,%d\n",
+               *res.chain.draws.T, res.chain.accepted)
+    _write_csv(out / "acceptance_trace.csv", "batch,acceptance", "%d,%.17g\n",
+               np.arange(len(res.trace)), res.trace)
+    _write_json(out / "report.json", report.to_dict())
+    _write_atomic(out / "report.txt",
+                  [report.to_text(title=f"{config.sampler} run (seed {seed})") + "\n"])
     return report
 
 
 def run(config):
-    """Execute a run per config; writes artifacts under config.out. Returns 0."""
-    config.validate()
+    """Execute a run per config; writes artifacts under config.out. Returns 0.
+
+    ``manifest.json`` is written last, so it marks a completed run; a stale
+    one is removed before anything else is written.
+    """
+    sched = config.validate()
     y = _load_returns(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    if config.dump_returns:
+        _write_csv(out / "returns.csv", "return", "%.17g\n", y)
 
-    manifest = {
+    if config.chains == 1:
+        _run_one_chain(config, sched, y, config.seed, out)
+    else:
+        k = config.chains
+        seeds = [chain_seed(config.seed, i) for i in range(k)]
+        dirs = [out / f"chain_{i:02d}" for i in range(k)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(k, 8)) as pool:
+            reports = list(pool.map(_run_one_chain, [config] * k, [sched] * k, [y] * k, seeds, dirs))
+        spread = {}
+        for name in diagnostics.PARAM_NAMES:
+            means = np.array([r.params[name].mean for r in reports])
+            stat_errs = np.array([r.params[name].stat_error for r in reports])
+            spread[name] = {
+                "mean_of_means": float(means.mean()),
+                "spread_of_means": float(means.std(ddof=1)),
+                "median_stat_error": float(np.median(stat_errs)),
+            }
+        _write_json(out / "cross_chain.json", {"chains": k, "seeds": seeds, "spread": spread})
+
+    _write_json(out / "manifest.json", {
         "config": asdict(config),
         "seed": config.seed,
         "data_fingerprint": _fingerprint(y),
         "n_returns": int(y.size),
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-    if config.dump_returns:
-        data.write_returns(out / "returns.csv", y)
-
-    if config.chains == 1:
-        _run_one_chain(config, y, config.seed, out)
-        return 0
-
-    seeds = [chain_seed(config.seed, i) for i in range(config.chains)]
-    dirs = [out / f"chain_{i:02d}" for i in range(config.chains)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(config.chains, 8)) as pool:
-        reports = list(pool.map(_run_one_chain,
-                                [config] * config.chains, [y] * config.chains, seeds, dirs))
-    spread = {}
-    for name in diagnostics.PARAM_NAMES:
-        means = np.array([r.params[name].mean for r in reports])
-        stat_errs = np.array([r.params[name].stat_error for r in reports])
-        spread[name] = {
-            "mean_of_means": float(means.mean()),
-            "spread_of_means": float(means.std(ddof=1)),
-            "median_stat_error": float(np.median(stat_errs)),
-        }
-    with open(out / "cross_chain.json", "w", encoding="utf-8") as fh:
-        json.dump({"chains": config.chains, "seeds": seeds, "spread": spread}, fh, indent=1)
+    })
     return 0
 
 

@@ -102,10 +102,3 @@ def generate_synthetic(spec):
         y[t] = np.sqrt(s) * eps[t]
     return y[SYNTHETIC_BURN:]
 
-
-def write_returns(path, returns):
-    """Dump a return series as a single-column CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("return\n")
-        for v in returns:
-            fh.write(f"{v:.17g}\n")

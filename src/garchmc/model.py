@@ -91,7 +91,9 @@ def make_log_posterior(y, sigma1_sq):
     """Fast closure evaluating the log-posterior on a length-3 array.
 
     Avoids per-call validation overhead; intended for sampler inner loops.
-    The scalar kernel is looked up once, here.
+    The scalar kernel is looked up once, here. A non-finite likelihood raises
+    NumericOverflowError; call under ``np.errstate(all="ignore")``, as the
+    sampler driver does, to keep numpy's warnings from preceding it.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     sigma1_sq = float(sigma1_sq)
@@ -101,7 +103,10 @@ def make_log_posterior(y, sigma1_sq):
         a, b, w = theta
         if not (a > 0.0 and b > 0.0 and w > 0.0 and a + b < 1.0):
             return LOG_ZERO
-        return loglik(y, a, b, w, sigma1_sq)
+        try:
+            return loglik(y, a, b, w, sigma1_sq)
+        except FloatingPointError as exc:
+            raise NumericOverflowError(str(exc)) from exc
 
     return log_post
 

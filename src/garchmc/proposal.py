@@ -117,10 +117,6 @@ class StudentTProposal:
             "n_samples": self.n_samples,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["mean"], d["sigma"], d["nu"], d.get("n_samples", 0))
-
 
 def fit(acc, nu):
     """Fit a StudentTProposal from accumulated draws (Sigma = (nu-2)/nu * V)."""

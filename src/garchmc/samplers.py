@@ -52,10 +52,13 @@ class AdaptiveSchedule:
     total: int = 100000
 
     def __post_init__(self):
-        if min(self.burn_in, self.pilot, self.refit_interval, self.total) <= 0:
-            raise ValueError("all schedule fields must be positive")
+        # Each message starts with the offending field's name, which the CLI
+        # reports as its flag.
+        for name in ("burn_in", "pilot", "refit_interval", "total"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.refit_interval > self.total:
-            raise ValueError("refit_interval must not exceed total")
+            raise ValueError(f"refit_interval {self.refit_interval} exceeds total {self.total}")
 
 
 @dataclass(frozen=True)
@@ -165,27 +168,14 @@ def _batch_sizes(total, interval):
     return sizes
 
 
-def _rng_state_token(rng):
-    """JSON-serializable snapshot of a Generator's bit-generator state."""
-    state = rng.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {k: int(v) if np.isscalar(v) else list(map(int, v))
-                  for k, v in state["state"].items()},
-        "has_uint32": int(state.get("has_uint32", 0)),
-        "uinteger": int(state.get("uinteger", 0)),
-    }
-
-
 @dataclass
 class RunResult:
-    """A finished run: retained chain, acceptance per batch, fitted proposals
-    (empty for Metropolis) and the resumption checkpoint payload."""
+    """A finished run: retained chain, acceptance per batch and fitted
+    proposals (empty for Metropolis)."""
 
     chain: Chain
     trace: np.ndarray
     history: list
-    checkpoint: dict
 
 
 def _data(y, sigma1_sq):
@@ -210,33 +200,24 @@ def _run(y, sigma1_sq, sched, seed, step, history):
     ``step``, which has the signature of ``_rw_chain``. ``history`` is the
     list the step appends fitted proposals to.
     """
-    target = model.make_log_posterior(y, sigma1_sq)
-    theta0 = _initial_theta(y)
-    d = _tuned_config(target, theta0, MetropolisConfig(), named_rng(seed, "tuning")).d
-    _, _, theta, log_p = _rw_chain(
-        theta0, target(theta0), sched.burn_in, d, target, named_rng(seed, "burnin")
-    )
+    # The posterior closures raise NumericOverflowError on a non-finite
+    # likelihood; numpy's warnings on the way there would only precede it.
+    with np.errstate(all="ignore"):
+        target = model.make_log_posterior(y, sigma1_sq)
+        theta0 = _initial_theta(y)
+        d = _tuned_config(target, theta0, MetropolisConfig(), named_rng(seed, "tuning")).d
+        _, _, theta, log_p = _rw_chain(
+            theta0, target(theta0), sched.burn_in, d, target, named_rng(seed, "burnin")
+        )
 
-    rng = named_rng(seed, "sampling")
-    parts = []
-    for k in _batch_sizes(sched.total, sched.refit_interval):
-        draws, accepted, theta, log_p = step(theta, log_p, k, d, target, rng)
-        parts.append((draws, accepted))
+        rng = named_rng(seed, "sampling")
+        parts = []
+        for k in _batch_sizes(sched.total, sched.refit_interval):
+            draws, accepted, theta, log_p = step(theta, log_p, k, d, target, rng)
+            parts.append((draws, accepted))
     chain = Chain(*(np.concatenate(col) for col in zip(*parts)))
-    checkpoint = {
-        "position": len(chain),
-        "theta": theta.tolist(),
-        "rng_state": _rng_state_token(rng),
-        "proposal": history[-1].to_dict() if history else None,
-        "schedule": {
-            "burn_in": sched.burn_in,
-            "pilot": sched.pilot,
-            "refit_interval": sched.refit_interval,
-            "total": sched.total,
-        },
-    }
     trace = np.array([float(a.mean()) for _, a in parts])
-    return RunResult(chain, trace, history, checkpoint)
+    return RunResult(chain, trace, history)
 
 
 def run_metropolis(y, sched, seed=0, sigma1_sq=None):

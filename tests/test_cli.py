@@ -1,4 +1,6 @@
 import csv
+import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -9,11 +11,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from garchmc import cli, diagnostics
+from garchmc import cli, diagnostics, samplers
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Files every single-chain run writes beside its manifest.
+CHAIN_FILES = {"chain.csv", "acceptance_trace.csv", "report.json", "report.txt"}
+ADAPTIVE_FILES = CHAIN_FILES | {"proposal_history.json", "covariance_trace.csv"}
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+def run_subprocess(args):
+    """``python -m garchmc.cli`` on this tree's src/, capturing its output."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "garchmc.cli", *args], env=env,
+                          capture_output=True, text=True)
+
+
+def fixed_report():
+    """A DiagnosticsReport whose every parameter hit no plateau."""
+    summary = diagnostics.ParamSummary(0.5, 0.1, 0.01, 1370.0, 90.0, float("nan"), 999, False)
+    return diagnostics.DiagnosticsReport(
+        params={n: summary for n in diagnostics.PARAM_NAMES}, acceptance=0.6, n_draws=30000,
+    )
 
 
 def base_args(out, sampler="adaptive", seed=11, total=3000):
@@ -29,9 +53,9 @@ class TestRun:
         out = tmp_path / "run"
         assert run_cli(base_args(out)) == 0
         for name in ("report.txt", "report.json", "chain.csv", "acceptance_trace.csv",
-                     "proposal_history.json", "covariance_trace.csv", "manifest.json",
-                     "checkpoint.json"):
+                     "proposal_history.json", "covariance_trace.csv", "manifest.json"):
             assert (out / name).exists(), name
+        assert not (out / "checkpoint.json").exists()
         report = json.loads((out / "report.json").read_text())
         assert set(report["params"]) == {"alpha", "beta", "omega"}
         manifest = json.loads((out / "manifest.json").read_text())
@@ -72,6 +96,10 @@ class TestRun:
         returns = (out / "returns.csv").read_text().strip().splitlines()
         assert returns[0] == "return"
         assert len(returns) == 500  # header + 499 returns
+        # The dump parses back to exactly the returns the manifest fingerprints.
+        y = np.array([float(v) for v in returns[1:]])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert hashlib.sha256(y.tobytes()).hexdigest() == manifest["data_fingerprint"]
 
     def test_missing_csv_exits_one(self, tmp_path):
         args = ["run", "--csv", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]
@@ -86,10 +114,21 @@ class TestRun:
         ["--nu", "2"], ["--nu", "0"], ["--nu", "-3"],
         ["--window-factor", "0"], ["--window-factor", "-1"],
         ["--freeze-after", "0"],
+        ["--refit-interval", "4000"], ["--pilot", "0"], ["--chains", "0"],
     ])
     def test_out_of_range_flag_exits_one(self, tmp_path, capsys, flag):
         assert run_cli(base_args(tmp_path / "bad") + flag) == 1
         assert capsys.readouterr().err.startswith("error: " + flag[0])
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--chains", "2"]], ids=["one-chain", "chains-2"])
+    def test_overflow_exits_one_without_warning(self, tmp_path, extra):
+        out = tmp_path / "run"
+        proc = run_subprocess(["run", "--synthetic", "--n", "200", "--total", "2000",
+                               "--sigma1", "1e-320", "--out", str(out), *extra])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: non-finite GARCH log-likelihood"]
+        assert not (out / "manifest.json").exists()
 
     def test_zero_variance_returns_exit_one(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
@@ -109,6 +148,69 @@ class TestRun:
         a = (out / "chain_00" / "chain.csv").read_bytes()
         b = (out / "chain_01" / "chain.csv").read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize("sampler, extra, want", [
+        ("adaptive", [], ADAPTIVE_FILES | {"manifest.json"}),
+        ("metropolis", [], CHAIN_FILES | {"manifest.json"}),
+        ("adaptive", ["--chains", "2"],
+         {f"chain_0{i}/{f}" for i in (0, 1) for f in ADAPTIVE_FILES}
+         | {"cross_chain.json", "manifest.json"}),
+        ("metropolis", ["--dump-returns"], CHAIN_FILES | {"manifest.json", "returns.csv"}),
+    ], ids=["adaptive", "metropolis", "chains-2", "dump-returns"])
+    def test_exact_artifact_set(self, tmp_path, sampler, extra, want):
+        out = tmp_path / "run"
+        assert run_cli(base_args(out, sampler=sampler, total=1000) + extra) == 0
+        assert {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()} == want
+
+    @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
+                                     KeyboardInterrupt()], ids=["oserror", "interrupt"])
+    def test_failed_write_leaves_no_manifest(self, tmp_path, monkeypatch, capsys, exc):
+        out = tmp_path / "run"
+        assert run_cli(base_args(out)) == 0  # a completed run, soon stale
+        before = (out / "chain.csv").read_bytes()
+        write = cli._write_atomic
+
+        def fail_in_chain_csv(path, pieces):
+            def first_chunk_then_fail():
+                it = iter(pieces)
+                yield next(it)  # header
+                yield next(it)  # the first 1000 rows
+                assert path.with_name("chain.csv.part").exists()
+                raise exc
+
+            write(path, first_chunk_then_fail() if path.name == "chain.csv" else pieces)
+
+        monkeypatch.setattr(cli, "_write_atomic", fail_in_chain_csv)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)  # 3000 rows make three chunks
+        if isinstance(exc, OSError):
+            assert run_cli(base_args(out, seed=12)) == 1
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(base_args(out, seed=12))
+        assert not (out / "manifest.json").exists()
+        assert list(out.rglob("*.part")) == []
+        assert (out / "chain.csv").read_bytes() == before
+        capsys.readouterr()
+        assert run_cli(["compare", str(out), str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_chain_csv_bytes_match_per_row_format(self, tmp_path, monkeypatch):
+        values = [5e-324, 1e-300, -0.0, 0.1, 1.0, 1e22, 123456789.0]
+        draws = np.array([np.roll(values, -k)[:3] for k in range(len(values))])
+        accepted = np.arange(len(values)) % 3 == 0
+        trace = np.array([3 / 7])
+        result = samplers.RunResult(samplers.Chain(draws, accepted), trace, [])
+        monkeypatch.setattr(samplers, "run_metropolis", lambda *args, **kwargs: result)
+        monkeypatch.setattr(diagnostics, "summarize", lambda *args, **kwargs: fixed_report())
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)  # the 7 rows span three chunks
+        out = tmp_path / "run"
+        assert run_cli(base_args(out, sampler="metropolis")) == 0
+        want = "alpha,beta,omega,accepted\n" + "".join(
+            f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{int(acc)}\n"
+            for row, acc in zip(draws, accepted)
+        )
+        assert (out / "chain.csv").read_bytes() == want.encode()
+        assert (out / "acceptance_trace.csv").read_text() == f"batch,acceptance\n0,{3 / 7:.17g}\n"
 
     def test_freeze_after(self, tmp_path):
         out = tmp_path / "frozen"
@@ -141,10 +243,7 @@ class TestCompare:
             assert row in text
 
     def test_lower_bound_flag_shown(self, tmp_path):
-        summary = diagnostics.ParamSummary(0.5, 0.1, 0.01, 1370.0, 90.0, float("nan"), 999, False)
-        report = diagnostics.DiagnosticsReport(
-            params={n: summary for n in diagnostics.PARAM_NAMES}, acceptance=0.6, n_draws=30000,
-        )
+        report = fixed_report()
         dirs = []
         for sampler in ("adaptive", "metropolis"):
             d = tmp_path / sampler
@@ -198,8 +297,7 @@ def test_run_flags_map_onto_config(monkeypatch):
 
 
 def test_import_loads_no_heavy_scipy_modules():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.special", "scipy.fft")
     code = (
         "import sys, garchmc.cli\n"

@@ -99,9 +99,13 @@ class TestGenerateSynthetic:
 
 
 def test_write_returns_round_trip(tmp_path):
+    # returns.csv (--dump-returns) is written by the CLI's CSV writer with
+    # this header and format; it must read back to the same series.
+    from garchmc import cli
+
     y = np.array([0.5, -0.25, 1.125])
     path = tmp_path / "returns.csv"
-    data.write_returns(path, y)
+    cli._write_csv(path, "return", "%.17g\n", y)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "return"
     np.testing.assert_allclose([float(v) for v in lines[1:]], y)

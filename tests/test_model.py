@@ -215,3 +215,11 @@ class TestBatchLogPosterior:
             with pytest.raises(NumericOverflowError):
                 score(thetas)
 
+    def test_scalar_twin_overflow_raises(self):
+        target = model.make_log_posterior([1e200, 1e200], 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # The scalar closure leaves numpy's error state to its caller.
+            with np.errstate(all="ignore"), pytest.raises(NumericOverflowError):
+                target(np.array([1e-8, 1e-8, 1e-300]))
+

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -175,10 +176,10 @@ class TestRoundTrips:
         prop = proposal.StudentTProposal(np.array([0.1, 0.2, 0.3]), sigma, 10.0, n_samples=1234)
         d = prop.to_dict()
         assert set(d) == {"mean", "sigma", "nu", "n_samples"}
-        back = proposal.StudentTProposal.from_dict(d)
-        np.testing.assert_allclose(back.mean, prop.mean)
-        np.testing.assert_allclose(back.sigma, prop.sigma)
-        assert back.nu == prop.nu and back.n_samples == 1234
+        assert json.loads(json.dumps(d)) == d
+        np.testing.assert_allclose(d["mean"], prop.mean)
+        np.testing.assert_allclose(d["sigma"], prop.sigma)
+        assert d["nu"] == prop.nu and d["n_samples"] == 1234
 
     def test_nu_must_exceed_two(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from garchmc import data, diagnostics, model, proposal, samplers
-from garchmc.exceptions import DataValidationError, TuningFailureError
+from garchmc.exceptions import DataValidationError, NumericOverflowError, TuningFailureError
 
 LOG_ZERO = model.LOG_ZERO
 
@@ -252,6 +253,14 @@ class TestRunMetropolis:
         sched = samplers.AdaptiveSchedule(burn_in=10, pilot=10, refit_interval=10, total=10)
         with pytest.raises(DataValidationError, match="positive variance"):
             run(np.zeros(10), sched)
+
+    @pytest.mark.parametrize("run", [samplers.run_metropolis, samplers.run_adaptive])
+    def test_overflow_is_typed_error_without_warnings(self, run):
+        sched = samplers.AdaptiveSchedule(burn_in=10, pilot=10, refit_interval=10, total=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError):
+                run(np.array([1.0, -1.0, 1.0]), sched, sigma1_sq=1e-320)
 
 
 class TestCrossSamplerAgreement:
