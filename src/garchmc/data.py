@@ -11,14 +11,8 @@ from .rng import named_rng
 #: Pre-samples the synthetic generator discards before recording, so the
 #: recorded series starts near the stationary distribution.
 SYNTHETIC_BURN = 1000
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """Ordered (date-label, price) observations."""
-
-    labels: tuple
-    prices: np.ndarray
+#: Squared volatility the synthetic generator starts its recursion from.
+SYNTHETIC_SIGMA1_SQ = 1.0
 
 
 @dataclass(frozen=True)
@@ -28,11 +22,10 @@ class SyntheticSpec:
     true_theta: model.ParamVector
     n: int
     seed: int
-    sigma1_sq: float = 1.0
 
 
 def load_prices(path):
-    """Read a two-column CSV of (label, price) rows.
+    """Read the prices of a two-column CSV of (label, price) rows.
 
     A header row is auto-detected by attempting to parse the second field of
     the first row as a number. Unparsable or non-positive prices are hard
@@ -46,35 +39,30 @@ def load_prices(path):
                 continue
             if len(row) < 2:
                 raise DataValidationError(f"{path}: row {i + 1} has fewer than 2 fields")
-            rows.append((i + 1, row[0].strip(), row[1].strip()))
+            rows.append((i + 1, row[1].strip()))
     if rows:
         try:
-            float(rows[0][2])
+            float(rows[0][1])
         except ValueError:
             rows = rows[1:]  # header row
 
-    labels = []
     prices = []
-    for lineno, label, raw in rows:
+    for lineno, raw in rows:
         try:
             price = float(raw)
         except ValueError:
             raise DataValidationError(f"{path}: row {lineno}: unparsable price {raw!r}") from None
         if not price > 0.0:
             raise DataValidationError(f"{path}: row {lineno}: non-positive price {price}")
-        labels.append(label)
         prices.append(price)
     if len(prices) < 2:
         raise InsufficientDataError(f"{path}: need at least 2 price observations, got {len(prices)}")
-    return PriceSeries(labels=tuple(labels), prices=np.array(prices, dtype=np.float64))
+    return np.array(prices, dtype=np.float64)
 
 
 def transform_returns(prices):
     """Demeaned percent log-returns: 100*(ln(p_i/p_{i-1}) - mean)."""
-    if isinstance(prices, PriceSeries):
-        p = prices.prices
-    else:
-        p = np.asarray(prices, dtype=np.float64)
+    p = np.asarray(prices, dtype=np.float64)
     if p.size < 2:
         raise InsufficientDataError("need at least 2 prices to form a return")
     if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
@@ -94,8 +82,8 @@ def generate_synthetic(spec):
     total = spec.n + SYNTHETIC_BURN
     eps = rng.standard_normal(total)
     y = np.empty(total)
-    s = spec.sigma1_sq
-    a, b, w = theta.alpha, theta.beta, theta.omega
+    s = SYNTHETIC_SIGMA1_SQ
+    a, b, w = theta
     for t in range(total):
         if t > 0:
             s = w + a * y[t - 1] ** 2 + b * s

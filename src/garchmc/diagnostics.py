@@ -5,7 +5,7 @@ tau_int(T) = 1/2 + sum_{i<=T} ACF(i); the reported value is read at the
 self-consistent window T* = smallest T with T >= c*tau_int(T).
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -90,15 +90,15 @@ def tau_int(acf_series, window_factor=DEFAULT_WINDOW_FACTOR):
     return tau, t_star, err
 
 
-def bounded_acf(x, cap=LAG_CAP):
+def bounded_acf(x):
     """ACF up to the default lag bound min(N/10, 10 * first lag with
-    ACF < 0.01), capped.
+    ACF < 0.01), capped at LAG_CAP.
 
     The FFT length depends only on N, so the prefix of the ACF computed to
     find the bound is bit-identical to ``acf(x, bound)`` and is returned as is.
     """
     n = np.asarray(x).size
-    t_hi = min(n // 10, cap)
+    t_hi = min(n // 10, LAG_CAP)
     if t_hi < 1:
         raise ValueError("series too short for autocorrelation analysis")
     series = acf(x, t_hi)
@@ -156,16 +156,7 @@ class DiagnosticsReport:
         }
         out.update(self.metadata)
         for name, s in self.params.items():
-            out["params"][name] = {
-                "mean": s.mean,
-                "stddev": s.stddev,
-                "stat_error": s.stat_error,
-                "two_tau_int": s.two_tau_int,
-                "two_tau_int_err": s.two_tau_int_err,
-                "two_tau_int_err_jk": s.two_tau_int_err_jk,
-                "t_star": s.t_star,
-                "plateau_found": s.plateau_found,
-            }
+            out["params"][name] = asdict(s)
         return out
 
     def to_text(self, title="Posterior summary"):
@@ -190,15 +181,14 @@ class DiagnosticsReport:
         return "\n".join(lines)
 
 
-def summarize(chain, param_names=PARAM_NAMES, window_factor=DEFAULT_WINDOW_FACTOR,
-              metadata=None):
+def summarize(chain, window_factor=DEFAULT_WINDOW_FACTOR, metadata=None):
     """Per-parameter mean/stddev/stat-error/2tau_int report for a chain."""
     draws = chain.draws
     k = draws.shape[0]
     if k < 1000:
         raise ValueError(f"chain too short to summarize: {k} < 1000")
     params = {}
-    for j, name in enumerate(param_names):
+    for j, name in enumerate(PARAM_NAMES):
         x = draws[:, j]
         mean = float(x.mean())
         std = float(x.std())

@@ -2,7 +2,15 @@
 
 
 class GarchMCError(Exception):
-    """Base class for all garchmc errors."""
+    """Base class for all garchmc errors.
+
+    A subclass passes every constructor argument to ``Exception.__init__``,
+    message first, so that its instances pickle: a ``--chains`` worker hands
+    its error to the parent process that way. The message alone is the text.
+    """
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
 
 
 class InvalidParameterError(GarchMCError):
@@ -29,7 +37,7 @@ class TuningFailureError(GarchMCError):
     """Step-size tuning failed to reach the target acceptance band."""
 
     def __init__(self, message, last_acceptance):
-        super().__init__(message)
+        super().__init__(message, last_acceptance)
         self.last_acceptance = last_acceptance
 
 
@@ -44,7 +52,7 @@ class NoPlateauError(GarchMCError):
     """
 
     def __init__(self, message, lower_bound, t_max):
-        super().__init__(message)
+        super().__init__(message, lower_bound, t_max)
         self.lower_bound = lower_bound
         self.t_max = t_max
 

@@ -82,14 +82,13 @@ class StudentTProposal:
         """Covariance of the proposal, nu*Sigma/(nu-2)."""
         return self.nu / (self.nu - 2.0) * self.sigma
 
-    def sample(self, rng, size=None):
-        """Draw candidates: theta = L @ (Y*sqrt(nu/w)) + M, w ~ chi2_nu."""
-        k = 1 if size is None else int(size)
-        y = rng.standard_normal((k, self.dim))
-        w = rng.chisquare(self.nu, k)
+    def sample(self, rng, size):
+        """Draw a (size, dim) batch of candidates:
+        theta = L @ (Y*sqrt(nu/w)) + M, w ~ chi2_nu."""
+        y = rng.standard_normal((size, self.dim))
+        w = rng.chisquare(self.nu, size)
         x = y * np.sqrt(self.nu / w)[:, None]
-        draws = x @ self.chol.T + self.mean
-        return draws[0] if size is None else draws
+        return x @ self.chol.T + self.mean
 
     def log_density(self, theta):
         """Log of the multivariate Student-t density at theta (or batch)."""

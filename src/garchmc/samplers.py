@@ -11,7 +11,7 @@ The one driver, ``_run``, wires them to the GARCH posterior:
 each retained batch.
 """
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,10 @@ from .rng import named_rng
 
 LOG_ZERO = model.LOG_ZERO
 
-#: Acceptance band used by step-size tuning (floor comes from the config).
+#: Random-walk half-window width every parameter starts tuning from.
+TUNE_START_WIDTH = 0.05
+#: Acceptance band step-size tuning aims for.
+TUNE_ACCEPT_FLOOR = 0.5
 TUNE_ACCEPT_CEIL = 0.85
 TUNE_BLOCK_STEPS = 500
 TUNE_MAX_BLOCKS = 20
@@ -61,21 +64,6 @@ class AdaptiveSchedule:
             raise ValueError(f"refit_interval {self.refit_interval} exceeds total {self.total}")
 
 
-@dataclass(frozen=True)
-class MetropolisConfig:
-    """Per-parameter uniform proposal half-window widths."""
-
-    d: np.ndarray = field(default_factory=lambda: np.full(3, 0.05))
-    target_acceptance_floor: float = 0.5
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=np.float64))
-        if np.any(self.d <= 0.0):
-            raise ValueError("all proposal widths must be positive")
-        if not 0.0 < self.target_acceptance_floor < 1.0:
-            raise ValueError("target_acceptance_floor must lie in (0, 1)")
-
-
 def _accept(delta, u):
     """Metropolis-Hastings rule for log acceptance ratio delta and u ~ U(0, 1)."""
     return delta >= 0.0 or u < math.exp(delta)
@@ -99,24 +87,24 @@ def _rw_chain(theta, log_p, n_steps, d, target, rng):
     return draws, accepted, theta, log_p
 
 
-def tune_metropolis(cfg, target, rng, theta0):
-    """Scale d until block acceptance lands in [floor, 0.85].
+def tune_metropolis(d, target, rng, theta0):
+    """Scale the random-walk widths d until block acceptance lands in
+    [TUNE_ACCEPT_FLOOR, TUNE_ACCEPT_CEIL]; returns the tuned widths.
 
     Runs 500-step pilot blocks; halves every width when acceptance is below
     the floor, doubles when above the ceiling, gives up after 20 blocks.
     """
     theta = np.asarray(theta0, dtype=np.float64)
     log_p = target(theta)
-    d = cfg.d.copy()
     acc = float("nan")
     for _ in range(TUNE_MAX_BLOCKS):
         _, flags, theta, log_p = _rw_chain(theta, log_p, TUNE_BLOCK_STEPS, d, target, rng)
         acc = float(flags.mean())
-        if cfg.target_acceptance_floor <= acc <= TUNE_ACCEPT_CEIL:
-            return replace(cfg, d=d)
-        d = d / 2.0 if acc < cfg.target_acceptance_floor else d * 2.0
+        if TUNE_ACCEPT_FLOOR <= acc <= TUNE_ACCEPT_CEIL:
+            return d
+        d = d / 2.0 if acc < TUNE_ACCEPT_FLOOR else d * 2.0
     raise TuningFailureError(
-        f"acceptance {acc:.3f} not in [{cfg.target_acceptance_floor}, {TUNE_ACCEPT_CEIL}] "
+        f"acceptance {acc:.3f} not in [{TUNE_ACCEPT_FLOOR}, {TUNE_ACCEPT_CEIL}] "
         f"after {TUNE_MAX_BLOCKS} blocks", last_acceptance=acc,
     )
 
@@ -149,16 +137,16 @@ def _initial_theta(y):
     return np.array([0.05, 0.90, float(np.var(y)) * (1.0 - 0.95)])
 
 
-def _tuned_config(target, theta0, cfg, rng):
+def _tuned_widths(target, theta0, rng):
     """Tune scalar widths, rescale per-parameter from a pilot block, retune."""
-    cfg = tune_metropolis(cfg, target, rng, theta0)
+    d = tune_metropolis(np.full(theta0.size, TUNE_START_WIDTH), target, rng, theta0)
     log_p = target(theta0)
-    draws, _, _, _ = _rw_chain(theta0, log_p, 1000, cfg.d, target, rng)
+    draws, _, _, _ = _rw_chain(theta0, log_p, 1000, d, target, rng)
     stds = draws.std(axis=0)
     if np.all(stds > 0.0):
         scale = stds / math.exp(np.mean(np.log(stds)))
-        cfg = tune_metropolis(replace(cfg, d=cfg.d * scale), target, rng, theta0)
-    return cfg
+        d = tune_metropolis(d * scale, target, rng, theta0)
+    return d
 
 
 def _batch_sizes(total, interval):
@@ -205,7 +193,7 @@ def _run(y, sigma1_sq, sched, seed, step, history):
     with np.errstate(all="ignore"):
         target = model.make_log_posterior(y, sigma1_sq)
         theta0 = _initial_theta(y)
-        d = _tuned_config(target, theta0, MetropolisConfig(), named_rng(seed, "tuning")).d
+        d = _tuned_widths(target, theta0, named_rng(seed, "tuning"))
         _, _, theta, log_p = _rw_chain(
             theta0, target(theta0), sched.burn_in, d, target, named_rng(seed, "burnin")
         )

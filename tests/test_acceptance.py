@@ -12,6 +12,7 @@ import pytest
 from scipy.signal import lfilter
 
 from garchmc import cli, data, diagnostics, model, proposal
+from quadrature import posterior_moments
 
 TRUTH = model.ParamVector(alpha=0.03, beta=0.94, omega=0.011)
 SEED = 5
@@ -166,7 +167,7 @@ def test_likelihood_oracle():
         w = rng.uniform(0.001, 0.5)
         y = rng.standard_normal(rng.integers(1, 11))
         s1 = rng.uniform(0.01, 2.0)
-        got = model.log_likelihood((a, b, w), y, s1)
+        got = model.make_log_posterior(y, s1)(np.array([a, b, w]))
         s = s1
         want = 0.0
         for t in range(len(y)):
@@ -176,6 +177,24 @@ def test_likelihood_oracle():
         worst = max(worst, abs(got - want) / abs(want))
     ok = worst < 1e-12
     report_line(ok, "likelihood oracle", f"worst relative deviation = {worst:.2e}")
+    assert ok
+
+
+def test_posterior_quadrature_oracle(adaptive_dir, metro_dir):
+    # The runs' data: the synthetic series and cli's default sigma1_sq.
+    y = data.generate_synthetic(data.SyntheticSpec(TRUTH, n=2000, seed=SEED))
+    mean, sd, _ = posterior_moments(y, float(np.var(y)), TRUTH)
+    ok = True
+    details = []
+    for label, run_dir in (("adaptive", adaptive_dir), ("metropolis", metro_dir)):
+        params = load_report(run_dir)["params"]
+        pulls = [(params[n]["mean"] - mean[i]) / params[n]["stat_error"]
+                 for i, n in enumerate(PARAMS)]
+        details.append(f"{label} (mean - quadrature)/stat_error = "
+                       + ", ".join(f"{p:+.2f}" for p in pulls))
+        ok &= all(abs(p) < 4.0 for p in pulls)
+    report_line(ok, "posterior quadrature oracle",
+                "; ".join(details) + "; quadrature sd = " + ", ".join(f"{v:.3g}" for v in sd))
     assert ok
 
 

@@ -44,15 +44,12 @@ class TestLoadPrices:
     def test_with_header(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("date,price\n2020-01-01,100\n2020-01-02,101\n")
-        series = data.load_prices(f)
-        np.testing.assert_allclose(series.prices, [100.0, 101.0])
-        assert series.labels == ("2020-01-01", "2020-01-02")
+        np.testing.assert_allclose(data.load_prices(f), [100.0, 101.0])
 
     def test_without_header(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("a,100\nb,101\nc,99.5\n")
-        series = data.load_prices(f)
-        np.testing.assert_allclose(series.prices, [100.0, 101.0, 99.5])
+        np.testing.assert_allclose(data.load_prices(f), [100.0, 101.0, 99.5])
 
     def test_unparsable_row_is_hard_error(self, tmp_path):
         f = tmp_path / "p.csv"

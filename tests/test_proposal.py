@@ -87,10 +87,6 @@ class TestSample:
         draws = prop.sample(np.random.default_rng(4), size=1000)
         assert np.max(np.abs(draws - [0.1, 0.2, 0.3])) < 1e-4
 
-    def test_single_draw_shape(self):
-        prop = make_proposal([0.0, 0.0, 0.0], np.eye(3))
-        assert prop.sample(np.random.default_rng(5)).shape == (3,)
-
 
 class TestLogDensity:
     def test_value_at_mode(self):

@@ -14,10 +14,10 @@ def std_normal_target(theta):
     return -0.5 * float(theta[0]) ** 2
 
 
-def rw_step(current, cfg, target, rng):
-    """One random-walk step through the production batch kernel."""
+def rw_step(current, d, target, rng):
+    """One random-walk step of widths d through the production batch kernel."""
     _, accepted, theta, _ = samplers._rw_chain(
-        current, target(current), 1, cfg.d, target, rng
+        current, target(current), 1, d, target, rng
     )
     return theta, bool(accepted[0])
 
@@ -30,85 +30,83 @@ def small_series(seed=5, n=400):
 class TestMetropolisStep:
     def test_flat_target_always_accepts(self):
         rng = np.random.default_rng(0)
-        cfg = samplers.MetropolisConfig(d=np.ones(3))
+        d = np.ones(3)
         cur = np.zeros(3)
         for _ in range(100):
-            cur, accepted = rw_step(cur, cfg, lambda t: 0.0, rng)
+            cur, accepted = rw_step(cur, d, lambda t: 0.0, rng)
             assert accepted
 
     def test_zero_mass_candidate_always_rejected(self):
         rng = np.random.default_rng(1)
-        cfg = samplers.MetropolisConfig(d=np.ones(3))
+        d = np.ones(3)
         start = np.zeros(3)
 
         def target(theta):
             return 0.0 if np.array_equal(theta, start) else LOG_ZERO
 
         for _ in range(100):
-            nxt, accepted = rw_step(start, cfg, target, rng)
+            nxt, accepted = rw_step(start, d, target, rng)
             assert not accepted
             assert np.array_equal(nxt, start)
 
     def test_acceptance_frequency_at_fixed_log_ratio(self):
         # every candidate is exactly ln 2 below the current point
         rng = np.random.default_rng(2)
-        cfg = samplers.MetropolisConfig(d=np.ones(1))
+        d = np.ones(1)
         start = np.zeros(1)
 
         def target(theta):
             return 0.0 if theta[0] == 0.0 else -math.log(2.0)
 
         hits = sum(
-            rw_step(start, cfg, target, rng)[1] for _ in range(100000)
+            rw_step(start, d, target, rng)[1] for _ in range(100000)
         )
         assert hits / 100000 == pytest.approx(0.5, abs=0.01)
 
     def test_no_overflow_for_huge_log_ratio_deficit(self):
         rng = np.random.default_rng(3)
-        cfg = samplers.MetropolisConfig(d=np.ones(1))
+        d = np.ones(1)
 
         def target(theta):
             return 0.0 if theta[0] == 0.0 else -700.0
 
-        nxt, accepted = rw_step(np.zeros(1), cfg, target, rng)
+        nxt, accepted = rw_step(np.zeros(1), d, target, rng)
         assert not accepted
 
 
 class TestTuneMetropolis:
     def test_in_band_returned_unchanged(self):
         # width 3 yields ~0.71 acceptance on a standard normal: already in band
-        cfg = samplers.MetropolisConfig(d=np.array([3.0]))
+        d = np.array([3.0])
         tuned = samplers.tune_metropolis(
-            cfg, std_normal_target, np.random.default_rng(4), np.zeros(1)
+            d, std_normal_target, np.random.default_rng(4), np.zeros(1)
         )
-        np.testing.assert_allclose(tuned.d, cfg.d)
+        np.testing.assert_allclose(tuned, d)
 
     def test_large_width_is_reduced(self):
-        cfg = samplers.MetropolisConfig(d=np.array([500.0]))
+        d = np.array([500.0])
         tuned = samplers.tune_metropolis(
-            cfg, std_normal_target, np.random.default_rng(5), np.zeros(1)
+            d, std_normal_target, np.random.default_rng(5), np.zeros(1)
         )
-        assert tuned.d[0] < 500.0
+        assert tuned[0] < 500.0
 
     def test_wide_and_narrow_starts_converge(self):
         a = samplers.tune_metropolis(
-            samplers.MetropolisConfig(d=np.array([1.0])),
-            std_normal_target, np.random.default_rng(6), np.zeros(1),
+            np.array([1.0]), std_normal_target, np.random.default_rng(6), np.zeros(1)
         )
         b = samplers.tune_metropolis(
-            samplers.MetropolisConfig(d=np.array([100.0])),
-            std_normal_target, np.random.default_rng(7), np.zeros(1),
+            np.array([100.0]), std_normal_target, np.random.default_rng(7), np.zeros(1)
         )
-        ratio = b.d[0] / a.d[0]
+        ratio = b[0] / a[0]
         assert 0.25 <= ratio <= 4.0
 
     def test_failure_carries_last_acceptance(self):
         def needle_target(theta):
             return 0.0 if abs(theta[0]) < 1e-30 else LOG_ZERO
 
-        cfg = samplers.MetropolisConfig(d=np.array([1.0]))
+        d = np.array([1.0])
         with pytest.raises(TuningFailureError) as exc:
-            samplers.tune_metropolis(cfg, needle_target, np.random.default_rng(8), np.zeros(1))
+            samplers.tune_metropolis(d, needle_target, np.random.default_rng(8), np.zeros(1))
         assert exc.value.last_acceptance == pytest.approx(0.0)
 
 
