@@ -1,13 +1,16 @@
 """Time the kernels of ``garchmc._kernels_py``, called directly: the scalar
 volatility and likelihood, and the batch likelihood on BATCH_K candidates
-per call. Every row is per candidate (one parameter set): a scalar call
-scores one.
+per call. The scalar likelihood is timed twice: as a 5-argument call, which
+builds a throwaway workspace, and through one reused ``Workspace``, as the
+posterior closure calls it. Every row is per candidate (one parameter set):
+a scalar call scores one.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
 End-to-end run timing is the job of ``perfbench/run.py``.
 """
 import argparse
+import functools
 import statistics
 import time
 
@@ -45,7 +48,7 @@ def main():
                         help="return series lengths")
     args = parser.parse_args()
 
-    print(f"{'kernel':>20} {'n':>6} {'us/cand':>10} {'ns/step':>9}")
+    print(f"{'kernel':>26} {'n':>6} {'us/cand':>10} {'ns/step':>9}")
     for n in args.n:
         spec = data.SyntheticSpec(model.ParamVector(*THETA), n=n, seed=1)
         y = np.ascontiguousarray(data.generate_synthetic(spec))
@@ -54,11 +57,14 @@ def main():
         rows = [
             ("volatility", time_call(_kernels_py.volatility, call_args)),
             ("log_likelihood", time_call(_kernels_py.log_likelihood, call_args)),
+            ("log_likelihood (workspace)",
+             time_call(functools.partial(_kernels_py.log_likelihood,
+                                         workspace=_kernels_py.Workspace(y)), call_args)),
             ("log_likelihood_batch",
              time_call(_kernels_py.log_likelihood_batch, (y, thetas, call_args[-1])) / BATCH_K),
         ]
         for fn_name, t in rows:
-            print(f"{fn_name:>20} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
+            print(f"{fn_name:>26} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
 
 
 if __name__ == "__main__":

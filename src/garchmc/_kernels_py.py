@@ -9,8 +9,10 @@ and add and does not.
 
 ``log_likelihood`` scores one parameter set, for the random-walk steps;
 ``log_likelihood_batch`` scores many parameter rows at once, for the
-independence sampler's candidate batches. The module imports only numpy and
-``scipy.linalg.blas``.
+independence sampler's candidate batches. A scalar call runs through a
+``Workspace``: y^2, the band of the solve and every buffer, built once per
+series. The posterior closure keeps one for all its calls; a call without one
+builds a throwaway. The module imports only numpy and ``scipy.linalg.blas``.
 """
 import math
 
@@ -23,27 +25,59 @@ BLOCK = 32
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def volatility(y, alpha, beta, omega, sigma1_sq):
-    """Run the squared-volatility recursion forward from sigma1_sq."""
-    y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    drive = np.empty(n, dtype=np.float64)
+class Workspace:
+    """What a scalar call needs that depends on the series y alone: y^2, the
+    (2, n) band of the solve with its unit row set, and the drive and terms
+    buffers.
+
+    A workspace belongs to one caller, such as one posterior closure: each
+    call overwrites its buffers, so it is not thread-safe. ``--chains`` runs
+    its chains in processes, each with its own closure.
+    """
+
+    def __init__(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        n = y.shape[0]
+        self.y2 = y * y
+        self.drive = np.empty(n)
+        self.band = np.empty((2, n), order="F")
+        self.band[1] = 1.0
+        self.beta_row = self.band[0]
+        self.terms = np.empty(n)
+
+
+def volatility(y, alpha, beta, omega, sigma1_sq, workspace=None):
+    """Run the squared-volatility recursion forward from sigma1_sq.
+
+    ``workspace`` is a ``Workspace`` built on y, which then stands in for y;
+    the result is then its drive buffer, which its next call overwrites.
+    Without one, a throwaway is built.
+    """
+    ws = Workspace(y) if workspace is None else workspace
+    drive = ws.drive
     drive[0] = sigma1_sq
-    drive[1:] = omega + alpha * y[:-1] ** 2
-    band = np.empty((2, n), dtype=np.float64, order="F")
-    band[0] = -beta
-    band[1] = 1.0
-    return dtbsv(1, band, drive, lower=0, trans=1, diag=1, overwrite_x=1)
+    np.multiply(ws.y2[:-1], alpha, out=drive[1:])
+    np.add(drive[1:], omega, out=drive[1:])
+    ws.beta_row.fill(-beta)
+    return dtbsv(1, ws.band, drive, lower=0, trans=1, diag=1, overwrite_x=1)
 
 
-def log_likelihood(y, alpha, beta, omega, sigma1_sq):
-    """Sum of Gaussian log-densities along the volatility recursion."""
-    y = np.asarray(y, dtype=np.float64)
-    sig = volatility(y, alpha, beta, omega, sigma1_sq)
-    total = -0.5 * np.sum(np.log(2.0 * np.pi * sig) + y * y / sig)
-    if not np.isfinite(total):
+def log_likelihood(y, alpha, beta, omega, sigma1_sq, workspace=None):
+    """Sum of Gaussian log-densities along the volatility recursion.
+
+    ``workspace`` is as for ``volatility``.
+    """
+    ws = Workspace(y) if workspace is None else workspace
+    sig = volatility(y, alpha, beta, omega, sigma1_sq, workspace=ws)
+    terms = ws.terms
+    np.multiply(sig, 2.0 * math.pi, out=terms)
+    np.log(terms, out=terms)
+    np.divide(ws.y2, sig, out=sig)  # y^2/s over s, which is read no more
+    np.add(terms, sig, out=terms)
+    total = -0.5 * float(np.add.reduce(terms))
+    if not math.isfinite(total):
         raise FloatingPointError("non-finite GARCH log-likelihood")
-    return float(total)
+    return total
 
 
 def log_likelihood_batch(y, thetas, sigma1_sq):

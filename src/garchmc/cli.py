@@ -120,6 +120,42 @@ def _write_json(path, obj):
     _write_atomic(path, [json.dumps(obj, indent=1)])
 
 
+#: Files every chain writes, and those only an adaptive chain writes.
+_CHAIN_ARTIFACTS = ("chain.csv", "acceptance_trace.csv", "report.json", "report.txt")
+_ADAPTIVE_ARTIFACTS = ("covariance_trace.csv", "proposal_history.json")
+#: Every file name a run can write, in ``--out`` and in its chain_NN/.
+_ARTIFACTS = ("manifest.json", "returns.csv", "cross_chain.json",
+              *_CHAIN_ARTIFACTS, *_ADAPTIVE_ARTIFACTS)
+
+
+def _remove_stale_artifacts(out, config):
+    """Remove the manifest, then every artifact an earlier run left in
+    ``out`` or its chain_NN/ that a run of ``config`` will not write, then
+    each chain_NN/ that this leaves empty.
+
+    Files the run will write are left for ``_write_atomic`` to replace, and
+    no other file is touched.
+    """
+    own = set(_CHAIN_ARTIFACTS)
+    if config.sampler == "adaptive":
+        own.update(_ADAPTIVE_ARTIFACTS)
+    if config.chains > 1:
+        own = {f"chain_{i:02d}/{name}" for i in range(config.chains) for name in own}
+        own.add("cross_chain.json")
+    if config.dump_returns:
+        own.add("returns.csv")
+    (out / "manifest.json").unlink(missing_ok=True)
+    chain_dirs = [d for d in out.glob("chain_*")
+                  if d.name.removeprefix("chain_").isdigit() and d.is_dir()]
+    for d in (out, *chain_dirs):
+        for name in _ARTIFACTS:
+            if (d / name).relative_to(out).as_posix() not in own:
+                (d / name).unlink(missing_ok=True)
+    for d in chain_dirs:
+        if not any(d.iterdir()):
+            d.rmdir()
+
+
 def _run_one_chain(config, sched, y, seed, out):
     """Run a single chain and write all artifacts into ``out``."""
     out.mkdir(parents=True, exist_ok=True)
@@ -154,14 +190,16 @@ def _run_one_chain(config, sched, y, seed, out):
 def run(config):
     """Execute a run per config; writes artifacts under config.out. Returns 0.
 
-    ``manifest.json`` is written last, so it marks a completed run; a stale
-    one is removed before anything else is written.
+    ``manifest.json`` is written last, so it marks a completed run. Before
+    anything is written, a stale manifest and every artifact of an earlier
+    run that this run will not overwrite are removed, so the artifacts beside
+    a manifest are all its run's.
     """
     sched = config.validate()
     y = _load_returns(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)
+    _remove_stale_artifacts(out, config)
     if config.dump_returns:
         _write_csv(out / "returns.csv", "return", "%.17g\n", y)
 

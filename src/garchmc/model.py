@@ -3,7 +3,9 @@
 Parameter order is fixed as (alpha, beta, omega) everywhere. Return and
 volatility series are plain float64 ndarrays. The numeric work is done by
 the scalar and batch kernels of ``_kernels_py``, reached through
-``backend.kernels``.
+``backend.kernels``. The scalar closure scores each step through one kernel
+``Workspace`` that it builds when it is made, so y^2, the solve's band and
+the buffers are set up once per run, not once per step.
 """
 import math
 from typing import NamedTuple
@@ -43,20 +45,25 @@ def make_log_posterior(y, sigma1_sq):
     """Flat-prior log-posterior of a length-3 array: the log-likelihood
     inside the support, LOG_ZERO outside.
 
-    The scalar kernel is looked up once, here. A non-finite likelihood raises
-    NumericOverflowError; call under ``np.errstate(all="ignore")``, as the
-    sampler driver does, to keep numpy's warnings from preceding it.
+    The scalar kernel is looked up once, here, and the closure's own kernel
+    workspace is built here; the closure, like its workspace, is not
+    thread-safe. A non-finite likelihood raises NumericOverflowError; call
+    under ``np.errstate(all="ignore")``, as the sampler driver does, to keep
+    numpy's warnings from preceding it.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     sigma1_sq = float(sigma1_sq)
     loglik = kernels.log_likelihood
+    # An infinite y^2 makes every call raise; the warning would only precede it.
+    with np.errstate(over="ignore"):
+        workspace = kernels.Workspace(y)
 
     def log_post(theta):
         a, b, w = theta
         if not _in_support(a, b, w):
             return LOG_ZERO
         try:
-            return loglik(y, a, b, w, sigma1_sq)
+            return loglik(y, a, b, w, sigma1_sq, workspace=workspace)
         except FloatingPointError as exc:
             raise NumericOverflowError(str(exc)) from exc
 

@@ -180,10 +180,16 @@ def test_likelihood_oracle():
     assert ok
 
 
-def test_posterior_quadrature_oracle(adaptive_dir, metro_dir):
+@pytest.fixture(scope="session")
+def quadrature():
+    """Posterior mean, sd and covariance of the runs' data by quadrature."""
     # The runs' data: the synthetic series and cli's default sigma1_sq.
     y = data.generate_synthetic(data.SyntheticSpec(TRUTH, n=2000, seed=SEED))
-    mean, sd, _ = posterior_moments(y, float(np.var(y)), TRUTH)
+    return posterior_moments(y, float(np.var(y)), TRUTH)
+
+
+def test_posterior_quadrature_oracle(adaptive_dir, metro_dir, quadrature):
+    mean, sd, _ = quadrature
     ok = True
     details = []
     for label, run_dir in (("adaptive", adaptive_dir), ("metropolis", metro_dir)):
@@ -195,6 +201,24 @@ def test_posterior_quadrature_oracle(adaptive_dir, metro_dir):
         ok &= all(abs(p) < 4.0 for p in pulls)
     report_line(ok, "posterior quadrature oracle",
                 "; ".join(details) + "; quadrature sd = " + ", ".join(f"{v:.3g}" for v in sd))
+    assert ok
+
+
+def test_covariance_quadrature_oracle(adaptive_dir, quadrature):
+    # The last refit's empirical covariance V of its N draws against the
+    # posterior covariance. A sample variance of N_eff = N / 2tau_int
+    # independent Gaussian draws has relative sd sqrt(2 / N_eff).
+    _, _, cov = quadrature
+    row = np.loadtxt(adaptive_dir / "covariance_trace.csv", delimiter=",", skiprows=1)[-1]
+    variances = row[[1, 4, 6]]  # V11, V22, V33 of refit,V11,V12,V13,V22,V23,V33
+    n = json.loads((adaptive_dir / "proposal_history.json").read_text())[-1]["n_samples"]
+    params = load_report(adaptive_dir)["params"]
+    two_tau = np.array([params[name]["two_tau_int"] for name in PARAMS])
+    pulls = (variances / np.diag(cov) - 1.0) / np.sqrt(2.0 * two_tau / n)
+    ok = bool(np.all(np.abs(pulls) < 4.0))
+    report_line(ok, "covariance quadrature oracle",
+                f"(V_ii / quadrature - 1) / relative sd over {n} draws = "
+                + ", ".join(f"{p:+.2f}" for p in pulls))
     assert ok
 
 

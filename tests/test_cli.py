@@ -162,6 +162,21 @@ class TestRun:
         assert run_cli(base_args(out, sampler=sampler, total=1000) + extra) == 0
         assert {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()} == want
 
+    def test_rerun_removes_earlier_artifacts_only(self, tmp_path):
+        assert set(cli._ARTIFACTS) == ADAPTIVE_FILES | {
+            "manifest.json", "returns.csv", "cross_chain.json"}
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("not an artifact")
+        assert run_cli(base_args(out, total=1000) + ["--chains", "2", "--dump-returns"]) == 0
+        (out / "chain_01" / "notes.txt").write_text("not an artifact")
+        for sampler in ("adaptive", "metropolis"):
+            assert run_cli(base_args(out, sampler=sampler, total=1000)) == 0
+        files = {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()}
+        assert files == CHAIN_FILES | {"manifest.json", "notes.txt", "chain_01/notes.txt"}
+        assert not (out / "chain_00").exists()
+        assert (out / "notes.txt").read_text() == "not an artifact"
+
     @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
                                      KeyboardInterrupt()], ids=["oserror", "interrupt"])
     def test_failed_write_leaves_no_manifest(self, tmp_path, monkeypatch, capsys, exc):

@@ -217,3 +217,61 @@ class TestBatchLogPosterior:
             with np.errstate(all="ignore"), pytest.raises(NumericOverflowError):
                 target(np.array([1e-8, 1e-8, 1e-300]))
 
+
+
+class TestWorkspace:
+    """A kernel Workspace reused across scalar calls, as the posterior closure
+    reuses its own, must give exactly what a fresh 5-argument call gives."""
+
+    BETAS = (0.5, 1e-9, 0.999999, 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 2000])
+    def test_closure_equals_fresh_kernel(self, n):
+        y = np.random.default_rng(n).standard_normal(n)
+        target = model.make_log_posterior(y, 0.7)
+        for beta in self.BETAS:
+            inside = np.array([0.3 * (1.0 - beta), beta, 0.05])
+            outside = np.array([0.3 * (1.0 - beta), beta, -0.05])
+            assert target(outside) == model.LOG_ZERO
+            assert target(inside) == _kernels_py.log_likelihood(y, *inside, 0.7)
+
+    def test_kernel_workspace_equals_fresh_kernel(self):
+        y = np.random.default_rng(5).standard_normal(300)
+        ws = _kernels_py.Workspace(y)
+        for beta in self.BETAS:
+            for sigma1_sq in (0.7, 2.5):
+                args = (y, 0.3 * (1.0 - beta), beta, 0.05, sigma1_sq)
+                assert np.array_equal(_kernels_py.volatility(*args, workspace=ws),
+                                      _kernels_py.volatility(*args))
+                assert (_kernels_py.log_likelihood(*args, workspace=ws)
+                        == _kernels_py.log_likelihood(*args))
+
+    def test_valid_call_after_overflow_is_fresh(self):
+        y = np.array([0.5, -1.0, 2.0, 1.5])
+        # s_1 is about 3e-320, so y_1^2 / s_1 overflows.
+        overflow = np.array([1e-320, 1e-320, 1e-320])
+        valid = np.array([0.1, 0.8, 0.01])
+        target = model.make_log_posterior(y, 1.0)
+        ws = _kernels_py.Workspace(y)
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                with pytest.raises(NumericOverflowError):
+                    target(overflow)
+                assert target(valid) == _kernels_py.log_likelihood(y, *valid, 1.0)
+                # y_0^2 / sigma1_sq overflows.
+                with pytest.raises(FloatingPointError):
+                    _kernels_py.log_likelihood(y, *valid, 1e-310, workspace=ws)
+                assert (_kernels_py.log_likelihood(y, *valid, 1.0, workspace=ws)
+                        == _kernels_py.log_likelihood(y, *valid, 1.0))
+
+    def test_closures_over_different_series_share_no_buffers(self):
+        rng = np.random.default_rng(6)
+        y_a, y_b = rng.standard_normal(300), 2.0 * rng.standard_normal(300)
+        target_a = model.make_log_posterior(y_a, 0.7)
+        target_b = model.make_log_posterior(y_b, 1.5)
+        for beta_a, beta_b in zip(self.BETAS, self.BETAS[1:] + self.BETAS[:1]):
+            theta_a = np.array([0.3 * (1.0 - beta_a), beta_a, 0.05])
+            theta_b = np.array([0.2 * (1.0 - beta_b), beta_b, 0.1])
+            got_a, got_b = target_a(theta_a), target_b(theta_b)
+            assert got_a == _kernels_py.log_likelihood(y_a, *theta_a, 0.7)
+            assert got_b == _kernels_py.log_likelihood(y_b, *theta_b, 1.5)
