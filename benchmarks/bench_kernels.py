@@ -50,8 +50,7 @@ def main():
 
     print(f"{'kernel':>26} {'n':>6} {'us/cand':>10} {'ns/step':>9}")
     for n in args.n:
-        spec = data.SyntheticSpec(model.ParamVector(*THETA), n=n, seed=1)
-        y = np.ascontiguousarray(data.generate_synthetic(spec))
+        y = np.ascontiguousarray(data.generate_synthetic(model.ParamVector(*THETA), n, 1))
         call_args = (y, *THETA, float(np.var(y)))
         thetas = np.tile(THETA, (BATCH_K, 1))
         rows = [

@@ -4,9 +4,10 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,49 +17,59 @@ from .exceptions import ComparisonRefusedError, GarchMCError
 from .rng import chain_seed
 
 
+#: The samplers ``--sampler`` chooses from.
+_SAMPLERS = ("adaptive", "metropolis")
+
+
 @dataclass
 class RunConfig:
-    csv: str = None
-    synthetic: bool = False
+    """Settings of one ``garchmc run``.
+
+    Each field is the flag of its name with dashes; its metadata holds the
+    flag's argparse ``help`` and ``choices``.
+    """
+
+    csv: str = field(default=None, metadata={"help": "two-column CSV of label,price rows"})
+    synthetic: bool = field(default=False, metadata={"help": "generate synthetic GARCH data"})
     alpha: float = 0.03
     beta: float = 0.94
     omega: float = 0.011
-    n: int = 2000
-    sampler: str = "adaptive"
-    burn_in: int = 3000
-    pilot: int = 1000
-    refit_interval: int = 1000
-    total: int = 100000
+    n: int = field(default=2000, metadata={"help": "synthetic series length"})
+    sampler: str = field(default="adaptive", metadata={"choices": _SAMPLERS})
+    burn_in: int = samplers.AdaptiveSchedule.burn_in
+    pilot: int = samplers.AdaptiveSchedule.pilot
+    refit_interval: int = samplers.AdaptiveSchedule.refit_interval
+    total: int = samplers.AdaptiveSchedule.total
     nu: float = 10.0
     seed: int = 12345
-    sigma1: str = "var"
-    window_factor: float = 5.0
+    sigma1: str = field(default="var", metadata={"help": "'var' or an explicit positive value"})
+    window_factor: float = diagnostics.DEFAULT_WINDOW_FACTOR
     out: str = "garchmc_out"
     chains: int = 1
-    freeze_after: int = None
+    freeze_after: int = field(
+        default=None, metadata={"help": "stop re-fitting the proposal after this many refits"})
     dump_returns: bool = False
 
     def validate(self):
         """Check every field; returns the run's AdaptiveSchedule."""
         if (self.csv is None) == (not self.synthetic):
             raise GarchMCError("exactly one input source required: --csv PATH or --synthetic")
-        if self.sampler not in ("adaptive", "metropolis"):
+        if self.sampler not in _SAMPLERS:
             raise GarchMCError(f"unknown sampler {self.sampler!r}")
         if self.chains <= 0:
             raise GarchMCError(f"--chains must be positive, got {self.chains}")
-        if not self.nu > 2.0:
-            raise GarchMCError(f"--nu must exceed 2, got {self.nu}")
-        if not self.window_factor > 0.0:
-            raise GarchMCError(f"--window-factor must be positive, got {self.window_factor}")
         if self.freeze_after is not None and self.freeze_after < 1:
             raise GarchMCError(f"--freeze-after must be at least 1, got {self.freeze_after}")
+        # (flag, value, exclusive lower bound): each must also be finite.
+        bounded = [("--nu", self.nu, 2.0), ("--window-factor", self.window_factor, 0.0)]
         if self.sigma1 != "var":
             try:
-                v = float(self.sigma1)
+                bounded.append(("--sigma1", float(self.sigma1), 0.0))
             except ValueError:
                 raise GarchMCError(f"--sigma1 must be 'var' or a number, got {self.sigma1!r}") from None
-            if v <= 0:
-                raise GarchMCError("--sigma1 value must be positive")
+        for flag, value, low in bounded:
+            if not low < value < math.inf:
+                raise GarchMCError(f"{flag} must be finite and above {low:g}, got {value}")
         try:
             return samplers.AdaptiveSchedule(self.burn_in, self.pilot, self.refit_interval, self.total)
         except ValueError as exc:
@@ -69,12 +80,8 @@ class RunConfig:
 def _load_returns(config):
     if config.csv is not None:
         return data.transform_returns(data.load_prices(config.csv))
-    spec = data.SyntheticSpec(
-        true_theta=model.ParamVector(config.alpha, config.beta, config.omega),
-        n=config.n,
-        seed=config.seed,
-    )
-    return data.generate_synthetic(spec)
+    theta = model.ParamVector(config.alpha, config.beta, config.omega)
+    return data.generate_synthetic(theta, config.n, config.seed)
 
 
 def _fingerprint(y):
@@ -172,16 +179,12 @@ def _run_one_chain(config, sched, y, seed, out):
     else:
         res = samplers.run_metropolis(y, sched, seed=seed, sigma1_sq=sigma1_sq)
 
-    report = diagnostics.summarize(
-        res.chain,
-        window_factor=config.window_factor,
-        metadata={"sampler": config.sampler, "seed": seed},
-    )
+    report = diagnostics.summarize(res.chain, window_factor=config.window_factor)
     _write_csv(out / "chain.csv", "alpha,beta,omega,accepted", "%.17g,%.17g,%.17g,%d\n",
                *res.chain.draws.T, res.chain.accepted)
     _write_csv(out / "acceptance_trace.csv", "batch,acceptance", "%d,%.17g\n",
                np.arange(len(res.trace)), res.trace)
-    _write_json(out / "report.json", report.to_dict())
+    _write_json(out / "report.json", {**report.to_dict(), "sampler": config.sampler, "seed": seed})
     _write_atomic(out / "report.txt",
                   [report.to_text(title=f"{config.sampler} run (seed {seed})") + "\n"])
     return report
@@ -270,26 +273,13 @@ def _build_parser():
     run_p = sub.add_parser("run", help="run a sampler and write artifacts",
                            argument_default=argparse.SUPPRESS)
     src = run_p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--csv", help="two-column CSV of label,price rows")
-    src.add_argument("--synthetic", action="store_true", help="generate synthetic GARCH data")
-    run_p.add_argument("--alpha", type=float)
-    run_p.add_argument("--beta", type=float)
-    run_p.add_argument("--omega", type=float)
-    run_p.add_argument("--n", type=int, help="synthetic series length")
-    run_p.add_argument("--sampler", choices=["adaptive", "metropolis"])
-    run_p.add_argument("--burn-in", type=int)
-    run_p.add_argument("--pilot", type=int)
-    run_p.add_argument("--refit-interval", type=int)
-    run_p.add_argument("--total", type=int)
-    run_p.add_argument("--nu", type=float)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--sigma1", help="'var' or an explicit positive value")
-    run_p.add_argument("--window-factor", type=float)
-    run_p.add_argument("--out")
-    run_p.add_argument("--chains", type=int)
-    run_p.add_argument("--freeze-after", type=int,
-                       help="stop re-fitting the proposal after this many refits")
-    run_p.add_argument("--dump-returns", action="store_true")
+    for f in fields(RunConfig):
+        group = src if f.name in ("csv", "synthetic") else run_p
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            group.add_argument(flag, action="store_true", **f.metadata)
+        else:
+            group.add_argument(flag, type=f.type, **f.metadata)
 
     cmp_p = sub.add_parser("compare", help="compare two completed runs")
     cmp_p.add_argument("dir_a")

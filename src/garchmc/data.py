@@ -1,6 +1,5 @@
 """Price ingestion, the percent log-return transform, and synthetic data."""
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,15 +12,6 @@ from .rng import named_rng
 SYNTHETIC_BURN = 1000
 #: Squared volatility the synthetic generator starts its recursion from.
 SYNTHETIC_SIGMA1_SQ = 1.0
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Configuration for the synthetic GARCH(1,1) generator."""
-
-    true_theta: model.ParamVector
-    n: int
-    seed: int
 
 
 def load_prices(path):
@@ -71,15 +61,15 @@ def transform_returns(prices):
     return 100.0 * (s - s.mean())
 
 
-def generate_synthetic(spec):
-    """Simulate a GARCH(1,1) return series; deterministic given spec.seed."""
-    theta = spec.true_theta
+def generate_synthetic(theta, n, seed):
+    """Simulate n returns of a GARCH(1,1) with parameters theta; deterministic
+    given seed."""
     if not model.check_constraints(theta):
-        raise DataValidationError(f"synthetic true_theta violates GARCH constraints: {theta}")
-    if spec.n < 1:
+        raise DataValidationError(f"synthetic theta violates GARCH constraints: {theta}")
+    if n < 1:
         raise DataValidationError("synthetic n must be positive")
-    rng = named_rng(spec.seed, "synthetic")
-    total = spec.n + SYNTHETIC_BURN
+    rng = named_rng(seed, "synthetic")
+    total = n + SYNTHETIC_BURN
     eps = rng.standard_normal(total)
     y = np.empty(total)
     s = SYNTHETIC_SIGMA1_SQ

@@ -5,11 +5,11 @@ tau_int(T) = 1/2 + sum_{i<=T} ACF(i); the reported value is read at the
 self-consistent window T* = smallest T with T >= c*tau_int(T).
 """
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateSeriesError, NoPlateauError
+from .exceptions import DegenerateSeriesError
 
 #: Hard cap on the lag bound used by summarize().
 LAG_CAP = 10000
@@ -70,24 +70,20 @@ def acf(x, t_max):
 def tau_int(acf_series, window_factor=DEFAULT_WINDOW_FACTOR):
     """Integrated autocorrelation time read at the self-consistent window.
 
-    Returns (tau, T*, uncertainty) with the standard windowed-estimator
-    variance sqrt(2*(2T*+1)/N) * tau. Raises NoPlateauError (carrying the
-    partial sum at t_max as a lower bound) when no window qualifies.
+    Returns (tau, T*, uncertainty, plateau) with the standard
+    windowed-estimator variance sqrt(2*(2T*+1)/N) * tau. When no window
+    qualifies, plateau is False and tau is the partial sum at T* = t_max, a
+    lower bound.
     """
     vals = acf_series.values
     partial = 0.5 + np.cumsum(vals[1:])  # tau_int(T) for T = 1..t_max
-    lags = np.arange(1, vals.size)
-    ok = np.nonzero(lags >= window_factor * partial)[0]
-    if ok.size == 0:
-        raise NoPlateauError(
-            f"no window T <= {acf_series.t_max} satisfies T >= {window_factor}*tau_int(T)",
-            lower_bound=float(partial[-1]),
-            t_max=acf_series.t_max,
-        )
-    t_star = int(lags[ok[0]])
-    tau = float(partial[ok[0]])
+    ok = np.nonzero(np.arange(1, vals.size) >= window_factor * partial)[0]
+    plateau = ok.size > 0
+    i = int(ok[0]) if plateau else partial.size - 1
+    t_star = i + 1
+    tau = float(partial[i])
     err = math.sqrt(2.0 * (2.0 * t_star + 1.0) / acf_series.n) * abs(tau)
-    return tau, t_star, err
+    return tau, t_star, err, plateau
 
 
 def bounded_acf(x):
@@ -110,16 +106,15 @@ def bounded_acf(x):
 
 def _jackknife_tau_err(x, window_factor):
     """Blocked jackknife error of tau_int over 10 contiguous segments."""
-    n = x.size
-    if n < 20 * JACKKNIFE_BLOCKS:
-        return float("nan")
-    edges = np.linspace(0, n, JACKKNIFE_BLOCKS + 1, dtype=int)
+    edges = np.linspace(0, x.size, JACKKNIFE_BLOCKS + 1, dtype=int)
     estimates = []
     for i in range(JACKKNIFE_BLOCKS):
         sub = np.concatenate([x[: edges[i]], x[edges[i + 1]:]])
         try:
-            t, _, _ = tau_int(bounded_acf(sub), window_factor)
-        except (NoPlateauError, DegenerateSeriesError):
+            t, _, _, plateau = tau_int(bounded_acf(sub), window_factor)
+        except DegenerateSeriesError:
+            return float("nan")
+        if not plateau:
             return float("nan")
         estimates.append(t)
     estimates = np.array(estimates)
@@ -146,18 +141,13 @@ class DiagnosticsReport:
     params: dict
     acceptance: float
     n_draws: int
-    metadata: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
+        return {
             "acceptance": self.acceptance,
             "n_draws": self.n_draws,
-            "params": {},
+            "params": {name: asdict(s) for name, s in self.params.items()},
         }
-        out.update(self.metadata)
-        for name, s in self.params.items():
-            out["params"][name] = asdict(s)
-        return out
 
     def to_text(self, title="Posterior summary"):
         names = list(self.params)
@@ -181,7 +171,7 @@ class DiagnosticsReport:
         return "\n".join(lines)
 
 
-def summarize(chain, window_factor=DEFAULT_WINDOW_FACTOR, metadata=None):
+def summarize(chain, window_factor=DEFAULT_WINDOW_FACTOR):
     """Per-parameter mean/stddev/stat-error/2tau_int report for a chain."""
     draws = chain.draws
     k = draws.shape[0]
@@ -198,23 +188,17 @@ def summarize(chain, window_factor=DEFAULT_WINDOW_FACTOR, metadata=None):
             params[name] = ParamSummary(mean, std, 0.0, float("nan"), float("nan"),
                                         float("nan"), 0, False)
             continue
-        try:
-            tau, t_star, err = tau_int(series, window_factor)
-            plateau = True
-        except NoPlateauError as exc:
-            tau, t_star, plateau = exc.lower_bound, exc.t_max, False
-            err = math.sqrt(2.0 * (2.0 * t_star + 1.0) / k) * abs(tau)
+        tau, t_star, err, plateau = tau_int(series, window_factor)
         stat_error = std * math.sqrt(2.0 * tau / k)
         err_jk = _jackknife_tau_err(x, window_factor)
         params[name] = ParamSummary(
             mean=mean, stddev=std, stat_error=stat_error,
             two_tau_int=2.0 * tau, two_tau_int_err=2.0 * err,
-            two_tau_int_err_jk=2.0 * err_jk if math.isfinite(err_jk) else float("nan"),
+            two_tau_int_err_jk=2.0 * err_jk,
             t_star=t_star, plateau_found=plateau,
         )
     return DiagnosticsReport(
         params=params,
         acceptance=chain.acceptance_rate,
         n_draws=k,
-        metadata=metadata or {},
     )

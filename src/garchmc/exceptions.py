@@ -45,17 +45,5 @@ class DegenerateSeriesError(GarchMCError):
     """A series has zero variance; autocorrelations are undefined."""
 
 
-class NoPlateauError(GarchMCError):
-    """No self-consistent truncation window found below the lag bound.
-
-    ``lower_bound`` carries the partial sum at the largest available lag.
-    """
-
-    def __init__(self, message, lower_bound, t_max):
-        super().__init__(message, lower_bound, t_max)
-        self.lower_bound = lower_bound
-        self.t_max = t_max
-
-
 class ComparisonRefusedError(GarchMCError):
     """Two runs cannot be compared (different underlying data)."""

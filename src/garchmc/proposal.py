@@ -14,6 +14,10 @@ from .exceptions import DegenerateSampleError
 def _cholesky_with_jitter(sigma):
     """Cholesky factor of sigma, retrying with escalating diagonal jitter."""
     p = sigma.shape[0]
+    # np.linalg.cholesky returns a non-finite factor for a NaN or inf sigma
+    # without raising.
+    if not np.all(np.isfinite(sigma)):
+        raise DegenerateSampleError("scale matrix has non-finite entries")
     try:
         return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -60,8 +64,8 @@ class StudentTProposal:
     def __init__(self, mean, sigma, nu, n_samples=0):
         mean = np.asarray(mean, dtype=np.float64)
         sigma = np.asarray(sigma, dtype=np.float64)
-        if not nu > 2.0:
-            raise ValueError(f"nu must exceed 2 so the covariance exists, got {nu}")
+        if not 2.0 < nu < math.inf:
+            raise ValueError(f"nu must be finite and exceed 2 so the covariance exists, got {nu}")
         if sigma.shape != (mean.size, mean.size):
             raise ValueError("sigma shape does not match mean length")
         self.mean = mean

@@ -128,9 +128,9 @@ def test_proposal_sampler_moments():
 def test_diagnostics_oracle():
     rng = np.random.default_rng(21)
     x = lfilter([1.0], [1.0, -0.9], rng.standard_normal(1000000))
-    tau, _, _ = diagnostics.tau_int(diagnostics.acf(x, 1000))
+    tau, *_ = diagnostics.tau_int(diagnostics.acf(x, 1000))
     iid = rng.standard_normal(1000000)
-    tau_iid, _, _ = diagnostics.tau_int(diagnostics.acf(iid, 100))
+    tau_iid, *_ = diagnostics.tau_int(diagnostics.acf(iid, 100))
     ok = abs(tau - 9.5) / 9.5 < 0.10 and 0.9 <= 2 * tau_iid <= 1.1
     report_line(ok, "diagnostics oracle",
                 f"AR(1) tau = {tau:.2f} (want 9.5 +/- 10%), iid 2tau = {2 * tau_iid:.3f}")
@@ -184,7 +184,7 @@ def test_likelihood_oracle():
 def quadrature():
     """Posterior mean, sd and covariance of the runs' data by quadrature."""
     # The runs' data: the synthetic series and cli's default sigma1_sq.
-    y = data.generate_synthetic(data.SyntheticSpec(TRUTH, n=2000, seed=SEED))
+    y = data.generate_synthetic(TRUTH, 2000, SEED)
     return posterior_moments(y, float(np.var(y)), TRUTH)
 
 

@@ -115,10 +115,21 @@ class TestRun:
         ["--window-factor", "0"], ["--window-factor", "-1"],
         ["--freeze-after", "0"],
         ["--refit-interval", "4000"], ["--pilot", "0"], ["--chains", "0"],
+        ["--nu", "inf"], ["--window-factor", "inf"], ["--sigma1", "nan"], ["--sigma1", "inf"],
+        ["--sigma1", "abc"],
     ])
     def test_out_of_range_flag_exits_one(self, tmp_path, capsys, flag):
         assert run_cli(base_args(tmp_path / "bad") + flag) == 1
         assert capsys.readouterr().err.startswith("error: " + flag[0])
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--n", "0"], "synthetic n must be positive"),
+        (["--pilot", "2"], "batch 0: need at least 4 samples"),
+    ])
+    def test_unrunnable_setting_exits_one(self, tmp_path, capsys, flag, message):
+        assert run_cli(base_args(tmp_path / "bad") + flag) == 1
+        assert capsys.readouterr().err.startswith("error: " + message)
         assert not (tmp_path / "bad" / "manifest.json").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--chains", "2"]], ids=["one-chain", "chains-2"])

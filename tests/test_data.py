@@ -53,9 +53,10 @@ class TestLoadPrices:
 
     def test_unparsable_row_is_hard_error(self, tmp_path):
         f = tmp_path / "p.csv"
-        f.write_text("a,100\nb,oops\nc,99\n")
-        with pytest.raises(DataValidationError):
-            data.load_prices(f)
+        for text in ("a,100\nb,oops\nc,99\n", "a,100\nb\nc,99\n"):
+            f.write_text(text)
+            with pytest.raises(DataValidationError, match="row 2"):
+                data.load_prices(f)
 
     def test_non_positive_price_rejected(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -72,27 +73,24 @@ class TestLoadPrices:
 
 class TestGenerateSynthetic:
     def test_deterministic(self):
-        spec = data.SyntheticSpec(model.ParamVector(0.05, 0.9, 0.01), n=500, seed=42)
-        a = data.generate_synthetic(spec)
-        b = data.generate_synthetic(spec)
+        theta = model.ParamVector(0.05, 0.9, 0.01)
+        a = data.generate_synthetic(theta, 500, 42)
+        b = data.generate_synthetic(theta, 500, 42)
         assert np.array_equal(a, b)
 
     def test_variance_matches_stationary_value(self):
-        spec = data.SyntheticSpec(model.ParamVector(0.05, 0.90, 0.01), n=100000, seed=11)
-        y = data.generate_synthetic(spec)
+        y = data.generate_synthetic(model.ParamVector(0.05, 0.90, 0.01), 100000, 11)
         target = 0.01 / (1 - 0.05 - 0.90)
         assert y.var() == pytest.approx(target, rel=0.05)
 
     def test_degenerate_case_is_gaussian(self):
-        spec = data.SyntheticSpec(model.ParamVector(1e-10, 1e-10, 1.0), n=100000, seed=12)
-        y = data.generate_synthetic(spec)
+        y = data.generate_synthetic(model.ParamVector(1e-10, 1e-10, 1.0), 100000, 12)
         assert stats.kurtosis(y, fisher=False) == pytest.approx(3.0, abs=0.15)
         assert y.var() == pytest.approx(1.0, rel=0.02)
 
     def test_invalid_theta_rejected(self):
-        spec = data.SyntheticSpec(model.ParamVector(0.5, 0.6, 0.01), n=100, seed=1)
         with pytest.raises(DataValidationError):
-            data.generate_synthetic(spec)
+            data.generate_synthetic(model.ParamVector(0.5, 0.6, 0.01), 100, 1)
 
 
 def test_write_returns_round_trip(tmp_path):

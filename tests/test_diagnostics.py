@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
 from garchmc import diagnostics, samplers
-from garchmc.exceptions import DegenerateSeriesError, NoPlateauError
+from garchmc.exceptions import DegenerateSeriesError
 
 
 def ar1(phi, n, seed=0):
@@ -65,32 +67,37 @@ class TestAcf:
 class TestTauInt:
     def test_iid_series(self):
         x = np.random.default_rng(7).standard_normal(1000000)
-        tau, t_star, err = diagnostics.tau_int(diagnostics.acf(x, 100))
+        tau, t_star, err, plateau = diagnostics.tau_int(diagnostics.acf(x, 100))
+        assert plateau
         assert 2 * tau == pytest.approx(1.0, abs=0.1)
 
     def test_ar1_geometric_sum(self):
         x = ar1(0.9, 1000000, seed=8)
-        tau, t_star, err = diagnostics.tau_int(diagnostics.acf(x, 1000))
+        tau, t_star, err, plateau = diagnostics.tau_int(diagnostics.acf(x, 1000))
+        assert plateau
         assert tau == pytest.approx(9.5, rel=0.10)
         assert err < tau
 
     def test_no_plateau_carries_lower_bound(self):
         x = ar1(0.999, 5000, seed=9)
-        with pytest.raises(NoPlateauError) as exc:
-            diagnostics.tau_int(diagnostics.acf(x, 100))
-        assert exc.value.lower_bound > 1.0
-        assert exc.value.t_max == 100
+        series = diagnostics.acf(x, 100)
+        tau, t_star, err, plateau = diagnostics.tau_int(series)
+        assert not plateau
+        assert t_star == 100
+        assert tau == pytest.approx(0.5 + series.values[1:].sum(), rel=1e-12)
+        assert tau > 1.0
+        assert err == pytest.approx(math.sqrt(2.0 * 201 / 5000) * tau, rel=1e-12)
 
     def test_thinning_reduces_tau(self):
         x = ar1(0.9, 1000000, seed=10)
-        tau_full, _, _ = diagnostics.tau_int(diagnostics.acf(x, 1000))
-        tau_thin, _, _ = diagnostics.tau_int(diagnostics.acf(x[::10], 1000))
+        tau_full, *_ = diagnostics.tau_int(diagnostics.acf(x, 1000))
+        tau_thin, *_ = diagnostics.tau_int(diagnostics.acf(x[::10], 1000))
         assert tau_thin < tau_full
 
     def test_duplication_roughly_doubles_tau(self):
         x = ar1(0.9, 200000, seed=11)
-        tau, _, _ = diagnostics.tau_int(diagnostics.acf(x, 1000))
-        tau_dup, _, _ = diagnostics.tau_int(diagnostics.acf(np.repeat(x, 2), 2000))
+        tau, *_ = diagnostics.tau_int(diagnostics.acf(x, 1000))
+        tau_dup, *_ = diagnostics.tau_int(diagnostics.acf(np.repeat(x, 2), 2000))
         assert tau_dup / tau == pytest.approx(2.0, rel=0.15)
 
 
@@ -115,9 +122,9 @@ class TestSummarize:
     def test_report_shape_and_keys(self):
         rng = np.random.default_rng(13)
         draws = rng.standard_normal((5000, 3)) * [0.01, 0.02, 0.005] + [0.03, 0.94, 0.011]
-        rep = diagnostics.summarize(chain_from(draws), metadata={"sampler": "adaptive"})
+        rep = diagnostics.summarize(chain_from(draws))
         d = rep.to_dict()
-        assert d["sampler"] == "adaptive"
+        assert list(d) == ["acceptance", "n_draws", "params"]
         for name in ("alpha", "beta", "omega"):
             entry = d["params"][name]
             for key in ("mean", "stddev", "stat_error", "two_tau_int", "two_tau_int_err"):

@@ -2,15 +2,13 @@ import pickle
 
 import pytest
 
-from garchmc.exceptions import NoPlateauError, TuningFailureError
+from garchmc.exceptions import TuningFailureError
 
 
 @pytest.mark.parametrize("exc, attrs", [
     (TuningFailureError("acceptance 0.100 not in band", last_acceptance=0.1),
      {"last_acceptance": 0.1}),
-    (NoPlateauError("no window", lower_bound=12.5, t_max=100),
-     {"lower_bound": 12.5, "t_max": 100}),
-], ids=["tuning_failure", "no_plateau"])
+], ids=["tuning_failure"])
 def test_error_survives_pickling(exc, attrs):
     # A --chains worker hands its error to the parent process pickled.
     back = pickle.loads(pickle.dumps(exc))

@@ -46,6 +46,11 @@ class TestFit:
         with pytest.raises(DegenerateSampleError):
             proposal.fit(acc, 10.0)
 
+    def test_non_finite_scale_degenerate(self):
+        # np.linalg.cholesky passes NaN through without raising.
+        with pytest.raises(DegenerateSampleError):
+            make_proposal([0.0, 0.0, 0.0], np.diag([1.0, math.nan, 1.0]))
+
     def test_too_few_samples(self):
         acc = proposal.SampleAccumulator(3)
         acc.add_batch(np.eye(3))
@@ -178,5 +183,6 @@ class TestRoundTrips:
         assert d["nu"] == prop.nu and d["n_samples"] == 1234
 
     def test_nu_must_exceed_two(self):
-        with pytest.raises(ValueError):
-            make_proposal([0.0, 0.0, 0.0], np.eye(3), nu=2.0)
+        for nu in (2.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                make_proposal([0.0, 0.0, 0.0], np.eye(3), nu=nu)

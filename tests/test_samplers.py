@@ -23,8 +23,7 @@ def rw_step(current, d, target, rng):
 
 
 def small_series(seed=5, n=400):
-    spec = data.SyntheticSpec(model.ParamVector(0.05, 0.9, 0.01), n=n, seed=seed)
-    return data.generate_synthetic(spec)
+    return data.generate_synthetic(model.ParamVector(0.05, 0.9, 0.01), n, seed)
 
 
 class TestMetropolisStep:
