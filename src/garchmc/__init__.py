@@ -2,8 +2,8 @@
 multivariate Student-t independence proposal."""
 from .model import ParamVector, check_constraints
 from .proposal import SampleAccumulator, StudentTProposal, fit
-from .samplers import AdaptiveSchedule, Chain, run_adaptive, run_metropolis
-from .diagnostics import DiagnosticsReport, acf, summarize, tau_int
+from .samplers import AdaptiveSchedule, run_adaptive, run_metropolis
+from .diagnostics import acf, report_text, summarize, tau_int
 
 __version__ = "0.1.0"
 
@@ -14,11 +14,10 @@ __all__ = [
     "StudentTProposal",
     "fit",
     "AdaptiveSchedule",
-    "Chain",
     "run_adaptive",
     "run_metropolis",
-    "DiagnosticsReport",
     "acf",
+    "report_text",
     "summarize",
     "tau_int",
     "__version__",

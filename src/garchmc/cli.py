@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, diagnostics, model, samplers
+from . import data, diagnostics, model, proposal, samplers
 from .exceptions import ComparisonRefusedError, GarchMCError
 from .rng import chain_seed
 
@@ -40,7 +40,7 @@ class RunConfig:
     pilot: int = samplers.AdaptiveSchedule.pilot
     refit_interval: int = samplers.AdaptiveSchedule.refit_interval
     total: int = samplers.AdaptiveSchedule.total
-    nu: float = 10.0
+    nu: float = proposal.DEFAULT_NU
     seed: int = 12345
     sigma1: str = field(default="var", metadata={"help": "'var' or an explicit positive value"})
     window_factor: float = diagnostics.DEFAULT_WINDOW_FACTOR
@@ -71,10 +71,19 @@ class RunConfig:
             if not low < value < math.inf:
                 raise GarchMCError(f"{flag} must be finite and above {low:g}, got {value}")
         try:
-            return samplers.AdaptiveSchedule(self.burn_in, self.pilot, self.refit_interval, self.total)
+            sched = samplers.AdaptiveSchedule(self.burn_in, self.pilot, self.refit_interval, self.total)
         except ValueError as exc:
             # The message starts with the offending field: name it as its flag.
             raise GarchMCError("--" + str(exc).replace("_", "-")) from None
+        if self.total < diagnostics.MIN_DRAWS:
+            raise GarchMCError(f"--total must be at least {diagnostics.MIN_DRAWS} "
+                               f"to summarize, got {self.total}")
+        # The first proposal fit sees only the pilot and needs dim + 1 draws.
+        min_pilot = len(diagnostics.PARAM_NAMES) + 1
+        if self.sampler == "adaptive" and self.pilot < min_pilot:
+            raise GarchMCError(f"--pilot must be at least {min_pilot} for the adaptive "
+                               f"sampler, got {self.pilot}")
+        return sched
 
 
 def _load_returns(config):
@@ -179,14 +188,14 @@ def _run_one_chain(config, sched, y, seed, out):
     else:
         res = samplers.run_metropolis(y, sched, seed=seed, sigma1_sq=sigma1_sq)
 
-    report = diagnostics.summarize(res.chain, window_factor=config.window_factor)
+    report = diagnostics.summarize(res.draws, res.accepted, config.window_factor)
     _write_csv(out / "chain.csv", "alpha,beta,omega,accepted", "%.17g,%.17g,%.17g,%d\n",
-               *res.chain.draws.T, res.chain.accepted)
+               *res.draws.T, res.accepted)
     _write_csv(out / "acceptance_trace.csv", "batch,acceptance", "%d,%.17g\n",
                np.arange(len(res.trace)), res.trace)
-    _write_json(out / "report.json", {**report.to_dict(), "sampler": config.sampler, "seed": seed})
+    _write_json(out / "report.json", {**report, "sampler": config.sampler, "seed": seed})
     _write_atomic(out / "report.txt",
-                  [report.to_text(title=f"{config.sampler} run (seed {seed})") + "\n"])
+                  [diagnostics.report_text(report, f"{config.sampler} run (seed {seed})") + "\n"])
     return report
 
 
@@ -216,8 +225,8 @@ def run(config):
             reports = list(pool.map(_run_one_chain, [config] * k, [sched] * k, [y] * k, seeds, dirs))
         spread = {}
         for name in diagnostics.PARAM_NAMES:
-            means = np.array([r.params[name].mean for r in reports])
-            stat_errs = np.array([r.params[name].stat_error for r in reports])
+            means = np.array([r["params"][name]["mean"] for r in reports])
+            stat_errs = np.array([r["params"][name]["stat_error"] for r in reports])
             spread[name] = {
                 "mean_of_means": float(means.mean()),
                 "spread_of_means": float(means.std(ddof=1)),
@@ -248,19 +257,15 @@ def compare_runs(dir_a, dir_b):
         with open(d / "report.json", encoding="utf-8") as fh:
             report = json.load(fh)
         fingerprints.append(manifest["data_fingerprint"])
-        blocks.append((manifest["config"]["sampler"], diagnostics.DiagnosticsReport(
-            params={n: diagnostics.ParamSummary(**p) for n, p in report["params"].items()},
-            acceptance=report["acceptance"],
-            n_draws=report["n_draws"],
-        )))
+        blocks.append((manifest["config"]["sampler"], report))
     if fingerprints[0] != fingerprints[1]:
         raise ComparisonRefusedError("runs were made on different data; comparison refused")
 
     lines = []
     for sampler, report in blocks:
-        lines += [report.to_text(title=sampler.capitalize()), ""]
-    (_, a), (_, b) = blocks
-    ratios = [f"{b.params[n].two_tau_int / a.params[n].two_tau_int:.3g}" for n in a.params]
+        lines += [diagnostics.report_text(report, sampler.capitalize()), ""]
+    a, b = (report["params"] for _, report in blocks)
+    ratios = [f"{b[n]['two_tau_int'] / a[n]['two_tau_int']:.3g}" for n in a]
     lines.append("2tau_int ratio (B/A)".ljust(22) + "".join(r.ljust(14) for r in ratios))
     return "\n".join(lines)
 

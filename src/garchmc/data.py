@@ -1,5 +1,6 @@
 """Price ingestion, the percent log-return transform, and synthetic data."""
 import csv
+import math
 
 import numpy as np
 
@@ -18,8 +19,8 @@ def load_prices(path):
     """Read the prices of a two-column CSV of (label, price) rows.
 
     A header row is auto-detected by attempting to parse the second field of
-    the first row as a number. Unparsable or non-positive prices are hard
-    errors.
+    the first row as a number. Unparsable prices, and prices that are not
+    finite and positive, are hard errors naming their row.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -42,8 +43,8 @@ def load_prices(path):
             price = float(raw)
         except ValueError:
             raise DataValidationError(f"{path}: row {lineno}: unparsable price {raw!r}") from None
-        if not price > 0.0:
-            raise DataValidationError(f"{path}: row {lineno}: non-positive price {price}")
+        if not 0.0 < price < math.inf:
+            raise DataValidationError(f"{path}: row {lineno}: price {price} is not finite and positive")
         prices.append(price)
     if len(prices) < 2:
         raise InsufficientDataError(f"{path}: need at least 2 price observations, got {len(prices)}")

@@ -1,11 +1,10 @@
 """Autocorrelation functions, integrated autocorrelation times, and the
-per-parameter summary report.
+per-parameter summary report that a run writes as ``report.json``.
 
 tau_int(T) = 1/2 + sum_{i<=T} ACF(i); the reported value is read at the
 self-consistent window T* = smallest T with T >= c*tau_int(T).
 """
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -15,6 +14,8 @@ from .exceptions import DegenerateSeriesError
 LAG_CAP = 10000
 DEFAULT_WINDOW_FACTOR = 5.0
 JACKKNIFE_BLOCKS = 10
+#: Fewest draws summarize() accepts.
+MIN_DRAWS = 1000
 
 PARAM_NAMES = ("alpha", "beta", "omega")
 
@@ -31,18 +32,6 @@ def _next_fast_len(target):
         if m == 1:
             return n
         n += 1
-
-
-@dataclass(frozen=True)
-class AcfSeries:
-    """ACF(t) for t = 0..t_max plus the source series length."""
-
-    values: np.ndarray
-    n: int
-
-    @property
-    def t_max(self):
-        return self.values.size - 1
 
 
 def acf(x, t_max):
@@ -64,25 +53,25 @@ def acf(x, t_max):
     if not var > 0.0 or not np.isfinite(var):
         raise DegenerateSeriesError("series variance is zero or non-finite")
     acov = sums / (n - np.arange(t_max + 1))
-    return AcfSeries(values=acov / var, n=n)
+    return acov / var
 
 
-def tau_int(acf_series, window_factor=DEFAULT_WINDOW_FACTOR):
-    """Integrated autocorrelation time read at the self-consistent window.
+def tau_int(rho, n, window_factor=DEFAULT_WINDOW_FACTOR):
+    """Integrated autocorrelation time read at the self-consistent window,
+    from ``rho`` = ACF(0..t_max) of a series of length n.
 
     Returns (tau, T*, uncertainty, plateau) with the standard
     windowed-estimator variance sqrt(2*(2T*+1)/N) * tau. When no window
     qualifies, plateau is False and tau is the partial sum at T* = t_max, a
     lower bound.
     """
-    vals = acf_series.values
-    partial = 0.5 + np.cumsum(vals[1:])  # tau_int(T) for T = 1..t_max
-    ok = np.nonzero(np.arange(1, vals.size) >= window_factor * partial)[0]
+    partial = 0.5 + np.cumsum(rho[1:])  # tau_int(T) for T = 1..t_max
+    ok = np.nonzero(np.arange(1, rho.size) >= window_factor * partial)[0]
     plateau = ok.size > 0
     i = int(ok[0]) if plateau else partial.size - 1
     t_star = i + 1
     tau = float(partial[i])
-    err = math.sqrt(2.0 * (2.0 * t_star + 1.0) / acf_series.n) * abs(tau)
+    err = math.sqrt(2.0 * (2.0 * t_star + 1.0) / n) * abs(tau)
     return tau, t_star, err, plateau
 
 
@@ -97,11 +86,11 @@ def bounded_acf(x):
     t_hi = min(n // 10, LAG_CAP)
     if t_hi < 1:
         raise ValueError("series too short for autocorrelation analysis")
-    series = acf(x, t_hi)
-    below = np.nonzero(series.values[1:] < 0.01)[0]
+    rho = acf(x, t_hi)
+    below = np.nonzero(rho[1:] < 0.01)[0]
     if below.size:
         t_hi = min(t_hi, 10 * (int(below[0]) + 1))
-    return AcfSeries(values=series.values[: t_hi + 1], n=n)
+    return rho[: t_hi + 1]
 
 
 def _jackknife_tau_err(x, window_factor):
@@ -111,7 +100,7 @@ def _jackknife_tau_err(x, window_factor):
     for i in range(JACKKNIFE_BLOCKS):
         sub = np.concatenate([x[: edges[i]], x[edges[i + 1]:]])
         try:
-            t, _, _, plateau = tau_int(bounded_acf(sub), window_factor)
+            t, _, _, plateau = tau_int(bounded_acf(sub), sub.size, window_factor)
         except DegenerateSeriesError:
             return float("nan")
         if not plateau:
@@ -122,83 +111,54 @@ def _jackknife_tau_err(x, window_factor):
     return float(np.sqrt((m - 1.0) / m * np.sum((estimates - estimates.mean()) ** 2)))
 
 
-@dataclass(frozen=True)
-class ParamSummary:
-    mean: float
-    stddev: float
-    stat_error: float
-    two_tau_int: float
-    two_tau_int_err: float
-    two_tau_int_err_jk: float
-    t_star: int
-    plateau_found: bool
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Per-parameter posterior summary plus overall acceptance."""
-
-    params: dict
-    acceptance: float
-    n_draws: int
-
-    def to_dict(self):
-        return {
-            "acceptance": self.acceptance,
-            "n_draws": self.n_draws,
-            "params": {name: asdict(s) for name, s in self.params.items()},
-        }
-
-    def to_text(self, title="Posterior summary"):
-        names = list(self.params)
-        rows = [
-            ("mean", [f"{self.params[n].mean:.5g}" for n in names]),
-            ("standard deviation", [f"{self.params[n].stddev:.3g}" for n in names]),
-            ("statistical error", [f"{self.params[n].stat_error:.2g}" for n in names]),
-            ("2tau_int", [
-                f"{self.params[n].two_tau_int:.3g} +/- {self.params[n].two_tau_int_err:.2g}"
-                + ("" if self.params[n].plateau_found else " (no plateau; lower bound)")
-                for n in names
-            ]),
-        ]
-        width = max(len(r[0]) for r in rows) + 2
-        col = max(12, max(len(v) for _, vals in rows for v in vals) + 2)
-        lines = [title, " " * width + "".join(n.ljust(col) for n in names)]
-        for label, vals in rows:
-            lines.append(label.ljust(width) + "".join(v.ljust(col) for v in vals))
-        lines.append(f"acceptance{'':{width - 10}}{self.acceptance:.4f}")
-        lines.append(f"draws{'':{width - 5}}{self.n_draws}")
-        return "\n".join(lines)
-
-
-def summarize(chain, window_factor=DEFAULT_WINDOW_FACTOR):
-    """Per-parameter mean/stddev/stat-error/2tau_int report for a chain."""
-    draws = chain.draws
+def summarize(draws, accepted, window_factor=DEFAULT_WINDOW_FACTOR):
+    """The ``report.json`` dict of a chain of (k, p) draws with their (k,)
+    accept flags: acceptance, draw count and, per parameter, mean, stddev,
+    stat error and 2tau_int with its windowed and jackknife errors."""
     k = draws.shape[0]
-    if k < 1000:
-        raise ValueError(f"chain too short to summarize: {k} < 1000")
+    if k < MIN_DRAWS:
+        raise ValueError(f"chain too short to summarize: {k} < {MIN_DRAWS}")
     params = {}
     for j, name in enumerate(PARAM_NAMES):
         x = draws[:, j]
-        mean = float(x.mean())
         std = float(x.std())
         try:
-            series = bounded_acf(x)
+            rho = bounded_acf(x)
         except DegenerateSeriesError:
-            params[name] = ParamSummary(mean, std, 0.0, float("nan"), float("nan"),
-                                        float("nan"), 0, False)
-            continue
-        tau, t_star, err, plateau = tau_int(series, window_factor)
-        stat_error = std * math.sqrt(2.0 * tau / k)
-        err_jk = _jackknife_tau_err(x, window_factor)
-        params[name] = ParamSummary(
-            mean=mean, stddev=std, stat_error=stat_error,
-            two_tau_int=2.0 * tau, two_tau_int_err=2.0 * err,
-            two_tau_int_err_jk=2.0 * err_jk,
-            t_star=t_star, plateau_found=plateau,
-        )
-    return DiagnosticsReport(
-        params=params,
-        acceptance=chain.acceptance_rate,
-        n_draws=k,
-    )
+            tau = err = err_jk = float("nan")
+            t_star, plateau, stat_error = 0, False, 0.0
+        else:
+            tau, t_star, err, plateau = tau_int(rho, k, window_factor)
+            stat_error = std * math.sqrt(2.0 * tau / k)
+            err_jk = _jackknife_tau_err(x, window_factor)
+        params[name] = {
+            "mean": float(x.mean()), "stddev": std, "stat_error": stat_error,
+            "two_tau_int": 2.0 * tau, "two_tau_int_err": 2.0 * err,
+            "two_tau_int_err_jk": 2.0 * err_jk,
+            "t_star": t_star, "plateau_found": plateau,
+        }
+    return {"acceptance": float(accepted.mean()), "n_draws": k, "params": params}
+
+
+def report_text(report, title):
+    """The fixed-width text table of a ``summarize`` dict."""
+    params = report["params"]
+    names = list(params)
+    rows = [
+        ("mean", [f"{params[n]['mean']:.5g}" for n in names]),
+        ("standard deviation", [f"{params[n]['stddev']:.3g}" for n in names]),
+        ("statistical error", [f"{params[n]['stat_error']:.2g}" for n in names]),
+        ("2tau_int", [
+            f"{params[n]['two_tau_int']:.3g} +/- {params[n]['two_tau_int_err']:.2g}"
+            + ("" if params[n]["plateau_found"] else " (no plateau; lower bound)")
+            for n in names
+        ]),
+    ]
+    width = max(len(r[0]) for r in rows) + 2
+    col = max(12, max(len(v) for _, vals in rows for v in vals) + 2)
+    lines = [title, " " * width + "".join(n.ljust(col) for n in names)]
+    for label, vals in rows:
+        lines.append(label.ljust(width) + "".join(v.ljust(col) for v in vals))
+    lines.append(f"acceptance{'':{width - 10}}{report['acceptance']:.4f}")
+    lines.append(f"draws{'':{width - 5}}{report['n_draws']}")
+    return "\n".join(lines)

@@ -10,6 +10,9 @@ import numpy as np
 
 from .exceptions import DegenerateSampleError
 
+#: Proposal shape nu of an adaptive run unless set otherwise.
+DEFAULT_NU = 10.0
+
 
 def _cholesky_with_jitter(sigma):
     """Cholesky factor of sigma, retrying with escalating diagonal jitter."""

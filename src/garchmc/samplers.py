@@ -30,21 +30,6 @@ TUNE_BLOCK_STEPS = 500
 TUNE_MAX_BLOCKS = 20
 
 
-@dataclass
-class Chain:
-    """Ordered draws with parallel accept flags."""
-
-    draws: np.ndarray       # (k, p)
-    accepted: np.ndarray    # (k,) bool
-
-    def __len__(self):
-        return self.draws.shape[0]
-
-    @property
-    def acceptance_rate(self):
-        return float(self.accepted.mean())
-
-
 @dataclass(frozen=True)
 class AdaptiveSchedule:
     """Run schedule; defaults follow the empirical protocol."""
@@ -158,10 +143,11 @@ def _batch_sizes(total, interval):
 
 @dataclass
 class RunResult:
-    """A finished run: retained chain, acceptance per batch and fitted
-    proposals (empty for Metropolis)."""
+    """A finished run: the retained (k, p) draws with their (k,) accept
+    flags, acceptance per batch and fitted proposals (empty for Metropolis)."""
 
-    chain: Chain
+    draws: np.ndarray
+    accepted: np.ndarray
     trace: np.ndarray
     history: list
 
@@ -203,9 +189,9 @@ def _run(y, sigma1_sq, sched, seed, step, history):
         for k in _batch_sizes(sched.total, sched.refit_interval):
             draws, accepted, theta, log_p = step(theta, log_p, k, d, target, rng)
             parts.append((draws, accepted))
-    chain = Chain(*(np.concatenate(col) for col in zip(*parts)))
+    draws, accepted = (np.concatenate(col) for col in zip(*parts))
     trace = np.array([float(a.mean()) for _, a in parts])
-    return RunResult(chain, trace, history)
+    return RunResult(draws, accepted, trace, history)
 
 
 def run_metropolis(y, sched, seed=0, sigma1_sq=None):
@@ -217,7 +203,7 @@ def run_metropolis(y, sched, seed=0, sigma1_sq=None):
     return _run(*_data(y, sigma1_sq), sched, seed, _rw_chain, [])
 
 
-def run_adaptive(y, sched, nu=10.0, seed=0, sigma1_sq=None, freeze_after=None):
+def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0, sigma1_sq=None, freeze_after=None):
     """Adaptive scheme: tuned Metropolis pilot, then independence MH with the
     Student-t proposal re-fitted every refit_interval draws from all retained
     post-burn-in draws (pilot included), until freeze_after refits if given.

@@ -5,9 +5,10 @@ from garchmc import samplers
 
 
 def _independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
-    """Fixed-proposal independence MH chain of n_draws steps, run through the
-    production batch kernel in batches of at most ``batch`` draws, scoring
-    candidates with the scalar ``target`` one row at a time."""
+    """(draws, accepted) of a fixed-proposal independence MH chain of
+    n_draws steps, run through the production batch kernel in batches of at
+    most ``batch`` draws, scoring candidates with the scalar ``target`` one
+    row at a time."""
 
     def score(cands):
         return np.array([target(c) for c in cands], dtype=np.float64)
@@ -24,7 +25,7 @@ def _independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
         )
         parts.append((d, a))
         remaining -= k
-    return samplers.Chain(*(np.concatenate(col) for col in zip(*parts)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 @pytest.fixture

@@ -128,9 +128,9 @@ def test_proposal_sampler_moments():
 def test_diagnostics_oracle():
     rng = np.random.default_rng(21)
     x = lfilter([1.0], [1.0, -0.9], rng.standard_normal(1000000))
-    tau, *_ = diagnostics.tau_int(diagnostics.acf(x, 1000))
+    tau, *_ = diagnostics.tau_int(diagnostics.acf(x, 1000), x.size)
     iid = rng.standard_normal(1000000)
-    tau_iid, *_ = diagnostics.tau_int(diagnostics.acf(iid, 100))
+    tau_iid, *_ = diagnostics.tau_int(diagnostics.acf(iid, 100), iid.size)
     ok = abs(tau - 9.5) / 9.5 < 0.10 and 0.9 <= 2 * tau_iid <= 1.1
     report_line(ok, "diagnostics oracle",
                 f"AR(1) tau = {tau:.2f} (want 9.5 +/- 10%), iid 2tau = {2 * tau_iid:.3f}")
@@ -140,20 +140,21 @@ def test_diagnostics_oracle():
 def test_kernel_correctness(independence_chain):
     prop = proposal.StudentTProposal(np.array([0.0]), np.array([[1.0]]), 10.0)
     rng = np.random.default_rng(22)
-    self_chain = independence_chain(
+    _, self_accepted = independence_chain(
         lambda t: float(prop.log_density(t)), prop, np.array([0.5]), 100000, rng
     )
-    harness = independence_chain(
+    harness_draws, _ = independence_chain(
         lambda t: -0.5 * float(t[0]) ** 2, prop, np.array([0.0]), 1000000, rng
     )
-    x = harness.draws[:, 0]
+    x = harness_draws[:, 0]
+    self_acceptance = self_accepted.mean()
     ok = (
-        self_chain.acceptance_rate == 1.0
+        self_acceptance == 1.0
         and abs(x.mean()) < 0.01
         and abs(x.var() - 1.0) < 0.02
     )
     report_line(ok, "kernel correctness",
-                f"self-proposal acceptance = {self_chain.acceptance_rate:.4f}, "
+                f"self-proposal acceptance = {self_acceptance:.4f}, "
                 f"harness mean = {x.mean():.4f}, var = {x.var():.4f}")
     assert ok
 

@@ -33,11 +33,12 @@ def run_subprocess(args):
 
 
 def fixed_report():
-    """A DiagnosticsReport whose every parameter hit no plateau."""
-    summary = diagnostics.ParamSummary(0.5, 0.1, 0.01, 1370.0, 90.0, float("nan"), 999, False)
-    return diagnostics.DiagnosticsReport(
-        params={n: summary for n in diagnostics.PARAM_NAMES}, acceptance=0.6, n_draws=30000,
-    )
+    """A summarize() dict whose every parameter hit no plateau."""
+    summary = {"mean": 0.5, "stddev": 0.1, "stat_error": 0.01, "two_tau_int": 1370.0,
+               "two_tau_int_err": 90.0, "two_tau_int_err_jk": float("nan"), "t_star": 999,
+               "plateau_found": False}
+    return {"acceptance": 0.6, "n_draws": 30000,
+            "params": {n: summary for n in diagnostics.PARAM_NAMES}}
 
 
 def base_args(out, sampler="adaptive", seed=11, total=3000):
@@ -116,7 +117,7 @@ class TestRun:
         ["--freeze-after", "0"],
         ["--refit-interval", "4000"], ["--pilot", "0"], ["--chains", "0"],
         ["--nu", "inf"], ["--window-factor", "inf"], ["--sigma1", "nan"], ["--sigma1", "inf"],
-        ["--sigma1", "abc"],
+        ["--sigma1", "abc"], ["--total", "500"],
     ])
     def test_out_of_range_flag_exits_one(self, tmp_path, capsys, flag):
         assert run_cli(base_args(tmp_path / "bad") + flag) == 1
@@ -125,12 +126,17 @@ class TestRun:
 
     @pytest.mark.parametrize("flag, message", [
         (["--n", "0"], "synthetic n must be positive"),
-        (["--pilot", "2"], "batch 0: need at least 4 samples"),
+        (["--pilot", "2"], "--pilot must be at least 4"),
     ])
     def test_unrunnable_setting_exits_one(self, tmp_path, capsys, flag, message):
         assert run_cli(base_args(tmp_path / "bad") + flag) == 1
         assert capsys.readouterr().err.startswith("error: " + message)
         assert not (tmp_path / "bad" / "manifest.json").exists()
+
+    def test_metropolis_needs_no_pilot_fit(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(base_args(out, sampler="metropolis", total=1000) + ["--pilot", "2"]) == 0
+        assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--chains", "2"]], ids=["one-chain", "chains-2"])
     def test_overflow_exits_one_without_warning(self, tmp_path, extra):
@@ -225,7 +231,7 @@ class TestRun:
         draws = np.array([np.roll(values, -k)[:3] for k in range(len(values))])
         accepted = np.arange(len(values)) % 3 == 0
         trace = np.array([3 / 7])
-        result = samplers.RunResult(samplers.Chain(draws, accepted), trace, [])
+        result = samplers.RunResult(draws, accepted, trace, [])
         monkeypatch.setattr(samplers, "run_metropolis", lambda *args, **kwargs: result)
         monkeypatch.setattr(diagnostics, "summarize", lambda *args, **kwargs: fixed_report())
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)  # the 7 rows span three chunks
@@ -276,7 +282,7 @@ class TestCompare:
             d.mkdir()
             (d / "manifest.json").write_text(json.dumps(
                 {"config": {"sampler": sampler}, "data_fingerprint": "same"}))
-            (d / "report.json").write_text(json.dumps(report.to_dict()))
+            (d / "report.json").write_text(json.dumps(report))
             dirs.append(d)
         text = cli.compare_runs(*dirs)
         assert text.count("(no plateau; lower bound)") == 6

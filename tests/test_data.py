@@ -60,9 +60,10 @@ class TestLoadPrices:
 
     def test_non_positive_price_rejected(self, tmp_path):
         f = tmp_path / "p.csv"
-        f.write_text("a,100\nb,0\n")
-        with pytest.raises(DataValidationError):
-            data.load_prices(f)
+        for price in ("0", "-1", "nan", "inf"):
+            f.write_text(f"a,100\nb,{price}\nc,99\n")
+            with pytest.raises(DataValidationError, match="row 2"):
+                data.load_prices(f)
 
     def test_too_few_rows(self, tmp_path):
         f = tmp_path / "p.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from garchmc import diagnostics, samplers
+from garchmc import diagnostics
 from garchmc.exceptions import DegenerateSeriesError
 
 
@@ -27,33 +27,33 @@ def acf_oracle(x, t_max):
 
 class TestAcf:
     def test_lag_zero_is_exactly_one(self):
-        series = diagnostics.acf(np.random.default_rng(1).standard_normal(1000), 50)
-        assert series.values[0] == 1.0
+        rho = diagnostics.acf(np.random.default_rng(1).standard_normal(1000), 50)
+        assert rho[0] == 1.0
 
     def test_alternating_series(self):
         x = np.tile([1.0, -1.0], 500)
-        series = diagnostics.acf(x, 10)
-        assert series.values[1] == pytest.approx(-1.0, abs=1e-9)
+        rho = diagnostics.acf(x, 10)
+        assert rho[1] == pytest.approx(-1.0, abs=1e-9)
 
     def test_white_noise_is_uncorrelated(self):
         x = np.random.default_rng(2).standard_normal(1000000)
-        series = diagnostics.acf(x, 100)
-        assert np.max(np.abs(series.values[1:])) < 0.005
+        rho = diagnostics.acf(x, 100)
+        assert np.max(np.abs(rho[1:])) < 0.005
 
     def test_ar1_matches_geometric_decay(self):
         x = ar1(0.9, 1000000, seed=3)
-        series = diagnostics.acf(x, 20)
-        np.testing.assert_allclose(series.values, 0.9 ** np.arange(21), atol=0.02)
+        rho = diagnostics.acf(x, 20)
+        np.testing.assert_allclose(rho, 0.9 ** np.arange(21), atol=0.02)
 
     def test_matches_brute_force_oracle(self):
         x = ar1(0.8, 4000, seed=4)
-        series = diagnostics.acf(x, 100)
-        np.testing.assert_allclose(series.values, acf_oracle(x, 100), atol=1e-10)
+        rho = diagnostics.acf(x, 100)
+        np.testing.assert_allclose(rho, acf_oracle(x, 100), atol=1e-10)
 
     def test_bounded_by_one(self):
         x = ar1(0.95, 20000, seed=5)
-        series = diagnostics.acf(x, 500)
-        assert np.max(np.abs(series.values)) <= 1.0 + 1e-9
+        rho = diagnostics.acf(x, 500)
+        assert np.max(np.abs(rho)) <= 1.0 + 1e-9
 
     def test_zero_variance_raises(self):
         with pytest.raises(DegenerateSeriesError):
@@ -67,88 +67,92 @@ class TestAcf:
 class TestTauInt:
     def test_iid_series(self):
         x = np.random.default_rng(7).standard_normal(1000000)
-        tau, t_star, err, plateau = diagnostics.tau_int(diagnostics.acf(x, 100))
+        tau, t_star, err, plateau = diagnostics.tau_int(diagnostics.acf(x, 100), x.size)
         assert plateau
         assert 2 * tau == pytest.approx(1.0, abs=0.1)
 
     def test_ar1_geometric_sum(self):
         x = ar1(0.9, 1000000, seed=8)
-        tau, t_star, err, plateau = diagnostics.tau_int(diagnostics.acf(x, 1000))
+        tau, t_star, err, plateau = diagnostics.tau_int(diagnostics.acf(x, 1000), x.size)
         assert plateau
         assert tau == pytest.approx(9.5, rel=0.10)
         assert err < tau
 
     def test_no_plateau_carries_lower_bound(self):
         x = ar1(0.999, 5000, seed=9)
-        series = diagnostics.acf(x, 100)
-        tau, t_star, err, plateau = diagnostics.tau_int(series)
+        rho = diagnostics.acf(x, 100)
+        tau, t_star, err, plateau = diagnostics.tau_int(rho, x.size)
         assert not plateau
         assert t_star == 100
-        assert tau == pytest.approx(0.5 + series.values[1:].sum(), rel=1e-12)
+        assert tau == pytest.approx(0.5 + rho[1:].sum(), rel=1e-12)
         assert tau > 1.0
         assert err == pytest.approx(math.sqrt(2.0 * 201 / 5000) * tau, rel=1e-12)
 
     def test_thinning_reduces_tau(self):
         x = ar1(0.9, 1000000, seed=10)
-        tau_full, *_ = diagnostics.tau_int(diagnostics.acf(x, 1000))
-        tau_thin, *_ = diagnostics.tau_int(diagnostics.acf(x[::10], 1000))
+        tau_full, *_ = diagnostics.tau_int(diagnostics.acf(x, 1000), x.size)
+        tau_thin, *_ = diagnostics.tau_int(diagnostics.acf(x[::10], 1000), x[::10].size)
         assert tau_thin < tau_full
 
     def test_duplication_roughly_doubles_tau(self):
         x = ar1(0.9, 200000, seed=11)
-        tau, *_ = diagnostics.tau_int(diagnostics.acf(x, 1000))
-        tau_dup, *_ = diagnostics.tau_int(diagnostics.acf(np.repeat(x, 2), 2000))
+        tau, *_ = diagnostics.tau_int(diagnostics.acf(x, 1000), x.size)
+        tau_dup, *_ = diagnostics.tau_int(diagnostics.acf(np.repeat(x, 2), 2000), 2 * x.size)
         assert tau_dup / tau == pytest.approx(2.0, rel=0.15)
 
 
-def chain_from(draws, accepted=None):
-    k = draws.shape[0]
-    return samplers.Chain(
-        draws=draws,
-        accepted=np.ones(k, bool) if accepted is None else accepted,
-    )
+def summarize_all_accepted(draws):
+    return diagnostics.summarize(draws, np.ones(draws.shape[0], bool))
 
 
 class TestSummarize:
     def test_iid_chain_stat_error(self):
         rng = np.random.default_rng(12)
         draws = 0.5 + 0.1 * rng.standard_normal((50000, 3))
-        rep = diagnostics.summarize(chain_from(draws))
+        rep = summarize_all_accepted(draws)
         for name in ("alpha", "beta", "omega"):
-            p = rep.params[name]
-            assert p.stat_error == pytest.approx(p.stddev / np.sqrt(50000), rel=0.15)
-            assert p.two_tau_int >= 1.0 - 1e-6 - 0.15
+            p = rep["params"][name]
+            assert p["stat_error"] == pytest.approx(p["stddev"] / np.sqrt(50000), rel=0.15)
+            assert p["two_tau_int"] >= 1.0 - 1e-6 - 0.15
 
     def test_report_shape_and_keys(self):
         rng = np.random.default_rng(13)
         draws = rng.standard_normal((5000, 3)) * [0.01, 0.02, 0.005] + [0.03, 0.94, 0.011]
-        rep = diagnostics.summarize(chain_from(draws))
-        d = rep.to_dict()
-        assert list(d) == ["acceptance", "n_draws", "params"]
+        rep = summarize_all_accepted(draws)
+        assert list(rep) == ["acceptance", "n_draws", "params"]
         for name in ("alpha", "beta", "omega"):
-            entry = d["params"][name]
+            entry = rep["params"][name]
             for key in ("mean", "stddev", "stat_error", "two_tau_int", "two_tau_int_err"):
                 assert key in entry
-        text = rep.to_text()
+        text = diagnostics.report_text(rep, "Posterior summary")
         for row in ("mean", "standard deviation", "statistical error", "2tau_int"):
             assert row in text
 
     def test_short_chain_rejected(self):
         draws = np.random.default_rng(14).standard_normal((500, 3))
         with pytest.raises(ValueError):
-            diagnostics.summarize(chain_from(draws))
+            summarize_all_accepted(draws)
 
     def test_no_plateau_flagged_not_fatal(self):
         x = ar1(0.9995, 2000, seed=15)
         draws = np.column_stack([x, x + 1.0, x + 2.0])
-        rep = diagnostics.summarize(chain_from(draws))
-        assert not rep.params["alpha"].plateau_found
-        assert rep.params["alpha"].two_tau_int > 0
+        rep = summarize_all_accepted(draws)
+        assert not rep["params"]["alpha"]["plateau_found"]
+        assert rep["params"]["alpha"]["two_tau_int"] > 0
+
+    def test_constant_column_reports_no_tau(self):
+        draws = np.random.default_rng(19).standard_normal((2000, 3))
+        draws[:, 1] = 0.5
+        entry = summarize_all_accepted(draws)["params"]["beta"]
+        assert entry["mean"] == 0.5 and entry["stddev"] == 0.0 and entry["stat_error"] == 0.0
+        assert entry["t_star"] == 0 and entry["plateau_found"] is False
+        for key in ("two_tau_int", "two_tau_int_err", "two_tau_int_err_jk"):
+            assert math.isnan(entry[key]), key
 
 
 def test_default_lag_bound_caps():
     x = np.random.default_rng(16).standard_normal(100000)
-    bound = diagnostics.bounded_acf(x).t_max
+    bound = diagnostics.bounded_acf(x).size - 1
     assert 1 <= bound <= 10000
 
 
@@ -157,9 +161,8 @@ def test_default_lag_bound_caps():
     ar1(0.9995, 2000, seed=18),  # no crossing: bound N/10
 ], ids=["crossing", "n_over_10"])
 def test_bounded_acf_is_bitwise_acf_to_the_bound(x):
-    series = diagnostics.bounded_acf(x)
-    assert np.array_equal(series.values, diagnostics.acf(x, series.t_max).values)
-    assert series.n == x.size
+    rho = diagnostics.bounded_acf(x)
+    assert np.array_equal(rho, diagnostics.acf(x, rho.size - 1))
 
 
 def test_next_fast_len_matches_scipy():

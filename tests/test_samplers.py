@@ -113,10 +113,10 @@ class TestIndependenceStep:
     def test_proposal_equals_target_accepts_everything(self, independence_chain):
         prop = proposal.StudentTProposal(np.array([0.0]), np.array([[1.0]]), 10.0)
         rng = np.random.default_rng(9)
-        chain = independence_chain(
+        _, accepted = independence_chain(
             lambda t: float(prop.log_density(t)), prop, np.array([0.3]), 10000, rng
         )
-        assert chain.acceptance_rate == 1.0
+        assert accepted.mean() == 1.0
 
     def test_zero_mass_candidate_rejected(self, independence_chain):
         prop = proposal.StudentTProposal(np.array([0.0]), np.array([[1.0]]), 10.0)
@@ -126,18 +126,18 @@ class TestIndependenceStep:
         def target(theta):
             return 0.0 if theta[0] == 0.25 else LOG_ZERO
 
-        chain = independence_chain(target, prop, start, 50, rng)
-        for nxt, accepted in zip(chain.draws, chain.accepted):
+        draws, flags = independence_chain(target, prop, start, 50, rng)
+        for nxt, accepted in zip(draws, flags):
             assert not accepted
             assert np.array_equal(nxt, start)
 
     def test_one_dimensional_harness_recovers_target(self, independence_chain):
         prop = proposal.StudentTProposal(np.array([0.0]), np.array([[1.0]]), 10.0)
         rng = np.random.default_rng(11)
-        chain = independence_chain(
+        draws, _ = independence_chain(
             std_normal_target, prop, np.array([0.0]), 200000, rng
         )
-        x = chain.draws[:, 0]
+        x = draws[:, 0]
         assert x.mean() == pytest.approx(0.0, abs=0.02)
         assert x.var() == pytest.approx(1.0, rel=0.03)
 
@@ -191,26 +191,24 @@ class TestRunAdaptive:
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=200, pilot=100, refit_interval=500, total=500)
         res = samplers.run_adaptive(y, sched, seed=1)
-        chain, history, trace = res.chain, res.history, res.trace
-        assert len(chain) == 500
-        assert len(history) == 1
-        assert trace.shape == (1,)
+        assert len(res.draws) == 500
+        assert len(res.history) == 1
+        assert res.trace.shape == (1,)
 
     def test_chain_respects_constraints_and_length(self):
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=300, pilot=200, refit_interval=250, total=1500)
         res = samplers.run_adaptive(y, sched, seed=2)
-        chain, history = res.chain, res.history
-        assert len(chain) == 1500
-        assert len(history) == 6
-        d = chain.draws
+        assert len(res.draws) == 1500
+        assert len(res.history) == 6
+        d = res.draws
         assert np.all(d > 0) and np.all(d[:, 0] + d[:, 1] < 1)
 
     def test_deterministic(self):
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=200, pilot=100, refit_interval=200, total=600)
-        a = samplers.run_adaptive(y, sched, seed=3).chain
-        b = samplers.run_adaptive(y, sched, seed=3).chain
+        a = samplers.run_adaptive(y, sched, seed=3)
+        b = samplers.run_adaptive(y, sched, seed=3)
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.accepted, b.accepted)
 
@@ -225,7 +223,7 @@ class TestRunAdaptive:
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=200, pilot=100, refit_interval=400, total=900)
         res = samplers.run_adaptive(y, sched, seed=5)
-        assert len(res.chain) == 900
+        assert len(res.draws) == 900
         assert res.trace.shape == (3,)
 
 
@@ -235,15 +233,15 @@ class TestRunMetropolis:
         sched = samplers.AdaptiveSchedule(burn_in=300, pilot=100, refit_interval=500, total=2000)
         a = samplers.run_metropolis(y, sched, seed=6)
         b = samplers.run_metropolis(y, sched, seed=6)
-        assert len(a.chain) == 2000
-        assert np.array_equal(a.chain.draws, b.chain.draws)
+        assert len(a.draws) == 2000
+        assert np.array_equal(a.draws, b.draws)
         assert a.trace.shape == (4,)
 
     def test_tuned_acceptance_above_floor(self):
         y = small_series(n=600)
         sched = samplers.AdaptiveSchedule(burn_in=500, pilot=100, refit_interval=1000, total=4000)
-        chain = samplers.run_metropolis(y, sched, seed=7).chain
-        assert 0.4 < chain.acceptance_rate < 0.9
+        res = samplers.run_metropolis(y, sched, seed=7)
+        assert 0.4 < res.accepted.mean() < 0.9
 
     @pytest.mark.parametrize("run", [samplers.run_metropolis, samplers.run_adaptive])
     def test_zero_variance_returns_refused(self, run):
@@ -264,14 +262,14 @@ class TestCrossSamplerAgreement:
     def test_posterior_means_agree_within_combined_errors(self):
         y = small_series(seed=5, n=500)
         sched = samplers.AdaptiveSchedule(burn_in=1000, pilot=500, refit_interval=500, total=20000)
-        chain_a = samplers.run_adaptive(y, sched, seed=8).chain
-        chain_m = samplers.run_metropolis(y, sched, seed=8).chain
-        rep_a = diagnostics.summarize(chain_a)
-        rep_m = diagnostics.summarize(chain_m)
+        res_a = samplers.run_adaptive(y, sched, seed=8)
+        res_m = samplers.run_metropolis(y, sched, seed=8)
+        rep_a = diagnostics.summarize(res_a.draws, res_a.accepted)
+        rep_m = diagnostics.summarize(res_m.draws, res_m.accepted)
         for name in ("alpha", "beta", "omega"):
-            a, m = rep_a.params[name], rep_m.params[name]
-            combined = math.sqrt(a.stat_error**2 + m.stat_error**2)
-            assert abs(a.mean - m.mean) <= 3.0 * combined, name
+            a, m = rep_a["params"][name], rep_m["params"][name]
+            combined = math.sqrt(a["stat_error"]**2 + m["stat_error"]**2)
+            assert abs(a["mean"] - m["mean"]) <= 3.0 * combined, name
 
 
 class TestStatisticalErrorConsistency:
@@ -281,11 +279,11 @@ class TestStatisticalErrorConsistency:
         means = {n: [] for n in ("alpha", "beta", "omega")}
         errs = {n: [] for n in ("alpha", "beta", "omega")}
         for seed in range(16):
-            chain = samplers.run_adaptive(y, sched, seed=100 + seed).chain
-            rep = diagnostics.summarize(chain)
+            res = samplers.run_adaptive(y, sched, seed=100 + seed)
+            rep = diagnostics.summarize(res.draws, res.accepted)
             for n in means:
-                means[n].append(rep.params[n].mean)
-                errs[n].append(rep.params[n].stat_error)
+                means[n].append(rep["params"][n]["mean"])
+                errs[n].append(rep["params"][n]["stat_error"])
         for n in means:
             spread = np.std(means[n], ddof=1)
             reported = np.median(errs[n])
