@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from garchmc import _kernels_py, data, model
+from garchmc import _kernels_py, data
 
 THETA = (0.05, 0.90, 0.01)
 BATCHES = 7
@@ -50,7 +50,7 @@ def main():
 
     print(f"{'kernel':>26} {'n':>6} {'us/cand':>10} {'ns/step':>9}")
     for n in args.n:
-        y = np.ascontiguousarray(data.generate_synthetic(model.ParamVector(*THETA), n, 1))
+        y = np.ascontiguousarray(data.generate_synthetic(THETA, n, 1))
         call_args = (y, *THETA, float(np.var(y)))
         thetas = np.tile(THETA, (BATCH_K, 1))
         rows = [

@@ -1,6 +1,5 @@
 """Bayesian GARCH(1,1) estimation by MCMC with an adaptively fitted
 multivariate Student-t independence proposal."""
-from .model import ParamVector, check_constraints
 from .proposal import SampleAccumulator, StudentTProposal, fit
 from .samplers import AdaptiveSchedule, run_adaptive, run_metropolis
 from .diagnostics import acf, report_text, summarize, tau_int
@@ -8,8 +7,6 @@ from .diagnostics import acf, report_text, summarize, tau_int
 __version__ = "0.1.0"
 
 __all__ = [
-    "ParamVector",
-    "check_constraints",
     "SampleAccumulator",
     "StudentTProposal",
     "fit",

@@ -2,6 +2,7 @@
 reports/traces, and compare two completed runs."""
 import argparse
 import concurrent.futures
+import fcntl
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, diagnostics, model, proposal, samplers
+from . import data, diagnostics, proposal, samplers
 from .exceptions import ComparisonRefusedError, GarchMCError
 from .rng import chain_seed
 
@@ -56,6 +57,8 @@ class RunConfig:
             raise GarchMCError("exactly one input source required: --csv PATH or --synthetic")
         if self.sampler not in _SAMPLERS:
             raise GarchMCError(f"unknown sampler {self.sampler!r}")
+        if self.seed < 0:
+            raise GarchMCError(f"--seed must be non-negative, got {self.seed}")
         if self.chains <= 0:
             raise GarchMCError(f"--chains must be positive, got {self.chains}")
         if self.freeze_after is not None and self.freeze_after < 1:
@@ -89,8 +92,7 @@ class RunConfig:
 def _load_returns(config):
     if config.csv is not None:
         return data.transform_returns(data.load_prices(config.csv))
-    theta = model.ParamVector(config.alpha, config.beta, config.omega)
-    return data.generate_synthetic(theta, config.n, config.seed)
+    return data.generate_synthetic((config.alpha, config.beta, config.omega), config.n, config.seed)
 
 
 def _fingerprint(y):
@@ -205,41 +207,52 @@ def run(config):
     ``manifest.json`` is written last, so it marks a completed run. Before
     anything is written, a stale manifest and every artifact of an earlier
     run that this run will not overwrite are removed, so the artifacts beside
-    a manifest are all its run's.
+    a manifest are all its run's. The run holds an exclusive lock on
+    config.out from then until its manifest is written; a run that finds it
+    held fails before touching anything.
     """
     sched = config.validate()
     y = _load_returns(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    _remove_stale_artifacts(out, config)
-    if config.dump_returns:
-        _write_csv(out / "returns.csv", "return", "%.17g\n", y)
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise GarchMCError(f"{out} is in use by another run") from None
+        _remove_stale_artifacts(out, config)
+        if config.dump_returns:
+            _write_csv(out / "returns.csv", "return", "%.17g\n", y)
 
-    if config.chains == 1:
-        _run_one_chain(config, sched, y, config.seed, out)
-    else:
-        k = config.chains
-        seeds = [chain_seed(config.seed, i) for i in range(k)]
-        dirs = [out / f"chain_{i:02d}" for i in range(k)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(k, 8)) as pool:
-            reports = list(pool.map(_run_one_chain, [config] * k, [sched] * k, [y] * k, seeds, dirs))
-        spread = {}
-        for name in diagnostics.PARAM_NAMES:
-            means = np.array([r["params"][name]["mean"] for r in reports])
-            stat_errs = np.array([r["params"][name]["stat_error"] for r in reports])
-            spread[name] = {
-                "mean_of_means": float(means.mean()),
-                "spread_of_means": float(means.std(ddof=1)),
-                "median_stat_error": float(np.median(stat_errs)),
-            }
-        _write_json(out / "cross_chain.json", {"chains": k, "seeds": seeds, "spread": spread})
+        if config.chains == 1:
+            _run_one_chain(config, sched, y, config.seed, out)
+        else:
+            k = config.chains
+            seeds = [chain_seed(config.seed, i) for i in range(k)]
+            dirs = [out / f"chain_{i:02d}" for i in range(k)]
+            with concurrent.futures.ProcessPoolExecutor(max_workers=min(k, 8)) as pool:
+                reports = list(pool.map(_run_one_chain, [config] * k, [sched] * k, [y] * k,
+                                        seeds, dirs))
+            spread = {}
+            for name in diagnostics.PARAM_NAMES:
+                means = np.array([r["params"][name]["mean"] for r in reports])
+                stat_errs = np.array([r["params"][name]["stat_error"] for r in reports])
+                spread[name] = {
+                    "mean_of_means": float(means.mean()),
+                    "spread_of_means": float(means.std(ddof=1)),
+                    "median_stat_error": float(np.median(stat_errs)),
+                }
+            _write_json(out / "cross_chain.json", {"chains": k, "seeds": seeds, "spread": spread})
 
-    _write_json(out / "manifest.json", {
-        "config": asdict(config),
-        "seed": config.seed,
-        "data_fingerprint": _fingerprint(y),
-        "n_returns": int(y.size),
-    })
+        _write_json(out / "manifest.json", {
+            "config": asdict(config),
+            "seed": config.seed,
+            "data_fingerprint": _fingerprint(y),
+            "n_returns": int(y.size),
+        })
+    finally:
+        os.close(fd)
     return 0
 
 

@@ -1,6 +1,8 @@
 """Price ingestion, the percent log-return transform, and synthetic data."""
 import csv
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -19,18 +21,21 @@ def load_prices(path):
     """Read the prices of a two-column CSV of (label, price) rows.
 
     A header row is auto-detected by attempting to parse the second field of
-    the first row as a number. Unparsable prices, and prices that are not
-    finite and positive, are hard errors naming their row.
+    the first row as a number. A file that is not UTF-8 is a hard error
+    naming the offset of its first bad byte; unparsable prices, and prices
+    that are not finite and positive, are hard errors naming their row.
     """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: byte offset {exc.start} is not UTF-8: {exc.reason}") from None
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataValidationError(f"{path}: row {i + 1} has fewer than 2 fields")
-            rows.append((i + 1, row[1].strip()))
+    for i, row in enumerate(csv.reader(io.StringIO(text, newline=""))):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise DataValidationError(f"{path}: row {i + 1} has fewer than 2 fields")
+        rows.append((i + 1, row[1].strip()))
     if rows:
         try:
             float(rows[0][1])
@@ -63,9 +68,11 @@ def transform_returns(prices):
 
 
 def generate_synthetic(theta, n, seed):
-    """Simulate n returns of a GARCH(1,1) with parameters theta; deterministic
-    given seed."""
-    if not model.check_constraints(theta):
+    """Simulate n returns of a GARCH(1,1) with the (alpha, beta, omega)
+    triple theta; deterministic given seed."""
+    a, b, w = theta
+    # in_support admits an infinite omega, which would simulate infinities.
+    if not (all(map(math.isfinite, (a, b, w))) and model.in_support(a, b, w)):
         raise DataValidationError(f"synthetic theta violates GARCH constraints: {theta}")
     if n < 1:
         raise DataValidationError("synthetic n must be positive")
@@ -74,7 +81,6 @@ def generate_synthetic(theta, n, seed):
     eps = rng.standard_normal(total)
     y = np.empty(total)
     s = SYNTHETIC_SIGMA1_SQ
-    a, b, w = theta
     for t in range(total):
         if t > 0:
             s = w + a * y[t - 1] ** 2 + b * s

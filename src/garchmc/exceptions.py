@@ -13,10 +13,6 @@ class GarchMCError(Exception):
         return str(self.args[0]) if self.args else ""
 
 
-class InvalidParameterError(GarchMCError):
-    """Parameter vector violates constraints or contains non-finite values."""
-
-
 class NumericOverflowError(GarchMCError):
     """A likelihood evaluation produced a non-finite intermediate."""
 

@@ -1,44 +1,25 @@
-"""GARCH(1,1) parameters, the support check and the flat-prior posterior.
+"""The GARCH(1,1) support check and the flat-prior posterior.
 
-Parameter order is fixed as (alpha, beta, omega) everywhere. Return and
+Parameters are plain (alpha, beta, omega) triples in that order. Return and
 volatility series are plain float64 ndarrays. The numeric work is done by
 the scalar and batch kernels of ``_kernels_py``, reached through
 ``backend.kernels``. The scalar closure scores each step through one kernel
 ``Workspace`` that it builds when it is made, so y^2, the solve's band and
 the buffers are set up once per run, not once per step.
 """
-import math
-from typing import NamedTuple
-
 import numpy as np
 
 from .backend import kernels
-from .exceptions import InvalidParameterError, NumericOverflowError
+from .exceptions import NumericOverflowError
 
 #: Log-posterior of any point outside the constraint region.
 LOG_ZERO = float("-inf")
 
 
-class ParamVector(NamedTuple):
-    """GARCH(1,1) parameter triple in the fixed order (alpha, beta, omega)."""
-
-    alpha: float
-    beta: float
-    omega: float
-
-
-def _in_support(a, b, w):
+def in_support(a, b, w):
     """alpha>0, beta>0, omega>0 and alpha+beta<1, all strict; elementwise on
-    arrays. NaN lies outside."""
+    arrays. NaN and an infinite alpha or beta lie outside, an infinite omega inside."""
     return (a > 0.0) & (b > 0.0) & (w > 0.0) & (a + b < 1.0)
-
-
-def check_constraints(theta):
-    """True iff the triple theta lies in the support; non-finite components raise."""
-    a, b, w = theta
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(w)):
-        raise InvalidParameterError(f"non-finite parameter components: {(a, b, w)}")
-    return bool(_in_support(a, b, w))
 
 
 def make_log_posterior(y, sigma1_sq):
@@ -60,7 +41,7 @@ def make_log_posterior(y, sigma1_sq):
 
     def log_post(theta):
         a, b, w = theta
-        if not _in_support(a, b, w):
+        if not in_support(a, b, w):
             return LOG_ZERO
         try:
             return loglik(y, a, b, w, sigma1_sq, workspace=workspace)
@@ -86,7 +67,7 @@ def make_batch_log_posterior(y, sigma1_sq):
             # The kernel's own non-finite check raises; numpy's warnings on
             # the way there would only precede that error.
             with np.errstate(all="ignore"):
-                inside = _in_support(*thetas.T)
+                inside = in_support(*thetas.T)
                 out[inside] = kernels.log_likelihood_batch(y, thetas[inside], sigma1_sq)
         except FloatingPointError as exc:
             raise NumericOverflowError(str(exc)) from exc

@@ -1,14 +1,14 @@
 """Random-walk Metropolis and adaptive independence MH on one driver.
 
 The batch kernels ``_rw_chain`` and ``_independence_batch`` are
-dimension-agnostic and both accept through ``_accept``. ``_rw_chain`` takes a
-target: any callable returning a log-density (or ``model.LOG_ZERO`` outside
-its support) for a 1-D parameter array. Independence candidates do not depend
-on the chain state, so ``_independence_batch`` takes a batch scorer instead,
-mapping a (k, p) array of candidates to their (k,) log-densities in one call.
-The one driver, ``_run``, wires them to the GARCH posterior:
-``run_metropolis`` and ``run_adaptive`` differ only in the kernel that fills
-each retained batch.
+dimension-agnostic, take and return the chain state (theta, log_p) alike and
+both accept through ``_accept``. ``_rw_chain`` takes a target: any callable
+returning a log-density (or ``model.LOG_ZERO`` outside its support) for a 1-D
+parameter array. Independence candidates do not depend on the chain state, so
+``_independence_batch`` takes a batch scorer instead, mapping a (k, p) array
+of candidates to their (k,) log-densities in one call. The one driver,
+``_run``, wires them to the GARCH posterior: ``run_metropolis`` and
+``run_adaptive`` differ only in the kernel that fills each retained batch.
 """
 import math
 from dataclasses import dataclass
@@ -94,9 +94,11 @@ def tune_metropolis(d, target, rng, theta0):
     )
 
 
-def _independence_batch(theta, log_p, log_g, prop, score, n_steps, rng):
-    """Run n_steps of independence MH; all candidates are drawn and scored
-    (``score``: (k, p) candidates to (k,) log-densities) before the accept loop."""
+def _independence_batch(theta, log_p, n_steps, prop, score, rng):
+    """Run n_steps of independence MH under ``prop``; returns draws, flags
+    and the end state. All candidates are drawn and scored (``score``: (k, p)
+    candidates to (k,) log-densities) before the accept loop."""
+    log_g = float(prop.log_density(theta))
     cands = prop.sample(rng, n_steps)
     log_g_cands = prop.log_density(cands)
     u = rng.random(n_steps)
@@ -114,7 +116,7 @@ def _independence_batch(theta, log_p, log_g, prop, score, n_steps, rng):
                 log_g = log_g_cands[i]
                 accepted[i] = True
         draws[i] = theta
-    return draws, accepted, theta, log_p, log_g
+    return draws, accepted, theta, log_p
 
 
 def _initial_theta(y):
@@ -166,13 +168,13 @@ def _data(y, sigma1_sq):
     return y, var if sigma1_sq is None else sigma1_sq
 
 
-def _run(y, sigma1_sq, sched, seed, step, history):
+def _run(y, sigma1_sq, sched, seed, step):
     """The sampler driver shared by both schemes, on data from ``_data``.
 
     Tunes random-walk widths, discards sched.burn_in random-walk draws, then
     retains sched.total draws in refit_interval-sized batches, each filled by
-    ``step``, which has the signature of ``_rw_chain``. ``history`` is the
-    list the step appends fitted proposals to.
+    ``step``, which has the signature of ``_rw_chain``. Returns the retained
+    draws, their accept flags and the acceptance of each batch.
     """
     # The posterior closures raise NumericOverflowError on a non-finite
     # likelihood; numpy's warnings on the way there would only precede it.
@@ -191,7 +193,7 @@ def _run(y, sigma1_sq, sched, seed, step, history):
             parts.append((draws, accepted))
     draws, accepted = (np.concatenate(col) for col in zip(*parts))
     trace = np.array([float(a.mean()) for _, a in parts])
-    return RunResult(draws, accepted, trace, history)
+    return draws, accepted, trace
 
 
 def run_metropolis(y, sched, seed=0, sigma1_sq=None):
@@ -200,7 +202,7 @@ def run_metropolis(y, sched, seed=0, sigma1_sq=None):
     Returns a RunResult with one trace entry per refit_interval-sized batch
     of retained draws and an empty proposal history.
     """
-    return _run(*_data(y, sigma1_sq), sched, seed, _rw_chain, [])
+    return RunResult(*_run(*_data(y, sigma1_sq), sched, seed, _rw_chain), [])
 
 
 def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0, sigma1_sq=None, freeze_after=None):
@@ -215,10 +217,8 @@ def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0, sigma1_sq=None, freez
     score = model.make_batch_log_posterior(y, sigma1_sq)
     history = []
     acc = proposal.SampleAccumulator()
-    log_g = None
 
     def step(theta, log_p, n_steps, d, target, rng):
-        nonlocal log_g
         if not history:
             pilot, _, theta, log_p = _rw_chain(theta, log_p, sched.pilot, d, target, rng)
             acc.add_batch(pilot)
@@ -227,11 +227,10 @@ def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0, sigma1_sq=None, freez
                 history.append(proposal.fit(acc, nu))
             except DegenerateSampleError as exc:
                 raise DegenerateSampleError(f"batch {len(history)}: {exc}") from exc
-            log_g = float(history[-1].log_density(theta))
-        draws, accepted, theta, log_p, log_g = _independence_batch(
-            theta, log_p, log_g, history[-1], score, n_steps, rng
+        draws, accepted, theta, log_p = _independence_batch(
+            theta, log_p, n_steps, history[-1], score, rng
         )
         acc.add_batch(draws)
         return draws, accepted, theta, log_p
 
-    return _run(y, sigma1_sq, sched, seed, step, history)
+    return RunResult(*_run(y, sigma1_sq, sched, seed, step), history)

@@ -15,14 +15,11 @@ def _independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
 
     theta = np.asarray(theta0, dtype=np.float64)
     log_p = target(theta)
-    log_g = float(prop.log_density(theta))
     parts = []
     remaining = n_draws
     while remaining > 0:
         k = min(batch, remaining)
-        d, a, theta, log_p, log_g = samplers._independence_batch(
-            theta, log_p, log_g, prop, score, k, rng
-        )
+        d, a, theta, log_p = samplers._independence_batch(theta, log_p, k, prop, score, rng)
         parts.append((d, a))
         remaining -= k
     return tuple(np.concatenate(col) for col in zip(*parts))

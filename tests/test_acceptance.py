@@ -14,7 +14,8 @@ from scipy.signal import lfilter
 from garchmc import cli, data, diagnostics, model, proposal
 from quadrature import posterior_moments
 
-TRUTH = model.ParamVector(alpha=0.03, beta=0.94, omega=0.011)
+#: The generating (alpha, beta, omega) of the runs' synthetic data.
+TRUTH = (0.03, 0.94, 0.011)
 SEED = 5
 PARAMS = ("alpha", "beta", "omega")
 
@@ -25,7 +26,7 @@ def report_line(ok, label, detail):
 
 def full_config(out, sampler):
     return cli.RunConfig(
-        synthetic=True, alpha=TRUTH.alpha, beta=TRUTH.beta, omega=TRUTH.omega,
+        synthetic=True, **dict(zip(PARAMS, TRUTH)),
         n=2000, sampler=sampler, seed=SEED, out=str(out),
     )
 
@@ -50,7 +51,7 @@ def load_report(run_dir):
 
 def test_parameter_recovery(adaptive_dir):
     report = load_report(adaptive_dir)
-    truth = {"alpha": TRUTH.alpha, "beta": TRUTH.beta, "omega": TRUTH.omega}
+    truth = dict(zip(PARAMS, TRUTH))
     ok = True
     details = []
     for name in PARAMS:

@@ -7,9 +7,11 @@ carries its name. Every public method or property of their classes must be
 reached as an attribute: some ``ast.Attribute`` carries its name, so a bare
 name of the same spelling, such as a parameter, does not count. The match is
 by name alone, so a dead definition whose name the package uses for something
-else goes unflagged.
+else goes unflagged. Every name the README's Python examples import from
+``garchmc`` must be in ``garchmc.__all__``.
 """
 import ast
+import re
 from pathlib import Path
 
 import garchmc
@@ -55,3 +57,14 @@ def test_every_public_definition_is_used_by_the_package():
               for qualname, name, is_method in _public_definitions(tree)
               if name not in attrs and (is_method or name not in names)]
     assert not unused, "public definitions only tests use:\n" + "\n".join(unused)
+
+
+def test_readme_imports_only_exported_names():
+    # Every name the README's Python examples import from garchmc is exported.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    imported = [alias.name for block in blocks for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "garchmc"
+                for alias in node.names]
+    assert imported, "README has no `from garchmc import` line"
+    assert set(imported) <= set(garchmc.__all__), set(imported) - set(garchmc.__all__)

@@ -1,5 +1,6 @@
 import csv
 import errno
+import fcntl
 import hashlib
 import json
 import os
@@ -117,7 +118,7 @@ class TestRun:
         ["--freeze-after", "0"],
         ["--refit-interval", "4000"], ["--pilot", "0"], ["--chains", "0"],
         ["--nu", "inf"], ["--window-factor", "inf"], ["--sigma1", "nan"], ["--sigma1", "inf"],
-        ["--sigma1", "abc"], ["--total", "500"],
+        ["--sigma1", "abc"], ["--total", "500"], ["--seed", "-1"],
     ])
     def test_out_of_range_flag_exits_one(self, tmp_path, capsys, flag):
         assert run_cli(base_args(tmp_path / "bad") + flag) == 1
@@ -225,6 +226,23 @@ class TestRun:
         capsys.readouterr()
         assert run_cli(["compare", str(out), str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_busy_out_exits_one_and_touches_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(base_args(out)) == 0
+        before = {name: (out / name).read_bytes() for name in ("manifest.json", "chain.csv")}
+        fd = os.open(out, os.O_RDONLY)  # another run, holding the lock
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            capsys.readouterr()
+            assert run_cli(base_args(out, seed=12)) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+            assert {name: (out / name).read_bytes() for name in before} == before
+            assert list(out.rglob("*.part")) == []
+        finally:
+            os.close(fd)
+        assert run_cli(base_args(out, seed=12)) == 0
+        assert (out / "chain.csv").read_bytes() != before["chain.csv"]
 
     def test_chain_csv_bytes_match_per_row_format(self, tmp_path, monkeypatch):
         values = [5e-324, 1e-300, -0.0, 0.1, 1.0, 1e22, 123456789.0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from garchmc import data, model
+from garchmc import data
 from garchmc.exceptions import DataValidationError, InsufficientDataError
 
 
@@ -65,6 +65,12 @@ class TestLoadPrices:
             with pytest.raises(DataValidationError, match="row 2"):
                 data.load_prices(f)
 
+    def test_non_utf8_file_names_byte_offset(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"date,price\na,100\nb,1\xff0\n")
+        with pytest.raises(DataValidationError, match=r"p\.csv: byte offset 20\b"):
+            data.load_prices(f)
+
     def test_too_few_rows(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("date,price\na,100\n")
@@ -74,24 +80,32 @@ class TestLoadPrices:
 
 class TestGenerateSynthetic:
     def test_deterministic(self):
-        theta = model.ParamVector(0.05, 0.9, 0.01)
+        theta = (0.05, 0.9, 0.01)
         a = data.generate_synthetic(theta, 500, 42)
         b = data.generate_synthetic(theta, 500, 42)
         assert np.array_equal(a, b)
 
     def test_variance_matches_stationary_value(self):
-        y = data.generate_synthetic(model.ParamVector(0.05, 0.90, 0.01), 100000, 11)
+        y = data.generate_synthetic((0.05, 0.90, 0.01), 100000, 11)
         target = 0.01 / (1 - 0.05 - 0.90)
         assert y.var() == pytest.approx(target, rel=0.05)
 
     def test_degenerate_case_is_gaussian(self):
-        y = data.generate_synthetic(model.ParamVector(1e-10, 1e-10, 1.0), 100000, 12)
+        y = data.generate_synthetic((1e-10, 1e-10, 1.0), 100000, 12)
         assert stats.kurtosis(y, fisher=False) == pytest.approx(3.0, abs=0.15)
         assert y.var() == pytest.approx(1.0, rel=0.02)
 
     def test_invalid_theta_rejected(self):
         with pytest.raises(DataValidationError):
-            data.generate_synthetic(model.ParamVector(0.5, 0.6, 0.01), 100, 1)
+            data.generate_synthetic((0.5, 0.6, 0.01), 100, 1)
+
+    @pytest.mark.parametrize("theta", [
+        (float("nan"), 0.94, 0.011), (0.03, float("inf"), 0.011), (0.03, 0.94, float("inf")),
+    ], ids=["nan-alpha", "inf-beta", "inf-omega"])
+    def test_non_finite_theta_rejected(self, theta):
+        # An infinite omega lies inside the support; only the finite check refuses it.
+        with pytest.raises(DataValidationError):
+            data.generate_synthetic(theta, 100, 1)
 
 
 def test_write_returns_round_trip(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from garchmc import _kernels_py, model
-from garchmc.exceptions import InvalidParameterError, NumericOverflowError
+from garchmc.exceptions import NumericOverflowError
 
 
 def loglik_oracle(theta, y, sigma1_sq):
@@ -20,28 +20,25 @@ def loglik_oracle(theta, y, sigma1_sq):
     return total
 
 
-class TestCheckConstraints:
+class TestInSupport:
     def test_valid(self):
-        assert model.check_constraints((0.1, 0.8, 0.01))
+        assert model.in_support(0.1, 0.8, 0.01)
 
     def test_boundary_sum_rejected(self):
-        assert not model.check_constraints((0.5, 0.5, 0.01))
+        assert not model.in_support(0.5, 0.5, 0.01)
 
     def test_zero_omega_rejected(self):
-        assert not model.check_constraints((0.1, 0.8, 0.0))
+        assert not model.in_support(0.1, 0.8, 0.0)
 
     def test_negative_components_rejected(self):
-        assert not model.check_constraints((-0.1, 0.8, 0.01))
-        assert not model.check_constraints((0.1, -0.8, 0.01))
+        assert not model.in_support(-0.1, 0.8, 0.01)
+        assert not model.in_support(0.1, -0.8, 0.01)
 
-    def test_non_finite_raises(self):
-        with pytest.raises(InvalidParameterError):
-            model.check_constraints((float("nan"), 0.8, 0.01))
-        with pytest.raises(InvalidParameterError):
-            model.check_constraints((0.1, float("inf"), 0.01))
-
-    def test_param_vector_accepted(self):
-        assert model.check_constraints(model.ParamVector(0.1, 0.8, 0.01))
+    def test_non_finite_alpha_or_beta_lies_outside(self):
+        nan, inf = float("nan"), float("inf")
+        for theta in [(nan, 0.8, 0.01), (0.1, nan, 0.01), (0.1, 0.8, nan),
+                      (inf, 0.8, 0.01), (0.1, inf, 0.01), (-inf, 0.8, 0.01)]:
+            assert not model.in_support(*theta), theta
 
 
 class TestComputeVolatility:
