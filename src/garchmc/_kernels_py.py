@@ -12,12 +12,15 @@ and add and does not.
 independence sampler's candidate batches. A scalar call runs through a
 ``Workspace``: y^2, the band of the solve and every buffer, built once per
 series. The posterior closure keeps one for all its calls; a call without one
-builds a throwaway. The module imports only numpy and ``scipy.linalg.blas``.
+builds a throwaway. A non-finite total raises ``NumericOverflowError``. The
+module imports only numpy, ``scipy.linalg.blas`` and ``garchmc.exceptions``.
 """
 import math
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
+
+from .exceptions import NumericOverflowError
 
 #: Time steps per block of the batched recursion; two (BLOCK, k) float64
 #: buffers of a 1000-candidate batch stay in cache.
@@ -76,7 +79,7 @@ def log_likelihood(y, alpha, beta, omega, sigma1_sq, workspace=None):
     np.add(terms, sig, out=terms)
     total = -0.5 * float(np.add.reduce(terms))
     if not math.isfinite(total):
-        raise FloatingPointError("non-finite GARCH log-likelihood")
+        raise NumericOverflowError("non-finite GARCH log-likelihood")
     return total
 
 
@@ -125,5 +128,5 @@ def log_likelihood_batch(y, thetas, sigma1_sq):
     total += n * LOG_2PI
     total *= -0.5
     if not np.isfinite(total).all():
-        raise FloatingPointError("non-finite GARCH log-likelihood")
+        raise NumericOverflowError("non-finite GARCH log-likelihood")
     return total

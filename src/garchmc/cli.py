@@ -140,7 +140,7 @@ def _write_json(path, obj):
 
 #: Files every chain writes, and those only an adaptive chain writes.
 _CHAIN_ARTIFACTS = ("chain.csv", "acceptance_trace.csv", "report.json", "report.txt")
-_ADAPTIVE_ARTIFACTS = ("covariance_trace.csv", "proposal_history.json")
+_ADAPTIVE_ARTIFACTS = ("proposal_history.json",)
 #: Every file name a run can write, in ``--out`` and in its chain_NN/.
 _ARTIFACTS = ("manifest.json", "returns.csv", "cross_chain.json",
               *_CHAIN_ARTIFACTS, *_ADAPTIVE_ARTIFACTS)
@@ -183,9 +183,6 @@ def _run_one_chain(config, sched, y, seed, out):
             y, sched, nu=config.nu, seed=seed, sigma1_sq=sigma1_sq,
             freeze_after=config.freeze_after,
         )
-        upper = np.array([p.covariance()[np.triu_indices(3)] for p in res.history])
-        _write_csv(out / "covariance_trace.csv", "refit,V11,V12,V13,V22,V23,V33",
-                   "%d" + ",%.17g" * 6 + "\n", np.arange(len(upper)), *upper.T)
         _write_json(out / "proposal_history.json", [p.to_dict() for p in res.history])
     else:
         res = samplers.run_metropolis(y, sched, seed=seed, sigma1_sq=sigma1_sq)
@@ -243,11 +240,10 @@ def run(config):
                     "spread_of_means": float(means.std(ddof=1)),
                     "median_stat_error": float(np.median(stat_errs)),
                 }
-            _write_json(out / "cross_chain.json", {"chains": k, "seeds": seeds, "spread": spread})
+            _write_json(out / "cross_chain.json", {"seeds": seeds, "spread": spread})
 
         _write_json(out / "manifest.json", {
             "config": asdict(config),
-            "seed": config.seed,
             "data_fingerprint": _fingerprint(y),
             "n_returns": int(y.size),
         })
@@ -257,9 +253,10 @@ def run(config):
 
 
 def compare_runs(dir_a, dir_b):
-    """Two-block comparison of completed runs on identical data.
+    """Two-block comparison of completed single-chain runs on identical data.
 
-    Returns the formatted text; refuses mismatched data fingerprints.
+    Returns the formatted text; refuses a ``--chains`` run and mismatched
+    data fingerprints.
     """
     blocks = []
     fingerprints = []
@@ -267,6 +264,10 @@ def compare_runs(dir_a, dir_b):
         d = Path(d)
         with open(d / "manifest.json", encoding="utf-8") as fh:
             manifest = json.load(fh)
+        chains = manifest["config"].get("chains", 1)
+        if chains > 1:
+            raise ComparisonRefusedError(f"{d} holds a --chains {chains} run; "
+                                         "compare takes single-chain runs")
         with open(d / "report.json", encoding="utf-8") as fh:
             report = json.load(fh)
         fingerprints.append(manifest["data_fingerprint"])

@@ -22,8 +22,9 @@ def load_prices(path):
 
     A header row is auto-detected by attempting to parse the second field of
     the first row as a number. A file that is not UTF-8 is a hard error
-    naming the offset of its first bad byte; unparsable prices, and prices
-    that are not finite and positive, are hard errors naming their row.
+    naming the offset of its first bad byte; a row of other than two fields,
+    an unparsable price and a price that is not finite and positive are hard
+    errors naming their row.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8")
@@ -33,8 +34,8 @@ def load_prices(path):
     for i, row in enumerate(csv.reader(io.StringIO(text, newline=""))):
         if not row:
             continue
-        if len(row) < 2:
-            raise DataValidationError(f"{path}: row {i + 1} has fewer than 2 fields")
+        if len(row) != 2:
+            raise DataValidationError(f"{path}: row {i + 1} has {len(row)} fields, not 2")
         rows.append((i + 1, row[1].strip()))
     if rows:
         try:

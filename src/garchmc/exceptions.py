@@ -13,7 +13,7 @@ class GarchMCError(Exception):
         return str(self.args[0]) if self.args else ""
 
 
-class NumericOverflowError(GarchMCError):
+class NumericOverflowError(GarchMCError, FloatingPointError):
     """A likelihood evaluation produced a non-finite intermediate."""
 
 

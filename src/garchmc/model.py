@@ -10,7 +10,6 @@ the buffers are set up once per run, not once per step.
 import numpy as np
 
 from .backend import kernels
-from .exceptions import NumericOverflowError
 
 #: Log-posterior of any point outside the constraint region.
 LOG_ZERO = float("-inf")
@@ -32,8 +31,6 @@ def make_log_posterior(y, sigma1_sq):
     under ``np.errstate(all="ignore")``, as the sampler driver does, to keep
     numpy's warnings from preceding it.
     """
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    sigma1_sq = float(sigma1_sq)
     loglik = kernels.log_likelihood
     # An infinite y^2 makes every call raise; the warning would only precede it.
     with np.errstate(over="ignore"):
@@ -43,10 +40,7 @@ def make_log_posterior(y, sigma1_sq):
         a, b, w = theta
         if not in_support(a, b, w):
             return LOG_ZERO
-        try:
-            return loglik(y, a, b, w, sigma1_sq, workspace=workspace)
-        except FloatingPointError as exc:
-            raise NumericOverflowError(str(exc)) from exc
+        return loglik(y, a, b, w, sigma1_sq, workspace=workspace)
 
     return log_post
 
@@ -58,19 +52,13 @@ def make_batch_log_posterior(y, sigma1_sq):
     Rows outside the constraint region get exactly LOG_ZERO and are not
     scored; a non-finite likelihood inside it raises NumericOverflowError.
     """
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    sigma1_sq = float(sigma1_sq)
 
     def log_post_batch(thetas):
         out = np.full(thetas.shape[0], LOG_ZERO)
-        try:
-            # The kernel's own non-finite check raises; numpy's warnings on
-            # the way there would only precede that error.
-            with np.errstate(all="ignore"):
-                inside = in_support(*thetas.T)
-                out[inside] = kernels.log_likelihood_batch(y, thetas[inside], sigma1_sq)
-        except FloatingPointError as exc:
-            raise NumericOverflowError(str(exc)) from exc
+        # numpy's warnings would only precede the kernel's NumericOverflowError.
+        with np.errstate(all="ignore"):
+            inside = in_support(*thetas.T)
+            out[inside] = kernels.log_likelihood_batch(y, thetas[inside], sigma1_sq)
         return out
 
     return log_post_batch

@@ -85,10 +85,6 @@ class StudentTProposal:
             - (p / 2.0) * np.log(self.nu * np.pi)
         )
 
-    def covariance(self):
-        """Covariance of the proposal, nu*Sigma/(nu-2)."""
-        return self.nu / (self.nu - 2.0) * self.sigma
-
     def sample(self, rng, size):
         """Draw a (size, dim) batch of candidates:
         theta = L @ (Y*sqrt(nu/w)) + M, w ~ chi2_nu."""

@@ -3,8 +3,8 @@
 The batch kernels ``_rw_chain`` and ``_independence_batch`` are
 dimension-agnostic, take and return the chain state (theta, log_p) alike and
 both accept through ``_accept``. ``_rw_chain`` takes a target: any callable
-returning a log-density (or ``model.LOG_ZERO`` outside its support) for a 1-D
-parameter array. Independence candidates do not depend on the chain state, so
+returning a log-density (-inf outside its support) for a 1-D parameter
+array. Independence candidates do not depend on the chain state, so
 ``_independence_batch`` takes a batch scorer instead, mapping a (k, p) array
 of candidates to their (k,) log-densities in one call. The one driver,
 ``_run``, wires them to the GARCH posterior: ``run_metropolis`` and
@@ -18,8 +18,6 @@ import numpy as np
 from . import model, proposal
 from .exceptions import DataValidationError, DegenerateSampleError, TuningFailureError
 from .rng import named_rng
-
-LOG_ZERO = model.LOG_ZERO
 
 #: Random-walk half-window width every parameter starts tuning from.
 TUNE_START_WIDTH = 0.05
@@ -50,7 +48,11 @@ class AdaptiveSchedule:
 
 
 def _accept(delta, u):
-    """Metropolis-Hastings rule for log acceptance ratio delta and u ~ U(0, 1)."""
+    """Metropolis-Hastings rule for log acceptance ratio delta and u ~ U(0, 1).
+
+    A candidate outside the support scores -inf, and delta = -inf always
+    rejects: -inf >= 0 is false, and u < exp(-inf) = 0 is false for every u
+    in [0, 1)."""
     return delta >= 0.0 or u < math.exp(delta)
 
 
@@ -64,7 +66,7 @@ def _rw_chain(theta, log_p, n_steps, d, target, rng):
     for i in range(n_steps):
         cand = theta + shifts[i]
         log_p_cand = target(cand)
-        if log_p_cand != LOG_ZERO and _accept(log_p_cand - log_p, u[i]):
+        if _accept(log_p_cand - log_p, u[i]):
             theta = cand
             log_p = log_p_cand
             accepted[i] = True
@@ -106,15 +108,12 @@ def _independence_batch(theta, log_p, n_steps, prop, score, rng):
     p = theta.size
     draws = np.empty((n_steps, p))
     accepted = np.zeros(n_steps, dtype=bool)
-    for i in range(n_steps):
-        log_p_cand = log_p_cands[i]
-        if log_p_cand != LOG_ZERO:
-            delta = (log_p_cand - log_p) + (log_g - log_g_cands[i])
-            if _accept(delta, u[i]):
-                theta = cands[i]
-                log_p = log_p_cand
-                log_g = log_g_cands[i]
-                accepted[i] = True
+    for i, log_p_cand in enumerate(log_p_cands):
+        if _accept((log_p_cand - log_p) + (log_g - log_g_cands[i]), u[i]):
+            theta = cands[i]
+            log_p = log_p_cand
+            log_g = log_g_cands[i]
+            accepted[i] = True
         draws[i] = theta
     return draws, accepted, theta, log_p
 

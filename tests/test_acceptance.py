@@ -87,9 +87,16 @@ def test_acceptance_plateau(adaptive_dir):
     assert ok
 
 
+def refit_covariances(run_dir):
+    """Each refit's empirical covariance V = nu/(nu-2) * sigma, from its
+    proposal_history.json entry, as a (refits, 3, 3) array."""
+    history = json.loads((run_dir / "proposal_history.json").read_text())
+    return np.array([p["nu"] / (p["nu"] - 2.0) * np.array(p["sigma"]) for p in history])
+
+
 def test_covariance_convergence(adaptive_dir):
-    rows = np.loadtxt(adaptive_dir / "covariance_trace.csv", delimiter=",", skiprows=1)
-    v = rows[:, 1:]
+    rows, cols = np.triu_indices(3)
+    v = refit_covariances(adaptive_dir)[:, rows, cols]
     n_refits = v.shape[0]
     tail = v[int(math.floor(0.8 * n_refits)):]
     rel = np.max(np.abs(tail - v[-1]) / np.abs(v[-1]))
@@ -118,7 +125,7 @@ def test_proposal_sampler_moments():
     prop = proposal.fit(acc, 10.0)
     draws = prop.sample(rng, size=1000000)
     mean_dev = np.max(np.abs(draws.mean(axis=0) - prop.mean))
-    want = prop.covariance()
+    want = prop.nu / (prop.nu - 2.0) * prop.sigma
     rel = np.linalg.norm(np.cov(draws.T) - want) / np.linalg.norm(want)
     ok = mean_dev < 0.01 and rel < 0.02
     report_line(ok, "proposal sampler moments",
@@ -211,8 +218,7 @@ def test_covariance_quadrature_oracle(adaptive_dir, quadrature):
     # posterior covariance. A sample variance of N_eff = N / 2tau_int
     # independent Gaussian draws has relative sd sqrt(2 / N_eff).
     _, _, cov = quadrature
-    row = np.loadtxt(adaptive_dir / "covariance_trace.csv", delimiter=",", skiprows=1)[-1]
-    variances = row[[1, 4, 6]]  # V11, V22, V33 of refit,V11,V12,V13,V22,V23,V33
+    variances = np.diag(refit_covariances(adaptive_dir)[-1])
     n = json.loads((adaptive_dir / "proposal_history.json").read_text())[-1]["n_samples"]
     params = load_report(adaptive_dir)["params"]
     two_tau = np.array([params[name]["two_tau_int"] for name in PARAMS])

@@ -8,15 +8,18 @@ reached as an attribute: some ``ast.Attribute`` carries its name, so a bare
 name of the same spelling, such as a parameter, does not count. The match is
 by name alone, so a dead definition whose name the package uses for something
 else goes unflagged. Every name the README's Python examples import from
-``garchmc`` must be in ``garchmc.__all__``.
+``garchmc`` must be in ``garchmc.__all__``, and the README's artifact table
+must name exactly the files a run can write.
 """
 import ast
 import re
 from pathlib import Path
 
 import garchmc
+from garchmc import cli
 
 PACKAGE = Path(garchmc.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _modules():
@@ -61,10 +64,21 @@ def test_every_public_definition_is_used_by_the_package():
 
 def test_readme_imports_only_exported_names():
     # Every name the README's Python examples import from garchmc is exported.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
     imported = [alias.name for block in blocks for node in ast.walk(ast.parse(block))
                 if isinstance(node, ast.ImportFrom) and node.module == "garchmc"
                 for alias in node.names]
     assert imported, "README has no `from garchmc import` line"
     assert set(imported) <= set(garchmc.__all__), set(imported) - set(garchmc.__all__)
+
+
+def test_readme_artifact_table_lists_every_artifact():
+    # The file names in the first cell of each row of the README's
+    # `| file | contents |` table are exactly the files a run can write.
+    table = re.search(r"^\| file \| contents \|\n((?:\|.*\n)+)",
+                      README.read_text(encoding="utf-8"), flags=re.M)
+    assert table, "README has no | file | contents | table"
+    rows = table.group(1).splitlines()[1:]  # past the | --- | --- | rule
+    listed = {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert listed == set(cli._ARTIFACTS)

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Files every single-chain run writes beside its manifest.
 CHAIN_FILES = {"chain.csv", "acceptance_trace.csv", "report.json", "report.txt"}
-ADAPTIVE_FILES = CHAIN_FILES | {"proposal_history.json", "covariance_trace.csv"}
+ADAPTIVE_FILES = CHAIN_FILES | {"proposal_history.json"}
 
 
 def run_cli(args):
@@ -55,13 +55,13 @@ class TestRun:
         out = tmp_path / "run"
         assert run_cli(base_args(out)) == 0
         for name in ("report.txt", "report.json", "chain.csv", "acceptance_trace.csv",
-                     "proposal_history.json", "covariance_trace.csv", "manifest.json"):
+                     "proposal_history.json", "manifest.json"):
             assert (out / name).exists(), name
         assert not (out / "checkpoint.json").exists()
         report = json.loads((out / "report.json").read_text())
         assert set(report["params"]) == {"alpha", "beta", "omega"}
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 11
+        assert manifest["config"]["seed"] == 11
         assert len(manifest["data_fingerprint"]) == 64
         history = json.loads((out / "proposal_history.json").read_text())
         assert len(history) == 6  # total / refit_interval
@@ -161,7 +161,7 @@ class TestRun:
         assert (out / "chain_00" / "chain.csv").exists()
         assert (out / "chain_01" / "chain.csv").exists()
         cross = json.loads((out / "cross_chain.json").read_text())
-        assert cross["chains"] == 2
+        assert len(cross["seeds"]) == 2
         assert set(cross["spread"]) == {"alpha", "beta", "omega"}
         a = (out / "chain_00" / "chain.csv").read_bytes()
         b = (out / "chain_01" / "chain.csv").read_bytes()
@@ -305,6 +305,15 @@ class TestCompare:
         text = cli.compare_runs(*dirs)
         assert text.count("(no plateau; lower bound)") == 6
         assert "1.37e+03 +/- 90" in text
+
+    def test_multi_chain_run_refused(self, tmp_path, capsys):
+        single, multi = tmp_path / "single", tmp_path / "multi"
+        assert run_cli(base_args(single, total=1000)) == 0
+        assert run_cli(base_args(multi, total=1000) + ["--chains", "2"]) == 0
+        for pair in ((single, multi), (multi, single)):
+            assert run_cli(["compare", *map(str, pair)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {multi} holds a --chains 2 run"), err
 
     def test_mismatched_data_refused(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

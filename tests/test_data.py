@@ -58,6 +58,18 @@ class TestLoadPrices:
             with pytest.raises(DataValidationError, match="row 2"):
                 data.load_prices(f)
 
+    @pytest.mark.parametrize("text, row", [
+        ("date,open,close\nd0,100,101\nd1,101,102\n", 1),
+        ("date,price\nd0,100\nd1,101,102\nd2,99\n", 3),
+        ("d0,100,\nd1,101\nd2,99\n", 1),
+    ], ids=["header", "data-row", "trailing-comma"])
+    def test_row_of_other_than_two_fields_refused(self, tmp_path, text, row):
+        # A chain.csv or an OHLC file would otherwise be sampled on its second column.
+        f = tmp_path / "p.csv"
+        f.write_text(text)
+        with pytest.raises(DataValidationError, match=rf"row {row} has 3 fields, not 2"):
+            data.load_prices(f)
+
     def test_non_positive_price_rejected(self, tmp_path):
         f = tmp_path / "p.csv"
         for price in ("0", "-1", "nan", "inf"):

@@ -150,6 +150,46 @@ class TestSummarize:
             assert math.isnan(entry[key]), key
 
 
+def leave_one_block_out_taus(x):
+    """tau_int of x with each of 10 contiguous blocks removed in turn, and
+    whether each of those subseries found a plateau."""
+    edges = np.linspace(0, x.size, 11, dtype=int)
+    out = []
+    for i in range(10):
+        sub = np.concatenate([x[: edges[i]], x[edges[i + 1]:]])
+        tau, _, _, plateau = diagnostics.tau_int(diagnostics.bounded_acf(sub), sub.size)
+        out.append((tau, plateau))
+    return out
+
+
+class TestJackknife:
+    def test_matches_reference(self):
+        x = ar1(0.7, 20000, seed=30)
+        t = np.array([tau for tau, _ in leave_one_block_out_taus(x)])
+        m = t.size
+        want = math.sqrt((m - 1) / m * np.sum((t - t.mean()) ** 2))
+        got = diagnostics._jackknife_tau_err(x, diagnostics.DEFAULT_WINDOW_FACTOR)
+        assert got == want
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_agrees_with_windowed_error(self, phi, seed):
+        # Two estimates of one error: their ratio stays near 1 (0.70-1.20 on
+        # these series), while a jackknife missing its (m-1) factor gives a
+        # third of that.
+        x = ar1(phi, 100000, seed)
+        _, _, err, plateau = diagnostics.tau_int(diagnostics.bounded_acf(x), x.size)
+        jk = diagnostics._jackknife_tau_err(x, diagnostics.DEFAULT_WINDOW_FACTOR)
+        assert plateau
+        assert 0.5 <= jk / err <= 2.0
+
+    def test_subseries_without_plateau_gives_nan(self):
+        x = ar1(0.98, 3000, seed=1)
+        assert diagnostics.tau_int(diagnostics.bounded_acf(x), x.size)[3]
+        assert not all(plateau for _, plateau in leave_one_block_out_taus(x))
+        assert math.isnan(diagnostics._jackknife_tau_err(x, diagnostics.DEFAULT_WINDOW_FACTOR))
+
+
 def test_default_lag_bound_caps():
     x = np.random.default_rng(16).standard_normal(100000)
     bound = diagnostics.bounded_acf(x).size - 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from garchmc import _kernels_py, model
-from garchmc.exceptions import NumericOverflowError
+from garchmc.exceptions import GarchMCError, NumericOverflowError
 
 
 def loglik_oracle(theta, y, sigma1_sq):
@@ -172,6 +172,20 @@ class TestLogLikelihoodBatch:
             got = _kernels_py.log_likelihood_batch(y, thetas, s1)
             for value, theta in zip(got, thetas):
                 assert value == pytest.approx(loglik_oracle(theta, y, s1), rel=1e-12)
+
+
+def test_kernels_raise_typed_overflow():
+    # y_0^2 / sigma1_sq overflows: the kernels raise the package's own error,
+    # which callers may catch as a GarchMCError or as a FloatingPointError.
+    y = np.array([0.5, -1.0, 2.0])
+    theta = np.array([0.1, 0.8, 0.01])
+    with np.errstate(all="ignore"):
+        for call in (lambda: _kernels_py.log_likelihood(y, *theta, 1e-310),
+                     lambda: _kernels_py.log_likelihood_batch(y, theta[None], 1e-310)):
+            with pytest.raises(NumericOverflowError) as info:
+                call()
+            assert isinstance(info.value, GarchMCError)
+            assert isinstance(info.value, FloatingPointError)
 
 
 class TestBatchLogPosterior:
