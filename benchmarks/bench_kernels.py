@@ -1,9 +1,10 @@
-"""Time the kernels of ``garchmc._kernels_py``, called directly: the scalar
-volatility and likelihood, and the batch likelihood on BATCH_K candidates
-per call. The scalar likelihood is timed twice: as a 5-argument call, which
-builds a throwaway workspace, and through one reused ``Workspace``, as the
-posterior closure calls it. Every row is per candidate (one parameter set):
-a scalar call scores one.
+"""Time the likelihood kernels, called directly, of the numpy twin
+``garchmc._kernels_py`` and of the compiled ``_kernels.c`` side by side: the
+scalar likelihood and the batch likelihood on BATCH_K candidates per call.
+The scalar likelihood is timed twice: as a 5-argument call, and through one
+reused ``Workspace``, as the posterior closure calls it. Every figure is per
+candidate (one parameter set): a scalar call scores one. Where no C compiler
+is found, the compiled columns read "-".
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
@@ -16,7 +17,7 @@ import time
 
 import numpy as np
 
-from garchmc import _kernels_py, data
+from garchmc import _kernels_py, backend, data
 
 THETA = (0.05, 0.90, 0.01)
 BATCHES = 7
@@ -42,28 +43,37 @@ def time_call(fn, args, batch_s=0.1):
     return statistics.median(times)
 
 
+def rows(kernels, y, sigma1_sq):
+    """(name, seconds per candidate) of each timed call of kernels."""
+    args = (y, *THETA, sigma1_sq)
+    with_workspace = functools.partial(kernels.log_likelihood, workspace=kernels.Workspace(y))
+    thetas = np.tile(THETA, (BATCH_K, 1))
+    return [
+        ("log_likelihood", time_call(kernels.log_likelihood, args)),
+        ("log_likelihood (workspace)", time_call(with_workspace, args)),
+        ("log_likelihood_batch",
+         time_call(kernels.log_likelihood_batch, (y, thetas, sigma1_sq)) / BATCH_K),
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--n", type=int, nargs="+", default=[250, 2000],
                         help="return series lengths")
     args = parser.parse_args()
 
-    print(f"{'kernel':>26} {'n':>6} {'us/cand':>10} {'ns/step':>9}")
+    print(f"{'kernel':>26} {'n':>6} {'numpy us/cand':>14} {'c us/cand':>10} "
+          f"{'numpy ns/step':>14} {'c ns/step':>10}")
     for n in args.n:
         y = np.ascontiguousarray(data.generate_synthetic(THETA, n, 1))
-        call_args = (y, *THETA, float(np.var(y)))
-        thetas = np.tile(THETA, (BATCH_K, 1))
-        rows = [
-            ("volatility", time_call(_kernels_py.volatility, call_args)),
-            ("log_likelihood", time_call(_kernels_py.log_likelihood, call_args)),
-            ("log_likelihood (workspace)",
-             time_call(functools.partial(_kernels_py.log_likelihood,
-                                         workspace=_kernels_py.Workspace(y)), call_args)),
-            ("log_likelihood_batch",
-             time_call(_kernels_py.log_likelihood_batch, (y, thetas, call_args[-1])) / BATCH_K),
-        ]
-        for fn_name, t in rows:
-            print(f"{fn_name:>26} {n:>6} {t * 1e6:10.2f} {t * 1e9 / n:9.1f}")
+        sigma1_sq = float(np.var(y))
+        py_rows = rows(_kernels_py, y, sigma1_sq)
+        c_times = ([t for _, t in rows(backend.kernels, y, sigma1_sq)]
+                   if backend.KERNEL == "c" else [None] * len(py_rows))
+        for (name, t_py), t_c in zip(py_rows, c_times):
+            us_c, ns_c = (f"{t_c * 1e6:.2f}", f"{t_c * 1e9 / n:.1f}") if t_c else ("-", "-")
+            print(f"{name:>26} {n:>6} {t_py * 1e6:14.2f} {us_c:>10} "
+                  f"{t_py * 1e9 / n:14.1f} {ns_c:>10}")
 
 
 if __name__ == "__main__":

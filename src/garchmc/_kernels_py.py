@@ -13,12 +13,13 @@ independence sampler's candidate batches. A scalar call runs through a
 ``Workspace``: y^2, the band of the solve and every buffer, built once per
 series. The posterior closure keeps one for all its calls; a call without one
 builds a throwaway. A non-finite total raises ``NumericOverflowError``. The
-module imports only numpy, ``scipy.linalg.blas`` and ``garchmc.exceptions``.
+module imports only numpy and ``garchmc.exceptions``; ``scipy.linalg.blas``
+is imported by the first ``volatility`` call, so a run on the compiled
+kernels of ``_kernels.c`` imports no scipy.
 """
 import math
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 from .exceptions import NumericOverflowError
 
@@ -56,6 +57,8 @@ def volatility(y, alpha, beta, omega, sigma1_sq, workspace=None):
     the result is then its drive buffer, which its next call overwrites.
     Without one, a throwaway is built.
     """
+    from scipy.linalg.blas import dtbsv
+
     ws = Workspace(y) if workspace is None else workspace
     drive = ws.drive
     drive[0] = sigma1_sq

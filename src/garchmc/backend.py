@@ -1,4 +1,16 @@
-"""The one likelihood kernel module, under the name the benchmark tracer patches.
+"""The one place that picks the likelihood kernels: ``_kernels.c``, compiled
+on first import, or its numpy twin ``_kernels_py``.
+
+``build`` compiles ``_kernels.c`` with the C compiler and include directory
+Python was built with, into ``__pycache__/_kernels-<hash><EXT_SUFFIX>`` beside
+this file, and loads it. The hash covers the source, the compile command and
+the suffix, so a file already there is loaded without a compile, and a
+changed source or interpreter gets a file of its own. The compiler writes a
+per-process temporary name that is then moved into place, so concurrent first
+imports are safe. Any failure falls back to ``_kernels_py``: no compiler, a
+compile error, a directory that cannot be written or a file that does not
+load. ``KERNEL`` names the kernels in use, "c" or "numpy", and each run's
+``manifest.json`` records it.
 
 ``perfbench/tracer.py`` wraps ``backend.kernels.log_likelihood`` to count and
 time scalar likelihood calls. ``model`` reaches its kernels through this
@@ -6,4 +18,60 @@ attribute, and looks the scalar kernel up when a posterior closure is made,
 so a closure made after the patch calls the wrapper. The closure passes its
 ``Workspace`` as a keyword argument, which the wrapper hands on.
 """
-from . import _kernels_py as kernels
+import hashlib
+import importlib.util
+import os
+import shlex
+import sys
+import sysconfig
+from pathlib import Path
+
+from . import _kernels_py
+
+SOURCE = Path(__file__).with_name("_kernels.c")
+#: -ffp-contract=off keeps the recursion's multiply and add from being fused
+#: into an FMA, which would round differently from ``_kernels_py``.
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+COMPILE_TIMEOUT_S = 120
+
+
+def build(cc, cache_dir):
+    """(module, name) of the kernels: ``_kernels.c`` compiled by the compiler
+    command ``cc`` into ``cache_dir`` unless already there, and "c"; or
+    ``_kernels_py`` and "numpy" when any step fails."""
+    if not cc:
+        return _kernels_py, "numpy"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    cmd = [*shlex.split(cc), *FLAGS, "-I" + sysconfig.get_paths()["include"], str(SOURCE)]
+    try:
+        key = hashlib.sha256(SOURCE.read_bytes() + "\0".join([*cmd, suffix]).encode())
+        path = Path(cache_dir) / f"_kernels-{key.hexdigest()[:16]}{suffix}"
+        if not path.exists():
+            _compile(cmd, path)
+        spec = importlib.util.spec_from_file_location("garchmc._kernels", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (OSError, ImportError):
+        return _kernels_py, "numpy"
+    sys.modules[spec.name] = module
+    return module, "c"
+
+
+def _compile(cmd, path):
+    """Run the compile command ``cmd`` to write ``path`` by way of a
+    per-process name; raises OSError when it cannot."""
+    import subprocess
+
+    path.parent.mkdir(exist_ok=True)
+    part = path.with_name(f"{path.name}.{os.getpid()}.part")
+    try:
+        subprocess.run([*cmd, "-o", str(part), "-lm"], check=True, capture_output=True,
+                       stdin=subprocess.DEVNULL, timeout=COMPILE_TIMEOUT_S)
+        os.replace(part, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cannot compile {SOURCE}: {exc}") from exc
+    finally:
+        part.unlink(missing_ok=True)
+
+
+kernels, KERNEL = build(sysconfig.get_config_var("CC"), Path(__file__).with_name("__pycache__"))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, diagnostics, proposal, samplers
+from . import backend, data, diagnostics, proposal, samplers
 from .exceptions import ComparisonRefusedError, GarchMCError
 from .rng import chain_seed
 
@@ -246,20 +246,26 @@ def run(config):
             "config": asdict(config),
             "data_fingerprint": _fingerprint(y),
             "n_returns": int(y.size),
+            "kernel": backend.KERNEL,
         })
     finally:
         os.close(fd)
     return 0
 
 
-def compare_runs(dir_a, dir_b):
-    """Two-block comparison of completed single-chain runs on identical data.
+#: Settings that change the posterior (sigma1) or how its errors are
+#: estimated (window_factor): runs that differ in one are not compared.
+_COMPARED_SETTINGS = ("sigma1", "window_factor")
 
-    Returns the formatted text; refuses a ``--chains`` run and mismatched
-    data fingerprints.
+
+def compare_runs(dir_a, dir_b):
+    """Two-block comparison of completed single-chain runs on identical data
+    with the same _COMPARED_SETTINGS.
+
+    Returns the formatted text; refuses a ``--chains`` run, mismatched data
+    fingerprints and a setting that differs, which it names by its flag.
     """
-    blocks = []
-    fingerprints = []
+    manifests, reports = [], []
     for d in (dir_a, dir_b):
         d = Path(d)
         with open(d / "manifest.json", encoding="utf-8") as fh:
@@ -269,16 +275,22 @@ def compare_runs(dir_a, dir_b):
             raise ComparisonRefusedError(f"{d} holds a --chains {chains} run; "
                                          "compare takes single-chain runs")
         with open(d / "report.json", encoding="utf-8") as fh:
-            report = json.load(fh)
-        fingerprints.append(manifest["data_fingerprint"])
-        blocks.append((manifest["config"]["sampler"], report))
-    if fingerprints[0] != fingerprints[1]:
+            reports.append(json.load(fh))
+        manifests.append(manifest)
+    if manifests[0]["data_fingerprint"] != manifests[1]["data_fingerprint"]:
         raise ComparisonRefusedError("runs were made on different data; comparison refused")
+    configs = [m["config"] for m in manifests]
+    for name in _COMPARED_SETTINGS:
+        a, b = (config.get(name) for config in configs)
+        if a != b:
+            flag = "--" + name.replace("_", "-")
+            raise ComparisonRefusedError(f"runs differ in {flag} ({a} vs {b}); "
+                                         "comparison refused")
 
     lines = []
-    for sampler, report in blocks:
-        lines += [diagnostics.report_text(report, sampler.capitalize()), ""]
-    a, b = (report["params"] for _, report in blocks)
+    for config, report in zip(configs, reports):
+        lines += [diagnostics.report_text(report, config["sampler"].capitalize()), ""]
+    a, b = (report["params"] for report in reports)
     ratios = [f"{b[n]['two_tau_int'] / a[n]['two_tau_int']:.3g}" for n in a]
     lines.append("2tau_int ratio (B/A)".ljust(22) + "".join(r.ljust(14) for r in ratios))
     return "\n".join(lines)

@@ -42,4 +42,4 @@ class DegenerateSeriesError(GarchMCError):
 
 
 class ComparisonRefusedError(GarchMCError):
-    """Two runs cannot be compared (different underlying data)."""
+    """Two runs cannot be compared (different data, posterior or estimator)."""

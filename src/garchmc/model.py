@@ -2,10 +2,11 @@
 
 Parameters are plain (alpha, beta, omega) triples in that order. Return and
 volatility series are plain float64 ndarrays. The numeric work is done by
-the scalar and batch kernels of ``_kernels_py``, reached through
+the scalar and batch kernels that ``backend`` loads, the compiled
+``_kernels.c`` or its numpy twin ``_kernels_py``, reached through
 ``backend.kernels``. The scalar closure scores each step through one kernel
-``Workspace`` that it builds when it is made, so y^2, the solve's band and
-the buffers are set up once per run, not once per step.
+``Workspace`` that it builds when it is made, so whatever the kernel keeps
+per series is set up once per run, not once per step.
 """
 import numpy as np
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from garchmc import samplers
+from garchmc import backend, samplers
 
 
 def _independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
@@ -28,3 +28,13 @@ def _independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
 @pytest.fixture
 def independence_chain():
     return _independence_chain
+
+
+@pytest.fixture
+def compiled():
+    """The compiled kernels of ``_kernels.c``. Where no C compiler is found
+    only the numpy twin exists and the tests that take this fixture skip;
+    ``test_backend`` fails wherever a compiler is found but they did not load."""
+    if backend.KERNEL != "c":
+        pytest.skip("no C compiler: only the numpy twin is built")
+    return backend.kernels

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from garchmc import cli, diagnostics, samplers
+from garchmc import _kernels_py, backend, cli, diagnostics, model, samplers
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -63,6 +63,7 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 11
         assert len(manifest["data_fingerprint"]) == 64
+        assert manifest["kernel"] == backend.KERNEL
         history = json.loads((out / "proposal_history.json").read_text())
         assert len(history) == 6  # total / refit_interval
         assert set(history[0]) == {"mean", "sigma", "nu", "n_samples"}
@@ -315,6 +316,19 @@ class TestCompare:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {multi} holds a --chains 2 run"), err
 
+    @pytest.mark.parametrize("flag,value", [("--sigma1", "50"), ("--window-factor", "1")])
+    def test_different_posterior_or_estimator_refused(self, tmp_path, capsys, flag, value):
+        # Same data; one setting changes the posterior (--sigma1) or the
+        # error estimator (--window-factor), so the 2tau_int ratios mean nothing.
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(base_args(out_a)) == 0
+        assert run_cli(base_args(out_b) + [flag, value]) == 0
+        with pytest.raises(cli.ComparisonRefusedError, match=f"runs differ in {flag}"):
+            cli.compare_runs(out_a, out_b)
+        capsys.readouterr()
+        assert run_cli(["compare", str(out_b), str(out_a)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: runs differ in {flag}")
+
     def test_mismatched_data_refused(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run_cli(base_args(out_a, seed=11)) == 0
@@ -365,3 +379,34 @@ def test_import_loads_no_heavy_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("sampler", ["adaptive", "metropolis"])
+def test_each_kernel_writes_the_same_chain(tmp_path, monkeypatch, compiled, sampler):
+    chains = []
+    for kernels in (_kernels_py, compiled):
+        monkeypatch.setattr(model, "kernels", kernels)
+        out = tmp_path / kernels.__name__
+        assert run_cli(base_args(out, sampler=sampler)) == 0
+        chains.append((out / "chain.csv").read_bytes())
+    assert chains[0] == chains[1]
+
+
+def test_compiled_run_imports_no_scipy(tmp_path):
+    # The numpy twin imports scipy.linalg.blas at its first call, so no
+    # import loads scipy, and a run loads it only on the numpy twin.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    args = base_args(tmp_path / "run", sampler="metropolis", total=1000)
+    code = (
+        "import sys, garchmc.cli\n"
+        "from garchmc import backend\n"
+        "loaded = lambda: any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
+        "imported = loaded()\n"
+        f"assert garchmc.cli.main({args!r}) == 0\n"
+        "print(backend.KERNEL, imported, loaded())"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    kernel, imported, ran = out.stdout.split()
+    assert kernel == backend.KERNEL
+    assert (imported, ran) == ("False", str(kernel == "numpy"))

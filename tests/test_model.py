@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from garchmc import _kernels_py, model
+from garchmc import _kernels_py, backend, model
 from garchmc.exceptions import GarchMCError, NumericOverflowError
 
 
@@ -87,6 +87,10 @@ def test_fallback_volatility_is_the_plain_float_recursion(n, beta):
     assert np.array_equal(_kernels_py.volatility(y, alpha, beta, omega, 0.7), want)
 
 
+#: The kernels the posterior closures call: compiled, or the numpy twin.
+KERNELS = backend.kernels
+
+
 def log_post_at(theta, y, sigma1_sq):
     """The scalar posterior closure the samplers use, at one point."""
     return model.make_log_posterior(y, sigma1_sq)(np.asarray(theta, dtype=np.float64))
@@ -126,7 +130,7 @@ class TestLogPosterior:
     def test_inside_region_equals_likelihood(self):
         y = [0.5, -0.3, 0.2]
         lp = log_post_at((0.1, 0.8, 0.01), y, 0.05)
-        ll = _kernels_py.log_likelihood(np.array(y), 0.1, 0.8, 0.01, 0.05)
+        ll = KERNELS.log_likelihood(np.array(y), 0.1, 0.8, 0.01, 0.05)
         assert lp == ll
 
     def test_log_differences_equal_likelihood_differences(self):
@@ -134,7 +138,7 @@ class TestLogPosterior:
         t1, t2 = (0.1, 0.8, 0.01), (0.05, 0.9, 0.02)
         target = model.make_log_posterior(y, 0.05)
         dp = target(np.array(t1)) - target(np.array(t2))
-        dl = _kernels_py.log_likelihood(y, *t1, 0.05) - _kernels_py.log_likelihood(y, *t2, 0.05)
+        dl = KERNELS.log_likelihood(y, *t1, 0.05) - KERNELS.log_likelihood(y, *t2, 0.05)
         assert dp == dl
 
 
@@ -206,7 +210,7 @@ class TestBatchLogPosterior:
         inside = np.array([True, False, False, False, False, False, False, False, True])
         assert np.all(got[~inside] == model.LOG_ZERO)
         np.testing.assert_array_equal(
-            got[inside], _kernels_py.log_likelihood_batch(y, thetas[inside], 0.3)
+            got[inside], KERNELS.log_likelihood_batch(y, thetas[inside], 0.3)
         )
         target = model.make_log_posterior(y, 0.3)
         for value, theta in zip(got, thetas):
@@ -244,7 +248,7 @@ class TestWorkspace:
             inside = np.array([0.3 * (1.0 - beta), beta, 0.05])
             outside = np.array([0.3 * (1.0 - beta), beta, -0.05])
             assert target(outside) == model.LOG_ZERO
-            assert target(inside) == _kernels_py.log_likelihood(y, *inside, 0.7)
+            assert target(inside) == KERNELS.log_likelihood(y, *inside, 0.7)
 
     def test_kernel_workspace_equals_fresh_kernel(self):
         y = np.random.default_rng(5).standard_normal(300)
@@ -268,7 +272,7 @@ class TestWorkspace:
             for _ in range(2):
                 with pytest.raises(NumericOverflowError):
                     target(overflow)
-                assert target(valid) == _kernels_py.log_likelihood(y, *valid, 1.0)
+                assert target(valid) == KERNELS.log_likelihood(y, *valid, 1.0)
                 # y_0^2 / sigma1_sq overflows.
                 with pytest.raises(FloatingPointError):
                     _kernels_py.log_likelihood(y, *valid, 1e-310, workspace=ws)
@@ -284,5 +288,84 @@ class TestWorkspace:
             theta_a = np.array([0.3 * (1.0 - beta_a), beta_a, 0.05])
             theta_b = np.array([0.2 * (1.0 - beta_b), beta_b, 0.1])
             got_a, got_b = target_a(theta_a), target_b(theta_b)
-            assert got_a == _kernels_py.log_likelihood(y_a, *theta_a, 0.7)
-            assert got_b == _kernels_py.log_likelihood(y_b, *theta_b, 1.5)
+            assert got_a == KERNELS.log_likelihood(y_a, *theta_a, 0.7)
+            assert got_b == KERNELS.log_likelihood(y_b, *theta_b, 1.5)
+
+
+class TestCompiledKernels:
+    """The compiled kernels against the numpy twin, which is the reference:
+    within rtol 1e-13 everywhere, since only the order of the sums and the
+    log of each chunk's product differ; and the compiled scalar kernel equals
+    the compiled batch row exactly, as both run one loop."""
+
+    RTOL = 1e-13
+
+    def check(self, kernels, y, thetas, sigma1_sq):
+        got = kernels.log_likelihood_batch(y, thetas, sigma1_sq)
+        np.testing.assert_allclose(
+            got, _kernels_py.log_likelihood_batch(y, thetas, sigma1_sq), rtol=self.RTOL, atol=0.0)
+        for value, theta in zip(got, thetas[:20]):
+            scalar = kernels.log_likelihood(y, *theta, sigma1_sq)
+            assert scalar == value
+            assert scalar == pytest.approx(
+                _kernels_py.log_likelihood(y, *theta, sigma1_sq), rel=self.RTOL)
+
+    @pytest.mark.parametrize("beta", [1e-9, 0.5, 0.999999])
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 250, 2000])
+    def test_batch_cases_match_twin(self, compiled, n, beta):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n)
+        for k in (0, 1, 7, 1000):
+            thetas = np.column_stack([
+                rng.uniform(0.0, 1.0 - beta, k), np.full(k, beta), rng.uniform(0.2, 1.0, k),
+            ])
+            self.check(compiled, y, thetas, 1.0)
+
+    def test_brute_force_cases_match_twin_and_oracle(self, compiled):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = rng.integers(1, 11)
+            y = rng.standard_normal(n)
+            s1 = rng.uniform(0.01, 2.0)
+            a = rng.uniform(0.01, 0.4, 4)
+            b = rng.uniform(0.01, 0.95 - a)
+            w = rng.uniform(0.001, 0.5, 4)
+            thetas = np.column_stack([a, b, w])
+            self.check(compiled, y, thetas, s1)
+            for value, theta in zip(compiled.log_likelihood_batch(y, thetas, s1), thetas):
+                assert value == pytest.approx(loglik_oracle(theta, y, s1), rel=1e-12)
+
+    def test_tiny_variances_take_one_log_per_step(self, compiled):
+        # Returns of 1e-12 give s_t near 1e-25, below the 2^-62 at which a
+        # chunk's product is redone step by step; the tiny first half of the
+        # series takes that path, the unit-scale second half does not.
+        rng = np.random.default_rng(9)
+        y = rng.standard_normal(400) * np.repeat([1e-12, 1.0], 200)
+        thetas = np.column_stack([rng.uniform(0.01, 0.1, 50), rng.uniform(0.5, 0.999999, 50),
+                                  np.full(50, 1e-26)])
+        self.check(compiled, y[:200], thetas, 1e-24)
+        self.check(compiled, y, thetas, 1e-24)
+
+    def test_lists_and_workspace_are_accepted(self, compiled):
+        y = [0.5, -0.3, 0.2, 1.1]
+        theta = (0.1, 0.8, 0.01)
+        want = compiled.log_likelihood(np.array(y), *theta, 0.05)
+        assert compiled.log_likelihood(y, *theta, 0.05) == want
+        assert compiled.log_likelihood(y, *theta, 0.05,
+                                       workspace=compiled.Workspace(y)) == want
+        assert compiled.log_likelihood_batch(y, [list(theta)], 0.05).tolist() == [want]
+
+    def test_non_finite_totals_raise_typed_overflow(self, compiled):
+        y = [0.5, -1.0, 2.0]
+        cases = [
+            (y, (0.1, 0.8, 0.01), 1e-310),      # y_0^2 / sigma1_sq overflows
+            (y, (-5.0, 0.5, 0.01), 1.0),        # a negative s_1
+            ([1.0] * 3, (-2.0, 0.0, 0.5), 1.0),  # s = 1, -1.5, -1.5: a positive product
+        ]
+        with np.errstate(all="ignore"):
+            for y, theta, s1 in cases:
+                for kernels in (_kernels_py, compiled):
+                    with pytest.raises(NumericOverflowError):
+                        kernels.log_likelihood(y, *theta, s1)
+                    with pytest.raises(NumericOverflowError):
+                        kernels.log_likelihood_batch(y, np.array([theta, (0.1, 0.8, 0.01)]), s1)
