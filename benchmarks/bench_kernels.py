@@ -1,8 +1,8 @@
 """Time the likelihood kernels, called directly, of the numpy twin
 ``garchmc._kernels_py`` and of the compiled ``_kernels.c`` side by side: the
 scalar likelihood and the batch likelihood on BATCH_K candidates per call.
-The scalar likelihood is timed twice: as a 5-argument call, and through one
-reused ``Workspace``, as the posterior closure calls it. Every figure is per
+The scalar likelihood is timed twice: on y, and on one reused ``Workspace``
+in y's place, as the posterior closure calls it. Every figure is per
 candidate (one parameter set): a scalar call scores one. Where no C compiler
 is found, the compiled columns read "-".
 
@@ -11,7 +11,6 @@ Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 End-to-end run timing is the job of ``perfbench/run.py``.
 """
 import argparse
-import functools
 import statistics
 import time
 
@@ -45,12 +44,11 @@ def time_call(fn, args, batch_s=0.1):
 
 def rows(kernels, y, sigma1_sq):
     """(name, seconds per candidate) of each timed call of kernels."""
-    args = (y, *THETA, sigma1_sq)
-    with_workspace = functools.partial(kernels.log_likelihood, workspace=kernels.Workspace(y))
     thetas = np.tile(THETA, (BATCH_K, 1))
     return [
-        ("log_likelihood", time_call(kernels.log_likelihood, args)),
-        ("log_likelihood (workspace)", time_call(with_workspace, args)),
+        ("log_likelihood", time_call(kernels.log_likelihood, (y, *THETA, sigma1_sq))),
+        ("log_likelihood (workspace)",
+         time_call(kernels.log_likelihood, (kernels.Workspace(y), *THETA, sigma1_sq))),
         ("log_likelihood_batch",
          time_call(kernels.log_likelihood_batch, (y, thetas, sigma1_sq)) / BATCH_K),
     ]

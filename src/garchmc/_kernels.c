@@ -1,5 +1,6 @@
 /* The GARCH(1,1) likelihood kernels in C, with the signatures of
-   ``_kernels_py``.
+   ``_kernels_py``: positional arguments only, the series first. The scalar
+   kernel's series is y or this module's Workspace(y).
 
    ``garchmc.backend`` compiles this file on first import with
    -ffp-contract=off, so each step of the volatility recursion,
@@ -27,6 +28,13 @@
    product to inf, which stays inf and fails the finiteness check. */
 #define SAFE_MIN 0x1p-62
 #define LOG_2PI 1.8378770664093454836
+
+/* One step of the volatility recursion from s = s_{t-1} and lag = y_{t-1}^2. */
+static inline double
+recur(double lag, double a, double b, double w, double s)
+{
+    return (lag * a + w) + b * s;
+}
 
 static PyObject *overflow_error; /* garchmc.exceptions.NumericOverflowError */
 static PyObject *ascontiguousarray;
@@ -94,7 +102,7 @@ score(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
             else {
                 const double lag = y[t - 1] * y[t - 1];
                 for (Py_ssize_t j = 0; j < k; j++)
-                    s[j] = (lag * a[j] + w[j]) + b[j] * s[j];
+                    s[j] = recur(lag, a[j], b[j], w[j], s[j]);
             }
             for (Py_ssize_t j = 0; j < k; j++) {
                 quad[j] += y2 / s[j];
@@ -109,7 +117,7 @@ score(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
             }
             double st = start[j], logs = 0.0;
             for (Py_ssize_t t = t0; t < t1; t++) {
-                st = t ? (y[t - 1] * y[t - 1] * a[j] + w[j]) + b[j] * st : sigma1_sq;
+                st = t ? recur(y[t - 1] * y[t - 1], a[j], b[j], w[j], st) : sigma1_sq;
                 logs += log(st);
             }
             total[j] += logs;
@@ -134,18 +142,15 @@ check_finite(const double *total, Py_ssize_t k)
     return 0;
 }
 
-/* workspace is taken for the signature of _kernels_py and not used: this
-   kernel reads y directly. */
 static PyObject *
-log_likelihood(PyObject *self, PyObject *args, PyObject *kwargs)
+log_likelihood(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"y", "alpha", "beta", "omega", "sigma1_sq", "workspace", NULL};
-    PyObject *y_obj, *workspace = Py_None;
+    PyObject *series;
     double theta[3], sigma1_sq, total;
     Py_buffer yv;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Odddd|O:log_likelihood", kwlist, &y_obj,
-                                     &theta[0], &theta[1], &theta[2], &sigma1_sq, &workspace)
-        || get_doubles(y_obj, 1, &yv) < 0)
+    if (!PyArg_ParseTuple(args, "Odddd:log_likelihood", &series,
+                          &theta[0], &theta[1], &theta[2], &sigma1_sq)
+        || get_doubles(series, 1, &yv) < 0)
         return NULL;
     int rc = score(yv.buf, yv.shape[0], theta, 1, sigma1_sq, &total);
     PyBuffer_Release(&yv);
@@ -157,14 +162,12 @@ log_likelihood(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyObject *
-log_likelihood_batch(PyObject *self, PyObject *args, PyObject *kwargs)
+log_likelihood_batch(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"y", "thetas", "sigma1_sq", NULL};
     PyObject *y_obj, *thetas_obj, *out = NULL;
     double sigma1_sq;
     Py_buffer yv, tv, ov;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOd:log_likelihood_batch", kwlist,
-                                     &y_obj, &thetas_obj, &sigma1_sq)
+    if (!PyArg_ParseTuple(args, "OOd:log_likelihood_batch", &y_obj, &thetas_obj, &sigma1_sq)
         || get_doubles(y_obj, 1, &yv) < 0)
         return NULL;
     if (get_doubles(thetas_obj, 2, &tv) < 0) {
@@ -204,10 +207,9 @@ workspace(PyObject *self, PyObject *y)
 
 static PyMethodDef methods[] = {
     {"Workspace", workspace, METH_O, "y as a C-contiguous float64 array."},
-    {"log_likelihood", (PyCFunction)(void (*)(void))log_likelihood,
-     METH_VARARGS | METH_KEYWORDS, "Log-likelihood of one parameter set."},
-    {"log_likelihood_batch", (PyCFunction)(void (*)(void))log_likelihood_batch,
-     METH_VARARGS | METH_KEYWORDS, "Log-likelihoods of the (k, 3) parameter rows of thetas."},
+    {"log_likelihood", log_likelihood, METH_VARARGS, "Log-likelihood of one parameter set."},
+    {"log_likelihood_batch", log_likelihood_batch, METH_VARARGS,
+     "Log-likelihoods of the (k, 3) parameter rows of thetas."},
     {NULL, NULL, 0, NULL},
 };
 

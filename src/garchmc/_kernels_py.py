@@ -9,13 +9,14 @@ and add and does not.
 
 ``log_likelihood`` scores one parameter set, for the random-walk steps;
 ``log_likelihood_batch`` scores many parameter rows at once, for the
-independence sampler's candidate batches. A scalar call runs through a
-``Workspace``: y^2, the band of the solve and every buffer, built once per
-series. The posterior closure keeps one for all its calls; a call without one
-builds a throwaway. A non-finite total raises ``NumericOverflowError``. The
-module imports only numpy and ``garchmc.exceptions``; ``scipy.linalg.blas``
-is imported by the first ``volatility`` call, so a run on the compiled
-kernels of ``_kernels.c`` imports no scipy.
+independence sampler's candidate batches. Arguments are positional, the
+series first; a scalar call's series is y or a ``Workspace`` of y: y^2, the
+band of the solve and every buffer, built once per series. The posterior
+closure passes one for all its calls; given y, a call builds a throwaway. A
+non-finite total raises ``NumericOverflowError``. The module imports only
+numpy and ``garchmc.exceptions``; ``scipy.linalg.blas`` is imported by the
+first ``volatility`` call, so a run on the compiled kernels of
+``_kernels.c`` imports no scipy.
 """
 import math
 
@@ -50,16 +51,15 @@ class Workspace:
         self.terms = np.empty(n)
 
 
-def volatility(y, alpha, beta, omega, sigma1_sq, workspace=None):
+def volatility(series, alpha, beta, omega, sigma1_sq):
     """Run the squared-volatility recursion forward from sigma1_sq.
 
-    ``workspace`` is a ``Workspace`` built on y, which then stands in for y;
-    the result is then its drive buffer, which its next call overwrites.
-    Without one, a throwaway is built.
+    ``series`` is y or a ``Workspace`` built on y. The result is the
+    workspace's drive buffer, which its next call overwrites.
     """
     from scipy.linalg.blas import dtbsv
 
-    ws = Workspace(y) if workspace is None else workspace
+    ws = series if isinstance(series, Workspace) else Workspace(series)
     drive = ws.drive
     drive[0] = sigma1_sq
     np.multiply(ws.y2[:-1], alpha, out=drive[1:])
@@ -68,13 +68,11 @@ def volatility(y, alpha, beta, omega, sigma1_sq, workspace=None):
     return dtbsv(1, ws.band, drive, lower=0, trans=1, diag=1, overwrite_x=1)
 
 
-def log_likelihood(y, alpha, beta, omega, sigma1_sq, workspace=None):
-    """Sum of Gaussian log-densities along the volatility recursion.
-
-    ``workspace`` is as for ``volatility``.
-    """
-    ws = Workspace(y) if workspace is None else workspace
-    sig = volatility(y, alpha, beta, omega, sigma1_sq, workspace=ws)
+def log_likelihood(series, alpha, beta, omega, sigma1_sq):
+    """Sum of Gaussian log-densities along the volatility recursion; ``series``
+    is as for ``volatility``."""
+    ws = series if isinstance(series, Workspace) else Workspace(series)
+    sig = volatility(ws, alpha, beta, omega, sigma1_sq)
     terms = ws.terms
     np.multiply(sig, 2.0 * math.pi, out=terms)
     np.log(terms, out=terms)

@@ -15,8 +15,7 @@ load. ``KERNEL`` names the kernels in use, "c" or "numpy", and each run's
 ``perfbench/tracer.py`` wraps ``backend.kernels.log_likelihood`` to count and
 time scalar likelihood calls. ``model`` reaches its kernels through this
 attribute, and looks the scalar kernel up when a posterior closure is made,
-so a closure made after the patch calls the wrapper. The closure passes its
-``Workspace`` as a keyword argument, which the wrapper hands on.
+so a closure made after the patch calls the wrapper.
 """
 import hashlib
 import importlib.util

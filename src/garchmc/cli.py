@@ -22,6 +22,12 @@ from .rng import chain_seed
 _SAMPLERS = ("adaptive", "metropolis")
 
 
+def _parse_sigma1(sigma1):
+    """The samplers' sigma1_sq for a ``--sigma1`` string: None for "var",
+    otherwise the number as a float; raises ValueError on any other string."""
+    return None if sigma1 == "var" else float(sigma1)
+
+
 @dataclass
 class RunConfig:
     """Settings of one ``garchmc run``.
@@ -65,11 +71,12 @@ class RunConfig:
             raise GarchMCError(f"--freeze-after must be at least 1, got {self.freeze_after}")
         # (flag, value, exclusive lower bound): each must also be finite.
         bounded = [("--nu", self.nu, 2.0), ("--window-factor", self.window_factor, 0.0)]
-        if self.sigma1 != "var":
-            try:
-                bounded.append(("--sigma1", float(self.sigma1), 0.0))
-            except ValueError:
-                raise GarchMCError(f"--sigma1 must be 'var' or a number, got {self.sigma1!r}") from None
+        try:
+            sigma1_sq = _parse_sigma1(self.sigma1)
+        except ValueError:
+            raise GarchMCError(f"--sigma1 must be 'var' or a number, got {self.sigma1!r}") from None
+        if sigma1_sq is not None:
+            bounded.append(("--sigma1", sigma1_sq, 0.0))
         for flag, value, low in bounded:
             if not low < value < math.inf:
                 raise GarchMCError(f"{flag} must be finite and above {low:g}, got {value}")
@@ -177,7 +184,7 @@ def _remove_stale_artifacts(out, config):
 def _run_one_chain(config, sched, y, seed, out):
     """Run a single chain and write all artifacts into ``out``."""
     out.mkdir(parents=True, exist_ok=True)
-    sigma1_sq = None if config.sigma1 == "var" else float(config.sigma1)
+    sigma1_sq = _parse_sigma1(config.sigma1)
     if config.sampler == "adaptive":
         res = samplers.run_adaptive(
             y, sched, nu=config.nu, seed=seed, sigma1_sq=sigma1_sq,
@@ -254,8 +261,9 @@ def run(config):
 
 
 #: Settings that change the posterior (sigma1) or how its errors are
-#: estimated (window_factor): runs that differ in one are not compared.
-_COMPARED_SETTINGS = ("sigma1", "window_factor")
+#: estimated (window_factor), each with the parser of its manifest value:
+#: runs whose parsed values differ in one are not compared.
+_COMPARED_SETTINGS = {"sigma1": _parse_sigma1, "window_factor": float}
 
 
 def compare_runs(dir_a, dir_b):
@@ -280,9 +288,9 @@ def compare_runs(dir_a, dir_b):
     if manifests[0]["data_fingerprint"] != manifests[1]["data_fingerprint"]:
         raise ComparisonRefusedError("runs were made on different data; comparison refused")
     configs = [m["config"] for m in manifests]
-    for name in _COMPARED_SETTINGS:
+    for name, parse in _COMPARED_SETTINGS.items():
         a, b = (config.get(name) for config in configs)
-        if a != b:
+        if a != b and parse(a) != parse(b):
             flag = "--" + name.replace("_", "-")
             raise ComparisonRefusedError(f"runs differ in {flag} ({a} vs {b}); "
                                          "comparison refused")

@@ -5,8 +5,9 @@ volatility series are plain float64 ndarrays. The numeric work is done by
 the scalar and batch kernels that ``backend`` loads, the compiled
 ``_kernels.c`` or its numpy twin ``_kernels_py``, reached through
 ``backend.kernels``. The scalar closure scores each step through one kernel
-``Workspace`` that it builds when it is made, so whatever the kernel keeps
-per series is set up once per run, not once per step.
+``Workspace`` that it builds when it is made, passed positionally in the
+kernel's series slot where y would go, so whatever the kernel keeps per
+series is set up once per run, not once per step.
 """
 import numpy as np
 
@@ -41,7 +42,7 @@ def make_log_posterior(y, sigma1_sq):
         a, b, w = theta
         if not in_support(a, b, w):
             return LOG_ZERO
-        return loglik(y, a, b, w, sigma1_sq, workspace=workspace)
+        return loglik(workspace, a, b, w, sigma1_sq)
 
     return log_post
 

@@ -10,13 +10,24 @@ import pytest
 from garchmc import _kernels_py, backend
 
 CC = sysconfig.get_config_var("CC")
+FOUND = bool(CC) and shutil.which(shlex.split(CC)[0]) is not None
 
 
 def test_compiled_kernels_load_where_a_compiler_is_found():
     # A broken _kernels.c must fail here, not hide behind the fallback.
-    found = bool(CC) and shutil.which(shlex.split(CC)[0]) is not None
-    assert backend.KERNEL == ("c" if found else "numpy")
+    assert backend.KERNEL == ("c" if FOUND else "numpy")
     assert (backend.kernels is _kernels_py) == (backend.KERNEL == "numpy")
+
+
+@pytest.mark.skipif(not FOUND, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # build() keeps no compiler output, so a warning would go unseen.
+    cmd = [*shlex.split(CC), *backend.FLAGS, "-Wall", "-Werror",
+           "-I" + sysconfig.get_paths()["include"], str(backend.SOURCE),
+           "-o", str(tmp_path / "_kernels.so"), "-lm"]
+    done = subprocess.run(cmd, capture_output=True, text=True, stdin=subprocess.DEVNULL,
+                          timeout=backend.COMPILE_TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("cc", [None, "", "false", "garchmc-no-such-compiler"])

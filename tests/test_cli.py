@@ -329,6 +329,16 @@ class TestCompare:
         assert run_cli(["compare", str(out_b), str(out_a)]) == 1
         assert capsys.readouterr().err.startswith(f"error: runs differ in {flag}")
 
+    def test_equal_sigma1_spelled_differently_compared(self, tmp_path, capsys):
+        outs = [tmp_path / value for value in ("1", "1.0", "2")]
+        for out in outs:
+            assert run_cli(base_args(out, total=1000) + ["--sigma1", out.name]) == 0
+        assert (outs[0] / "chain.csv").read_bytes() == (outs[1] / "chain.csv").read_bytes()
+        assert run_cli(["compare", str(outs[0]), str(outs[1])]) == 0
+        capsys.readouterr()
+        assert run_cli(["compare", str(outs[1]), str(outs[2])]) == 1
+        assert capsys.readouterr().err.startswith("error: runs differ in --sigma1 (1.0 vs 2)")
+
     def test_mismatched_data_refused(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run_cli(base_args(out_a, seed=11)) == 0

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -250,16 +251,31 @@ class TestWorkspace:
             assert target(outside) == model.LOG_ZERO
             assert target(inside) == KERNELS.log_likelihood(y, *inside, 0.7)
 
+    def test_closure_passes_its_workspace_in_the_series_slot(self, monkeypatch):
+        calls, workspace = [], object()
+
+        def log_likelihood(*args, **kwargs):
+            calls.append((args, kwargs))
+            return -1.0
+
+        stand_in = types.SimpleNamespace(Workspace=lambda y: workspace,
+                                         log_likelihood=log_likelihood)
+        monkeypatch.setattr(model, "kernels", stand_in)
+        target = model.make_log_posterior((0.5, -0.3), 0.7)
+        thetas = [(0.1, 0.8, 0.01), (0.3, 0.6, 0.05)]
+        assert [target(np.array(theta)) for theta in thetas] == [-1.0, -1.0]
+        assert calls == [((workspace, *theta, 0.7), {}) for theta in thetas]
+
     def test_kernel_workspace_equals_fresh_kernel(self):
         y = np.random.default_rng(5).standard_normal(300)
         ws = _kernels_py.Workspace(y)
         for beta in self.BETAS:
             for sigma1_sq in (0.7, 2.5):
-                args = (y, 0.3 * (1.0 - beta), beta, 0.05, sigma1_sq)
-                assert np.array_equal(_kernels_py.volatility(*args, workspace=ws),
-                                      _kernels_py.volatility(*args))
-                assert (_kernels_py.log_likelihood(*args, workspace=ws)
-                        == _kernels_py.log_likelihood(*args))
+                args = (0.3 * (1.0 - beta), beta, 0.05, sigma1_sq)
+                assert np.array_equal(_kernels_py.volatility(ws, *args),
+                                      _kernels_py.volatility(y, *args))
+                assert (_kernels_py.log_likelihood(ws, *args)
+                        == _kernels_py.log_likelihood(y, *args))
 
     def test_valid_call_after_overflow_is_fresh(self):
         y = np.array([0.5, -1.0, 2.0, 1.5])
@@ -275,8 +291,8 @@ class TestWorkspace:
                 assert target(valid) == KERNELS.log_likelihood(y, *valid, 1.0)
                 # y_0^2 / sigma1_sq overflows.
                 with pytest.raises(FloatingPointError):
-                    _kernels_py.log_likelihood(y, *valid, 1e-310, workspace=ws)
-                assert (_kernels_py.log_likelihood(y, *valid, 1.0, workspace=ws)
+                    _kernels_py.log_likelihood(ws, *valid, 1e-310)
+                assert (_kernels_py.log_likelihood(ws, *valid, 1.0)
                         == _kernels_py.log_likelihood(y, *valid, 1.0))
 
     def test_closures_over_different_series_share_no_buffers(self):
@@ -351,8 +367,9 @@ class TestCompiledKernels:
         theta = (0.1, 0.8, 0.01)
         want = compiled.log_likelihood(np.array(y), *theta, 0.05)
         assert compiled.log_likelihood(y, *theta, 0.05) == want
-        assert compiled.log_likelihood(y, *theta, 0.05,
-                                       workspace=compiled.Workspace(y)) == want
+        for kernels in (compiled, _kernels_py):
+            assert (kernels.log_likelihood(kernels.Workspace(y), *theta, 0.05)
+                    == kernels.log_likelihood(y, *theta, 0.05))
         assert compiled.log_likelihood_batch(y, [list(theta)], 0.05).tolist() == [want]
 
     def test_non_finite_totals_raise_typed_overflow(self, compiled):
