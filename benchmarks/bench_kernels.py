@@ -6,6 +6,14 @@ in y's place, as the posterior closure calls it. Every figure is per
 candidate (one parameter set): a scalar call scores one. Where no C compiler
 is found, the compiled columns read "-".
 
+Two per-draw layers follow, neither of which calls a kernel:
+- the independence-MH accept loop, in ns per draw: ``_independence_batch``
+  on BATCH_K candidates whose proposal densities and posterior scores are
+  computed before the clock starts, so only the accept loop and the gather
+  of the draws are timed;
+- chain.csv formatting, in ns per row: the text of CHAIN_ROWS rows at
+  acceptance CHAIN_ACCEPT, built and discarded without writing a file.
+
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
 End-to-end run timing is the job of ``perfbench/run.py``.
@@ -16,12 +24,15 @@ import time
 
 import numpy as np
 
-from garchmc import _kernels_py, backend, data
+from garchmc import _kernels_py, backend, cli, data, samplers
 
 THETA = (0.05, 0.90, 0.01)
 BATCHES = 7
 #: Candidates per batch call: the default refit interval.
 BATCH_K = 1000
+#: Rows and acceptance of the chain whose chain.csv text is timed.
+CHAIN_ROWS = 20000
+CHAIN_ACCEPT = 0.4
 
 
 def time_call(fn, args, batch_s=0.1):
@@ -54,6 +65,44 @@ def rows(kernels, y, sigma1_sq):
     ]
 
 
+class FixedProposal:
+    """A proposal whose candidates and their log-densities are drawn once:
+    ``sample`` returns the same candidates at every call."""
+
+    def __init__(self, cands, log_g_cands):
+        self.cands, self.log_g_cands = cands, log_g_cands
+
+    def sample(self, rng, size):
+        return self.cands
+
+    def log_density(self, theta):
+        return self.log_g_cands if np.ndim(theta) == 2 else 0.0
+
+
+def layer_rows():
+    """(name, unit, seconds per draw or row) of the per-draw layers."""
+    rng = np.random.default_rng(1)
+    cands = np.tile(THETA, (BATCH_K, 1)) + 1e-3 * rng.standard_normal((BATCH_K, 3))
+    log_g_cands = rng.standard_normal(BATCH_K)
+    # Scores near the proposal's accept about 70% of the steps, as the
+    # fitted proposal does on the default protocol.
+    log_p_cands = log_g_cands + 0.5 * rng.standard_normal(BATCH_K)
+    prop = FixedProposal(cands, log_g_cands)
+    accept_loop = time_call(samplers._independence_batch,
+                            (np.array(THETA), 0.0, BATCH_K, prop, lambda _: log_p_cands, rng))
+
+    accepted = rng.random(CHAIN_ROWS) < CHAIN_ACCEPT
+    accepted[0] = True
+    fresh = np.tile(THETA, (CHAIN_ROWS, 1)) + 1e-3 * rng.standard_normal((CHAIN_ROWS, 3))
+    # A rejected step repeats the row before it.
+    draws = fresh[np.maximum.accumulate(np.where(accepted, np.arange(CHAIN_ROWS), 0))]
+    formatting = time_call(lambda: sum(map(len, cli._chain_csv_lines(draws, accepted))), ())
+    return [
+        (f"independence accept loop, k={BATCH_K}", "ns/draw", accept_loop / BATCH_K),
+        (f"chain.csv formatting, acceptance {CHAIN_ACCEPT}", "ns/row", formatting / CHAIN_ROWS),
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--n", type=int, nargs="+", default=[250, 2000],
@@ -72,6 +121,10 @@ def main():
             us_c, ns_c = (f"{t_c * 1e6:.2f}", f"{t_c * 1e9 / n:.1f}") if t_c else ("-", "-")
             print(f"{name:>26} {n:>6} {t_py * 1e6:14.2f} {us_c:>10} "
                   f"{t_py * 1e9 / n:14.1f} {ns_c:>10}")
+    print()
+    print(f"{'layer':>42} {'time':>8}")
+    for name, unit, t in layer_rows():
+        print(f"{name:>42} {t * 1e9:8.0f} {unit}")
 
 
 if __name__ == "__main__":

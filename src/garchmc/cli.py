@@ -141,6 +141,29 @@ def _write_csv(path, header, fmt, *columns):
     _write_atomic(path, lines())
 
 
+def _chain_csv_lines(draws, accepted):
+    """The text of chain.csv: a header line, then one ``%.17g,%.17g,%.17g,%d``
+    line per row of the (k, 3) draws and its accept flag, _CHUNK_ROWS rows
+    per piece.
+
+    A rejected step repeats the state before it, so the parameter text is
+    formatted once per run of bitwise-equal rows (compared as int64, which
+    keeps 0.0 and -0.0 apart) and each piece's first row, and reused.
+    """
+    bits = np.ascontiguousarray(draws, dtype=np.float64).view(np.int64)
+    fresh = np.ones(len(draws), dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    fresh[::_CHUNK_ROWS] = True
+    yield "alpha,beta,omega,accepted\n"
+    for i in range(0, len(draws), _CHUNK_ROWS):
+        rows = slice(i, i + _CHUNK_ROWS)
+        cols = draws[rows][fresh[rows]].T.tolist()
+        heads = ["%.17g,%.17g,%.17g," % row for row in zip(*cols)]
+        runs = (np.cumsum(fresh[rows]) - 1).tolist()
+        yield "".join([heads[r] + ("1\n" if a else "0\n")
+                       for r, a in zip(runs, accepted[rows].tolist())])
+
+
 def _write_json(path, obj):
     _write_atomic(path, [json.dumps(obj, indent=1)])
 
@@ -195,8 +218,7 @@ def _run_one_chain(config, sched, y, seed, out):
         res = samplers.run_metropolis(y, sched, seed=seed, sigma1_sq=sigma1_sq)
 
     report = diagnostics.summarize(res.draws, res.accepted, config.window_factor)
-    _write_csv(out / "chain.csv", "alpha,beta,omega,accepted", "%.17g,%.17g,%.17g,%d\n",
-               *res.draws.T, res.accepted)
+    _write_atomic(out / "chain.csv", _chain_csv_lines(res.draws, res.accepted))
     _write_csv(out / "acceptance_trace.csv", "batch,acceptance", "%d,%.17g\n",
                np.arange(len(res.trace)), res.trace)
     _write_json(out / "report.json", {**report, "sampler": config.sampler, "seed": seed})

@@ -70,21 +70,27 @@ def transform_returns(prices):
 
 def generate_synthetic(theta, n, seed):
     """Simulate n returns of a GARCH(1,1) with the (alpha, beta, omega)
-    triple theta; deterministic given seed."""
-    a, b, w = theta
+    triple theta; deterministic given seed. A series that overflows float64
+    is refused."""
+    a, b, w = (float(v) for v in theta)
     # in_support admits an infinite omega, which would simulate infinities.
     if not (all(map(math.isfinite, (a, b, w))) and model.in_support(a, b, w)):
         raise DataValidationError(f"synthetic theta violates GARCH constraints: {theta}")
     if n < 1:
         raise DataValidationError("synthetic n must be positive")
     rng = named_rng(seed, "synthetic")
-    total = n + SYNTHETIC_BURN
-    eps = rng.standard_normal(total)
-    y = np.empty(total)
+    eps = rng.standard_normal(n + SYNTHETIC_BURN).tolist()
+    y = []
     s = SYNTHETIC_SIGMA1_SQ
-    for t in range(total):
-        if t > 0:
-            s = w + a * y[t - 1] ** 2 + b * s
-        y[t] = np.sqrt(s) * eps[t]
-    return y[SYNTHETIC_BURN:]
-
+    try:
+        for t, e in enumerate(eps):
+            if t > 0:
+                # A float square overflowing raises; one that reaches inf
+                # through the sum makes every later s infinite.
+                s = w + a * y[-1] ** 2 + b * s
+            y.append(math.sqrt(s) * e)
+        if not math.isfinite(s):
+            raise OverflowError
+    except OverflowError:
+        raise DataValidationError(f"synthetic series overflows float64: {theta}") from None
+    return np.array(y[SYNTHETIC_BURN:])

@@ -24,8 +24,9 @@ def in_support(a, b, w):
 
 
 def make_log_posterior(y, sigma1_sq):
-    """Flat-prior log-posterior of a length-3 array: the log-likelihood
-    inside the support, LOG_ZERO outside.
+    """Flat-prior log-posterior of any length-3 sequence of floats (a list,
+    a tuple or an array): the log-likelihood inside the support, LOG_ZERO
+    outside.
 
     The scalar kernel is looked up once, here, and the closure's own kernel
     workspace is built here; the closure, like its workspace, is not

@@ -263,6 +263,23 @@ class TestRun:
         assert (out / "chain.csv").read_bytes() == want.encode()
         assert (out / "acceptance_trace.csv").read_text() == f"batch,acceptance\n0,{3 / 7:.17g}\n"
 
+    def test_chain_writer_reuses_text_only_for_equal_rows(self, tmp_path, monkeypatch):
+        a, b, c = (0.05, 0.9, 0.01), (-0.0, 0.25, 1e-300), (0.0, 0.25, 1e-300)
+        # A rejected run of A across the chunk boundary at row 4; c (0.0) right
+        # after b (-0.0); A back after other states; an accepted row equal to
+        # the row before it.
+        states = [a, a, a, a, a, a, b, c, (0.3, 0.6, 5e-324), a, a, b]
+        flags = [1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
+        draws, accepted = np.array(states), np.array(flags, dtype=bool)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+        cli._write_atomic(tmp_path / "chain.csv", cli._chain_csv_lines(draws, accepted))
+        want = "alpha,beta,omega,accepted\n" + "".join(
+            f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{int(acc)}\n"
+            for row, acc in zip(draws, accepted)
+        )
+        assert (tmp_path / "chain.csv").read_bytes() == want.encode()
+        assert want.splitlines()[7:9] == ["-0,0.25,1e-300,1", "0,0.25,1e-300,1"]
+
     def test_freeze_after(self, tmp_path):
         out = tmp_path / "frozen"
         assert run_cli(base_args(out) + ["--freeze-after", "2"]) == 0
@@ -344,6 +361,32 @@ class TestCompare:
         assert run_cli(base_args(out_a, seed=11)) == 0
         assert run_cli(base_args(out_b, seed=12)) == 0  # different synthetic data
         assert run_cli(["compare", str(out_a), str(out_b)]) == 1
+
+
+#: SHA-256 of chain.csv and report.json of the ``--total 2000 --seed 1`` run
+#: of each sampler.
+PINNED_SHA256 = {
+    "adaptive": {
+        "chain.csv": "e7aed5c5584b6bdc482ff6324a6b7275df597b6b356e576f416cf8426f127fa5",
+        "report.json": "99c5234c7dcfeab6eb29328853a7c6144b669b3aaacc0872434054bc12c94427",
+    },
+    "metropolis": {
+        "chain.csv": "b4c910ff37d63f61dfb3e14ba487ee6f9fbcf5c7bff48d581fbaaede7d144c86",
+        "report.json": "873d42d873e6b85f6a1216c33ad7aceaf105fec563b8bcadf6a026f7780c0376",
+    },
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(PINNED_SHA256))
+def test_artifact_bytes_are_pinned(tmp_path, sampler):
+    """A refactor or speed-up must leave a run's artifacts byte for byte as
+    they were. A pin moves only together with a CHANGES.md entry that says
+    why its bytes moved, as a change of the default nu will."""
+    out = tmp_path / sampler
+    assert run_cli(base_args(out, sampler=sampler, seed=1, total=2000)) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in PINNED_SHA256[sampler]}
+    assert got == PINNED_SHA256[sampler]
 
 
 def test_config_requires_one_source():

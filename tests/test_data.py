@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -119,6 +121,15 @@ class TestGenerateSynthetic:
         with pytest.raises(DataValidationError):
             data.generate_synthetic(theta, 100, 1)
 
+
+    @pytest.mark.parametrize("seed", [1, 0], ids=["square-overflows", "sum-overflows"])
+    def test_overflowing_series_refused_without_warnings(self, seed):
+        # At seed 1 a return's square overflows; at seed 0 every square stays
+        # finite and the variance recursion's sum reaches inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError, match="overflows float64"):
+                data.generate_synthetic((0.01, 0.98, 1.7e308), 5, seed)
 
 def test_write_returns_round_trip(tmp_path):
     # returns.csv (--dump-returns) is written by the CLI's CSV writer with

@@ -186,6 +186,68 @@ def test_batch_scoring_matches_per_candidate_scoring():
     assert np.array_equal(accepted, want_accepted)
 
 
+def reference_rw_chain(theta, log_p, n_steps, d, target, rng):
+    """Random-walk Metropolis written out one step at a time on numpy arrays,
+    consuming the random numbers in the order the production kernel does."""
+    shifts = d * (rng.random((n_steps, theta.size)) - 0.5)
+    u = rng.random(n_steps)
+    draws, flags = [], []
+    for shift, u_i in zip(shifts, u):
+        cand = theta + shift
+        log_p_cand = target(cand)
+        accept = False
+        if log_p_cand != LOG_ZERO:
+            delta = log_p_cand - log_p
+            accept = delta >= 0.0 or u_i < math.exp(delta)
+        if accept:
+            theta, log_p = cand, log_p_cand
+        draws.append(theta)
+        flags.append(accept)
+    return np.array(draws), np.array(flags), theta, log_p
+
+
+CHUNK = samplers._RW_CHUNK
+
+
+@pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_rw_chain_matches_step_by_step_reference(n_steps):
+    y = small_series()
+    posterior = model.make_log_posterior(y, float(np.var(y)))
+    scores = []
+
+    def target(theta):
+        scores.append(posterior(theta))
+        return scores[-1]
+
+    # Wide enough that some candidates leave the constraint region.
+    d = np.array([0.1, 0.1, 0.02])
+    theta = np.array([0.05, 0.9, 0.01])
+    got = samplers._rw_chain(theta, target(theta), n_steps, d, target, np.random.default_rng(13))
+    want = reference_rw_chain(theta, posterior(theta), n_steps, d, posterior,
+                              np.random.default_rng(13))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if n_steps > CHUNK:
+        assert 0 < got[1].sum() < n_steps
+        assert LOG_ZERO in scores
+
+
+@pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_rw_chain_rejecting_every_candidate_stays_put(n_steps):
+    theta = np.array([0.05, 0.9, 0.01])
+    d = np.ones(3)
+
+    def target(_):
+        return LOG_ZERO
+
+    got = samplers._rw_chain(theta, 0.0, n_steps, d, target, np.random.default_rng(14))
+    want = reference_rw_chain(theta, 0.0, n_steps, d, target, np.random.default_rng(14))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert not got[1].any()
+    assert np.array_equal(got[0], np.tile(theta, (n_steps, 1)))
+
+
 class TestRunAdaptive:
     def test_single_batch_schedule(self):
         y = small_series()
