@@ -2,8 +2,10 @@
 reports/traces, and compare two completed runs."""
 import argparse
 import concurrent.futures
+import contextlib
 import fcntl
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -53,9 +55,6 @@ class RunConfig:
     window_factor: float = diagnostics.DEFAULT_WINDOW_FACTOR
     out: str = "garchmc_out"
     chains: int = 1
-    freeze_after: int = field(
-        default=None, metadata={"help": "stop re-fitting the proposal after this many refits"})
-    dump_returns: bool = False
 
     def validate(self):
         """Check every field; returns the run's AdaptiveSchedule."""
@@ -67,8 +66,6 @@ class RunConfig:
             raise GarchMCError(f"--seed must be non-negative, got {self.seed}")
         if self.chains <= 0:
             raise GarchMCError(f"--chains must be positive, got {self.chains}")
-        if self.freeze_after is not None and self.freeze_after < 1:
-            raise GarchMCError(f"--freeze-after must be at least 1, got {self.freeze_after}")
         # (flag, value, exclusive lower bound): each must also be finite.
         bounded = [("--nu", self.nu, 2.0), ("--window-factor", self.window_factor, 0.0)]
         try:
@@ -106,7 +103,7 @@ def _fingerprint(y):
     return hashlib.sha256(np.ascontiguousarray(y, dtype=np.float64).tobytes()).hexdigest()
 
 
-#: Rows per write of a CSV artifact, so the formatted text held at once stays
+#: Rows per write of chain.csv, so the formatted text held at once stays
 #: bounded however long the chain.
 _CHUNK_ROWS = 4096
 
@@ -126,19 +123,6 @@ def _write_atomic(path, pieces):
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)
-
-
-def _write_csv(path, header, fmt, *columns):
-    """A header line, then one ``fmt % row`` line per row of the equal-length
-    1-D arrays ``columns``, formatted _CHUNK_ROWS rows per write."""
-
-    def lines():
-        yield header + "\n"
-        for i in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = [col[i:i + _CHUNK_ROWS].tolist() for col in columns]
-            yield "".join([fmt % row for row in zip(*chunk)])
-
-    _write_atomic(path, lines())
 
 
 def _chain_csv_lines(draws, accepted):
@@ -172,8 +156,7 @@ def _write_json(path, obj):
 _CHAIN_ARTIFACTS = ("chain.csv", "acceptance_trace.csv", "report.json", "report.txt")
 _ADAPTIVE_ARTIFACTS = ("proposal_history.json",)
 #: Every file name a run can write, in ``--out`` and in its chain_NN/.
-_ARTIFACTS = ("manifest.json", "returns.csv", "cross_chain.json",
-              *_CHAIN_ARTIFACTS, *_ADAPTIVE_ARTIFACTS)
+_ARTIFACTS = ("manifest.json", "cross_chain.json", *_CHAIN_ARTIFACTS, *_ADAPTIVE_ARTIFACTS)
 
 
 def _remove_stale_artifacts(out, config):
@@ -190,8 +173,6 @@ def _remove_stale_artifacts(out, config):
     if config.chains > 1:
         own = {f"chain_{i:02d}/{name}" for i in range(config.chains) for name in own}
         own.add("cross_chain.json")
-    if config.dump_returns:
-        own.add("returns.csv")
     (out / "manifest.json").unlink(missing_ok=True)
     chain_dirs = [d for d in out.glob("chain_*")
                   if d.name.removeprefix("chain_").isdigit() and d.is_dir()]
@@ -209,18 +190,16 @@ def _run_one_chain(config, sched, y, seed, out):
     out.mkdir(parents=True, exist_ok=True)
     sigma1_sq = _parse_sigma1(config.sigma1)
     if config.sampler == "adaptive":
-        res = samplers.run_adaptive(
-            y, sched, nu=config.nu, seed=seed, sigma1_sq=sigma1_sq,
-            freeze_after=config.freeze_after,
-        )
+        res = samplers.run_adaptive(y, sched, nu=config.nu, seed=seed, sigma1_sq=sigma1_sq)
         _write_json(out / "proposal_history.json", [p.to_dict() for p in res.history])
     else:
         res = samplers.run_metropolis(y, sched, seed=seed, sigma1_sq=sigma1_sq)
 
     report = diagnostics.summarize(res.draws, res.accepted, config.window_factor)
     _write_atomic(out / "chain.csv", _chain_csv_lines(res.draws, res.accepted))
-    _write_csv(out / "acceptance_trace.csv", "batch,acceptance", "%d,%.17g\n",
-               np.arange(len(res.trace)), res.trace)
+    trace_rows = ("%d,%.17g\n" % row for row in enumerate(res.trace.tolist()))
+    _write_atomic(out / "acceptance_trace.csv",
+                  itertools.chain(["batch,acceptance\n"], trace_rows))
     _write_json(out / "report.json", {**report, "sampler": config.sampler, "seed": seed})
     _write_atomic(out / "report.txt",
                   [diagnostics.report_text(report, f"{config.sampler} run (seed {seed})") + "\n"])
@@ -248,9 +227,6 @@ def run(config):
         except BlockingIOError:
             raise GarchMCError(f"{out} is in use by another run") from None
         _remove_stale_artifacts(out, config)
-        if config.dump_returns:
-            _write_csv(out / "returns.csv", "return", "%.17g\n", y)
-
         if config.chains == 1:
             _run_one_chain(config, sched, y, config.seed, out)
         else:
@@ -288,40 +264,60 @@ def run(config):
 _COMPARED_SETTINGS = {"sigma1": _parse_sigma1, "window_factor": float}
 
 
+@contextlib.contextmanager
+def _refused_if_malformed(path):
+    """Refuse the comparison, naming ``path``, when what the block reads of
+    that run file does not parse or is missing: the file comes from outside
+    the program."""
+    try:
+        yield
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ComparisonRefusedError(f"{path} is not a run file compare can read "
+                                     f"({type(exc).__name__}: {exc})") from None
+
+
 def compare_runs(dir_a, dir_b):
     """Two-block comparison of completed single-chain runs on identical data
     with the same _COMPARED_SETTINGS.
 
-    Returns the formatted text; refuses a ``--chains`` run, mismatched data
-    fingerprints and a setting that differs, which it names by its flag.
+    Returns the formatted text; refuses a ``--chains`` run, a manifest.json
+    or report.json that is not valid JSON or lacks what the text shows,
+    mismatched data fingerprints and a setting that differs, which it names
+    by its flag.
     """
-    manifests, reports = [], []
-    for d in (dir_a, dir_b):
-        d = Path(d)
-        with open(d / "manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        chains = manifest["config"].get("chains", 1)
-        if chains > 1:
-            raise ComparisonRefusedError(f"{d} holds a --chains {chains} run; "
-                                         "compare takes single-chain runs")
-        with open(d / "report.json", encoding="utf-8") as fh:
-            reports.append(json.load(fh))
-        manifests.append(manifest)
-    if manifests[0]["data_fingerprint"] != manifests[1]["data_fingerprint"]:
+    runs = []
+    for d in map(Path, (dir_a, dir_b)):
+        path = d / "manifest.json"
+        with _refused_if_malformed(path):
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            config, fingerprint = manifest["config"], manifest["data_fingerprint"]
+            chains = config.get("chains", 1)
+            if chains > 1:
+                raise ComparisonRefusedError(f"{d} holds a --chains {chains} run; "
+                                             "compare takes single-chain runs")
+            title = config["sampler"].capitalize()
+        path = d / "report.json"
+        with _refused_if_malformed(path):
+            report = json.loads(path.read_text(encoding="utf-8"))
+            text = diagnostics.report_text(report, title)
+            two_tau = [report["params"][n]["two_tau_int"] for n in diagnostics.PARAM_NAMES]
+        runs.append((config, fingerprint, text, two_tau))
+    configs, fingerprints, texts, two_taus = zip(*runs)
+    if fingerprints[0] != fingerprints[1]:
         raise ComparisonRefusedError("runs were made on different data; comparison refused")
-    configs = [m["config"] for m in manifests]
     for name, parse in _COMPARED_SETTINGS.items():
         a, b = (config.get(name) for config in configs)
-        if a != b and parse(a) != parse(b):
+        try:
+            same = a == b or parse(a) == parse(b)
+        except (TypeError, ValueError):  # a value no run writes
+            same = False
+        if not same:
             flag = "--" + name.replace("_", "-")
             raise ComparisonRefusedError(f"runs differ in {flag} ({a} vs {b}); "
                                          "comparison refused")
 
-    lines = []
-    for config, report in zip(configs, reports):
-        lines += [diagnostics.report_text(report, config["sampler"].capitalize()), ""]
-    a, b = (report["params"] for report in reports)
-    ratios = [f"{b[n]['two_tau_int'] / a[n]['two_tau_int']:.3g}" for n in a]
+    lines = [texts[0], "", texts[1], ""]
+    ratios = [f"{b / a if a else math.nan:.3g}" for a, b in zip(*two_taus)]
     lines.append("2tau_int ratio (B/A)".ljust(22) + "".join(r.ljust(14) for r in ratios))
     return "\n".join(lines)
 

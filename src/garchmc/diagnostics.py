@@ -114,7 +114,8 @@ def _jackknife_tau_err(x, window_factor):
 def summarize(draws, accepted, window_factor=DEFAULT_WINDOW_FACTOR):
     """The ``report.json`` dict of a chain of (k, p) draws with their (k,)
     accept flags: acceptance, draw count and, per parameter, mean, stddev,
-    stat error and 2tau_int with its windowed and jackknife errors."""
+    stat error (NaN where 2tau_int is negative) and 2tau_int with its
+    windowed and jackknife errors."""
     k = draws.shape[0]
     if k < MIN_DRAWS:
         raise ValueError(f"chain too short to summarize: {k} < {MIN_DRAWS}")
@@ -129,7 +130,9 @@ def summarize(draws, accepted, window_factor=DEFAULT_WINDOW_FACTOR):
             t_star, plateau, stat_error = 0, False, 0.0
         else:
             tau, t_star, err, plateau = tau_int(rho, k, window_factor)
-            stat_error = std * math.sqrt(2.0 * tau / k)
+            # An anticorrelated series can read a negative tau_int, which
+            # gives no error estimate.
+            stat_error = std * math.sqrt(2.0 * tau / k) if tau >= 0.0 else float("nan")
             err_jk = _jackknife_tau_err(x, window_factor)
         params[name] = {
             "mean": float(x.mean()), "stddev": std, "stat_error": stat_error,

@@ -233,10 +233,10 @@ def run_metropolis(y, sched, seed=0, sigma1_sq=None):
     return RunResult(*_run(*_data(y, sigma1_sq), sched, seed, _rw_chain), [])
 
 
-def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0, sigma1_sq=None, freeze_after=None):
+def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0, sigma1_sq=None):
     """Adaptive scheme: tuned Metropolis pilot, then independence MH with the
     Student-t proposal re-fitted every refit_interval draws from all retained
-    post-burn-in draws (pilot included), until freeze_after refits if given.
+    post-burn-in draws (pilot included).
 
     Returns a RunResult of sched.total independence-MH draws whose history
     holds one fitted proposal per refit.
@@ -250,11 +250,10 @@ def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0, sigma1_sq=None, freez
         if not history:
             pilot, _, theta, log_p = _rw_chain(theta, log_p, sched.pilot, d, target, rng)
             acc.add_batch(pilot)
-        if not history or freeze_after is None or len(history) < freeze_after:
-            try:
-                history.append(proposal.fit(acc, nu))
-            except DegenerateSampleError as exc:
-                raise DegenerateSampleError(f"batch {len(history)}: {exc}") from exc
+        try:
+            history.append(proposal.fit(acc, nu))
+        except DegenerateSampleError as exc:
+            raise DegenerateSampleError(f"batch {len(history)}: {exc}") from exc
         draws, accepted, theta, log_p = _independence_batch(
             theta, log_p, n_steps, history[-1], score, rng
         )

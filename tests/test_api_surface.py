@@ -8,11 +8,14 @@ reached as an attribute: some ``ast.Attribute`` carries its name, so a bare
 name of the same spelling, such as a parameter, does not count. The match is
 by name alone, so a dead definition whose name the package uses for something
 else goes unflagged. Every name the README's Python examples import from
-``garchmc`` must be in ``garchmc.__all__``, and the README's artifact table
-must name exactly the files a run can write.
+``garchmc`` must be in ``garchmc.__all__``, the README's artifact table
+must name exactly the files a run can write, and its CLI section must name
+only flags the parser has and every flag of ``RunConfig``.
 """
+import argparse
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import garchmc
@@ -82,3 +85,19 @@ def test_readme_artifact_table_lists_every_artifact():
     rows = table.group(1).splitlines()[1:]  # past the | --- | --- | rule
     listed = {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
     assert listed == set(cli._ARTIFACTS)
+
+
+def test_readme_cli_section_names_the_parser_flags():
+    # Every --flag the README's CLI section names is a flag of `garchmc run`
+    # or `garchmc compare`, and every RunConfig field's flag is named there.
+    section = re.search(r"^## CLI\n(.*?)(?=^## )", README.read_text(encoding="utf-8"),
+                        flags=re.M | re.S)
+    assert section, "README has no ## CLI section"
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section.group(1)))
+    commands = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {flag for name in ("run", "compare")
+              for action in commands[name]._actions for flag in action.option_strings}
+    assert named <= parsed, named - parsed
+    config_flags = {"--" + f.name.replace("_", "-") for f in fields(cli.RunConfig)}
+    assert config_flags <= named, config_flags - named

@@ -4,6 +4,7 @@ import fcntl
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from garchmc import _kernels_py, backend, cli, diagnostics, model, samplers
+from garchmc import _kernels_py, backend, cli, data, diagnostics, model, samplers
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -93,15 +94,15 @@ class TestRun:
         out = tmp_path / "run"
         args = ["run", "--csv", str(f), "--sampler", "metropolis", "--burn-in", "300",
                 "--pilot", "100", "--refit-interval", "500", "--total", "1000",
-                "--out", str(out), "--dump-returns"]
+                "--out", str(out)]
         assert run_cli(args) == 0
         assert (out / "chain.csv").exists()
-        returns = (out / "returns.csv").read_text().strip().splitlines()
-        assert returns[0] == "return"
-        assert len(returns) == 500  # header + 499 returns
-        # The dump parses back to exactly the returns the manifest fingerprints.
-        y = np.array([float(v) for v in returns[1:]])
+        # The manifest fingerprints exactly the 499 returns garchmc.data makes
+        # of the prices, so they can be rebuilt from the run's config.
+        y = data.transform_returns(data.load_prices(f))
+        assert y.shape == (499,)
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_returns"] == 499
         assert hashlib.sha256(y.tobytes()).hexdigest() == manifest["data_fingerprint"]
 
     def test_missing_csv_exits_one(self, tmp_path):
@@ -116,7 +117,6 @@ class TestRun:
     @pytest.mark.parametrize("flag", [
         ["--nu", "2"], ["--nu", "0"], ["--nu", "-3"],
         ["--window-factor", "0"], ["--window-factor", "-1"],
-        ["--freeze-after", "0"],
         ["--refit-interval", "4000"], ["--pilot", "0"], ["--chains", "0"],
         ["--nu", "inf"], ["--window-factor", "inf"], ["--sigma1", "nan"], ["--sigma1", "inf"],
         ["--sigma1", "abc"], ["--total", "500"], ["--seed", "-1"],
@@ -174,20 +174,18 @@ class TestRun:
         ("adaptive", ["--chains", "2"],
          {f"chain_0{i}/{f}" for i in (0, 1) for f in ADAPTIVE_FILES}
          | {"cross_chain.json", "manifest.json"}),
-        ("metropolis", ["--dump-returns"], CHAIN_FILES | {"manifest.json", "returns.csv"}),
-    ], ids=["adaptive", "metropolis", "chains-2", "dump-returns"])
+    ], ids=["adaptive", "metropolis", "chains-2"])
     def test_exact_artifact_set(self, tmp_path, sampler, extra, want):
         out = tmp_path / "run"
         assert run_cli(base_args(out, sampler=sampler, total=1000) + extra) == 0
         assert {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()} == want
 
     def test_rerun_removes_earlier_artifacts_only(self, tmp_path):
-        assert set(cli._ARTIFACTS) == ADAPTIVE_FILES | {
-            "manifest.json", "returns.csv", "cross_chain.json"}
+        assert set(cli._ARTIFACTS) == ADAPTIVE_FILES | {"manifest.json", "cross_chain.json"}
         out = tmp_path / "run"
         out.mkdir()
         (out / "notes.txt").write_text("not an artifact")
-        assert run_cli(base_args(out, total=1000) + ["--chains", "2", "--dump-returns"]) == 0
+        assert run_cli(base_args(out, total=1000) + ["--chains", "2"]) == 0
         (out / "chain_01" / "notes.txt").write_text("not an artifact")
         for sampler in ("adaptive", "metropolis"):
             assert run_cli(base_args(out, sampler=sampler, total=1000)) == 0
@@ -280,11 +278,9 @@ class TestRun:
         assert (tmp_path / "chain.csv").read_bytes() == want.encode()
         assert want.splitlines()[7:9] == ["-0,0.25,1e-300,1", "0,0.25,1e-300,1"]
 
-    def test_freeze_after(self, tmp_path):
-        out = tmp_path / "frozen"
-        assert run_cli(base_args(out) + ["--freeze-after", "2"]) == 0
-        history = json.loads((out / "proposal_history.json").read_text())
-        assert len(history) == 2
+
+#: compare's refusal of a run file that does not parse or lacks a key.
+UNREADABLE = "{path} is not a run file compare can read"
 
 
 class TestCompare:
@@ -294,6 +290,14 @@ class TestCompare:
         assert run_cli(base_args(out_a, sampler="adaptive")) == 0
         assert run_cli(base_args(out_m, sampler="metropolis")) == 0
         return out_a, out_m
+
+    @pytest.fixture()
+    def run_and_copy(self, tmp_path):
+        """A completed run and a copy of it to edit."""
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(base_args(out_a, total=1000)) == 0
+        shutil.copytree(out_a, out_b)
+        return out_a, out_b
 
     def test_self_comparison_has_unit_ratios(self, tmp_path):
         out = tmp_path / "run"
@@ -323,6 +327,14 @@ class TestCompare:
         text = cli.compare_runs(*dirs)
         assert text.count("(no plateau; lower bound)") == 6
         assert "1.37e+03 +/- 90" in text
+
+    def test_zero_two_tau_int_gives_nan_ratio(self, run_and_copy):
+        out_a, out_b = run_and_copy
+        report = json.loads((out_a / "report.json").read_text())
+        report["params"]["alpha"]["two_tau_int"] = 0.0
+        (out_a / "report.json").write_text(json.dumps(report))
+        ratio_line = cli.compare_runs(out_a, out_b).splitlines()[-1]
+        assert ratio_line.split()[-3:] == ["nan", "1", "1"]
 
     def test_multi_chain_run_refused(self, tmp_path, capsys):
         single, multi = tmp_path / "single", tmp_path / "multi"
@@ -356,6 +368,28 @@ class TestCompare:
         assert run_cli(["compare", str(outs[1]), str(outs[2])]) == 1
         assert capsys.readouterr().err.startswith("error: runs differ in --sigma1 (1.0 vs 2)")
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("manifest.json", lambda text: text[:len(text) // 2], UNREADABLE),
+        ("manifest.json", lambda text: text.replace('"data_fingerprint"', '"fingerprint"'),
+         UNREADABLE),
+        ("report.json", lambda text: text.replace('"two_tau_int"', '"tau"'), UNREADABLE),
+        ("manifest.json", lambda text: text.replace('"sigma1": "var"', '"sigma1": "abc"'),
+         "runs differ in --sigma1 (var vs abc)"),
+    ], ids=["truncated-manifest", "manifest-missing-key", "report-missing-key", "bad-setting"])
+    def test_malformed_run_file_refused(self, run_and_copy, capsys, name, edit, message):
+        # Run files come from outside the program: a bad one is refused by
+        # name, with exit code 1 and no traceback.
+        out_a, out_b = run_and_copy
+        path = out_b / name
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_text(edit(text))
+        capsys.readouterr()
+        assert run_cli(["compare", str(out_a), str(out_b)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path)), err
+        assert len(err.splitlines()) == 1
+
     def test_mismatched_data_refused(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run_cli(base_args(out_a, seed=11)) == 0
@@ -363,16 +397,23 @@ class TestCompare:
         assert run_cli(["compare", str(out_a), str(out_b)]) == 1
 
 
-#: SHA-256 of chain.csv and report.json of the ``--total 2000 --seed 1`` run
-#: of each sampler.
+#: SHA-256 of chain.csv, report.json, acceptance_trace.csv and (adaptive
+#: only) proposal_history.json of the ``--total 2000 --seed 1`` run of each
+#: sampler.
 PINNED_SHA256 = {
     "adaptive": {
         "chain.csv": "e7aed5c5584b6bdc482ff6324a6b7275df597b6b356e576f416cf8426f127fa5",
         "report.json": "99c5234c7dcfeab6eb29328853a7c6144b669b3aaacc0872434054bc12c94427",
+        "acceptance_trace.csv":
+            "bc11b080e07e66ef0e1ee9809d4fed9882e691d5df184a311a184763299a8a9f",
+        "proposal_history.json":
+            "c1b39b401d9407179a6957f47dfad7ef47387e8df5cbbf25f91b223880f6a6ab",
     },
     "metropolis": {
         "chain.csv": "b4c910ff37d63f61dfb3e14ba487ee6f9fbcf5c7bff48d581fbaaede7d144c86",
         "report.json": "873d42d873e6b85f6a1216c33ad7aceaf105fec563b8bcadf6a026f7780c0376",
+        "acceptance_trace.csv":
+            "daafc9370e2696f27a743566d718879d8f306380c22159ab6dbd782cd1d4a89f",
     },
 }
 
@@ -405,7 +446,7 @@ def test_run_flags_map_onto_config(monkeypatch):
     want = cli.RunConfig(
         csv="prices.csv", alpha=0.05, beta=0.9, omega=0.02, n=500, sampler="metropolis",
         burn_in=10, pilot=20, refit_interval=30, total=40, nu=7.0, seed=8, sigma1="0.5",
-        window_factor=6.0, out="elsewhere", chains=3, freeze_after=2, dump_returns=True,
+        window_factor=6.0, out="elsewhere", chains=3,
     )
     default = cli.RunConfig()
     argv = ["run"]

@@ -130,15 +130,3 @@ class TestGenerateSynthetic:
             warnings.simplefilter("error")
             with pytest.raises(DataValidationError, match="overflows float64"):
                 data.generate_synthetic((0.01, 0.98, 1.7e308), 5, seed)
-
-def test_write_returns_round_trip(tmp_path):
-    # returns.csv (--dump-returns) is written by the CLI's CSV writer with
-    # this header and format; it must read back to the same series.
-    from garchmc import cli
-
-    y = np.array([0.5, -0.25, 1.125])
-    path = tmp_path / "returns.csv"
-    cli._write_csv(path, "return", "%.17g\n", y)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "return"
-    np.testing.assert_allclose([float(v) for v in lines[1:]], y)

@@ -149,6 +149,19 @@ class TestSummarize:
         for key in ("two_tau_int", "two_tau_int_err", "two_tau_int_err_jk"):
             assert math.isnan(entry[key]), key
 
+    def test_anticorrelated_column_reports_nan_stat_error(self):
+        rng = np.random.default_rng(20)
+        draws = rng.standard_normal((2000, 3))
+        draws[:, 2] = np.tile([1.0, -1.0], 1000) + 0.01 * rng.standard_normal(2000)
+        rep = summarize_all_accepted(draws)
+        entry = rep["params"]["omega"]
+        tau, t_star, _, plateau = diagnostics.tau_int(diagnostics.bounded_acf(draws[:, 2]), 2000)
+        assert tau < 0.0
+        assert entry["two_tau_int"] == 2.0 * tau
+        assert (entry["t_star"], entry["plateau_found"]) == (t_star, plateau)
+        assert math.isnan(entry["stat_error"])
+        assert "nan" in diagnostics.report_text(rep, "anticorrelated")
+
 
 def leave_one_block_out_taus(x):
     """tau_int of x with each of 10 contiguous blocks removed in turn, and

@@ -75,6 +75,19 @@ class TestFit:
         prop = proposal.fit(acc, 10.0)
         np.testing.assert_allclose(prop.chol @ prop.chol.T, prop.sigma, atol=1e-10)
 
+    def test_singular_scale_factors_after_jitter(self):
+        # Positive semidefinite but singular: the plain factorization fails,
+        # and the first jitter of 1e-10 * trace / p makes it factor.
+        sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+        chol = proposal._cholesky_with_jitter(sigma)
+        assert np.all(np.isfinite(chol))
+        assert np.array_equal(chol, np.tril(chol))
+        jitter = 1e-10 * np.trace(sigma) / 2
+        np.testing.assert_allclose(chol @ chol.T, sigma, rtol=0,
+                                   atol=jitter + 4 * np.finfo(float).eps)
+
 
 class TestSample:
     def test_moments(self):

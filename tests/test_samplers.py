@@ -274,13 +274,6 @@ class TestRunAdaptive:
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.accepted, b.accepted)
 
-    def test_freeze_after_stops_refits(self):
-        y = small_series()
-        sched = samplers.AdaptiveSchedule(burn_in=200, pilot=100, refit_interval=200, total=1000)
-        res = samplers.run_adaptive(y, sched, seed=4, freeze_after=2)
-        assert len(res.history) == 2
-        assert res.trace.shape == (5,)
-
     def test_partial_final_batch(self):
         y = small_series()
         sched = samplers.AdaptiveSchedule(burn_in=200, pilot=100, refit_interval=400, total=900)
