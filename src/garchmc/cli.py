@@ -24,12 +24,6 @@ from .rng import chain_seed
 _SAMPLERS = ("adaptive", "metropolis")
 
 
-def _parse_sigma1(sigma1):
-    """The samplers' sigma1_sq for a ``--sigma1`` string: None for "var",
-    otherwise the number as a float; raises ValueError on any other string."""
-    return None if sigma1 == "var" else float(sigma1)
-
-
 @dataclass
 class RunConfig:
     """Settings of one ``garchmc run``.
@@ -51,8 +45,6 @@ class RunConfig:
     total: int = samplers.AdaptiveSchedule.total
     nu: float = proposal.DEFAULT_NU
     seed: int = 12345
-    sigma1: str = field(default="var", metadata={"help": "'var' or an explicit positive value"})
-    window_factor: float = diagnostics.DEFAULT_WINDOW_FACTOR
     out: str = "garchmc_out"
     chains: int = 1
 
@@ -66,17 +58,8 @@ class RunConfig:
             raise GarchMCError(f"--seed must be non-negative, got {self.seed}")
         if self.chains <= 0:
             raise GarchMCError(f"--chains must be positive, got {self.chains}")
-        # (flag, value, exclusive lower bound): each must also be finite.
-        bounded = [("--nu", self.nu, 2.0), ("--window-factor", self.window_factor, 0.0)]
-        try:
-            sigma1_sq = _parse_sigma1(self.sigma1)
-        except ValueError:
-            raise GarchMCError(f"--sigma1 must be 'var' or a number, got {self.sigma1!r}") from None
-        if sigma1_sq is not None:
-            bounded.append(("--sigma1", sigma1_sq, 0.0))
-        for flag, value, low in bounded:
-            if not low < value < math.inf:
-                raise GarchMCError(f"{flag} must be finite and above {low:g}, got {value}")
+        if not 2.0 < self.nu < math.inf:
+            raise GarchMCError(f"--nu must be finite and above 2, got {self.nu}")
         try:
             sched = samplers.AdaptiveSchedule(self.burn_in, self.pilot, self.refit_interval, self.total)
         except ValueError as exc:
@@ -161,11 +144,13 @@ _ARTIFACTS = ("manifest.json", "cross_chain.json", *_CHAIN_ARTIFACTS, *_ADAPTIVE
 
 def _remove_stale_artifacts(out, config):
     """Remove the manifest, then every artifact an earlier run left in
-    ``out`` or its chain_NN/ that a run of ``config`` will not write, then
-    each chain_NN/ that this leaves empty.
+    ``out`` or its chain_NN/ that a run of ``config`` will not write and
+    every artifact's ``<name>.part``, then each chain_NN/ that this leaves
+    empty.
 
-    Files the run will write are left for ``_write_atomic`` to replace, and
-    no other file is touched.
+    A ``.part`` left behind is a killed run's: the caller holds the lock, so
+    no live writer owns it. Files the run will write are left for
+    ``_write_atomic`` to replace, and no other file is touched.
     """
     own = set(_CHAIN_ARTIFACTS)
     if config.sampler == "adaptive":
@@ -178,6 +163,7 @@ def _remove_stale_artifacts(out, config):
                   if d.name.removeprefix("chain_").isdigit() and d.is_dir()]
     for d in (out, *chain_dirs):
         for name in _ARTIFACTS:
+            (d / f"{name}.part").unlink(missing_ok=True)
             if (d / name).relative_to(out).as_posix() not in own:
                 (d / name).unlink(missing_ok=True)
     for d in chain_dirs:
@@ -188,14 +174,13 @@ def _remove_stale_artifacts(out, config):
 def _run_one_chain(config, sched, y, seed, out):
     """Run a single chain and write all artifacts into ``out``."""
     out.mkdir(parents=True, exist_ok=True)
-    sigma1_sq = _parse_sigma1(config.sigma1)
     if config.sampler == "adaptive":
-        res = samplers.run_adaptive(y, sched, nu=config.nu, seed=seed, sigma1_sq=sigma1_sq)
+        res = samplers.run_adaptive(y, sched, nu=config.nu, seed=seed)
         _write_json(out / "proposal_history.json", [p.to_dict() for p in res.history])
     else:
-        res = samplers.run_metropolis(y, sched, seed=seed, sigma1_sq=sigma1_sq)
+        res = samplers.run_metropolis(y, sched, seed=seed)
 
-    report = diagnostics.summarize(res.draws, res.accepted, config.window_factor)
+    report = diagnostics.summarize(res.draws, res.accepted)
     _write_atomic(out / "chain.csv", _chain_csv_lines(res.draws, res.accepted))
     trace_rows = ("%d,%.17g\n" % row for row in enumerate(res.trace.tolist()))
     _write_atomic(out / "acceptance_trace.csv",
@@ -258,12 +243,6 @@ def run(config):
     return 0
 
 
-#: Settings that change the posterior (sigma1) or how its errors are
-#: estimated (window_factor), each with the parser of its manifest value:
-#: runs whose parsed values differ in one are not compared.
-_COMPARED_SETTINGS = {"sigma1": _parse_sigma1, "window_factor": float}
-
-
 @contextlib.contextmanager
 def _refused_if_malformed(path):
     """Refuse the comparison, naming ``path``, when what the block reads of
@@ -277,13 +256,11 @@ def _refused_if_malformed(path):
 
 
 def compare_runs(dir_a, dir_b):
-    """Two-block comparison of completed single-chain runs on identical data
-    with the same _COMPARED_SETTINGS.
+    """Two-block comparison of completed single-chain runs on identical data.
 
     Returns the formatted text; refuses a ``--chains`` run, a manifest.json
-    or report.json that is not valid JSON or lacks what the text shows,
-    mismatched data fingerprints and a setting that differs, which it names
-    by its flag.
+    or report.json that is not valid JSON or lacks what the text shows, and
+    mismatched data fingerprints.
     """
     runs = []
     for d in map(Path, (dir_a, dir_b)):
@@ -301,20 +278,10 @@ def compare_runs(dir_a, dir_b):
             report = json.loads(path.read_text(encoding="utf-8"))
             text = diagnostics.report_text(report, title)
             two_tau = [report["params"][n]["two_tau_int"] for n in diagnostics.PARAM_NAMES]
-        runs.append((config, fingerprint, text, two_tau))
-    configs, fingerprints, texts, two_taus = zip(*runs)
+        runs.append((fingerprint, text, two_tau))
+    fingerprints, texts, two_taus = zip(*runs)
     if fingerprints[0] != fingerprints[1]:
         raise ComparisonRefusedError("runs were made on different data; comparison refused")
-    for name, parse in _COMPARED_SETTINGS.items():
-        a, b = (config.get(name) for config in configs)
-        try:
-            same = a == b or parse(a) == parse(b)
-        except (TypeError, ValueError):  # a value no run writes
-            same = False
-        if not same:
-            flag = "--" + name.replace("_", "-")
-            raise ComparisonRefusedError(f"runs differ in {flag} ({a} vs {b}); "
-                                         "comparison refused")
 
     lines = [texts[0], "", texts[1], ""]
     ratios = [f"{b / a if a else math.nan:.3g}" for a, b in zip(*two_taus)]

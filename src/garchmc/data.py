@@ -22,8 +22,9 @@ def load_prices(path):
 
     A header row is auto-detected by attempting to parse the second field of
     the first row as a number. A file that is not UTF-8 is a hard error
-    naming the offset of its first bad byte; a row of other than two fields,
-    an unparsable price and a price that is not finite and positive are hard
+    naming the offset of its first bad byte; a row csv cannot read (such as
+    one with a field over its size limit), a row of other than two fields, an
+    unparsable price and a price that is not finite and positive are hard
     errors naming their row.
     """
     try:
@@ -31,12 +32,16 @@ def load_prices(path):
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path}: byte offset {exc.start} is not UTF-8: {exc.reason}") from None
     rows = []
-    for i, row in enumerate(csv.reader(io.StringIO(text, newline=""))):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataValidationError(f"{path}: row {i + 1} has {len(row)} fields, not 2")
-        rows.append((i + 1, row[1].strip()))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for i, row in enumerate(reader):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataValidationError(f"{path}: row {i + 1} has {len(row)} fields, not 2")
+            rows.append((i + 1, row[1].strip()))
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise DataValidationError(f"{path}: row {reader.line_num}: {exc}") from None
     if rows:
         try:
             float(rows[0][1])

@@ -2,7 +2,8 @@
 per-parameter summary report that a run writes as ``report.json``.
 
 tau_int(T) = 1/2 + sum_{i<=T} ACF(i); the reported value is read at the
-self-consistent window T* = smallest T with T >= c*tau_int(T).
+self-consistent window T* = smallest T with T >= c*tau_int(T), where c is
+WINDOW_FACTOR.
 """
 import math
 
@@ -12,7 +13,7 @@ from .exceptions import DegenerateSeriesError
 
 #: Hard cap on the lag bound used by summarize().
 LAG_CAP = 10000
-DEFAULT_WINDOW_FACTOR = 5.0
+WINDOW_FACTOR = 5.0
 JACKKNIFE_BLOCKS = 10
 #: Fewest draws summarize() accepts.
 MIN_DRAWS = 1000
@@ -56,7 +57,7 @@ def acf(x, t_max):
     return acov / var
 
 
-def tau_int(rho, n, window_factor=DEFAULT_WINDOW_FACTOR):
+def tau_int(rho, n):
     """Integrated autocorrelation time read at the self-consistent window,
     from ``rho`` = ACF(0..t_max) of a series of length n.
 
@@ -66,7 +67,7 @@ def tau_int(rho, n, window_factor=DEFAULT_WINDOW_FACTOR):
     lower bound.
     """
     partial = 0.5 + np.cumsum(rho[1:])  # tau_int(T) for T = 1..t_max
-    ok = np.nonzero(np.arange(1, rho.size) >= window_factor * partial)[0]
+    ok = np.nonzero(np.arange(1, rho.size) >= WINDOW_FACTOR * partial)[0]
     plateau = ok.size > 0
     i = int(ok[0]) if plateau else partial.size - 1
     t_star = i + 1
@@ -93,14 +94,14 @@ def bounded_acf(x):
     return rho[: t_hi + 1]
 
 
-def _jackknife_tau_err(x, window_factor):
+def _jackknife_tau_err(x):
     """Blocked jackknife error of tau_int over 10 contiguous segments."""
     edges = np.linspace(0, x.size, JACKKNIFE_BLOCKS + 1, dtype=int)
     estimates = []
     for i in range(JACKKNIFE_BLOCKS):
         sub = np.concatenate([x[: edges[i]], x[edges[i + 1]:]])
         try:
-            t, _, _, plateau = tau_int(bounded_acf(sub), sub.size, window_factor)
+            t, _, _, plateau = tau_int(bounded_acf(sub), sub.size)
         except DegenerateSeriesError:
             return float("nan")
         if not plateau:
@@ -111,7 +112,7 @@ def _jackknife_tau_err(x, window_factor):
     return float(np.sqrt((m - 1.0) / m * np.sum((estimates - estimates.mean()) ** 2)))
 
 
-def summarize(draws, accepted, window_factor=DEFAULT_WINDOW_FACTOR):
+def summarize(draws, accepted):
     """The ``report.json`` dict of a chain of (k, p) draws with their (k,)
     accept flags: acceptance, draw count and, per parameter, mean, stddev,
     stat error (NaN where 2tau_int is negative) and 2tau_int with its
@@ -129,11 +130,11 @@ def summarize(draws, accepted, window_factor=DEFAULT_WINDOW_FACTOR):
             tau = err = err_jk = float("nan")
             t_star, plateau, stat_error = 0, False, 0.0
         else:
-            tau, t_star, err, plateau = tau_int(rho, k, window_factor)
+            tau, t_star, err, plateau = tau_int(rho, k)
             # An anticorrelated series can read a negative tau_int, which
             # gives no error estimate.
             stat_error = std * math.sqrt(2.0 * tau / k) if tau >= 0.0 else float("nan")
-            err_jk = _jackknife_tau_err(x, window_factor)
+            err_jk = _jackknife_tau_err(x)
         params[name] = {
             "mean": float(x.mean()), "stddev": std, "stat_error": stat_error,
             "two_tau_int": 2.0 * tau, "two_tau_int_err": 2.0 * err,

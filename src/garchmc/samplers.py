@@ -182,18 +182,18 @@ class RunResult:
     history: list
 
 
-def _data(y, sigma1_sq):
-    """Contiguous float64 returns and sigma1_sq, defaulting to their variance.
+def _data(y):
+    """Contiguous float64 returns and their variance, the sigma1_sq the
+    volatility recursion starts from.
 
     Returns without a positive variance (flat prices, a single return) leave
-    the GARCH scale unidentified and the default sigma1_sq zero, so they are
-    refused.
+    the GARCH scale unidentified and sigma1_sq zero, so they are refused.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     var = float(np.var(y))
     if not var > 0.0:
         raise DataValidationError(f"returns need a positive variance, got {var} over {y.size} values")
-    return y, var if sigma1_sq is None else sigma1_sq
+    return y, var
 
 
 def _run(y, sigma1_sq, sched, seed, step):
@@ -224,16 +224,16 @@ def _run(y, sigma1_sq, sched, seed, step):
     return draws, accepted, trace
 
 
-def run_metropolis(y, sched, seed=0, sigma1_sq=None):
+def run_metropolis(y, sched, seed=0):
     """Tuned random-walk Metropolis run: burn-in discarded, total retained.
 
     Returns a RunResult with one trace entry per refit_interval-sized batch
     of retained draws and an empty proposal history.
     """
-    return RunResult(*_run(*_data(y, sigma1_sq), sched, seed, _rw_chain), [])
+    return RunResult(*_run(*_data(y), sched, seed, _rw_chain), [])
 
 
-def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0, sigma1_sq=None):
+def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0):
     """Adaptive scheme: tuned Metropolis pilot, then independence MH with the
     Student-t proposal re-fitted every refit_interval draws from all retained
     post-burn-in draws (pilot included).
@@ -241,7 +241,7 @@ def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0, sigma1_sq=None):
     Returns a RunResult of sched.total independence-MH draws whose history
     holds one fitted proposal per refit.
     """
-    y, sigma1_sq = _data(y, sigma1_sq)
+    y, sigma1_sq = _data(y)
     score = model.make_batch_log_posterior(y, sigma1_sq)
     history = []
     acc = proposal.SampleAccumulator()

@@ -192,7 +192,8 @@ def test_likelihood_oracle():
 @pytest.fixture(scope="session")
 def quadrature():
     """Posterior mean, sd and covariance of the runs' data by quadrature."""
-    # The runs' data: the synthetic series and cli's default sigma1_sq.
+    # The runs' data: the synthetic series and the sigma1_sq the samplers
+    # start from, its variance.
     y = data.generate_synthetic(TRUTH, 2000, SEED)
     return posterior_moments(y, float(np.var(y)), TRUTH)
 

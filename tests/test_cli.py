@@ -27,11 +27,10 @@ def run_cli(args):
     return cli.main(args)
 
 
-def run_subprocess(args):
-    """``python -m garchmc.cli`` on this tree's src/, capturing its output."""
+def run_python(code):
+    """``python -c code`` on this tree's src/, capturing its output."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-m", "garchmc.cli", *args], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
 def fixed_report():
@@ -109,22 +108,26 @@ class TestRun:
         args = ["run", "--csv", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]
         assert run_cli(args) == 1
 
-    def test_sigma1_override(self, tmp_path):
-        out = tmp_path / "run"
-        assert run_cli(base_args(out) + ["--sigma1", "0.25"]) == 0
-        assert run_cli(base_args(tmp_path / "bad") + ["--sigma1", "-1"]) == 1
-
     @pytest.mark.parametrize("flag", [
         ["--nu", "2"], ["--nu", "0"], ["--nu", "-3"],
-        ["--window-factor", "0"], ["--window-factor", "-1"],
         ["--refit-interval", "4000"], ["--pilot", "0"], ["--chains", "0"],
-        ["--nu", "inf"], ["--window-factor", "inf"], ["--sigma1", "nan"], ["--sigma1", "inf"],
-        ["--sigma1", "abc"], ["--total", "500"], ["--seed", "-1"],
+        ["--nu", "inf"], ["--total", "500"], ["--seed", "-1"],
     ])
     def test_out_of_range_flag_exits_one(self, tmp_path, capsys, flag):
         assert run_cli(base_args(tmp_path / "bad") + flag) == 1
         assert capsys.readouterr().err.startswith("error: " + flag[0])
         assert not (tmp_path / "bad" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--sigma1", "1"], ["--window-factor", "5"]],
+                             ids=["sigma1", "window-factor"])
+    def test_retired_flag_is_unknown(self, tmp_path, capsys, flag):
+        # The recursion starts from the returns' variance and the window
+        # factor is diagnostics.WINDOW_FACTOR: neither is a setting.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--synthetic", "--out", str(tmp_path / "run"), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag, message", [
         (["--n", "0"], "synthetic n must be positive"),
@@ -142,9 +145,21 @@ class TestRun:
 
     @pytest.mark.parametrize("extra", [[], ["--chains", "2"]], ids=["one-chain", "chains-2"])
     def test_overflow_exits_one_without_warning(self, tmp_path, extra):
+        # The real kernels, called with sigma1_sq = 1e-320, so y_0^2 / sigma1_sq
+        # overflows; the fork-started --chains pool inherits the stand-in.
         out = tmp_path / "run"
-        proc = run_subprocess(["run", "--synthetic", "--n", "200", "--total", "2000",
-                               "--sigma1", "1e-320", "--out", str(out), *extra])
+        args = ["run", "--synthetic", "--n", "200", "--total", "2000", "--out", str(out), *extra]
+        code = (
+            "import sys, types\n"
+            "from garchmc import cli, model\n"
+            "real = model.kernels\n"
+            "model.kernels = types.SimpleNamespace(\n"
+            "    Workspace=real.Workspace,\n"
+            "    log_likelihood=lambda series, a, b, w, s: real.log_likelihood(series, a, b, w, 1e-320),\n"
+            "    log_likelihood_batch=lambda y, thetas, s: real.log_likelihood_batch(y, thetas, 1e-320))\n"
+            f"sys.exit(cli.main({args!r}))\n"
+        )
+        proc = run_python(code)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: non-finite GARCH log-likelihood"]
         assert not (out / "manifest.json").exists()
@@ -193,6 +208,17 @@ class TestRun:
         assert files == CHAIN_FILES | {"manifest.json", "notes.txt", "chain_01/notes.txt"}
         assert not (out / "chain_00").exists()
         assert (out / "notes.txt").read_text() == "not an artifact"
+
+    def test_rerun_removes_killed_runs_part_files(self, tmp_path):
+        # A SIGKILL skips _write_atomic's cleanup and leaves its <name>.part.
+        out = tmp_path / "run"
+        assert run_cli(base_args(out, total=1000) + ["--chains", "2"]) == 0
+        (out / "chain_01" / "chain.csv.part").write_text("half a chain")
+        (out / "proposal_history.json.part").write_text("[")
+        assert run_cli(base_args(out, sampler="metropolis", total=1000)) == 0
+        files = {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()}
+        assert files == CHAIN_FILES | {"manifest.json"}
+        assert not (out / "chain_01").exists()
 
     @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
                                      KeyboardInterrupt()], ids=["oserror", "interrupt"])
@@ -345,38 +371,12 @@ class TestCompare:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {multi} holds a --chains 2 run"), err
 
-    @pytest.mark.parametrize("flag,value", [("--sigma1", "50"), ("--window-factor", "1")])
-    def test_different_posterior_or_estimator_refused(self, tmp_path, capsys, flag, value):
-        # Same data; one setting changes the posterior (--sigma1) or the
-        # error estimator (--window-factor), so the 2tau_int ratios mean nothing.
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert run_cli(base_args(out_a)) == 0
-        assert run_cli(base_args(out_b) + [flag, value]) == 0
-        with pytest.raises(cli.ComparisonRefusedError, match=f"runs differ in {flag}"):
-            cli.compare_runs(out_a, out_b)
-        capsys.readouterr()
-        assert run_cli(["compare", str(out_b), str(out_a)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: runs differ in {flag}")
-
-    def test_equal_sigma1_spelled_differently_compared(self, tmp_path, capsys):
-        outs = [tmp_path / value for value in ("1", "1.0", "2")]
-        for out in outs:
-            assert run_cli(base_args(out, total=1000) + ["--sigma1", out.name]) == 0
-        assert (outs[0] / "chain.csv").read_bytes() == (outs[1] / "chain.csv").read_bytes()
-        assert run_cli(["compare", str(outs[0]), str(outs[1])]) == 0
-        capsys.readouterr()
-        assert run_cli(["compare", str(outs[1]), str(outs[2])]) == 1
-        assert capsys.readouterr().err.startswith("error: runs differ in --sigma1 (1.0 vs 2)")
-
-    @pytest.mark.parametrize("name, edit, message", [
-        ("manifest.json", lambda text: text[:len(text) // 2], UNREADABLE),
-        ("manifest.json", lambda text: text.replace('"data_fingerprint"', '"fingerprint"'),
-         UNREADABLE),
-        ("report.json", lambda text: text.replace('"two_tau_int"', '"tau"'), UNREADABLE),
-        ("manifest.json", lambda text: text.replace('"sigma1": "var"', '"sigma1": "abc"'),
-         "runs differ in --sigma1 (var vs abc)"),
-    ], ids=["truncated-manifest", "manifest-missing-key", "report-missing-key", "bad-setting"])
-    def test_malformed_run_file_refused(self, run_and_copy, capsys, name, edit, message):
+    @pytest.mark.parametrize("name, edit", [
+        ("manifest.json", lambda text: text[:len(text) // 2]),
+        ("manifest.json", lambda text: text.replace('"data_fingerprint"', '"fingerprint"')),
+        ("report.json", lambda text: text.replace('"two_tau_int"', '"tau"')),
+    ], ids=["truncated-manifest", "manifest-missing-key", "report-missing-key"])
+    def test_malformed_run_file_refused(self, run_and_copy, capsys, name, edit):
         # Run files come from outside the program: a bad one is refused by
         # name, with exit code 1 and no traceback.
         out_a, out_b = run_and_copy
@@ -387,7 +387,7 @@ class TestCompare:
         capsys.readouterr()
         assert run_cli(["compare", str(out_a), str(out_b)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: " + message.format(path=path)), err
+        assert err.startswith("error: " + UNREADABLE.format(path=path)), err
         assert len(err.splitlines()) == 1
 
     def test_mismatched_data_refused(self, tmp_path):
@@ -397,13 +397,21 @@ class TestCompare:
         assert run_cli(["compare", str(out_a), str(out_b)]) == 1
 
 
-#: SHA-256 of chain.csv, report.json, acceptance_trace.csv and (adaptive
-#: only) proposal_history.json of the ``--total 2000 --seed 1`` run of each
-#: sampler.
+#: The ``--total 2000 --seed 1`` run behind each set of pins: its sampler
+#: and extra flags.
+PINNED_RUNS = {
+    "adaptive": ("adaptive", []),
+    "metropolis": ("metropolis", []),
+    "chains-2": ("adaptive", ["--chains", "2"]),
+}
+#: SHA-256 of chain.csv, report.json, report.txt, acceptance_trace.csv and
+#: (adaptive only) proposal_history.json of each sampler's run, and of
+#: cross_chain.json of the --chains 2 run.
 PINNED_SHA256 = {
     "adaptive": {
         "chain.csv": "e7aed5c5584b6bdc482ff6324a6b7275df597b6b356e576f416cf8426f127fa5",
         "report.json": "99c5234c7dcfeab6eb29328853a7c6144b669b3aaacc0872434054bc12c94427",
+        "report.txt": "a962e3883f7142e04c50317070f6f1a1e3c6edb94fc33731adfd78ece2ba75a7",
         "acceptance_trace.csv":
             "bc11b080e07e66ef0e1ee9809d4fed9882e691d5df184a311a184763299a8a9f",
         "proposal_history.json":
@@ -412,22 +420,27 @@ PINNED_SHA256 = {
     "metropolis": {
         "chain.csv": "b4c910ff37d63f61dfb3e14ba487ee6f9fbcf5c7bff48d581fbaaede7d144c86",
         "report.json": "873d42d873e6b85f6a1216c33ad7aceaf105fec563b8bcadf6a026f7780c0376",
+        "report.txt": "f8a8b9de44afaae2dc827fd2f9c966c8c469fd18f37bc32c5df452b2823d4d24",
         "acceptance_trace.csv":
             "daafc9370e2696f27a743566d718879d8f306380c22159ab6dbd782cd1d4a89f",
+    },
+    "chains-2": {
+        "cross_chain.json": "3bade6ca17557f697742d15436e2f2ff7eac64db13797c87feb3e675f053d1d7",
     },
 }
 
 
-@pytest.mark.parametrize("sampler", sorted(PINNED_SHA256))
-def test_artifact_bytes_are_pinned(tmp_path, sampler):
+@pytest.mark.parametrize("run", sorted(PINNED_SHA256))
+def test_artifact_bytes_are_pinned(tmp_path, run):
     """A refactor or speed-up must leave a run's artifacts byte for byte as
     they were. A pin moves only together with a CHANGES.md entry that says
     why its bytes moved, as a change of the default nu will."""
-    out = tmp_path / sampler
-    assert run_cli(base_args(out, sampler=sampler, seed=1, total=2000)) == 0
+    sampler, extra = PINNED_RUNS[run]
+    out = tmp_path / run
+    assert run_cli(base_args(out, sampler=sampler, seed=1, total=2000) + extra) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in PINNED_SHA256[sampler]}
-    assert got == PINNED_SHA256[sampler]
+           for name in PINNED_SHA256[run]}
+    assert got == PINNED_SHA256[run]
 
 
 def test_config_requires_one_source():
@@ -445,8 +458,8 @@ def test_run_flags_map_onto_config(monkeypatch):
 
     want = cli.RunConfig(
         csv="prices.csv", alpha=0.05, beta=0.9, omega=0.02, n=500, sampler="metropolis",
-        burn_in=10, pilot=20, refit_interval=30, total=40, nu=7.0, seed=8, sigma1="0.5",
-        window_factor=6.0, out="elsewhere", chains=3,
+        burn_in=10, pilot=20, refit_interval=30, total=40, nu=7.0, seed=8, out="elsewhere",
+        chains=3,
     )
     default = cli.RunConfig()
     argv = ["run"]

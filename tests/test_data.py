@@ -85,6 +85,12 @@ class TestLoadPrices:
         with pytest.raises(DataValidationError, match=r"p\.csv: byte offset 20\b"):
             data.load_prices(f)
 
+    def test_field_over_csv_limit_names_its_row(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("date,price\n" + "d" * 200000 + ",100\nb,101\n")
+        with pytest.raises(DataValidationError, match=r"p\.csv: row 2: field larger than"):
+            data.load_prices(f)
+
     def test_too_few_rows(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("date,price\na,100\n")

@@ -181,7 +181,7 @@ class TestJackknife:
         t = np.array([tau for tau, _ in leave_one_block_out_taus(x)])
         m = t.size
         want = math.sqrt((m - 1) / m * np.sum((t - t.mean()) ** 2))
-        got = diagnostics._jackknife_tau_err(x, diagnostics.DEFAULT_WINDOW_FACTOR)
+        got = diagnostics._jackknife_tau_err(x)
         assert got == want
 
     @pytest.mark.parametrize("phi", [0.5, 0.9])
@@ -192,7 +192,7 @@ class TestJackknife:
         # third of that.
         x = ar1(phi, 100000, seed)
         _, _, err, plateau = diagnostics.tau_int(diagnostics.bounded_acf(x), x.size)
-        jk = diagnostics._jackknife_tau_err(x, diagnostics.DEFAULT_WINDOW_FACTOR)
+        jk = diagnostics._jackknife_tau_err(x)
         assert plateau
         assert 0.5 <= jk / err <= 2.0
 
@@ -200,7 +200,7 @@ class TestJackknife:
         x = ar1(0.98, 3000, seed=1)
         assert diagnostics.tau_int(diagnostics.bounded_acf(x), x.size)[3]
         assert not all(plateau for _, plateau in leave_one_block_out_taus(x))
-        assert math.isnan(diagnostics._jackknife_tau_err(x, diagnostics.DEFAULT_WINDOW_FACTOR))
+        assert math.isnan(diagnostics._jackknife_tau_err(x))
 
 
 def test_default_lag_bound_caps():

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -305,12 +306,20 @@ class TestRunMetropolis:
             run(np.zeros(10), sched)
 
     @pytest.mark.parametrize("run", [samplers.run_metropolis, samplers.run_adaptive])
-    def test_overflow_is_typed_error_without_warnings(self, run):
+    def test_overflow_is_typed_error_without_warnings(self, run, monkeypatch):
+        # The real kernels, called with sigma1_sq = 1e-320, so y_0^2 / sigma1_sq
+        # overflows.
+        real = model.kernels
+        monkeypatch.setattr(model, "kernels", types.SimpleNamespace(
+            Workspace=real.Workspace,
+            log_likelihood=lambda series, a, b, w, s: real.log_likelihood(series, a, b, w, 1e-320),
+            log_likelihood_batch=lambda y, thetas, s: real.log_likelihood_batch(y, thetas, 1e-320),
+        ))
         sched = samplers.AdaptiveSchedule(burn_in=10, pilot=10, refit_interval=10, total=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflowError):
-                run(np.array([1.0, -1.0, 1.0]), sched, sigma1_sq=1e-320)
+                run(np.array([1.0, -1.0, 1.0]), sched)
 
 
 class TestCrossSamplerAgreement:
