@@ -6,13 +6,15 @@ in y's place, as the posterior closure calls it. Every figure is per
 candidate (one parameter set): a scalar call scores one. Where no C compiler
 is found, the compiled columns read "-".
 
-Two per-draw layers follow, neither of which calls a kernel:
+Three layers follow, none of which calls a kernel:
 - the independence-MH accept loop, in ns per draw: ``_independence_batch``
   on BATCH_K candidates whose proposal densities and posterior scores are
   computed before the clock starts, so only the accept loop and the gather
   of the draws are timed;
 - chain.csv formatting, in ns per row: the text of CHAIN_ROWS rows at
-  acceptance CHAIN_ACCEPT, built and discarded without writing a file.
+  acceptance CHAIN_ACCEPT, built and discarded without writing a file;
+- ``diagnostics.summarize``, in ms per call: the report of a chain of
+  SUMMARIZE_DRAWS draws whose three columns are AR(1) series.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
@@ -24,7 +26,7 @@ import time
 
 import numpy as np
 
-from garchmc import _kernels_py, backend, cli, data, samplers
+from garchmc import _kernels_py, backend, cli, data, diagnostics, samplers
 
 THETA = (0.05, 0.90, 0.01)
 BATCHES = 7
@@ -33,6 +35,11 @@ BATCH_K = 1000
 #: Rows and acceptance of the chain whose chain.csv text is timed.
 CHAIN_ROWS = 20000
 CHAIN_ACCEPT = 0.4
+#: Chain lengths whose summarize is timed, and the AR(1) coefficient of their
+#: columns: 2tau_int = (1 + phi) / (1 - phi) = 4, near the adaptive sampler's
+#: on the default protocol, so that every jackknife sub-series finds a plateau.
+SUMMARIZE_DRAWS = (30000, 60000)
+SUMMARIZE_PHI = 0.6
 
 
 def time_call(fn, args, batch_s=0.1):
@@ -79,8 +86,19 @@ class FixedProposal:
         return self.log_g_cands if np.ndim(theta) == 2 else 0.0
 
 
+def ar1_draws(rng, k):
+    """(k, 3) draws whose columns are AR(1) series with coefficient
+    SUMMARIZE_PHI."""
+    eps = rng.standard_normal((k, 3))
+    draws = np.empty((k, 3))
+    draws[0] = eps[0]
+    for i in range(1, k):
+        draws[i] = SUMMARIZE_PHI * draws[i - 1] + eps[i]
+    return draws
+
+
 def layer_rows():
-    """(name, unit, seconds per draw or row) of the per-draw layers."""
+    """(name, unit, time in that unit) of the layers that call no kernel."""
     rng = np.random.default_rng(1)
     cands = np.tile(THETA, (BATCH_K, 1)) + 1e-3 * rng.standard_normal((BATCH_K, 3))
     log_g_cands = rng.standard_normal(BATCH_K)
@@ -97,9 +115,13 @@ def layer_rows():
     # A rejected step repeats the row before it.
     draws = fresh[np.maximum.accumulate(np.where(accepted, np.arange(CHAIN_ROWS), 0))]
     formatting = time_call(lambda: sum(map(len, cli._chain_csv_lines(draws, accepted))), ())
+    summarize = [(k, time_call(diagnostics.summarize, (ar1_draws(rng, k), np.ones(k, bool))))
+                 for k in SUMMARIZE_DRAWS]
     return [
-        (f"independence accept loop, k={BATCH_K}", "ns/draw", accept_loop / BATCH_K),
-        (f"chain.csv formatting, acceptance {CHAIN_ACCEPT}", "ns/row", formatting / CHAIN_ROWS),
+        (f"independence accept loop, k={BATCH_K}", "ns/draw", accept_loop / BATCH_K * 1e9),
+        (f"chain.csv formatting, acceptance {CHAIN_ACCEPT}", "ns/row",
+         formatting / CHAIN_ROWS * 1e9),
+        *((f"summarize, {k} AR(1) draws", "ms/call", t * 1e3) for k, t in summarize),
     ]
 
 
@@ -124,7 +146,7 @@ def main():
     print()
     print(f"{'layer':>42} {'time':>8}")
     for name, unit, t in layer_rows():
-        print(f"{name:>42} {t * 1e9:8.0f} {unit}")
+        print(f"{name:>42} {t:8.1f} {unit}")
 
 
 if __name__ == "__main__":

@@ -131,8 +131,21 @@ def _chain_csv_lines(draws, accepted):
                        for r, a in zip(runs, accepted[rows].tolist())])
 
 
+def _finite_or_null(obj):
+    """``obj`` with every NaN or infinite float replaced by None, which JSON
+    writes as ``null``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(path, obj):
-    _write_atomic(path, [json.dumps(obj, indent=1)])
+    """Write ``obj`` as strict JSON (RFC 8259): NaN and +-inf become null."""
+    _write_atomic(path, [json.dumps(_finite_or_null(obj), indent=1, allow_nan=False)])
 
 
 #: Files every chain writes, and those only an adaptive chain writes.
@@ -275,7 +288,9 @@ def compare_runs(dir_a, dir_b):
             title = config["sampler"].capitalize()
         path = d / "report.json"
         with _refused_if_malformed(path):
-            report = json.loads(path.read_text(encoding="utf-8"))
+            # A statistic written as null was NaN or infinite: show it as nan.
+            report = json.loads(path.read_text(encoding="utf-8"), object_hook=lambda obj: {
+                k: math.nan if v is None else v for k, v in obj.items()})
             text = diagnostics.report_text(report, title)
             two_tau = [report["params"][n]["two_tau_int"] for n in diagnostics.PARAM_NAMES]
         runs.append((fingerprint, text, two_tau))

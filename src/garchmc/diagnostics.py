@@ -35,11 +35,23 @@ def _next_fast_len(target):
         n += 1
 
 
+def _top_lag(n):
+    """The lag bound bounded_acf starts from for a series of length n."""
+    return min(n // 10, LAG_CAP)
+
+
 def acf(x, t_max):
     """Autocorrelation function up to lag t_max.
 
     Lag-t autocovariances are averaged over the N-t available pairs and
     normalized by the full-series variance, so ACF(0) = 1 exactly.
+
+    The series is zero-padded to the FFT length
+    ``_next_fast_len(N + max(t_max, _top_lag(N)))``. In the
+    circular lag-t sum over L >= N + t points, a term wraps round only where
+    i + t >= L, i.e. i >= N, which is padding; so lags up to t_max are the
+    linear sums. Every t_max up to the default bound gets one FFT length,
+    which depends on N alone.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -47,7 +59,7 @@ def acf(x, t_max):
     if not n > t_max >= 1:
         raise ValueError(f"need series length > t_max >= 1, got N={n}, t_max={t_max}")
     xc = x - x.mean()
-    nfft = _next_fast_len(2 * n)
+    nfft = _next_fast_len(n + max(t_max, _top_lag(n)))
     f = np.fft.rfft(xc, nfft)
     sums = np.fft.irfft(f * np.conj(f), nfft)[: t_max + 1]
     var = sums[0] / n
@@ -80,11 +92,13 @@ def bounded_acf(x):
     """ACF up to the default lag bound min(N/10, 10 * first lag with
     ACF < 0.01), capped at LAG_CAP.
 
-    The FFT length depends only on N, so the prefix of the ACF computed to
-    find the bound is bit-identical to ``acf(x, bound)`` and is returned as is.
+    The ACF that finds the bound is computed to ``_top_lag(N)``, and
+    ``acf`` pads every lag bound up to that to one FFT length, which depends
+    on N alone. So its prefix is bit-identical to ``acf(x, bound)`` and is
+    returned as is.
     """
     n = np.asarray(x).size
-    t_hi = min(n // 10, LAG_CAP)
+    t_hi = _top_lag(n)
     if t_hi < 1:
         raise ValueError("series too short for autocorrelation analysis")
     rho = acf(x, t_hi)

@@ -362,6 +362,20 @@ class TestCompare:
         ratio_line = cli.compare_runs(out_a, out_b).splitlines()[-1]
         assert ratio_line.split()[-3:] == ["nan", "1", "1"]
 
+    def test_null_reads_back_as_nan(self, tmp_path):
+        # report.json writes NaN as null; compare shows it as nan, as it
+        # showed the bare NaN token before.
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(base_args(out_a, sampler="metropolis", seed=1, total=2000)) == 0
+        shutil.copytree(out_a, out_b)
+        report = json.loads((out_b / "report.json").read_text())
+        report["params"]["alpha"].update(stat_error=None, two_tau_int=None)
+        (out_b / "report.json").write_text(json.dumps(report))
+        text = cli.compare_runs(out_a, out_b)
+        stat_rows = [l for l in text.splitlines() if l.startswith("statistical error")]
+        assert stat_rows[0].split()[2] != "nan" and stat_rows[1].split()[2] == "nan"
+        assert text.splitlines()[-1].split()[-3:] == ["nan", "1", "1"]
+
     def test_multi_chain_run_refused(self, tmp_path, capsys):
         single, multi = tmp_path / "single", tmp_path / "multi"
         assert run_cli(base_args(single, total=1000)) == 0
@@ -397,6 +411,25 @@ class TestCompare:
         assert run_cli(["compare", str(out_a), str(out_b)]) == 1
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("sampler, extra", [("metropolis", []), ("adaptive", ["--chains", "2"])],
+                         ids=["metropolis", "chains-2"])
+def test_json_artifacts_are_strict_json(tmp_path, sampler, extra):
+    """Every JSON file a run writes parses under RFC 8259: a NaN statistic,
+    such as a Metropolis run's jackknife error, is written as null."""
+    out = tmp_path / "run"
+    assert run_cli(base_args(out, sampler=sampler, seed=1, total=2000) + extra) == 0
+    texts = {p.relative_to(out).as_posix(): p.read_text() for p in out.rglob("*.json")}
+    assert len(texts) == (2 if sampler == "metropolis" else 6)
+    for name, text in texts.items():
+        json.loads(text, parse_constant=_refuse_constant)
+    if sampler == "metropolis":
+        assert json.loads(texts["report.json"])["params"]["alpha"]["two_tau_int_err_jk"] is None
+
+
 #: The ``--total 2000 --seed 1`` run behind each set of pins: its sampler
 #: and extra flags.
 PINNED_RUNS = {
@@ -410,7 +443,7 @@ PINNED_RUNS = {
 PINNED_SHA256 = {
     "adaptive": {
         "chain.csv": "e7aed5c5584b6bdc482ff6324a6b7275df597b6b356e576f416cf8426f127fa5",
-        "report.json": "99c5234c7dcfeab6eb29328853a7c6144b669b3aaacc0872434054bc12c94427",
+        "report.json": "b5d1207797dfe88c09affe1c3fd439fdade25c457f2546cd1af943b0dcfc8695",
         "report.txt": "a962e3883f7142e04c50317070f6f1a1e3c6edb94fc33731adfd78ece2ba75a7",
         "acceptance_trace.csv":
             "bc11b080e07e66ef0e1ee9809d4fed9882e691d5df184a311a184763299a8a9f",
@@ -419,7 +452,7 @@ PINNED_SHA256 = {
     },
     "metropolis": {
         "chain.csv": "b4c910ff37d63f61dfb3e14ba487ee6f9fbcf5c7bff48d581fbaaede7d144c86",
-        "report.json": "873d42d873e6b85f6a1216c33ad7aceaf105fec563b8bcadf6a026f7780c0376",
+        "report.json": "b54495da641886d8f28463b1997a2a17d0bd63721e78f5751e68e16511b93127",
         "report.txt": "f8a8b9de44afaae2dc827fd2f9c966c8c469fd18f37bc32c5df452b2823d4d24",
         "acceptance_trace.csv":
             "daafc9370e2696f27a743566d718879d8f306380c22159ab6dbd782cd1d4a89f",

@@ -50,6 +50,17 @@ class TestAcf:
         rho = diagnostics.acf(x, 100)
         np.testing.assert_allclose(rho, acf_oracle(x, 100), atol=1e-10)
 
+    @pytest.mark.parametrize("t_max", [100, 200, 1000], ids=["default-bound", "above", "n-1"])
+    def test_no_wrap_at_any_lag_bound(self, t_max):
+        # N = 1001: the default bound is 100, and N + t_max - 1 (1100, 1200,
+        # 2000) is itself an FFT length, so a pad one short would wrap
+        # x[0] * x[-1], made large here, into lag t_max.
+        x = ar1(0.5, 1001, seed=21)
+        x[0], x[-1] = 50.0, -50.0
+        assert min(x.size // 10, diagnostics.LAG_CAP) == 100
+        np.testing.assert_allclose(diagnostics.acf(x, t_max), acf_oracle(x, t_max),
+                                   rtol=0, atol=1e-10)
+
     def test_bounded_by_one(self):
         x = ar1(0.95, 20000, seed=5)
         rho = diagnostics.acf(x, 500)
