@@ -21,15 +21,15 @@ Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 End-to-end run timing is the job of ``perfbench/run.py``.
 """
 import argparse
-import statistics
-import time
+import gc
+import timeit
 
 import numpy as np
 
 from garchmc import _kernels_py, backend, cli, data, diagnostics, samplers
 
 THETA = (0.05, 0.90, 0.01)
-BATCHES = 7
+BATCHES = 5
 #: Candidates per batch call: the default refit interval.
 BATCH_K = 1000
 #: Rows and acceptance of the chain whose chain.csv text is timed.
@@ -42,22 +42,13 @@ SUMMARIZE_DRAWS = (30000, 60000)
 SUMMARIZE_PHI = 0.6
 
 
-def time_call(fn, args, batch_s=0.1):
-    """Median seconds per call of fn(*args) over batches of about batch_s."""
-    reps, spent = 1, 0.0
-    while spent < batch_s:
-        reps *= 2
-        start = time.perf_counter()
-        for _ in range(reps):
-            fn(*args)
-        spent = time.perf_counter() - start
-    times = []
-    for _ in range(BATCHES):
-        start = time.perf_counter()
-        for _ in range(reps):
-            fn(*args)
-        times.append((time.perf_counter() - start) / reps)
-    return statistics.median(times)
+def time_call(fn, args):
+    """Seconds per call of fn(*args): the minimum over BATCHES batches of
+    at least 0.2 s each, the least disturbed by other load. The garbage
+    collector stays on, as in a run."""
+    timer = timeit.Timer(lambda: fn(*args), setup=gc.enable)
+    reps, _ = timer.autorange()
+    return min(timer.repeat(BATCHES, reps)) / reps
 
 
 def rows(kernels, y, sigma1_sq):

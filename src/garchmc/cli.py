@@ -58,12 +58,11 @@ class RunConfig:
             raise GarchMCError(f"--seed must be non-negative, got {self.seed}")
         if self.chains <= 0:
             raise GarchMCError(f"--chains must be positive, got {self.chains}")
-        if not 2.0 < self.nu < math.inf:
-            raise GarchMCError(f"--nu must be finite and above 2, got {self.nu}")
         try:
+            proposal.check_nu(self.nu)
             sched = samplers.AdaptiveSchedule(self.burn_in, self.pilot, self.refit_interval, self.total)
         except ValueError as exc:
-            # The message starts with the offending field: name it as its flag.
+            # Each message starts with the offending field: name it as its flag.
             raise GarchMCError("--" + str(exc).replace("_", "-")) from None
         if self.total < diagnostics.MIN_DRAWS:
             raise GarchMCError(f"--total must be at least {diagnostics.MIN_DRAWS} "
@@ -281,7 +280,7 @@ def compare_runs(dir_a, dir_b):
         with _refused_if_malformed(path):
             manifest = json.loads(path.read_text(encoding="utf-8"))
             config, fingerprint = manifest["config"], manifest["data_fingerprint"]
-            chains = config.get("chains", 1)
+            chains = config["chains"]
             if chains > 1:
                 raise ComparisonRefusedError(f"{d} holds a --chains {chains} run; "
                                              "compare takes single-chain runs")

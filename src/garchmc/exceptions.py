@@ -2,15 +2,7 @@
 
 
 class GarchMCError(Exception):
-    """Base class for all garchmc errors.
-
-    A subclass passes every constructor argument to ``Exception.__init__``,
-    message first, so that its instances pickle: a ``--chains`` worker hands
-    its error to the parent process that way. The message alone is the text.
-    """
-
-    def __str__(self):
-        return str(self.args[0]) if self.args else ""
+    """Base class for all garchmc errors, each raised with its message alone."""
 
 
 class NumericOverflowError(GarchMCError, FloatingPointError):
@@ -31,10 +23,6 @@ class DegenerateSampleError(GarchMCError):
 
 class TuningFailureError(GarchMCError):
     """Step-size tuning failed to reach the target acceptance band."""
-
-    def __init__(self, message, last_acceptance):
-        super().__init__(message, last_acceptance)
-        self.last_acceptance = last_acceptance
 
 
 class DegenerateSeriesError(GarchMCError):

@@ -12,6 +12,16 @@ from .exceptions import DegenerateSampleError
 
 #: Proposal shape nu of an adaptive run unless set otherwise.
 DEFAULT_NU = 10.0
+#: Upper bound, excluded, of every valid nu: the density's normaliser
+#: lgamma((nu + p)/2) overflows float64 near nu = 5e305.
+NU_MAX = 1e300
+
+
+def check_nu(nu):
+    """Raise ValueError unless 2 < nu < NU_MAX: the covariance nu*Sigma/(nu-2)
+    exists and the density's normaliser is finite."""
+    if not 2.0 < nu < NU_MAX:
+        raise ValueError(f"nu must be above 2 and below {NU_MAX:g}, got {nu}")
 
 
 def _cholesky_with_jitter(sigma):
@@ -67,8 +77,7 @@ class StudentTProposal:
     def __init__(self, mean, sigma, nu, n_samples=0):
         mean = np.asarray(mean, dtype=np.float64)
         sigma = np.asarray(sigma, dtype=np.float64)
-        if not 2.0 < nu < math.inf:
-            raise ValueError(f"nu must be finite and exceed 2 so the covariance exists, got {nu}")
+        check_nu(nu)
         if sigma.shape != (mean.size, mean.size):
             raise ValueError("sigma shape does not match mean length")
         self.mean = mean

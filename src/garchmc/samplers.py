@@ -112,7 +112,7 @@ def tune_metropolis(d, target, rng, theta0):
         d = d / 2.0 if acc < TUNE_ACCEPT_FLOOR else d * 2.0
     raise TuningFailureError(
         f"acceptance {acc:.3f} not in [{TUNE_ACCEPT_FLOOR}, {TUNE_ACCEPT_CEIL}] "
-        f"after {TUNE_MAX_BLOCKS} blocks", last_acceptance=acc,
+        f"after {TUNE_MAX_BLOCKS} blocks"
     )
 
 
@@ -145,11 +145,6 @@ def _independence_batch(theta, log_p, n_steps, prop, score, rng):
     index = np.maximum.accumulate(np.where(accepted, np.arange(1, n_steps + 1), 0))
     states = np.vstack([theta, cands])
     return states[index], accepted, states[hits[-1] + 1 if hits else 0], log_p
-
-
-def _initial_theta(y):
-    """Stationary, constraint-interior start scaled to the data variance."""
-    return np.array([0.05, 0.90, float(np.var(y)) * (1.0 - 0.95)])
 
 
 def _tuned_widths(target, theta0, rng):
@@ -208,7 +203,8 @@ def _run(y, sigma1_sq, sched, seed, step):
     # likelihood; numpy's warnings on the way there would only precede it.
     with np.errstate(all="ignore"):
         target = model.make_log_posterior(y, sigma1_sq)
-        theta0 = _initial_theta(y)
+        # A stationary, constraint-interior start scaled to the data variance.
+        theta0 = np.array([0.05, 0.90, sigma1_sq * (1.0 - 0.95)])
         d = _tuned_widths(target, theta0, named_rng(seed, "tuning"))
         _, _, theta, log_p = _rw_chain(
             theta0, target(theta0), sched.burn_in, d, target, named_rng(seed, "burnin")

@@ -1,16 +1,19 @@
-"""No public function, class or method of the package that only tests call.
+"""No public function, class, method or attribute of the package that only
+tests use.
 
 Every public top-level function and class of ``src/garchmc`` (``__init__.py``
 aside, which only re-exports) must be referred to by name somewhere in the
 package's own code: some ``ast.Name`` or ``ast.Attribute`` in those modules
 carries its name. Every public method or property of their classes must be
 reached as an attribute: some ``ast.Attribute`` carries its name, so a bare
-name of the same spelling, such as a parameter, does not count. The match is
-by name alone, so a dead definition whose name the package uses for something
-else goes unflagged. Every name the README's Python examples import from
-``garchmc`` must be in ``garchmc.__all__``, the README's artifact table
-must name exactly the files a run can write, and its CLI section must name
-only flags the parser has and every flag of ``RunConfig``.
+name of the same spelling, such as a parameter, does not count. Every public
+attribute a class assigns as ``self.<name>``, and every dataclass field, must
+be read: some ``ast.Attribute`` loads its name. The match is by name alone,
+so a dead definition whose name the package uses for something else goes
+unflagged. Every name the README's Python examples import from ``garchmc``
+must be in ``garchmc.__all__``, the README's artifact table must name exactly
+the files a run can write, and its CLI section must name only flags the
+parser has and every flag of ``RunConfig``.
 """
 import argparse
 import ast
@@ -63,6 +66,37 @@ def test_every_public_definition_is_used_by_the_package():
               for qualname, name, is_method in _public_definitions(tree)
               if name not in attrs and (is_method or name not in names)]
     assert not unused, "public definitions only tests use:\n" + "\n".join(unused)
+
+
+def _public_attributes(tree):
+    """(qualified name, name) of each public attribute of a top-level class:
+    each ``self.<name>`` a method assigns and each annotated name in the
+    class body (a dataclass field)."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = {node.target.id for node in cls.body
+                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                names.add(node.attr)
+        for name in sorted(names):
+            if not name.startswith("_"):
+                yield f"{cls.name}.{name}", name
+
+
+def test_every_public_attribute_is_read_by_the_package():
+    # An attribute counts as read only where some ast.Attribute loads its
+    # name: the assignment that sets it does not count.
+    modules = _modules()
+    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}: {qualname}"
+              for module, tree in modules.items()
+              for qualname, name in _public_attributes(tree)
+              if name not in read]
+    assert not unread, "public attributes only tests read:\n" + "\n".join(unread)
 
 
 def test_readme_imports_only_exported_names():

@@ -111,7 +111,7 @@ class TestRun:
     @pytest.mark.parametrize("flag", [
         ["--nu", "2"], ["--nu", "0"], ["--nu", "-3"],
         ["--refit-interval", "4000"], ["--pilot", "0"], ["--chains", "0"],
-        ["--nu", "inf"], ["--total", "500"], ["--seed", "-1"],
+        ["--nu", "inf"], ["--total", "500"], ["--seed", "-1"], ["--nu", "1e308"],
     ])
     def test_out_of_range_flag_exits_one(self, tmp_path, capsys, flag):
         assert run_cli(base_args(tmp_path / "bad") + flag) == 1
@@ -347,7 +347,7 @@ class TestCompare:
             d = tmp_path / sampler
             d.mkdir()
             (d / "manifest.json").write_text(json.dumps(
-                {"config": {"sampler": sampler}, "data_fingerprint": "same"}))
+                {"config": {"sampler": sampler, "chains": 1}, "data_fingerprint": "same"}))
             (d / "report.json").write_text(json.dumps(report))
             dirs.append(d)
         text = cli.compare_runs(*dirs)
@@ -388,8 +388,10 @@ class TestCompare:
     @pytest.mark.parametrize("name, edit", [
         ("manifest.json", lambda text: text[:len(text) // 2]),
         ("manifest.json", lambda text: text.replace('"data_fingerprint"', '"fingerprint"')),
+        ("manifest.json", lambda text: text.replace('"chains"', '"n_chains"')),
         ("report.json", lambda text: text.replace('"two_tau_int"', '"tau"')),
-    ], ids=["truncated-manifest", "manifest-missing-key", "report-missing-key"])
+    ], ids=["truncated-manifest", "manifest-missing-key", "manifest-missing-chains",
+            "report-missing-key"])
     def test_malformed_run_file_refused(self, run_and_copy, capsys, name, edit):
         # Run files come from outside the program: a bad one is refused by
         # name, with exit code 1 and no traceback.

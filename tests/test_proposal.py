@@ -199,3 +199,12 @@ class TestRoundTrips:
         for nu in (2.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 make_proposal([0.0, 0.0, 0.0], np.eye(3), nu=nu)
+
+    def test_nu_whose_normaliser_overflows_is_refused(self):
+        # lgamma((nu + p)/2) overflows near nu = 5e305: such a nu is refused
+        # as out of range instead of raising OverflowError mid-run.
+        for nu in (proposal.NU_MAX, 1e308):
+            with pytest.raises(ValueError, match="below 1e"):
+                make_proposal([0.0, 0.0, 0.0], np.eye(3), nu=nu)
+        prop = make_proposal([0.0, 0.0, 0.0], np.eye(3), nu=np.nextafter(proposal.NU_MAX, 0))
+        assert math.isfinite(prop.log_density(np.zeros(3)))
