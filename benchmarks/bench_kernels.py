@@ -14,7 +14,10 @@ Three layers follow, none of which calls a kernel:
 - chain.csv formatting, in ns per row: the text of CHAIN_ROWS rows at
   acceptance CHAIN_ACCEPT, built and discarded without writing a file;
 - ``diagnostics.summarize``, in ms per call: the report of a chain of
-  SUMMARIZE_DRAWS draws whose three columns are AR(1) series.
+  SUMMARIZE_DRAWS draws whose three columns are AR(1) series, then of one
+  whose columns also carry a slow sine wave, so that their lag bound is
+  N/10 as on real chains. The script checks that those bounds reach N/10
+  and that every jackknife replicate finds a plateau.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
@@ -22,6 +25,7 @@ End-to-end run timing is the job of ``perfbench/run.py``.
 """
 import argparse
 import gc
+import math
 import timeit
 
 import numpy as np
@@ -36,10 +40,17 @@ BATCH_K = 1000
 CHAIN_ROWS = 20000
 CHAIN_ACCEPT = 0.4
 #: Chain lengths whose summarize is timed, and the AR(1) coefficient of their
-#: columns: 2tau_int = (1 + phi) / (1 - phi) = 4, near the adaptive sampler's
-#: on the default protocol, so that every jackknife sub-series finds a plateau.
+#: columns: 2tau_int = (1 + phi) / (1 - phi) = 4, and the ACF first falls
+#: below 0.01 near lag 10, so the lag bound is about 100. Real chains' bounds
+#: reach N/10 (870-4630 at 60000 draws on 251 CSV prices).
 SUMMARIZE_DRAWS = (30000, 60000)
 SUMMARIZE_PHI = 0.6
+#: The long-range columns add to those a sine wave of one period over the
+#: chain that carries SLOW_SHARE of the variance: 2tau_int stays near 8, but
+#: the ACF stays near 0.08 or above out to lag N/10, so the lag bound is N/10.
+#: A slow random part would do the same only on most seeds: its sample ACF
+#: is too noisy to keep above 0.01 out to lag N/100 every time.
+SLOW_SHARE = 0.1
 
 
 def time_call(fn, args):
@@ -88,6 +99,24 @@ def ar1_draws(rng, k):
     return draws
 
 
+def long_range_draws(rng, k):
+    """AR(1) draws plus a sine wave of one period over the chain, at a random
+    phase per column, carrying SLOW_SHARE of the variance. Exits unless
+    every column's lag bound is N/10 and every jackknife replicate finds a
+    plateau."""
+    amplitude = math.sqrt(2.0 * SLOW_SHARE / (1.0 - SLOW_SHARE) / (1.0 - SUMMARIZE_PHI ** 2))
+    phase = rng.uniform(0.0, 2.0 * math.pi, 3)
+    wave = amplitude * np.sin(2.0 * math.pi * np.arange(k)[:, None] / k + phase)
+    draws = ar1_draws(rng, k) + wave
+    bounds = [diagnostics.bounded_acf(x).size - 1 for x in draws.T]
+    report = diagnostics.summarize(draws, np.ones(k, bool))
+    if bounds != [k // 10] * 3 or not all(
+            math.isfinite(p["two_tau_int_err_jk"]) for p in report["params"].values()):
+        raise SystemExit(f"long-range draws miss their regime: lag bounds {bounds}, "
+                         f"report {report['params']}")
+    return draws
+
+
 def layer_rows():
     """(name, unit, time in that unit) of the layers that call no kernel."""
     rng = np.random.default_rng(1)
@@ -106,13 +135,14 @@ def layer_rows():
     # A rejected step repeats the row before it.
     draws = fresh[np.maximum.accumulate(np.where(accepted, np.arange(CHAIN_ROWS), 0))]
     formatting = time_call(lambda: sum(map(len, cli._chain_csv_lines(draws, accepted))), ())
-    summarize = [(k, time_call(diagnostics.summarize, (ar1_draws(rng, k), np.ones(k, bool))))
+    summarize = [(kind, k, time_call(diagnostics.summarize, (make(rng, k), np.ones(k, bool))))
+                 for kind, make in (("AR(1)", ar1_draws), ("long-range", long_range_draws))
                  for k in SUMMARIZE_DRAWS]
     return [
         (f"independence accept loop, k={BATCH_K}", "ns/draw", accept_loop / BATCH_K * 1e9),
         (f"chain.csv formatting, acceptance {CHAIN_ACCEPT}", "ns/row",
          formatting / CHAIN_ROWS * 1e9),
-        *((f"summarize, {k} AR(1) draws", "ms/call", t * 1e3) for k, t in summarize),
+        *((f"summarize, {k} {kind} draws", "ms/call", t * 1e3) for kind, k, t in summarize),
     ]
 
 

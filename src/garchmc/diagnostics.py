@@ -3,7 +3,10 @@ per-parameter summary report that a run writes as ``report.json``.
 
 tau_int(T) = 1/2 + sum_{i<=T} ACF(i); the reported value is read at the
 self-consistent window T* = smallest T with T >= c*tau_int(T), where c is
-WINDOW_FACTOR.
+WINDOW_FACTOR. Its blocked-jackknife error takes each leave-one-block-out
+series' lag sums from the whole series' ones plus corrections over the
+removed block (``_corrected_acf``), so only the whole series gets a
+full-length FFT.
 """
 import math
 
@@ -17,6 +20,9 @@ WINDOW_FACTOR = 5.0
 JACKKNIFE_BLOCKS = 10
 #: Fewest draws summarize() accepts.
 MIN_DRAWS = 1000
+#: Least share of the whole series' centred sum of squares that a jackknife
+#: replicate keeps for its lag sums to be taken from the whole series' ones.
+_MIN_KEPT_SHARE = 1e-4
 
 PARAM_NAMES = ("alpha", "beta", "omega")
 
@@ -40,33 +46,43 @@ def _top_lag(n):
     return min(n // 10, LAG_CAP)
 
 
+def _lag_sums(v, t_max):
+    """Lag sums sum_i v[i] * v[i+t] for t = 0..t_max, from one FFT pair
+    zero-padded to ``_next_fast_len(len(v) + t_max)``: in the circular lag-t
+    sum over L >= len(v) + t points, a term wraps round only where it meets
+    the padding, so every lag up to t_max is the linear sum."""
+    nfft = _next_fast_len(v.size + t_max)
+    f = np.fft.rfft(v, nfft)
+    return np.fft.irfft(f * np.conj(f), nfft)[: t_max + 1]
+
+
+def _normalized(sums, n):
+    """ACF from the centred lag sums of a series of length n: each lag's sum
+    averaged over its n-t pairs, over the lag-0 average."""
+    var = sums[0] / n
+    if not var > 0.0 or not np.isfinite(var):
+        raise DegenerateSeriesError("series variance is zero or non-finite")
+    acov = sums / (n - np.arange(sums.size))
+    return acov / var
+
+
 def acf(x, t_max):
     """Autocorrelation function up to lag t_max.
 
     Lag-t autocovariances are averaged over the N-t available pairs and
     normalized by the full-series variance, so ACF(0) = 1 exactly.
 
-    The series is zero-padded to the FFT length
-    ``_next_fast_len(N + max(t_max, _top_lag(N)))``. In the
-    circular lag-t sum over L >= N + t points, a term wraps round only where
-    i + t >= L, i.e. i >= N, which is padding; so lags up to t_max are the
-    linear sums. Every t_max up to the default bound gets one FFT length,
-    which depends on N alone.
+    The lag sums come from one FFT pair of the centred series to lag
+    ``max(t_max, _top_lag(N))``, so every t_max up to the default bound gets
+    one FFT length, which depends on N alone.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     t_max = int(t_max)
     if not n > t_max >= 1:
         raise ValueError(f"need series length > t_max >= 1, got N={n}, t_max={t_max}")
-    xc = x - x.mean()
-    nfft = _next_fast_len(n + max(t_max, _top_lag(n)))
-    f = np.fft.rfft(xc, nfft)
-    sums = np.fft.irfft(f * np.conj(f), nfft)[: t_max + 1]
-    var = sums[0] / n
-    if not var > 0.0 or not np.isfinite(var):
-        raise DegenerateSeriesError("series variance is zero or non-finite")
-    acov = sums / (n - np.arange(t_max + 1))
-    return acov / var
+    sums = _lag_sums(x - x.mean(), max(t_max, _top_lag(n)))
+    return _normalized(sums[: t_max + 1], n)
 
 
 def tau_int(rho, n):
@@ -88,6 +104,13 @@ def tau_int(rho, n):
     return tau, t_star, err, plateau
 
 
+def _lag_bound(rho, top):
+    """The default lag bound: min(top, 10 * first lag with ACF < 0.01), or top
+    where ``rho`` never falls below 0.01."""
+    below = np.nonzero(rho[1:] < 0.01)[0]
+    return min(top, 10 * (int(below[0]) + 1)) if below.size else top
+
+
 def bounded_acf(x):
     """ACF up to the default lag bound min(N/10, 10 * first lag with
     ACF < 0.01), capped at LAG_CAP.
@@ -97,30 +120,97 @@ def bounded_acf(x):
     on N alone. So its prefix is bit-identical to ``acf(x, bound)`` and is
     returned as is.
     """
-    n = np.asarray(x).size
-    t_hi = _top_lag(n)
+    t_hi = _top_lag(np.asarray(x).size)
     if t_hi < 1:
         raise ValueError("series too short for autocorrelation analysis")
     rho = acf(x, t_hi)
-    below = np.nonzero(rho[1:] < 0.01)[0]
-    if below.size:
-        t_hi = min(t_hi, 10 * (int(below[0]) + 1))
-    return rho[: t_hi + 1]
+    return rho[: _lag_bound(rho, t_hi) + 1]
 
 
-def _jackknife_tau_err(x):
-    """Blocked jackknife error of tau_int over 10 contiguous segments."""
-    edges = np.linspace(0, x.size, JACKKNIFE_BLOCKS + 1, dtype=int)
+def _corrected_acf(xc, whole, a, b, t_max):
+    """ACF to its default lag bound of xc with the block [a, b) removed, from
+    ``whole`` = the lag sums of xc to at least the replicate's ``_top_lag``,
+    starting from lag range t_max. None where the replicate keeps less than
+    _MIN_KEPT_SHARE of whole[0].
+
+    The replicate's lag sums, still centred on the mean of xc, are whole's
+    minus those of the window W = the block with t_max points of xc on each
+    side, plus those of W with the block cut out (its two margins joined at
+    the seam). No other pair changes, because t_max <= ``_top_lag`` of the
+    replicate's length stays below the block length for N >= MIN_DRAWS.
+    They are then re-centred on the replicate's own mean, which needs only
+    its first and last t_max values. The lag range grows to the replicate's
+    own bound where its 0.01 crossing needs more lags, or to its
+    ``_top_lag`` where it has none; so the bound and the ACF are those of
+    ``bounded_acf`` on the replicate, up to rounding.
+    """
+    n, shift = xc.size, b - a
+    size = n - shift
+    top = _top_lag(size)
+    kept = xc[:a].sum() + xc[b:].sum()  # the replicate's sum of xc
+    delta = kept / size
+    t_max = min(top, t_max)
+    while True:
+        lo, hi = max(0, a - t_max), min(n, b + t_max)
+        sums = (whole[: t_max + 1] - _lag_sums(xc[lo:hi], t_max)
+                + _lag_sums(np.concatenate((xc[lo:a], xc[b:hi])), t_max))
+        # Re-centring needs the sums of the replicate's first t and last t
+        # values; its index j is xc's index j below a and j + shift above.
+        j = np.arange(t_max)
+        last = size - 1 - j
+        ends = np.cumsum(xc[np.where(j < a, j, j + shift)]
+                         + xc[np.where(last < a, last, last + shift)])
+        sums += (delta * np.concatenate(([0.0], ends)) - 2.0 * delta * kept
+                 + (size - np.arange(t_max + 1)) * delta * delta)
+        if not sums[0] > _MIN_KEPT_SHARE * whole[0]:
+            return None
+        rho = _normalized(sums, size)
+        bound = _lag_bound(rho, top)
+        if bound <= t_max:
+            return rho[: bound + 1]
+        t_max = bound
+
+
+def _replicate_acfs(x, rho=None):
+    """Yield (ACF to its default lag bound, length) of each leave-one-block-out
+    series of x in turn.
+
+    Given ``rho`` = ``acf(x, _top_lag(N))``, each comes from ``_corrected_acf``
+    on the whole series' lag sums, starting from twice the whole series' lag
+    bound. A replicate it refuses (one that keeps almost none of the variance,
+    a constant one among them: its corrections would cancel most digits of
+    the whole series' sums), and every replicate when ``rho`` is None, is
+    computed by ``bounded_acf`` on its own values: the reference that the
+    corrected ones are tested against.
+    """
+    n = x.size
+    edges = np.linspace(0, n, JACKKNIFE_BLOCKS + 1, dtype=int).tolist()
+    if rho is not None:
+        xc = x - x.mean()
+        # The lag sums of xc. Not np.dot: OpenBLAS threads a dot this long,
+        # and its idle worker then spins for about 0.1 s of CPU.
+        whole = rho * (n - np.arange(rho.size)) * np.mean(xc * xc)
+        start = 2 * _lag_bound(rho, rho.size - 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        rho_i = None if rho is None else _corrected_acf(xc, whole, a, b, start)
+        if rho_i is None:
+            rho_i = bounded_acf(np.concatenate((x[:a], x[b:])))
+        yield rho_i, n - (b - a)
+
+
+def _jackknife_tau_err(x, rho=None):
+    """Blocked jackknife error of tau_int over 10 contiguous segments, each
+    replicate's ACF from ``_replicate_acfs(x, rho)``. NaN at the first
+    replicate that finds no plateau or is degenerate."""
     estimates = []
-    for i in range(JACKKNIFE_BLOCKS):
-        sub = np.concatenate([x[: edges[i]], x[edges[i + 1]:]])
-        try:
-            t, _, _, plateau = tau_int(bounded_acf(sub), sub.size)
-        except DegenerateSeriesError:
-            return float("nan")
-        if not plateau:
-            return float("nan")
-        estimates.append(t)
+    try:
+        for rho_i, size in _replicate_acfs(x, rho):
+            t, _, _, plateau = tau_int(rho_i, size)
+            if not plateau:
+                return float("nan")
+            estimates.append(t)
+    except DegenerateSeriesError:
+        return float("nan")
     estimates = np.array(estimates)
     m = JACKKNIFE_BLOCKS
     return float(np.sqrt((m - 1.0) / m * np.sum((estimates - estimates.mean()) ** 2)))
@@ -139,16 +229,16 @@ def summarize(draws, accepted):
         x = draws[:, j]
         std = float(x.std())
         try:
-            rho = bounded_acf(x)
+            rho = acf(x, _top_lag(k))
         except DegenerateSeriesError:
             tau = err = err_jk = float("nan")
             t_star, plateau, stat_error = 0, False, 0.0
         else:
-            tau, t_star, err, plateau = tau_int(rho, k)
+            tau, t_star, err, plateau = tau_int(rho[: _lag_bound(rho, rho.size - 1) + 1], k)
             # An anticorrelated series can read a negative tau_int, which
             # gives no error estimate.
             stat_error = std * math.sqrt(2.0 * tau / k) if tau >= 0.0 else float("nan")
-            err_jk = _jackknife_tau_err(x)
+            err_jk = _jackknife_tau_err(x, rho)
         params[name] = {
             "mean": float(x.mean()), "stddev": std, "stat_error": stat_error,
             "two_tau_int": 2.0 * tau, "two_tau_int_err": 2.0 * err,

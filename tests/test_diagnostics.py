@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from garchmc import diagnostics
+from garchmc import data, diagnostics, samplers
 from garchmc.exceptions import DegenerateSeriesError
 
 
@@ -177,13 +178,49 @@ class TestSummarize:
 def leave_one_block_out_taus(x):
     """tau_int of x with each of 10 contiguous blocks removed in turn, and
     whether each of those subseries found a plateau."""
-    edges = np.linspace(0, x.size, 11, dtype=int)
     out = []
     for i in range(10):
-        sub = np.concatenate([x[: edges[i]], x[edges[i + 1]:]])
+        sub = own_series_replicate(x, i)
         tau, _, _, plateau = diagnostics.tau_int(diagnostics.bounded_acf(sub), sub.size)
         out.append((tau, plateau))
     return out
+
+
+def own_series_replicate(x, i):
+    """x with block i of 10 contiguous blocks removed."""
+    edges = np.linspace(0, x.size, 11, dtype=int)
+    return np.concatenate([x[: edges[i]], x[edges[i + 1]:]])
+
+
+def with_noise_block(phi, n, sd):
+    """AR(1) series whose block 3 of 10 is white noise of standard deviation
+    sd: noise far wider than the AR(1) part sets a whole-series lag bound far
+    below the bound of the replicate without that block."""
+    x = ar1(phi, n, seed=50)
+    blk = n // 10
+    x[3 * blk: 4 * blk] = sd * np.random.default_rng(51).standard_normal(blk)
+    return x
+
+
+@functools.cache
+def adaptive_chain():
+    y = data.generate_synthetic((0.05, 0.9, 0.01), 2000, 3)
+    sched = samplers.AdaptiveSchedule(burn_in=1000, pilot=1000, refit_interval=1000, total=10000)
+    return samplers.run_adaptive(y, sched, seed=4).draws
+
+
+def corrected_replicates(x, monkeypatch):
+    """The (ACF, length) of every leave-one-block-out series of x from the
+    whole series' lag sums, with ``bounded_acf`` barred so that none of them
+    comes from its own series."""
+
+    def barred(_):
+        raise AssertionError("a replicate left the correction route")
+
+    rho = diagnostics.acf(x, diagnostics._top_lag(x.size))
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "bounded_acf", barred)
+        return list(diagnostics._replicate_acfs(x, rho))
 
 
 class TestJackknife:
@@ -212,6 +249,72 @@ class TestJackknife:
         assert diagnostics.tau_int(diagnostics.bounded_acf(x), x.size)[3]
         assert not all(plateau for _, plateau in leave_one_block_out_taus(x))
         assert math.isnan(diagnostics._jackknife_tau_err(x))
+
+    @pytest.mark.parametrize("make", [
+        lambda: ar1(0.5, 1000, seed=40),
+        lambda: ar1(0.5, 1009, seed=41),  # blocks of 100 and 101
+        lambda: ar1(0.999, 111112, seed=42),  # every bound at LAG_CAP
+        lambda: adaptive_chain()[:, 0],
+        lambda: adaptive_chain()[:, 1],
+        lambda: adaptive_chain()[:, 2],
+        lambda: with_noise_block(0.97, 30000, 300.0),  # replicate 3 grows to _top_lag
+        lambda: with_noise_block(0.6, 5000, 10.0),  # replicate 3 grows to its bound
+        lambda: ar1(0.98, 3000, seed=1),  # replicates without a plateau
+    ], ids=["n1000", "n1009", "lag-cap", "adaptive-alpha", "adaptive-beta",
+            "adaptive-omega", "grow-to-top", "grow-to-bound", "no-plateau"])
+    def test_each_replicate_matches_its_own_series(self, make, monkeypatch):
+        x = make()
+        for i, (rho, size) in enumerate(corrected_replicates(x, monkeypatch)):
+            sub = own_series_replicate(x, i)
+            want = diagnostics.bounded_acf(sub)
+            assert (size, rho.size) == (sub.size, want.size), i
+            tau, t_star, _, plateau = diagnostics.tau_int(rho, size)
+            tau_want, t_star_want, _, plateau_want = diagnostics.tau_int(want, size)
+            assert (t_star, plateau) == (t_star_want, plateau_want), i
+            assert tau == pytest.approx(tau_want, rel=1e-12, abs=0.0), i
+
+    @pytest.mark.parametrize("phi, n, sd", [(0.97, 30000, 300.0), (0.6, 5000, 10.0)])
+    def test_lag_range_grows_past_its_start(self, phi, n, sd, monkeypatch):
+        # The lag range starts at twice the whole series' bound; replicate 3,
+        # without the noise, needs more.
+        x = with_noise_block(phi, n, sd)
+        whole_bound = diagnostics.bounded_acf(x).size - 1
+        rho, _ = corrected_replicates(x, monkeypatch)[3]
+        assert rho.size - 1 > 2 * whole_bound
+
+    def test_jackknife_matches_the_own_series_one(self):
+        x = ar1(0.7, 20000, seed=30)
+        rho = diagnostics.acf(x, diagnostics._top_lag(x.size))
+        got = diagnostics._jackknife_tau_err(x, rho)
+        assert got == pytest.approx(diagnostics._jackknife_tau_err(x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("level", [0.5, 0.1])
+    def test_constant_replicate_gives_nan(self, level):
+        # Replicate 3 is constant. Its own series decides that exactly, as
+        # before: 0.5 is its exact mean, so its variance is zero; 0.1 is not,
+        # and its ACF finds no window.
+        x = np.full(5000, level)
+        x[1500:2000] = np.random.default_rng(5).standard_normal(500)
+        rho = diagnostics.acf(x, diagnostics._top_lag(x.size))
+        assert math.isnan(diagnostics._jackknife_tau_err(x, rho))
+        replicates = diagnostics._replicate_acfs(x, rho)
+        for _ in range(3):
+            next(replicates)
+        sub = own_series_replicate(x, 3)
+        if level == 0.5:
+            with pytest.raises(DegenerateSeriesError):
+                next(replicates)
+        else:
+            assert np.array_equal(next(replicates)[0], diagnostics.bounded_acf(sub))
+
+    def test_replicate_without_variance_from_its_own_series(self):
+        # Replicate 3 keeps 1e-18 of the whole series' sum of squares, below
+        # any digit the whole series' sums carry.
+        x = 1e-9 * ar1(0.5, 5000, seed=6)
+        x[1500:2000] = np.random.default_rng(7).standard_normal(500)
+        rho = diagnostics.acf(x, diagnostics._top_lag(x.size))
+        got = [r for r, _ in diagnostics._replicate_acfs(x, rho)]
+        assert np.array_equal(got[3], diagnostics.bounded_acf(own_series_replicate(x, 3)))
 
 
 def test_default_lag_bound_caps():
