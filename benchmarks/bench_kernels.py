@@ -1,18 +1,18 @@
-"""Time the likelihood kernels, called directly, of the numpy twin
+"""Time the kernels, called directly, of the numpy twin
 ``garchmc._kernels_py`` and of the compiled ``_kernels.c`` side by side: the
 scalar likelihood and the batch likelihood on BATCH_K candidates per call.
 The scalar likelihood is timed twice: on y, and on one reused ``Workspace``
 in y's place, as the posterior closure calls it. Every figure is per
-candidate (one parameter set): a scalar call scores one. Where no C compiler
-is found, the compiled columns read "-".
+candidate (one parameter set): a scalar call scores one. Then the chain.csv
+text, in ns per row: ``chain_text`` of CHAIN_ROWS rows at acceptance
+CHAIN_ACCEPT in one call. Where no C compiler is found, the compiled columns
+read "-".
 
-Three layers follow, none of which calls a kernel:
+Two layers follow, neither of which calls a kernel:
 - the independence-MH accept loop, in ns per draw: ``_independence_batch``
   on BATCH_K candidates whose proposal densities and posterior scores are
   computed before the clock starts, so only the accept loop and the gather
   of the draws are timed;
-- chain.csv formatting, in ns per row: the text of CHAIN_ROWS rows at
-  acceptance CHAIN_ACCEPT, built and discarded without writing a file;
 - ``diagnostics.summarize``, in ms per call: the report of a chain of
   SUMMARIZE_DRAWS draws whose three columns are AR(1) series, then of one
   whose columns also carry a slow sine wave, so that their lag bound is
@@ -30,7 +30,7 @@ import timeit
 
 import numpy as np
 
-from garchmc import _kernels_py, backend, cli, data, diagnostics, samplers
+from garchmc import _kernels_py, backend, data, diagnostics, samplers
 
 THETA = (0.05, 0.90, 0.01)
 BATCHES = 5
@@ -117,6 +117,15 @@ def long_range_draws(rng, k):
     return draws
 
 
+def chain_draws(rng):
+    """(draws, accepted) of CHAIN_ROWS rows at acceptance CHAIN_ACCEPT."""
+    accepted = rng.random(CHAIN_ROWS) < CHAIN_ACCEPT
+    accepted[0] = True
+    fresh = np.tile(THETA, (CHAIN_ROWS, 1)) + 1e-3 * rng.standard_normal((CHAIN_ROWS, 3))
+    # A rejected step repeats the row before it.
+    return fresh[np.maximum.accumulate(np.where(accepted, np.arange(CHAIN_ROWS), 0))], accepted
+
+
 def layer_rows():
     """(name, unit, time in that unit) of the layers that call no kernel."""
     rng = np.random.default_rng(1)
@@ -128,20 +137,11 @@ def layer_rows():
     prop = FixedProposal(cands, log_g_cands)
     accept_loop = time_call(samplers._independence_batch,
                             (np.array(THETA), 0.0, BATCH_K, prop, lambda _: log_p_cands, rng))
-
-    accepted = rng.random(CHAIN_ROWS) < CHAIN_ACCEPT
-    accepted[0] = True
-    fresh = np.tile(THETA, (CHAIN_ROWS, 1)) + 1e-3 * rng.standard_normal((CHAIN_ROWS, 3))
-    # A rejected step repeats the row before it.
-    draws = fresh[np.maximum.accumulate(np.where(accepted, np.arange(CHAIN_ROWS), 0))]
-    formatting = time_call(lambda: sum(map(len, cli._chain_csv_lines(draws, accepted))), ())
     summarize = [(kind, k, time_call(diagnostics.summarize, (make(rng, k), np.ones(k, bool))))
                  for kind, make in (("AR(1)", ar1_draws), ("long-range", long_range_draws))
                  for k in SUMMARIZE_DRAWS]
     return [
         (f"independence accept loop, k={BATCH_K}", "ns/draw", accept_loop / BATCH_K * 1e9),
-        (f"chain.csv formatting, acceptance {CHAIN_ACCEPT}", "ns/row",
-         formatting / CHAIN_ROWS * 1e9),
         *((f"summarize, {k} {kind} draws", "ms/call", t * 1e3) for kind, k, t in summarize),
     ]
 
@@ -164,6 +164,13 @@ def main():
             us_c, ns_c = (f"{t_c * 1e6:.2f}", f"{t_c * 1e9 / n:.1f}") if t_c else ("-", "-")
             print(f"{name:>26} {n:>6} {t_py * 1e6:14.2f} {us_c:>10} "
                   f"{t_py * 1e9 / n:14.1f} {ns_c:>10}")
+    print()
+    draws, accepted = chain_draws(np.random.default_rng(1))
+    ns_py = time_call(_kernels_py.chain_text, (draws, accepted)) / CHAIN_ROWS * 1e9
+    ns_c = (f"{time_call(backend.kernels.chain_text, (draws, accepted)) / CHAIN_ROWS * 1e9:.1f}"
+            if backend.KERNEL == "c" else "-")
+    print(f"{'chain_text':>26} {'rows':>6} {'numpy ns/row':>14} {'c ns/row':>10}")
+    print(f"{f'acceptance {CHAIN_ACCEPT}':>26} {CHAIN_ROWS:>6} {ns_py:14.1f} {ns_c:>10}")
     print()
     print(f"{'layer':>42} {'time':>8}")
     for name, unit, t in layer_rows():

@@ -1,6 +1,6 @@
-/* The GARCH(1,1) likelihood kernels in C, with the signatures of
-   ``_kernels_py``: positional arguments only, the series first. The scalar
-   kernel's series is y or this module's Workspace(y).
+/* The GARCH(1,1) likelihood kernels and the chain.csv text in C, with the
+   signatures of ``_kernels_py``: positional arguments only, the series
+   first. The scalar kernel's series is y or this module's Workspace(y).
 
    ``garchmc.backend`` compiles this file on first import with
    -ffp-contract=off, so each step of the volatility recursion,
@@ -14,11 +14,17 @@
    are taken as one log of the product of each CHUNK steps. A chunk with an
    s_t below SAFE_MIN, whose product could pass through the subnormals, and
    one whose product is not finite are redone with one log per step. A
-   non-finite total raises garchmc.exceptions.NumericOverflowError. */
+   non-finite total raises garchmc.exceptions.NumericOverflowError.
+
+   chain_text writes "%.17g" of each parameter: a positive double whose text
+   is in fixed notation by exact 128-bit integer arithmetic (put_fixed), and
+   every other value, or every value where the compiler has no __int128, by
+   PyOS_double_to_string, the routine behind Python's "%.17g". */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -205,16 +211,214 @@ workspace(PyObject *self, PyObject *y)
     return PyObject_CallFunctionObjArgs(ascontiguousarray, y, (PyObject *)&PyFloat_Type, NULL);
 }
 
+/* The text of chain.csv rows. PARAM_MAX is the longest "%.17g" of a
+   double, "-2.2250738585072014e-308", plus its comma. */
+#define PARAM_MAX 25
+#define POW10_16 10000000000000000ULL
+#define POW10_17 100000000000000000ULL
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* 10^0 ... 10^20; 10^20 exceeds 64 bits. */
+static const u128 POW10[21] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, POW10_16, POW10_17,
+    1000000000000000000ULL, 10000000000000000000ULL, (u128)10000000000000000000ULL * 10,
+};
+
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The count decimal digits of v < 10^count, zero-padded, at out. */
+static void
+put_digits(char *out, uint32_t v, int count)
+{
+    for (; count >= 2; v /= 100) {
+        count -= 2;
+        memcpy(out + count, DIGIT_PAIRS + 2 * (v % 100), 2);
+    }
+    if (count)
+        out[0] = (char)('0' + v);
+}
+
+/* "%.17g" of x at out by exact integer arithmetic, where x is positive and
+   normal and its 17-digit decimal exponent k is in [-4, 16], so that the
+   text is in fixed notation; NULL, with nothing written, for any other x.
+
+   With x = m * 2^e, N = round-half-even(m * 10^(16-k) * 2^e) holds the 17
+   significant digits. k is fixed by the unrounded quotient, 10^16 <= q <
+   10^17, and moves up only when rounding carries N to 10^17: a k taken
+   after rounding would write the double nearest 1e-6, 9.9999999999999995e-07,
+   as 1e-06. */
+static char *
+put_fixed(char *out, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const int biased = (int)(bits >> 52);  /* above 2047 when x is negative */
+    const int b = biased - 1023;           /* 2^b <= x < 2^(b+1) */
+    /* Zero, subnormal, negative, non-finite, or k surely outside. */
+    if (biased == 0 || b < -14 || b > 56)
+        return NULL;
+    const uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    const int e = b - 52;
+    /* floor(b * log10(2)), or one below, which the loop corrects. */
+    int k = b >= 0 ? (b * 1233) >> 12 : -((-b * 1233 + 4095) >> 12);
+    k = k < -4 ? -4 : k;
+    u128 p, q;
+    for (;;) {
+        if (k < -4 || k > 16)
+            return NULL;
+        /* p < 2^53 * 10^20 < 2^120, and e is in [-66, 4]. */
+        p = (u128)m * POW10[16 - k];
+        q = e >= 0 ? p << e : p >> -e;
+        if (q < POW10_16)
+            k--;
+        else if (q >= POW10_17)
+            k++;
+        else
+            break;
+    }
+    uint64_t n = (uint64_t)q;
+    if (e < 0) {
+        const u128 rem = p & (((u128)1 << -e) - 1), half = (u128)1 << (-e - 1);
+        n += rem > half || (rem == half && (n & 1));
+    }
+    if (n == POW10_17) {
+        if (++k > 16)
+            return NULL;
+        n = POW10_16;
+    }
+    char digits[17];
+    put_digits(digits, (uint32_t)(n / 100000000), 9);
+    put_digits(digits + 9, (uint32_t)(n % 100000000), 8);
+    int nd = 17;
+    while (digits[nd - 1] == '0')
+        nd--;
+    if (k >= 0) {
+        memcpy(out, digits, k + 1);
+        out += k + 1;
+        if (nd > k + 1) {
+            *out++ = '.';
+            memcpy(out, digits + k + 1, nd - k - 1);
+            out += nd - k - 1;
+        }
+    }
+    else {
+        *out++ = '0';
+        *out++ = '.';
+        for (int i = -1; i > k; i--)
+            *out++ = '0';
+        memcpy(out, digits, nd);
+        out += nd;
+    }
+    return out;
+}
+#endif
+
+/* "%.17g" of x at out; the end of the text, or NULL with an exception set.
+   What put_fixed does not take goes to Python's own "%.17g", which is exact
+   by construction. */
+static char *
+put_double(char *out, double x)
+{
+#ifdef __SIZEOF_INT128__
+    char *end = put_fixed(out, x);
+    if (end != NULL)
+        return end;
+#endif
+    char *text = PyOS_double_to_string(x, 'g', 17, 0, NULL);
+    if (text == NULL)
+        return NULL;
+    const size_t len = strlen(text);
+    memcpy(out, text, len);
+    PyMem_Free(text);
+    return out + len;
+}
+
+/* The k rows "%.17g,...,%.17g,0|1\n" of the (k, p) draws and k accept
+   flags. A row's parameter text is formatted when its bytes differ from the
+   row before, which keeps -0.0 and 0.0 apart, and for the first row;
+   otherwise the text before it is copied. */
+static PyObject *
+chain_text(PyObject *self, PyObject *args)
+{
+    PyObject *draws_obj, *flags_obj, *flags_arr = NULL, *text = NULL;
+    Py_buffer dv, fv;
+    if (!PyArg_ParseTuple(args, "OO:chain_text", &draws_obj, &flags_obj)
+        || get_doubles(draws_obj, 2, &dv) < 0)
+        return NULL;
+    flags_arr = PyObject_CallFunctionObjArgs(ascontiguousarray, flags_obj,
+                                             (PyObject *)&PyBool_Type, NULL);
+    if (flags_arr == NULL || PyObject_GetBuffer(flags_arr, &fv, PyBUF_C_CONTIGUOUS) < 0) {
+        Py_XDECREF(flags_arr);
+        PyBuffer_Release(&dv);
+        return NULL;
+    }
+    const Py_ssize_t k = dv.shape[0], p = dv.shape[1];
+    char *buf = NULL;
+    if (fv.ndim != 1 || fv.shape[0] != k) {
+        PyErr_Format(PyExc_ValueError, "expected %zd accept flags, one per row of draws", k);
+        goto done;
+    }
+    /* Each row's text takes at most row_max bytes. */
+    const Py_ssize_t row_max = p <= (PY_SSIZE_T_MAX - 2) / PARAM_MAX ? p * PARAM_MAX + 2
+                                                                     : PY_SSIZE_T_MAX;
+    if ((k && row_max > (PY_SSIZE_T_MAX - 1) / k)
+        || (buf = PyMem_Malloc(k * row_max + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const double *row = dv.buf;
+    const char *flag = fv.buf;
+    const size_t row_bytes = (size_t)p * sizeof(double);
+    char *out = buf, *head = buf;
+    size_t head_len = 0;
+    for (Py_ssize_t i = 0; i < k; i++, row += p) {
+        if (i && memcmp(row, row - p, row_bytes) == 0) {
+            memcpy(out, head, head_len);
+            out += head_len;
+        }
+        else {
+            head = out;
+            for (Py_ssize_t j = 0; j < p; j++) {
+                if ((out = put_double(out, row[j])) == NULL)
+                    goto done;
+                *out++ = ',';
+            }
+            head_len = out - head;
+        }
+        *out++ = flag[i] ? '1' : '0';
+        *out++ = '\n';
+    }
+    text = PyUnicode_New(out - buf, 127);
+    if (text != NULL)
+        memcpy(PyUnicode_1BYTE_DATA(text), buf, out - buf);
+done:
+    PyMem_Free(buf);
+    PyBuffer_Release(&fv);
+    Py_DECREF(flags_arr);
+    PyBuffer_Release(&dv);
+    return text;
+}
+
 static PyMethodDef methods[] = {
     {"Workspace", workspace, METH_O, "y as a C-contiguous float64 array."},
     {"log_likelihood", log_likelihood, METH_VARARGS, "Log-likelihood of one parameter set."},
     {"log_likelihood_batch", log_likelihood_batch, METH_VARARGS,
      "Log-likelihoods of the (k, 3) parameter rows of thetas."},
+    {"chain_text", chain_text, METH_VARARGS,
+     "The chain.csv rows of the (k, p) draws and their k accept flags."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "garchmc._kernels", "Compiled GARCH(1,1) likelihood kernels.",
+    PyModuleDef_HEAD_INIT, "garchmc._kernels",
+    "Compiled GARCH(1,1) likelihood kernels and chain.csv text.",
     -1, methods,
 };
 

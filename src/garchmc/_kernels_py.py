@@ -1,4 +1,5 @@
-"""The GARCH(1,1) likelihood kernels: numpy plus one BLAS call.
+"""The GARCH(1,1) likelihood kernels, numpy plus one BLAS call, and the
+chain.csv text.
 
 The volatility recursion s_t = drive_t + beta*s_{t-1} is the transposed
 solve U^T s = drive with U unit upper bidiagonal (superdiagonal -beta), so it
@@ -13,7 +14,8 @@ independence sampler's candidate batches. Arguments are positional, the
 series first; a scalar call's series is y or a ``Workspace`` of y: y^2, the
 band of the solve and every buffer, built once per series. The posterior
 closure passes one for all its calls; given y, a call builds a throwaway. A
-non-finite total raises ``NumericOverflowError``. The module imports only
+non-finite total raises ``NumericOverflowError``. ``chain_text`` writes the
+rows of chain.csv with Python's ``"%.17g"``. The module imports only
 numpy and ``garchmc.exceptions``; ``scipy.linalg.blas`` is imported by the
 first ``volatility`` call, so a run on the compiled kernels of
 ``_kernels.c`` imports no scipy.
@@ -131,3 +133,26 @@ def log_likelihood_batch(y, thetas, sigma1_sq):
     if not np.isfinite(total).all():
         raise NumericOverflowError("non-finite GARCH log-likelihood")
     return total
+
+
+def chain_text(draws, accepted):
+    """The chain.csv rows of the (k, p) draws and their k accept flags: one
+    ``%.17g,...,%.17g,0|1`` line per row.
+
+    A rejected step repeats the state before it, so the parameter text is
+    formatted for the first row and each row whose bits differ from the row
+    before (compared as int64, which keeps 0.0 and -0.0 apart), and reused
+    for the rest.
+    """
+    draws = np.ascontiguousarray(draws, dtype=np.float64)
+    accepted = np.asarray(accepted)
+    if draws.ndim != 2:
+        raise ValueError(f"expected 2 dimension(s), got {draws.ndim}")
+    if accepted.shape != draws.shape[:1]:
+        raise ValueError(f"expected {len(draws)} accept flags, one per row of draws")
+    bits = draws.view(np.int64)
+    fresh = np.ones(len(draws), dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    heads = [("%.17g," * draws.shape[1]) % row for row in map(tuple, draws[fresh].tolist())]
+    runs = (np.cumsum(fresh) - 1).tolist()
+    return "".join([heads[r] + ("1\n" if a else "0\n") for r, a in zip(runs, accepted.tolist())])

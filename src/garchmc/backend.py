@@ -1,5 +1,6 @@
-"""The one place that picks the likelihood kernels: ``_kernels.c``, compiled
-on first import, or its numpy twin ``_kernels_py``.
+"""The one place that picks the kernels, the likelihood and the chain.csv
+text: ``_kernels.c``, compiled on first import, or its numpy twin
+``_kernels_py``.
 
 ``build`` compiles ``_kernels.c`` with the C compiler and include directory
 Python was built with, into ``__pycache__/_kernels-<hash><EXT_SUFFIX>`` beside

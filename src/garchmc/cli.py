@@ -108,26 +108,13 @@ def _write_atomic(path, pieces):
 
 
 def _chain_csv_lines(draws, accepted):
-    """The text of chain.csv: a header line, then one ``%.17g,%.17g,%.17g,%d``
-    line per row of the (k, 3) draws and its accept flag, _CHUNK_ROWS rows
-    per piece.
-
-    A rejected step repeats the state before it, so the parameter text is
-    formatted once per run of bitwise-equal rows (compared as int64, which
-    keeps 0.0 and -0.0 apart) and each piece's first row, and reused.
-    """
-    bits = np.ascontiguousarray(draws, dtype=np.float64).view(np.int64)
-    fresh = np.ones(len(draws), dtype=bool)
-    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    fresh[::_CHUNK_ROWS] = True
+    """The text of chain.csv: a header line, then the rows of the (k, 3)
+    draws and their accept flags as ``backend.kernels.chain_text`` writes
+    them, _CHUNK_ROWS rows per piece."""
     yield "alpha,beta,omega,accepted\n"
     for i in range(0, len(draws), _CHUNK_ROWS):
         rows = slice(i, i + _CHUNK_ROWS)
-        cols = draws[rows][fresh[rows]].T.tolist()
-        heads = ["%.17g,%.17g,%.17g," % row for row in zip(*cols)]
-        runs = (np.cumsum(fresh[rows]) - 1).tolist()
-        yield "".join([heads[r] + ("1\n" if a else "0\n")
-                       for r, a in zip(runs, accepted[rows].tolist())])
+        yield backend.kernels.chain_text(draws[rows], accepted[rows])
 
 
 def _finite_or_null(obj):

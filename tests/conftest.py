@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from garchmc import backend, samplers
+from garchmc import _kernels_py, backend, samplers
 
 
 def _independence_chain(target, prop, theta0, n_draws, rng, batch=10000):
@@ -38,3 +38,13 @@ def compiled():
     if backend.KERNEL != "c":
         pytest.skip("no C compiler: only the numpy twin is built")
     return backend.kernels
+
+
+@pytest.fixture(params=["c", "numpy"])
+def either_kernels(request, monkeypatch):
+    """Each kernel module in turn, set as ``backend.kernels``: the compiled
+    one by way of ``compiled``, so that case skips without a compiler, and
+    the numpy twin."""
+    kernels = request.getfixturevalue("compiled") if request.param == "c" else _kernels_py
+    monkeypatch.setattr(backend, "kernels", kernels)
+    return kernels

@@ -1,16 +1,57 @@
-"""The build of the compiled kernels and its fallback to the numpy twin."""
+"""The build of the compiled kernels and its fallback to the numpy twin, and
+the chain.csv text that both write."""
+import itertools
+import math
+import os
 import shlex
 import shutil
 import subprocess
 import sys
 import sysconfig
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from garchmc import _kernels_py, backend
 
 CC = sysconfig.get_config_var("CC")
 FOUND = bool(CC) and shutil.which(shlex.split(CC)[0]) is not None
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def edge_values():
+    """Doubles at the edges of the compiled kernels' exact integer path: each
+    power of ten from 1e-8 to 1e18 with both of its neighbours; every odd
+    m/2^18 in [0.1, 1), a tie at 17 significant digits; the ends of the
+    binary exponents that path takes, 2^-14 and 2^57; and zeros, subnormals,
+    negatives and non-finite values, which it leaves to Python's formatting."""
+    tens = np.array([float(f"1e{e}") for e in range(-8, 19)])
+    m = np.arange(int(0.1 * 2 ** 18) | 1, 2 ** 18, 2)
+    ends = np.array([2.0 ** -14, 2.0 ** 57, 9.999999999999999e16, 1e17, 9.9999e-5])
+    special = [5e-324, 1e-300, -0.0, 0.0, 1e22, -1.5, -1e-5, math.inf, -math.inf, math.nan]
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, math.inf),
+                           m / 2.0 ** 18, ends, np.nextafter(ends, 0.0),
+                           np.nextafter(ends, math.inf), special])
+
+
+def chain_rows(values, rng):
+    """(draws, accepted) holding values, padded with 0.5, as rows of three."""
+    draws = np.append(values, [0.5] * (-len(values) % 3)).reshape(-1, 3)
+    return draws, rng.random(len(draws)) < 0.5
+
+
+def per_row_text(draws, accepted):
+    return "".join("%.17g,%.17g,%.17g,%d\n" % (*row, acc)
+                   for row, acc in zip(draws.tolist(), accepted.tolist()))
+
+
+def assert_same_text(got, want):
+    """Fail with the first differing lines of two texts: pytest's own diff of
+    megabyte strings would take minutes."""
+    if got != want:
+        pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
+        pytest.fail(f"differing (got, want) lines: {[(g, w) for g, w in pairs if g != w][:5]}")
 
 
 def test_compiled_kernels_load_where_a_compiler_is_found():
@@ -58,3 +99,61 @@ def test_build_compiles_once_then_loads(tmp_path, monkeypatch, compiled):
     monkeypatch.setattr(subprocess, "run", no_compile)
     module, name = backend.build(CC, tmp_path)
     assert name == "c" and list(tmp_path.iterdir()) == built
+
+
+@pytest.mark.skipif(not FOUND, reason="no C compiler")
+@pytest.mark.parametrize("undefine", [[], ["-U__SIZEOF_INT128__"]], ids=["int128", "no-int128"])
+def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
+    # A 128-bit shift by 128 or more, or a signed overflow, would pass every
+    # other test unseen. Without __int128 every value takes Python's "%.17g".
+    path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
+    cmd = [*shlex.split(CC), *backend.FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all",
+           *undefine, "-Wall", "-Werror", "-I" + sysconfig.get_paths()["include"],
+           str(backend.SOURCE), "-o", str(path), "-lm"]
+    done = subprocess.run(cmd, capture_output=True, text=True, stdin=subprocess.DEVNULL,
+                          timeout=backend.COMPILE_TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
+    draws, _ = chain_rows(edge_values(), np.random.default_rng(0))
+    accepted = np.arange(len(draws)) % 2 == 0
+    code = (
+        "import importlib.util, sys\n"
+        "import numpy as np\n"
+        f"spec = importlib.util.spec_from_file_location('garchmc._kernels', {str(path)!r})\n"
+        "kernels = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(kernels)\n"
+        "kernels.log_likelihood([0.5, -0.3, 0.2], 0.1, 0.8, 0.01, 0.05)\n"
+        "draws = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 3)\n"
+        "sys.stdout.write(kernels.chain_text(draws, np.arange(len(draws)) % 2 == 0))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], input=draws.tobytes(),
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=backend.COMPILE_TIMEOUT_S)
+    assert done.returncode == 0, done.stderr.decode()
+    assert_same_text(done.stdout.decode(), per_row_text(draws, accepted))
+
+
+class TestChainText:
+    """Both modules' chain_text against per-row "%.17g"."""
+
+    def test_both_modules_write_per_row_format_exactly(self, compiled):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([edge_values(), 10.0 ** rng.uniform(-9.0, 19.0, 10 ** 6)])
+        draws, accepted = chain_rows(values, rng)
+        want = per_row_text(draws, accepted)
+        assert_same_text(compiled.chain_text(draws, accepted), want)
+        assert_same_text(_kernels_py.chain_text(draws, accepted), want)
+
+    def test_lists_and_empty_chains_are_accepted(self, either_kernels):
+        text = either_kernels.chain_text([[0.1, 2.0, 1e-300]], [1])
+        assert text == "0.10000000000000001,2,1e-300,1\n"
+        assert either_kernels.chain_text(np.empty((0, 3)), np.empty(0, bool)) == ""
+
+    @pytest.mark.parametrize("rows, flags", [(3, 2), (3, 4), (0, 1)])
+    def test_flags_not_one_per_row_raise(self, either_kernels, rows, flags):
+        with pytest.raises(ValueError):
+            either_kernels.chain_text(np.full((rows, 3), 0.5), np.ones(flags, bool))
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 1)])
+    def test_draws_not_two_dimensional_raise(self, either_kernels, shape):
+        with pytest.raises(ValueError):
+            either_kernels.chain_text(np.full(shape, 0.5), np.ones(shape[0], bool))

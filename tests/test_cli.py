@@ -269,7 +269,7 @@ class TestRun:
         assert run_cli(base_args(out, seed=12)) == 0
         assert (out / "chain.csv").read_bytes() != before["chain.csv"]
 
-    def test_chain_csv_bytes_match_per_row_format(self, tmp_path, monkeypatch):
+    def test_chain_csv_bytes_match_per_row_format(self, tmp_path, monkeypatch, either_kernels):
         values = [5e-324, 1e-300, -0.0, 0.1, 1.0, 1e22, 123456789.0]
         draws = np.array([np.roll(values, -k)[:3] for k in range(len(values))])
         accepted = np.arange(len(values)) % 3 == 0
@@ -287,7 +287,8 @@ class TestRun:
         assert (out / "chain.csv").read_bytes() == want.encode()
         assert (out / "acceptance_trace.csv").read_text() == f"batch,acceptance\n0,{3 / 7:.17g}\n"
 
-    def test_chain_writer_reuses_text_only_for_equal_rows(self, tmp_path, monkeypatch):
+    def test_chain_writer_reuses_text_only_for_equal_rows(self, tmp_path, monkeypatch,
+                                                          either_kernels):
         a, b, c = (0.05, 0.9, 0.01), (-0.0, 0.25, 1e-300), (0.0, 0.25, 1e-300)
         # A rejected run of A across the chunk boundary at row 4; c (0.0) right
         # after b (-0.0); A back after other states; an accepted row equal to
