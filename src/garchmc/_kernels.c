@@ -11,10 +11,18 @@
    numpy.empty.
 
    log L = -0.5 * sum_t [log(2 pi) + log(s_t) + y_t^2/s_t]. The log(s_t)
-   are taken as one log of the product of each CHUNK steps. A chunk with an
-   s_t below SAFE_MIN, whose product could pass through the subnormals, and
-   one whose product is not finite are redone with one log per step. A
-   non-finite total raises garchmc.exceptions.NumericOverflowError.
+   are taken as one log per candidate: the product of its s_t is carried,
+   CHUNK steps at a time, as a significand in [1, 2) and a power of two. A
+   chunk with an s_t below SAFE_MIN, whose product could pass through the
+   subnormals, and one whose product is not finite are redone with one log
+   per step. A non-finite total raises
+   garchmc.exceptions.NumericOverflowError.
+
+   The batch kernel is built once per x86-64 SIMD level (AVX-512, AVX2 and
+   the baseline) by target_clones, and the loader picks the one the CPU
+   supports; the scalar kernel is built at the baseline only. Since
+   -ffp-contract=off, every build rounds each operation alike, so all give
+   the same bits.
 
    chain_text writes "%.17g" of each parameter: a positive double whose text
    is in fixed notation by exact 128-bit integer arithmetic (put_fixed), and
@@ -30,10 +38,15 @@
 
 #define CHUNK 16
 /* With every s_t at least 2^-62, each partial product of at most CHUNK of
-   them is at least 2^-992, so normal; an s_t above it can only overflow the
-   product to inf, which stays inf and fails the finiteness check. */
+   them, times a significand in [1, 2), is at least 2^-992, so normal; an
+   s_t above it can only overflow the product to inf, which stays inf and
+   fails the finiteness check. */
 #define SAFE_MIN 0x1p-62
 #define LOG_2PI 1.8378770664093454836
+#define LN2 0.69314718055994530942
+/* The significand field of a double, and the bits of 1.0. */
+#define SIGNIFICAND_BITS 0x000fffffffffffffULL
+#define ONE_BITS 0x3ff0000000000000ULL
 
 /* One step of the volatility recursion from s = s_{t-1} and lag = y_{t-1}^2. */
 static inline double
@@ -75,28 +88,36 @@ get_doubles(PyObject *obj, int ndim, Py_buffer *view)
 
 /* The log-likelihoods of the k rows (alpha, beta, omega) of theta on the n
    returns y, into total. Time-outer and candidate-inner; touches no Python
-   object, so it may run without the GIL. Returns -1 when out of memory. */
-static int
+   object, so it may run without the GIL. Returns -1 when out of memory.
+
+   A candidate's product of s_t so far is mant * 2^twos, mant in [1, 2). A
+   chunk's product starts from mant; when it passes the check, its exponent
+   moves into twos and its significand becomes mant, exactly and without a
+   branch. A chunk that fails adds its own step-by-step logs into total. */
+static inline __attribute__((always_inline)) int
 score(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
       double sigma1_sq, double *total)
 {
-    double *buf = malloc(8 * (size_t)(k ? k : 1) * sizeof(double));
+    double *buf = malloc(10 * (size_t)(k ? k : 1) * sizeof(double));
     if (buf == NULL)
         return -1;
     double *restrict a = buf, *restrict b = a + k, *restrict w = b + k;
     double *restrict s = w + k, *restrict start = s + k, *restrict prod = start + k;
-    double *restrict low = prod + k, *restrict quad = low + k;
+    double *restrict low = prod + k, *restrict quad = low + k, *restrict mant = quad + k;
+    int64_t *restrict twos = (int64_t *)(mant + k);
     for (Py_ssize_t j = 0; j < k; j++) {
         a[j] = theta[3 * j];
         b[j] = theta[3 * j + 1];
         w[j] = theta[3 * j + 2];
         total[j] = quad[j] = s[j] = 0.0;
+        mant[j] = 1.0;
+        twos[j] = 0;
     }
     for (Py_ssize_t t0 = 0; t0 < n; t0 += CHUNK) {
         const Py_ssize_t t1 = t0 + CHUNK < n ? t0 + CHUNK : n;
         memcpy(start, s, k * sizeof(double));
         for (Py_ssize_t j = 0; j < k; j++) {
-            prod[j] = 1.0;
+            prod[j] = mant[j];
             low[j] = INFINITY;
         }
         for (Py_ssize_t t = t0; t < t1; t++) {
@@ -116,11 +137,24 @@ score(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
                 low[j] = s[j] < low[j] ? s[j] : low[j];
             }
         }
+        int failed = 0;
         for (Py_ssize_t j = 0; j < k; j++) {
-            if (low[j] >= SAFE_MIN && prod[j] <= DBL_MAX) {
-                total[j] += log(prod[j]);
+            const int ok = (low[j] >= SAFE_MIN) & (prod[j] <= DBL_MAX);
+            uint64_t bits;
+            double m;
+            memcpy(&bits, &prod[j], sizeof bits);
+            const int64_t e = (int64_t)(bits >> 52) - 1023;
+            bits = (bits & SIGNIFICAND_BITS) | ONE_BITS;
+            memcpy(&m, &bits, sizeof m);
+            twos[j] += ok ? e : 0;
+            mant[j] = ok ? m : mant[j];
+            failed |= !ok;
+        }
+        if (!failed)
+            continue;
+        for (Py_ssize_t j = 0; j < k; j++) {
+            if ((low[j] >= SAFE_MIN) & (prod[j] <= DBL_MAX))
                 continue;
-            }
             double st = start[j], logs = 0.0;
             for (Py_ssize_t t = t0; t < t1; t++) {
                 st = t ? recur(y[t - 1] * y[t - 1], a[j], b[j], w[j], st) : sigma1_sq;
@@ -129,10 +163,31 @@ score(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
             total[j] += logs;
         }
     }
-    for (Py_ssize_t j = 0; j < k; j++)
-        total[j] = -0.5 * ((total[j] + quad[j]) + (double)n * LOG_2PI);
+    for (Py_ssize_t j = 0; j < k; j++) {
+        const double logs = (log(mant[j]) + (double)twos[j] * LN2) + total[j];
+        total[j] = -0.5 * ((logs + quad[j]) + (double)n * LOG_2PI);
+    }
     free(buf);
     return 0;
+}
+
+/* The batch entry point's score, built once per x86-64 SIMD level; the
+   loader's ifunc resolver binds the clone that the CPU runs. score itself
+   is not cloned, so that it stays inlined into the scalar entry point. */
+#if defined(__x86_64__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define SIMD_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef SIMD_CLONES
+#define SIMD_CLONES
+#endif
+
+SIMD_CLONES static int
+score_batch(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
+            double sigma1_sq, double *total)
+{
+    return score(y, n, theta, k, sigma1_sq, total);
 }
 
 /* Raises NumericOverflowError unless all k totals are finite. */
@@ -187,7 +242,7 @@ log_likelihood_batch(PyObject *self, PyObject *args)
     else if ((out = PyObject_CallFunction(empty, "n", k)) != NULL) {
         if (PyObject_GetBuffer(out, &ov, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) == 0) {
             Py_BEGIN_ALLOW_THREADS
-            rc = score(yv.buf, yv.shape[0], tv.buf, k, sigma1_sq, ov.buf);
+            rc = score_batch(yv.buf, yv.shape[0], tv.buf, k, sigma1_sq, ov.buf);
             Py_END_ALLOW_THREADS
             if (rc < 0)
                 PyErr_NoMemory();

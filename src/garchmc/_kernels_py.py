@@ -63,6 +63,8 @@ def volatility(series, alpha, beta, omega, sigma1_sq):
 
     ws = series if isinstance(series, Workspace) else Workspace(series)
     drive = ws.drive
+    if not len(drive):
+        return drive  # BLAS refuses an empty solve
     drive[0] = sigma1_sq
     np.multiply(ws.y2[:-1], alpha, out=drive[1:])
     np.add(drive[1:], omega, out=drive[1:])
@@ -72,7 +74,8 @@ def volatility(series, alpha, beta, omega, sigma1_sq):
 
 def log_likelihood(series, alpha, beta, omega, sigma1_sq):
     """Sum of Gaussian log-densities along the volatility recursion; ``series``
-    is as for ``volatility``."""
+    is as for ``volatility``. An empty series scores -0.0, as in the batch
+    kernel and ``_kernels.c``."""
     ws = series if isinstance(series, Workspace) else Workspace(series)
     sig = volatility(ws, alpha, beta, omega, sigma1_sq)
     terms = ws.terms

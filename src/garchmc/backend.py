@@ -30,7 +30,10 @@ from . import _kernels_py
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 #: -ffp-contract=off keeps the recursion's multiply and add from being fused
-#: into an FMA, which would round differently from ``_kernels_py``.
+#: into an FMA, which would round differently from ``_kernels_py``, and so
+#: keeps the batch kernel's AVX2 and AVX-512 clones equal to each other and
+#: to the baseline build. No -march: the cache file is keyed by source and
+#: command, not by CPU, and the loader picks the clone the CPU supports.
 FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 COMPILE_TIMEOUT_S = 120
 

@@ -1,8 +1,10 @@
 """The build of the compiled kernels and its fallback to the numpy twin, and
 the chain.csv text that both write."""
+import io
 import itertools
 import math
 import os
+import platform
 import shlex
 import shutil
 import subprocess
@@ -106,6 +108,8 @@ def test_build_compiles_once_then_loads(tmp_path, monkeypatch, compiled):
 def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
     # A 128-bit shift by 128 or more, or a signed overflow, would pass every
     # other test unseen. Without __int128 every value takes Python's "%.17g".
+    # The batch calls run the exponent carry, the step-by-step redo of tiny
+    # variances and the SIMD clone this CPU dispatches to.
     path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
     cmd = [*shlex.split(CC), *backend.FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all",
            *undefine, "-Wall", "-Werror", "-I" + sysconfig.get_paths()["include"],
@@ -122,6 +126,14 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
         "kernels = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(kernels)\n"
         "kernels.log_likelihood([0.5, -0.3, 0.2], 0.1, 0.8, 0.01, 0.05)\n"
+        "rng = np.random.default_rng(0)\n"
+        "thetas = np.column_stack([rng.uniform(0.01, 0.1, 1003), rng.uniform(0.5, 0.899, 1003),\n"
+        "                          rng.uniform(0.2, 1.0, 1003)])\n"
+        "kernels.log_likelihood_batch(rng.standard_normal(2000), thetas, 1.0)\n"
+        # The series of test_model's test_tiny_variances_take_one_log_per_step.
+        "y = np.random.default_rng(9).standard_normal(400) * np.repeat([1e-12, 1.0], 200)\n"
+        "thetas[:, 2] = 1e-26\n"
+        "kernels.log_likelihood_batch(y, thetas, 1e-24)\n"
         "draws = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 3)\n"
         "sys.stdout.write(kernels.chain_text(draws, np.arange(len(draws)) % 2 == 0))\n"
     )
@@ -130,6 +142,65 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
                           timeout=backend.COMPILE_TIMEOUT_S)
     assert done.returncode == 0, done.stderr.decode()
     assert_same_text(done.stdout.decode(), per_row_text(draws, accepted))
+
+
+def cpu_flags():
+    """The CPU feature flags that /proc/cpuinfo lists; none where it cannot
+    be read."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.partition(":")[2].split()}
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the SIMD clones are x86-64 only")
+@pytest.mark.parametrize("target, flag", [("avx512f", "avx512f"), ("avx2", "avx2"),
+                                          ("arch=x86-64", None)])
+def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, target, flag):
+    # A CPU only ever runs the clone it dispatches to. The macro rewrites the
+    # batch kernel's target_clones attribute into a single target, so each
+    # build holds that clone alone; 1003 candidates leave a vector epilogue.
+    if flag is not None and flag not in cpu_flags():
+        pytest.skip(f"this CPU has no {flag}")
+    path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
+    cmd = [*shlex.split(CC), *backend.FLAGS, f'-Dtarget_clones(...)=target("{target}")',
+           "-Wall", "-Werror", "-I" + sysconfig.get_paths()["include"], str(backend.SOURCE),
+           "-o", str(path), "-lm"]
+    done = subprocess.run(cmd, capture_output=True, text=True, stdin=subprocess.DEVNULL,
+                          timeout=backend.COMPILE_TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
+    rng = np.random.default_rng(23)
+    thetas = np.column_stack([rng.uniform(0.01, 0.3, 1003), rng.uniform(0.5, 0.69, 1003),
+                              rng.uniform(0.2, 1.0, 1003)])
+    ys = [rng.standard_normal(n) for n in (1, 17, 250, 2000)]
+    code = (
+        "import importlib.util, io, sys\n"
+        "import numpy as np\n"
+        f"spec = importlib.util.spec_from_file_location('garchmc._kernels', {str(path)!r})\n"
+        "kernels = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(kernels)\n"
+        "cases = np.load(io.BytesIO(sys.stdin.buffer.read()))\n"
+        "thetas = cases['thetas']\n"
+        "out = []\n"
+        "for i in range(len(cases.files) - 1):\n"
+        "    y = cases[f'y{i}']\n"
+        "    out.append(kernels.log_likelihood_batch(y, thetas, 1.0))\n"
+        "    out.append([kernels.log_likelihood(y, *theta, 1.0) for theta in thetas])\n"
+        "sys.stdout.buffer.write(np.concatenate(out).tobytes())\n"
+    )
+    cases = io.BytesIO()
+    np.savez(cases, thetas=thetas, **{f"y{i}": y for i, y in enumerate(ys)})
+    done = subprocess.run([sys.executable, "-c", code], input=cases.getvalue(),
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=backend.COMPILE_TIMEOUT_S)
+    assert done.returncode == 0, done.stderr.decode()
+    got = np.frombuffer(done.stdout).reshape(len(ys), 2, len(thetas))
+    for y, (batch, scalar) in zip(ys, got):
+        want = compiled.log_likelihood_batch(y, thetas, 1.0)
+        assert batch.tobytes() == want.tobytes()
+        assert scalar.tobytes() == want.tobytes()
 
 
 class TestChainText:

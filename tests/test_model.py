@@ -193,6 +193,15 @@ def test_kernels_raise_typed_overflow():
             assert isinstance(info.value, FloatingPointError)
 
 
+def test_empty_series_scores_negative_zero(either_kernels):
+    theta = (0.1, 0.8, 0.01)
+    for series in ([], either_kernels.Workspace([])):
+        got = either_kernels.log_likelihood(series, *theta, 0.05)
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+    got = either_kernels.log_likelihood_batch([], np.array([theta, theta]), 0.05)
+    assert got.tolist() == [0.0, 0.0] and np.signbit(got).all()
+
+
 class TestBatchLogPosterior:
     def test_outside_rows_are_exactly_log_zero(self):
         y = np.random.default_rng(8).standard_normal(300)
@@ -310,9 +319,13 @@ class TestWorkspace:
 
 class TestCompiledKernels:
     """The compiled kernels against the numpy twin, which is the reference:
-    within rtol 1e-13 everywhere, since only the order of the sums and the
-    log of each chunk's product differ; and the compiled scalar kernel equals
-    the compiled batch row exactly, as both run one loop."""
+    within rtol 1e-13 everywhere, since only the order of the sums differs
+    and how the log(s_t) are taken: the compiled kernel takes one log per
+    candidate, of its product of s_t carried as a significand and a power of
+    two, and redoes a chunk step by step only when its product could leave
+    the normal range. The compiled scalar kernel equals the compiled batch
+    row exactly, as both run one loop: checked on the first and the last 20
+    rows, where the batch kernel's vector loops run their epilogue."""
 
     RTOL = 1e-13
 
@@ -320,7 +333,8 @@ class TestCompiledKernels:
         got = kernels.log_likelihood_batch(y, thetas, sigma1_sq)
         np.testing.assert_allclose(
             got, _kernels_py.log_likelihood_batch(y, thetas, sigma1_sq), rtol=self.RTOL, atol=0.0)
-        for value, theta in zip(got, thetas[:20]):
+        ends = np.r_[0:min(len(thetas), 20), max(len(thetas) - 20, 20):len(thetas)]
+        for value, theta in zip(got[ends], thetas[ends]):
             scalar = kernels.log_likelihood(y, *theta, sigma1_sq)
             assert scalar == value
             assert scalar == pytest.approx(
@@ -361,6 +375,35 @@ class TestCompiledKernels:
                                   np.full(50, 1e-26)])
         self.check(compiled, y[:200], thetas, 1e-24)
         self.check(compiled, y, thetas, 1e-24)
+
+    @pytest.mark.parametrize("scale, n, k", [
+        (1e-150, 2000, 1003),  # s_t near 1e-300, below 2^-62: every chunk is redone
+        (1e150, 2000, 1003),   # s_t near 1e300: every chunk's product overflows, redone
+        (1e-6, 100000, 50),    # s_t near 1e-12: every chunk carries, twos nears -4 million
+    ])
+    def test_scaled_series_match_twin(self, compiled, scale, n, k):
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal(n) * scale
+        thetas = np.column_stack([rng.uniform(0.01, 0.3, k), rng.uniform(0.5, 0.69, k),
+                                  rng.uniform(0.2, 1.0, k) * scale ** 2])
+        self.check(compiled, y, thetas, scale ** 2)
+
+    def test_chunks_straddling_the_redo_threshold_match_twin(self, compiled):
+        # Returns of scale 2^-31 and an unconditional variance of 1.5 * 2^-62
+        # move s_t back and forth across 2^-62, the least s_t that a chunk of
+        # _kernels.c's CHUNK = 16 steps takes in its product: some chunks are
+        # redone step by step between chunks that carry their product on.
+        safe_min, chunk = 2.0 ** -62, 16
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal(2000) * 2.0 ** -31
+        a, b = rng.uniform(0.1, 0.3, 1003), rng.uniform(0.5, 0.69, 1003)
+        thetas = np.column_stack([a, b, (1.0 - a - b) * 1.5 * safe_min])
+        for theta in thetas[:3]:
+            s = _kernels_py.volatility(y, *theta, safe_min).reshape(-1, chunk)
+            straddle = (s.min(axis=1) < safe_min) & (s.max(axis=1) >= safe_min)
+            carried = s.min(axis=1) >= safe_min
+            assert straddle.any() and carried.any()
+        self.check(compiled, y, thetas, safe_min)
 
     def test_lists_and_workspace_are_accepted(self, compiled):
         y = [0.5, -0.3, 0.2, 1.1]
