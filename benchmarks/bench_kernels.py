@@ -5,19 +5,18 @@ The scalar likelihood is timed twice: on y, and on one reused ``Workspace``
 in y's place, as the posterior closure calls it. Every figure is per
 candidate (one parameter set): a scalar call scores one. Then the chain.csv
 text, in ns per row: ``chain_text`` of CHAIN_ROWS rows at acceptance
-CHAIN_ACCEPT in one call. Where no C compiler is found, the compiled columns
-read "-".
+CHAIN_ACCEPT in one call. Then the two accept loops: ``rw_chain``, in ns per
+step, on BATCH_K steps with a target that returns 0.0, so that the loop and
+its one Python call per step are timed and no likelihood; and
+``independence_accept``, in ns per draw, on BATCH_K candidates whose scores
+are drawn before the clock starts. Where no C compiler is found, the
+compiled columns read "-".
 
-Two layers follow, neither of which calls a kernel:
-- the independence-MH accept loop, in ns per draw: ``_independence_batch``
-  on BATCH_K candidates whose proposal densities and posterior scores are
-  computed before the clock starts, so only the accept loop and the gather
-  of the draws are timed;
-- ``diagnostics.summarize``, in ms per call: the report of a chain of
-  SUMMARIZE_DRAWS draws whose three columns are AR(1) series, then of one
-  whose columns also carry a slow sine wave, so that their lag bound is
-  N/10 as on real chains. The script checks that those bounds reach N/10
-  and that every jackknife replicate finds a plateau.
+One layer follows that calls no kernel: ``diagnostics.summarize``, in ms per
+call, the report of a chain of SUMMARIZE_DRAWS draws whose three columns are
+AR(1) series, then of one whose columns also carry a slow sine wave, so that
+their lag bound is N/10 as on real chains. The script checks that those
+bounds reach N/10 and that every jackknife replicate finds a plateau.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
@@ -30,7 +29,7 @@ import timeit
 
 import numpy as np
 
-from garchmc import _kernels_py, backend, data, diagnostics, samplers
+from garchmc import _kernels_py, backend, data, diagnostics
 
 THETA = (0.05, 0.90, 0.01)
 BATCHES = 5
@@ -74,20 +73,6 @@ def rows(kernels, y, sigma1_sq):
     ]
 
 
-class FixedProposal:
-    """A proposal whose candidates and their log-densities are drawn once:
-    ``sample`` returns the same candidates at every call."""
-
-    def __init__(self, cands, log_g_cands):
-        self.cands, self.log_g_cands = cands, log_g_cands
-
-    def sample(self, rng, size):
-        return self.cands
-
-    def log_density(self, theta):
-        return self.log_g_cands if np.ndim(theta) == 2 else 0.0
-
-
 def ar1_draws(rng, k):
     """(k, 3) draws whose columns are AR(1) series with coefficient
     SUMMARIZE_PHI."""
@@ -126,24 +111,30 @@ def chain_draws(rng):
     return fresh[np.maximum.accumulate(np.where(accepted, np.arange(CHAIN_ROWS), 0))], accepted
 
 
-def layer_rows():
-    """(name, unit, time in that unit) of the layers that call no kernel."""
+def accept_loop_rows(kernels):
+    """(name, seconds per step) of each accept loop of kernels, on BATCH_K
+    steps."""
     rng = np.random.default_rng(1)
-    cands = np.tile(THETA, (BATCH_K, 1)) + 1e-3 * rng.standard_normal((BATCH_K, 3))
+    shifts = 1e-3 * rng.standard_normal((BATCH_K, 3))
     log_g_cands = rng.standard_normal(BATCH_K)
     # Scores near the proposal's accept about 70% of the steps, as the
     # fitted proposal does on the default protocol.
     log_p_cands = log_g_cands + 0.5 * rng.standard_normal(BATCH_K)
-    prop = FixedProposal(cands, log_g_cands)
-    accept_loop = time_call(samplers._independence_batch,
-                            (np.array(THETA), 0.0, BATCH_K, prop, lambda _: log_p_cands, rng))
-    summarize = [(kind, k, time_call(diagnostics.summarize, (make(rng, k), np.ones(k, bool))))
-                 for kind, make in (("AR(1)", ar1_draws), ("long-range", long_range_draws))
-                 for k in SUMMARIZE_DRAWS]
-    return [
-        (f"independence accept loop, k={BATCH_K}", "ns/draw", accept_loop / BATCH_K * 1e9),
-        *((f"summarize, {k} {kind} draws", "ms/call", t * 1e3) for kind, k, t in summarize),
-    ]
+    u = rng.random(BATCH_K)
+    rw = time_call(kernels.rw_chain, (lambda _: 0.0, np.array(THETA), 0.0, shifts, u))
+    independence = time_call(kernels.independence_accept,
+                             (log_p_cands, log_g_cands, u, 0.0, 0.0))
+    return [("rw_chain, target 0.0", rw / BATCH_K),
+            ("independence_accept", independence / BATCH_K)]
+
+
+def summarize_rows():
+    """(name, ms per call) of summarize on each kind and length of chain."""
+    rng = np.random.default_rng(1)
+    return [(f"summarize, {k} {kind} draws",
+             time_call(diagnostics.summarize, (make(rng, k), np.ones(k, bool))) * 1e3)
+            for kind, make in (("AR(1)", ar1_draws), ("long-range", long_range_draws))
+            for k in SUMMARIZE_DRAWS]
 
 
 def main():
@@ -172,9 +163,16 @@ def main():
     print(f"{'chain_text':>26} {'rows':>6} {'numpy ns/row':>14} {'c ns/row':>10}")
     print(f"{f'acceptance {CHAIN_ACCEPT}':>26} {CHAIN_ROWS:>6} {ns_py:14.1f} {ns_c:>10}")
     print()
+    print(f"{'accept loop':>26} {'steps':>6} {'numpy ns/step':>14} {'c ns/step':>10}")
+    c_times = ([t for _, t in accept_loop_rows(backend.kernels)]
+               if backend.KERNEL == "c" else [None] * 2)
+    for (name, t_py), t_c in zip(accept_loop_rows(_kernels_py), c_times):
+        ns_c = f"{t_c * 1e9:.1f}" if t_c else "-"
+        print(f"{name:>26} {BATCH_K:>6} {t_py * 1e9:14.1f} {ns_c:>10}")
+    print()
     print(f"{'layer':>42} {'time':>8}")
-    for name, unit, t in layer_rows():
-        print(f"{name:>42} {t:8.1f} {unit}")
+    for name, t in summarize_rows():
+        print(f"{name:>42} {t:8.1f} ms/call")
 
 
 if __name__ == "__main__":

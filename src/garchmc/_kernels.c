@@ -1,6 +1,7 @@
-/* The GARCH(1,1) likelihood kernels and the chain.csv text in C, with the
-   signatures of ``_kernels_py``: positional arguments only, the series
-   first. The scalar kernel's series is y or this module's Workspace(y).
+/* The GARCH(1,1) likelihood kernels, the two Metropolis-Hastings accept
+   loops and the chain.csv text in C, with the signatures of ``_kernels_py``:
+   positional arguments only, the likelihood's series first. The scalar
+   kernel's series is y or this module's Workspace(y).
 
    ``garchmc.backend`` compiles this file on first import with
    -ffp-contract=off, so each step of the volatility recursion,
@@ -27,7 +28,14 @@
    chain_text writes "%.17g" of each parameter: a positive double whose text
    is in fixed notation by exact 128-bit integer arithmetic (put_fixed), and
    every other value, or every value where the compiler has no __int128, by
-   PyOS_double_to_string, the routine behind Python's "%.17g". */
+   PyOS_double_to_string, the routine behind Python's "%.17g".
+
+   rw_chain and independence_accept are the loops of ``_kernels_py`` with
+   the same IEEE operations in the same order and the exp of Python's
+   math.exp, so they take the same steps on the same random numbers.
+   rw_chain still calls its target through Python once per step, on a new
+   list of floats; the likelihood is not fused into the loop, so a wrapped
+   ``backend.kernels.log_likelihood`` sees every call. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
@@ -58,6 +66,7 @@ recur(double lag, double a, double b, double w, double s)
 static PyObject *overflow_error; /* garchmc.exceptions.NumericOverflowError */
 static PyObject *ascontiguousarray;
 static PyObject *empty;
+static PyObject *int64; /* numpy.int64 */
 
 /* A C-contiguous float64 view of obj with ndim dimensions: obj's own
    buffer when it is one, otherwise that of numpy.ascontiguousarray(obj,
@@ -84,6 +93,18 @@ get_doubles(PyObject *obj, int ndim, Py_buffer *view)
         rc = -1;
     }
     return rc;
+}
+
+/* A new numpy.empty array of dtype and shape (n,), or (n, p) when ndim is
+   2, with a writable view of it in view; NULL with an exception set. */
+static PyObject *
+new_array(PyObject *dtype, int ndim, Py_ssize_t n, Py_ssize_t p, Py_buffer *view)
+{
+    PyObject *arr = ndim == 2 ? PyObject_CallFunction(empty, "(nn)O", n, p, dtype)
+                              : PyObject_CallFunction(empty, "nO", n, dtype);
+    if (arr != NULL && PyObject_GetBuffer(arr, view, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) < 0)
+        Py_CLEAR(arr);
+    return arr;
 }
 
 /* The log-likelihoods of the k rows (alpha, beta, omega) of theta on the n
@@ -239,17 +260,15 @@ log_likelihood_batch(PyObject *self, PyObject *args)
     int rc = -1;
     if (tv.shape[1] != 3)
         PyErr_Format(PyExc_ValueError, "thetas must have 3 columns, got %zd", tv.shape[1]);
-    else if ((out = PyObject_CallFunction(empty, "n", k)) != NULL) {
-        if (PyObject_GetBuffer(out, &ov, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) == 0) {
-            Py_BEGIN_ALLOW_THREADS
-            rc = score_batch(yv.buf, yv.shape[0], tv.buf, k, sigma1_sq, ov.buf);
-            Py_END_ALLOW_THREADS
-            if (rc < 0)
-                PyErr_NoMemory();
-            else
-                rc = check_finite(ov.buf, k);
-            PyBuffer_Release(&ov);
-        }
+    else if ((out = new_array((PyObject *)&PyFloat_Type, 1, k, 0, &ov)) != NULL) {
+        Py_BEGIN_ALLOW_THREADS
+        rc = score_batch(yv.buf, yv.shape[0], tv.buf, k, sigma1_sq, ov.buf);
+        Py_END_ALLOW_THREADS
+        if (rc < 0)
+            PyErr_NoMemory();
+        else
+            rc = check_finite(ov.buf, k);
+        PyBuffer_Release(&ov);
         if (rc < 0)
             Py_CLEAR(out);
     }
@@ -264,6 +283,139 @@ static PyObject *
 workspace(PyObject *self, PyObject *y)
 {
     return PyObject_CallFunctionObjArgs(ascontiguousarray, y, (PyObject *)&PyFloat_Type, NULL);
+}
+
+/* The Metropolis-Hastings rule of ``_kernels_py._accept`` for log
+   acceptance ratio delta and u ~ U(0, 1), with the exp of Python's
+   math.exp. A delta of -inf, a candidate outside the support, and a NaN
+   delta reject. */
+static inline int
+accept(double delta, double u)
+{
+    return delta >= 0.0 || u < exp(delta);
+}
+
+/* rw_chain(target, theta, log_p, shifts, u): random-walk Metropolis from
+   the length-p state theta of log-density log_p, as in ``_kernels_py``.
+   Step i proposes theta + shifts[i], calls target once on it as a new list
+   of p floats, and accepts by u[i]. The candidate is built in its row of
+   the draws, which a rejection overwrites with the state; the state is kept
+   in the buffer of the end state's array. */
+static PyObject *
+rw_chain(PyObject *self, PyObject *args)
+{
+    PyObject *target, *theta_obj, *shifts_obj, *u_obj, *result = NULL;
+    PyObject *draws = NULL, *accepted = NULL, *end = NULL;
+    double log_p;
+    Py_buffer tv = {0}, sv = {0}, uv = {0}, dv = {0}, av = {0}, ev = {0};
+    if (!PyArg_ParseTuple(args, "OOdOO:rw_chain", &target, &theta_obj, &log_p,
+                          &shifts_obj, &u_obj)
+        || get_doubles(theta_obj, 1, &tv) < 0 || get_doubles(shifts_obj, 2, &sv) < 0
+        || get_doubles(u_obj, 1, &uv) < 0)
+        goto done;
+    const Py_ssize_t n = uv.shape[0], p = tv.shape[0];
+    if (sv.shape[0] != n || sv.shape[1] != p) {
+        PyErr_Format(PyExc_ValueError, "shifts must have shape (len(u), len(theta)) = "
+                     "(%zd, %zd), got (%zd, %zd)", n, p, sv.shape[0], sv.shape[1]);
+        goto done;
+    }
+    if ((draws = new_array((PyObject *)&PyFloat_Type, 2, n, p, &dv)) == NULL
+        || (accepted = new_array((PyObject *)&PyBool_Type, 1, n, 0, &av)) == NULL
+        || (end = new_array((PyObject *)&PyFloat_Type, 1, p, 0, &ev)) == NULL)
+        goto done;
+    double *theta = ev.buf, *row = dv.buf;
+    const double *shift = sv.buf, *u = uv.buf;
+    char *flag = av.buf;
+    memcpy(theta, tv.buf, (size_t)p * sizeof(double));
+    for (Py_ssize_t i = 0; i < n; i++, shift += p, row += p) {
+        PyObject *list = PyList_New(p);
+        if (list == NULL)
+            goto done;
+        for (Py_ssize_t j = 0; j < p; j++) {
+            PyObject *x = PyFloat_FromDouble(row[j] = theta[j] + shift[j]);
+            if (x == NULL) {
+                Py_DECREF(list);
+                goto done;
+            }
+            PyList_SET_ITEM(list, j, x);
+        }
+        PyObject *score = PyObject_CallOneArg(target, list);
+        Py_DECREF(list);
+        if (score == NULL)
+            goto done;
+        const double log_p_cand = PyFloat_AsDouble(score);
+        Py_DECREF(score);
+        if (log_p_cand == -1.0 && PyErr_Occurred())
+            goto done;
+        flag[i] = (char)accept(log_p_cand - log_p, u[i]);
+        if (flag[i]) {
+            memcpy(theta, row, (size_t)p * sizeof(double));
+            log_p = log_p_cand;
+        }
+        else
+            memcpy(row, theta, (size_t)p * sizeof(double));
+    }
+    result = Py_BuildValue("OOOd", draws, accepted, end, log_p);
+done:
+    PyBuffer_Release(&ev);
+    PyBuffer_Release(&av);
+    PyBuffer_Release(&dv);
+    PyBuffer_Release(&uv);
+    PyBuffer_Release(&sv);
+    PyBuffer_Release(&tv);
+    Py_XDECREF(end);
+    Py_XDECREF(accepted);
+    Py_XDECREF(draws);
+    return result;
+}
+
+/* independence_accept(log_p_cands, log_g_cands, u, log_p, log_g): the
+   independence-MH accept loop of ``_kernels_py`` over k candidates already
+   scored, from a state scored log_p by the target and log_g by the
+   proposal. index[i] is the row of vstack([theta, cands]) that holds the
+   state after step i. */
+static PyObject *
+independence_accept(PyObject *self, PyObject *args)
+{
+    PyObject *lp_obj, *lg_obj, *u_obj, *index = NULL, *accepted = NULL, *result = NULL;
+    double log_p, log_g;
+    Py_buffer pv = {0}, gv = {0}, uv = {0}, iv = {0}, av = {0};
+    if (!PyArg_ParseTuple(args, "OOOdd:independence_accept", &lp_obj, &lg_obj, &u_obj,
+                          &log_p, &log_g)
+        || get_doubles(lp_obj, 1, &pv) < 0 || get_doubles(lg_obj, 1, &gv) < 0
+        || get_doubles(u_obj, 1, &uv) < 0)
+        goto done;
+    const Py_ssize_t k = uv.shape[0];
+    if (pv.shape[0] != k || gv.shape[0] != k) {
+        PyErr_Format(PyExc_ValueError, "log_p_cands, log_g_cands and u must have one length, "
+                     "got %zd, %zd and %zd", pv.shape[0], gv.shape[0], k);
+        goto done;
+    }
+    if ((index = new_array(int64, 1, k, 0, &iv)) == NULL
+        || (accepted = new_array((PyObject *)&PyBool_Type, 1, k, 0, &av)) == NULL)
+        goto done;
+    const double *log_p_cands = pv.buf, *log_g_cands = gv.buf, *u = uv.buf;
+    int64_t *at = iv.buf, state = 0;
+    char *flag = av.buf;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        flag[i] = (char)accept((log_p_cands[i] - log_p) + (log_g - log_g_cands[i]), u[i]);
+        if (flag[i]) {
+            log_p = log_p_cands[i];
+            log_g = log_g_cands[i];
+            state = i + 1;
+        }
+        at[i] = state;
+    }
+    result = Py_BuildValue("OOd", index, accepted, log_p);
+done:
+    PyBuffer_Release(&av);
+    PyBuffer_Release(&iv);
+    PyBuffer_Release(&uv);
+    PyBuffer_Release(&gv);
+    PyBuffer_Release(&pv);
+    Py_XDECREF(accepted);
+    Py_XDECREF(index);
+    return result;
 }
 
 /* The text of chain.csv rows. PARAM_MAX is the longest "%.17g" of a
@@ -468,12 +620,16 @@ static PyMethodDef methods[] = {
      "Log-likelihoods of the (k, 3) parameter rows of thetas."},
     {"chain_text", chain_text, METH_VARARGS,
      "The chain.csv rows of the (k, p) draws and their k accept flags."},
+    {"rw_chain", rw_chain, METH_VARARGS,
+     "Random-walk Metropolis steps: (draws, accepted, end state, its log-density)."},
+    {"independence_accept", independence_accept, METH_VARARGS,
+     "Independence-MH accept loop: (state index per step, accepted, end log-density)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "garchmc._kernels",
-    "Compiled GARCH(1,1) likelihood kernels and chain.csv text.",
+    "Compiled GARCH(1,1) likelihood kernels, accept loops and chain.csv text.",
     -1, methods,
 };
 
@@ -484,11 +640,12 @@ PyInit__kernels(void)
     PyObject *numpy = PyImport_ImportModule("numpy");
     if (exceptions && numpy
         && (overflow_error = PyObject_GetAttrString(exceptions, "NumericOverflowError"))
-        && (ascontiguousarray = PyObject_GetAttrString(numpy, "ascontiguousarray")))
-        empty = PyObject_GetAttrString(numpy, "empty");
+        && (ascontiguousarray = PyObject_GetAttrString(numpy, "ascontiguousarray"))
+        && (empty = PyObject_GetAttrString(numpy, "empty")))
+        int64 = PyObject_GetAttrString(numpy, "int64");
     Py_XDECREF(exceptions);
     Py_XDECREF(numpy);
-    if (!overflow_error || !ascontiguousarray || !empty)
+    if (!overflow_error || !ascontiguousarray || !empty || !int64)
         return NULL;
     return PyModule_Create(&module);
 }

@@ -1,5 +1,5 @@
-"""The GARCH(1,1) likelihood kernels, numpy plus one BLAS call, and the
-chain.csv text.
+"""The GARCH(1,1) likelihood kernels, numpy plus one BLAS call, the two
+Metropolis-Hastings accept loops and the chain.csv text.
 
 The volatility recursion s_t = drive_t + beta*s_{t-1} is the transposed
 solve U^T s = drive with U unit upper bidiagonal (superdiagonal -beta), so it
@@ -19,8 +19,14 @@ rows of chain.csv with Python's ``"%.17g"``. The module imports only
 numpy and ``garchmc.exceptions``; ``scipy.linalg.blas`` is imported by the
 first ``volatility`` call, so a run on the compiled kernels of
 ``_kernels.c`` imports no scipy.
+
+The accept loops ``rw_chain`` and ``independence_accept`` both accept
+through ``_accept`` and step on Python floats: the random walk calls its
+target once per step, and the independence loop runs on candidates already
+scored.
 """
 import math
+import operator
 
 import numpy as np
 
@@ -30,6 +36,9 @@ from .exceptions import NumericOverflowError
 #: buffers of a 1000-candidate batch stay in cache.
 BLOCK = 32
 LOG_2PI = math.log(2.0 * math.pi)
+#: Steps per chunk in which ``rw_chain`` converts its random numbers to
+#: Python floats; a whole batch at once would hold p + 1 float objects per step.
+_RW_CHUNK = 256
 
 
 class Workspace:
@@ -159,3 +168,80 @@ def chain_text(draws, accepted):
     heads = [("%.17g," * draws.shape[1]) % row for row in map(tuple, draws[fresh].tolist())]
     runs = (np.cumsum(fresh) - 1).tolist()
     return "".join([heads[r] + ("1\n" if a else "0\n") for r, a in zip(runs, accepted.tolist())])
+
+
+def _accept(delta, u):
+    """Metropolis-Hastings rule for log acceptance ratio delta and u ~ U(0, 1).
+
+    A candidate outside the support scores -inf, and delta = -inf always
+    rejects: -inf >= 0 is false, and u < exp(-inf) = 0 is false for every u
+    in [0, 1). A NaN delta rejects too."""
+    return delta >= 0.0 or u < math.exp(delta)
+
+
+def rw_chain(target, theta, log_p, shifts, u):
+    """Random-walk Metropolis from the length-p state theta of log-density
+    log_p: step i proposes theta + shifts[i] and accepts by u[i]. Returns the
+    (n, p) draws, their (n,) accept flags, the end state as a new float64
+    array and its log-density.
+
+    ``target`` is called on each candidate as a new list of p Python floats.
+    The random numbers are converted to floats _RW_CHUNK steps at a time;
+    each chunk's states are written into the draws in one slice.
+    """
+    theta, shifts, u = (np.asarray(x, dtype=np.float64) for x in (theta, shifts, u))
+    if theta.ndim != 1 or u.ndim != 1 or shifts.shape != (u.size, theta.size):
+        raise ValueError(f"shifts must have shape (len(u), len(theta)), got {shifts.shape} "
+                         f"for {u.shape} and {theta.shape}")
+    log_p = float(log_p)
+    n_steps = u.size
+    draws = np.empty(shifts.shape)
+    theta = theta.tolist()
+    hits = []
+    for start in range(0, n_steps, _RW_CHUNK):
+        stop = min(start + _RW_CHUNK, n_steps)
+        states = []
+        for i, shift, u_i in zip(range(start, stop), shifts[start:stop].tolist(),
+                                 u[start:stop].tolist()):
+            cand = list(map(operator.add, theta, shift))
+            log_p_cand = target(cand)
+            if _accept(log_p_cand - log_p, u_i):
+                theta = cand
+                log_p = log_p_cand
+                hits.append(i)
+            states.append(theta)
+        draws[start:stop] = states
+    accepted = np.zeros(n_steps, dtype=bool)
+    accepted[hits] = True
+    return draws, accepted, np.array(theta, dtype=np.float64), log_p
+
+
+def independence_accept(log_p_cands, log_g_cands, u, log_p, log_g):
+    """Independence MH over k candidates scored log_p_cands by the target and
+    log_g_cands by the proposal, from a state scored log_p and log_g; step i
+    accepts by u[i]. Returns the (k,) int64 index of each step's state in
+    ``vstack([theta, cands])``, the (k,) accept flags and the end state's
+    log-density.
+
+    The state after step i is row 0 (theta) before the first accept, and row
+    j + 1 (candidate j) after the accept at j; the loop runs on Python floats
+    and records only the steps that accept.
+    """
+    log_p_cands, log_g_cands, u = (np.asarray(x, dtype=np.float64)
+                                   for x in (log_p_cands, log_g_cands, u))
+    k = u.size
+    if u.ndim != 1 or log_p_cands.shape != u.shape or log_g_cands.shape != u.shape:
+        raise ValueError(f"log_p_cands, log_g_cands and u must have one length, got "
+                         f"{log_p_cands.shape}, {log_g_cands.shape} and {u.shape}")
+    log_p, log_g = float(log_p), float(log_g)
+    hits = []
+    for i, log_p_cand, log_g_cand, u_i in zip(range(k), log_p_cands.tolist(),
+                                              log_g_cands.tolist(), u.tolist()):
+        if _accept((log_p_cand - log_p) + (log_g - log_g_cand), u_i):
+            log_p = log_p_cand
+            log_g = log_g_cand
+            hits.append(i)
+    accepted = np.zeros(k, dtype=bool)
+    accepted[hits] = True
+    index = np.maximum.accumulate(np.where(accepted, np.arange(1, k + 1, dtype=np.int64), 0))
+    return index, accepted, log_p

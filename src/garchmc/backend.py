@@ -1,6 +1,6 @@
-"""The one place that picks the kernels, the likelihood and the chain.csv
-text: ``_kernels.c``, compiled on first import, or its numpy twin
-``_kernels_py``.
+"""The one place that picks the kernels, the likelihood, the two
+Metropolis-Hastings accept loops and the chain.csv text: ``_kernels.c``,
+compiled on first import, or its numpy twin ``_kernels_py``.
 
 ``build`` compiles ``_kernels.c`` with the C compiler and include directory
 Python was built with, into ``__pycache__/_kernels-<hash><EXT_SUFFIX>`` beside
@@ -16,7 +16,9 @@ load. ``KERNEL`` names the kernels in use, "c" or "numpy", and each run's
 ``perfbench/tracer.py`` wraps ``backend.kernels.log_likelihood`` to count and
 time scalar likelihood calls. ``model`` reaches its kernels through this
 attribute, and looks the scalar kernel up when a posterior closure is made,
-so a closure made after the patch calls the wrapper.
+so a closure made after the patch calls the wrapper. ``samplers`` looks the
+accept loops up at each call; the random walk's loop calls the posterior
+closure once per step, so every scalar call still passes the wrapper.
 """
 import hashlib
 import importlib.util

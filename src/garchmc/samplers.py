@@ -1,23 +1,25 @@
 """Random-walk Metropolis and adaptive independence MH on one driver.
 
 The batch kernels ``_rw_chain`` and ``_independence_batch`` are
-dimension-agnostic, take and return the chain state (theta, log_p) alike and
-both accept through ``_accept``, stepping on Python floats. ``_rw_chain``
-takes a target: any callable returning a log-density (-inf outside its
-support) for a list of parameter floats. Independence candidates do not
-depend on the chain state, so ``_independence_batch`` takes a batch scorer
-instead, mapping a (k, p) array of candidates to their (k,) log-densities in
-one call. The one driver, ``_run``, wires them to the GARCH posterior:
+dimension-agnostic and take and return the chain state (theta, log_p) alike.
+They draw the random numbers; the per-step accept loops run in the kernel
+module that ``backend`` picks, ``rw_chain`` and ``independence_accept`` of
+the compiled ``_kernels.c`` or of its numpy twin ``_kernels_py``, which
+write the accept rule once each. ``_rw_chain`` takes a target: any callable
+returning a log-density (-inf outside its support) for a list of parameter
+floats, called once per step. Independence candidates do not depend on the
+chain state, so ``_independence_batch`` takes a batch scorer instead,
+mapping a (k, p) array of candidates to their (k,) log-densities in one
+call. The one driver, ``_run``, wires them to the GARCH posterior:
 ``run_metropolis`` and ``run_adaptive`` differ only in the kernel that fills
 each retained batch.
 """
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, proposal
+from . import backend, model, proposal
 from .exceptions import DataValidationError, DegenerateSampleError, TuningFailureError
 from .rng import named_rng
 
@@ -28,9 +30,6 @@ TUNE_ACCEPT_FLOOR = 0.5
 TUNE_ACCEPT_CEIL = 0.85
 TUNE_BLOCK_STEPS = 500
 TUNE_MAX_BLOCKS = 20
-#: Steps per chunk in which ``_rw_chain`` converts its random numbers to
-#: Python floats; a whole batch at once would hold p + 1 float objects per step.
-_RW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -52,46 +51,18 @@ class AdaptiveSchedule:
             raise ValueError(f"refit_interval {self.refit_interval} exceeds total {self.total}")
 
 
-def _accept(delta, u):
-    """Metropolis-Hastings rule for log acceptance ratio delta and u ~ U(0, 1).
-
-    A candidate outside the support scores -inf, and delta = -inf always
-    rejects: -inf >= 0 is false, and u < exp(-inf) = 0 is false for every u
-    in [0, 1)."""
-    return delta >= 0.0 or u < math.exp(delta)
-
-
 def _rw_chain(theta, log_p, n_steps, d, target, rng):
     """Run n_steps of random walk from the length-p state theta; returns the
-    (n_steps, p) draws, their flags and the end state, a new float64 array.
+    (n_steps, p) draws, their flags and the end state, a new float64 array,
+    and its log-density.
 
-    ``target`` is called on each candidate as a list of p Python floats. The
-    random numbers are drawn for the whole run up front and converted to
-    floats _RW_CHUNK steps at a time; each chunk's states are written into
-    the draws in one slice.
+    The random numbers are drawn for the whole run up front; the kernels'
+    ``rw_chain`` calls ``target`` on each candidate as a list of p Python
+    floats.
     """
-    p = len(theta)
-    draws = np.empty((n_steps, p))
-    shifts = d * (rng.random((n_steps, p)) - 0.5)
+    shifts = d * (rng.random((n_steps, len(theta))) - 0.5)
     u = rng.random(n_steps)
-    theta = np.asarray(theta, dtype=np.float64).tolist()
-    hits = []
-    for start in range(0, n_steps, _RW_CHUNK):
-        stop = min(start + _RW_CHUNK, n_steps)
-        states = []
-        for i, shift, u_i in zip(range(start, stop), shifts[start:stop].tolist(),
-                                 u[start:stop].tolist()):
-            cand = list(map(operator.add, theta, shift))
-            log_p_cand = target(cand)
-            if _accept(log_p_cand - log_p, u_i):
-                theta = cand
-                log_p = log_p_cand
-                hits.append(i)
-            states.append(theta)
-        draws[start:stop] = states
-    accepted = np.zeros(n_steps, dtype=bool)
-    accepted[hits] = True
-    return draws, accepted, np.array(theta), log_p
+    return backend.kernels.rw_chain(target, theta, log_p, shifts, u)
 
 
 def tune_metropolis(d, target, rng, theta0):
@@ -122,29 +93,18 @@ def _independence_batch(theta, log_p, n_steps, prop, score, rng):
     row of a new float64 array.
 
     All candidates are drawn and scored (``score``: (k, p) candidates to (k,)
-    log-densities) before the accept loop, which runs on Python floats and
-    copies no state; the draws are gathered by index once, after it.
+    log-densities) before the kernels' ``independence_accept``, which copies
+    no state; the draws are gathered by its index once, after it.
     """
     log_g = float(prop.log_density(theta))
     cands = prop.sample(rng, n_steps)
     log_g_cands = prop.log_density(cands)
     u = rng.random(n_steps)
     log_p_cands = score(cands)
-    # The loop keeps the log-densities of the current state and the steps
-    # that accept; the state after step i is row 0 of states (theta) before
-    # the first accept, and row j + 1 (candidate j) after the accept at j.
-    hits = []
-    for i, log_p_cand, log_g_cand, u_i in zip(range(n_steps), log_p_cands.tolist(),
-                                              log_g_cands.tolist(), u.tolist()):
-        if _accept((log_p_cand - log_p) + (log_g - log_g_cand), u_i):
-            log_p = log_p_cand
-            log_g = log_g_cand
-            hits.append(i)
-    accepted = np.zeros(n_steps, dtype=bool)
-    accepted[hits] = True
-    index = np.maximum.accumulate(np.where(accepted, np.arange(1, n_steps + 1), 0))
+    index, accepted, log_p = backend.kernels.independence_accept(
+        log_p_cands, log_g_cands, u, log_p, log_g)
     states = np.vstack([theta, cands])
-    return states[index], accepted, states[hits[-1] + 1 if hits else 0], log_p
+    return states[index], accepted, states[index[-1] if n_steps else 0], log_p
 
 
 def _tuned_widths(target, theta0, rng):

@@ -109,7 +109,9 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
     # A 128-bit shift by 128 or more, or a signed overflow, would pass every
     # other test unseen. Without __int128 every value takes Python's "%.17g".
     # The batch calls run the exponent carry, the step-by-step redo of tiny
-    # variances and the SIMD clone this CPU dispatches to.
+    # variances and the SIMD clone this CPU dispatches to. Both accept loops
+    # run too: on zero steps, with one parameter, on NaN scores, and with
+    # targets that raise or return None, which must leave as those errors.
     path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
     cmd = [*shlex.split(CC), *backend.FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all",
            *undefine, "-Wall", "-Werror", "-I" + sysconfig.get_paths()["include"],
@@ -134,6 +136,37 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
         "y = np.random.default_rng(9).standard_normal(400) * np.repeat([1e-12, 1.0], 200)\n"
         "thetas[:, 2] = 1e-26\n"
         "kernels.log_likelihood_batch(y, thetas, 1e-24)\n"
+        "from garchmc.exceptions import NumericOverflowError\n"
+        "theta, u = np.array([0.05, 0.9, 0.01]), rng.random(600)\n"
+        "shifts = rng.uniform(-0.02, 0.02, (600, 3))\n"
+        "def target(cand):\n"
+        "    a, b, w = cand\n"
+        "    return -1e3 * (a - 0.05) ** 2 if a > 0 else float('-inf')\n"
+        "draws, flags, end, log_p = kernels.rw_chain(target, theta, 0.0, shifts, u)\n"
+        "assert 0 < flags.sum() < 600 and (draws[-1] == end).all()\n"
+        "kernels.rw_chain(target, theta, 0.0, shifts[:0], u[:0])\n"
+        "kernels.rw_chain(lambda cand: cand[0], theta[:1], 0.0, shifts[:, :1], u)\n"
+        "kernels.rw_chain(lambda cand: float('nan'), theta, float('-inf'), shifts, u)\n"
+        "calls = []\n"
+        "def fail(cand):\n"
+        "    calls.append(cand)\n"
+        "    if len(calls) == 10:\n"
+        "        raise NumericOverflowError('raised by the target at step 9')\n"
+        "    return 0.0\n"
+        "for bad, error in ((fail, NumericOverflowError), (lambda cand: None, TypeError)):\n"
+        "    try:\n"
+        "        kernels.rw_chain(bad, theta, 0.0, shifts, u)\n"
+        "    except error:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(f'no {error.__name__}')\n"
+        "log_p_cands = rng.standard_normal(1000)\n"
+        "log_p_cands[::7] = float('-inf')\n"
+        "log_p_cands[::11] = float('nan')\n"
+        "index, flags, log_p = kernels.independence_accept(\n"
+        "    log_p_cands, rng.standard_normal(1000), rng.random(1000), float('-inf'), 0.0)\n"
+        "assert 0 < flags.sum() < 1000 and index[-1] <= 1000\n"
+        "kernels.independence_accept(log_p_cands[:0], log_p_cands[:0], u[:0], 0.0, 0.0)\n"
         "draws = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 3)\n"
         "sys.stdout.write(kernels.chain_text(draws, np.arange(len(draws)) % 2 == 0))\n"
     )

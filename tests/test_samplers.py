@@ -1,11 +1,13 @@
+import itertools
 import math
+import sys
 import types
 import warnings
 
 import numpy as np
 import pytest
 
-from garchmc import data, diagnostics, model, proposal, samplers
+from garchmc import _kernels_py, data, diagnostics, model, proposal, samplers
 from garchmc.exceptions import DataValidationError, NumericOverflowError, TuningFailureError
 
 LOG_ZERO = model.LOG_ZERO
@@ -163,7 +165,7 @@ def reference_independence_batch(theta, log_p, log_g, prop, target, n_steps, rng
     return np.array(draws), np.array(flags)
 
 
-def test_batch_scoring_matches_per_candidate_scoring():
+def test_batch_scoring_matches_per_candidate_scoring(either_kernels):
     y = small_series()
     s1 = float(np.var(y))
     target = model.make_log_posterior(y, s1)
@@ -207,11 +209,11 @@ def reference_rw_chain(theta, log_p, n_steps, d, target, rng):
     return np.array(draws), np.array(flags), theta, log_p
 
 
-CHUNK = samplers._RW_CHUNK
+CHUNK = _kernels_py._RW_CHUNK
 
 
 @pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
-def test_rw_chain_matches_step_by_step_reference(n_steps):
+def test_rw_chain_matches_step_by_step_reference(n_steps, either_kernels):
     y = small_series()
     posterior = model.make_log_posterior(y, float(np.var(y)))
     scores = []
@@ -234,7 +236,7 @@ def test_rw_chain_matches_step_by_step_reference(n_steps):
 
 
 @pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
-def test_rw_chain_rejecting_every_candidate_stays_put(n_steps):
+def test_rw_chain_rejecting_every_candidate_stays_put(n_steps, either_kernels):
     theta = np.array([0.05, 0.9, 0.01])
     d = np.ones(3)
 
@@ -247,6 +249,159 @@ def test_rw_chain_rejecting_every_candidate_stays_put(n_steps):
         assert np.array_equal(g, w)
     assert not got[1].any()
     assert np.array_equal(got[0], np.tile(theta, (n_steps, 1)))
+
+
+GARCH_START = np.array([0.05, 0.9, 0.01])
+
+
+def garch_posteriors(n=400):
+    y = small_series(n=n)
+    s1 = float(np.var(y))
+    return model.make_log_posterior(y, s1), model.make_batch_log_posterior(y, s1)
+
+
+def wide_proposal(mean):
+    """A Student-t proposal around mean wide enough that some GARCH
+    candidates leave the constraint region."""
+    return proposal.StudentTProposal(np.asarray(mean), np.diag([0.03, 0.04, 0.006]) ** 2, 10.0)
+
+
+def assert_same_independence_batch(theta, log_p, n_steps, prop, target, score, seed):
+    got = samplers._independence_batch(theta, log_p, n_steps, prop, score,
+                                       np.random.default_rng(seed))
+    want_draws, want_accepted = reference_independence_batch(
+        theta, log_p, float(prop.log_density(theta)), prop, target, n_steps,
+        np.random.default_rng(seed))
+    assert np.array_equal(got[0], want_draws)
+    assert np.array_equal(got[1], want_accepted)
+    return got
+
+
+class TestAcceptLoopEdges:
+    """Edge cases of both accept loops in each kernel module, against the
+    step-by-step references."""
+
+    def test_zero_steps_return_the_entry_state(self, either_kernels):
+        target, score = garch_posteriors()
+        log_p = target(GARCH_START)
+        draws, accepted, theta, end_log_p = samplers._rw_chain(
+            GARCH_START, log_p, 0, np.ones(3), target, np.random.default_rng(15))
+        assert draws.shape == (0, 3) and accepted.shape == (0,) and accepted.dtype == bool
+        assert np.array_equal(theta, GARCH_START) and theta is not GARCH_START
+        assert end_log_p == log_p
+        draws, accepted, theta, end_log_p = samplers._independence_batch(
+            GARCH_START, log_p, 0, wide_proposal(GARCH_START), score, np.random.default_rng(15))
+        assert draws.shape == (0, 3) and accepted.shape == (0,)
+        assert np.array_equal(theta, GARCH_START) and end_log_p == log_p
+
+    def test_nan_score_rejects(self, either_kernels):
+        def nan_target(_):
+            return math.nan
+
+        got = samplers._rw_chain(GARCH_START, 0.0, 300, np.ones(3), nan_target,
+                                 np.random.default_rng(16))
+        want = reference_rw_chain(GARCH_START, 0.0, 300, np.ones(3), nan_target,
+                                  np.random.default_rng(16))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert not got[1].any() and got[3] == 0.0
+        got = assert_same_independence_batch(
+            GARCH_START, 0.0, 300, wide_proposal(GARCH_START), nan_target,
+            lambda cands: np.full(len(cands), math.nan), 16)
+        assert not got[1].any()
+
+    def test_start_scoring_minus_inf_moves_to_the_first_candidate_inside(self, either_kernels):
+        target, score = garch_posteriors()
+        outside = np.array([0.05, 0.96, 0.01])
+        assert target(outside) == LOG_ZERO
+        d = np.array([0.1, 0.1, 0.02])
+        got = samplers._rw_chain(outside, LOG_ZERO, 400, d, target, np.random.default_rng(17))
+        want = reference_rw_chain(outside, LOG_ZERO, 400, d, target, np.random.default_rng(17))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        first = int(np.argmax(got[1]))
+        assert 0 < first and model.in_support(*got[0][first])
+        assert np.isfinite(got[3])
+        got = assert_same_independence_batch(outside, LOG_ZERO, 400, wide_proposal(GARCH_START),
+                                             target, score, 17)
+        assert got[1].any() and np.isfinite(got[3])
+
+    def test_one_parameter(self, either_kernels):
+        d = np.array([2.0])
+        theta = np.array([0.3])
+        got = samplers._rw_chain(theta, std_normal_target(theta), 700, d, std_normal_target,
+                                 np.random.default_rng(18))
+        want = reference_rw_chain(theta, std_normal_target(theta), 700, d, std_normal_target,
+                                  np.random.default_rng(18))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert 0 < got[1].sum() < 700
+        prop = proposal.StudentTProposal(np.array([0.5]), np.array([[2.0]]), 10.0)
+        got = assert_same_independence_batch(
+            theta, std_normal_target(theta), 700, prop, std_normal_target,
+            lambda cands: -0.5 * cands[:, 0] ** 2, 18)
+        assert 0 < got[1].sum() < 700
+
+
+def raising_at(step):
+    """A target that scores 0.0 and raises NumericOverflowError at its call
+    number ``step`` (from 0), and every ``step + 1`` calls after."""
+    calls = itertools.count()
+
+    def target(_):
+        if next(calls) % (step + 1) == step:
+            raise NumericOverflowError("raised by the target")
+        return 0.0
+
+    return target
+
+
+class TestAcceptLoopErrors:
+    THETA = np.array([0.05, 0.9, 0.01])
+
+    def test_target_error_propagates(self, either_kernels):
+        seen = []
+        target = raising_at(4)
+
+        def counted(cand):
+            seen.append(cand)
+            return target(cand)
+
+        with pytest.raises(NumericOverflowError, match="raised by the target"):
+            either_kernels.rw_chain(counted, self.THETA, 0.0, np.zeros((10, 3)), np.zeros(10))
+        assert len(seen) == 5
+
+    def test_non_numeric_score_raises_type_error(self, either_kernels):
+        with pytest.raises(TypeError):
+            either_kernels.rw_chain(lambda _: None, self.THETA, 0.0, np.zeros((3, 3)),
+                                    np.zeros(3))
+
+    @pytest.mark.parametrize("theta, shifts, u", [
+        (THETA, np.zeros((3, 3)), np.zeros(4)),
+        (THETA, np.zeros((3, 2)), np.zeros(3)),
+        (THETA[:2], np.zeros((3, 3)), np.zeros(3)),
+    ], ids=["u", "shifts", "theta"])
+    def test_rw_chain_mismatched_lengths_raise(self, either_kernels, theta, shifts, u):
+        with pytest.raises(ValueError):
+            either_kernels.rw_chain(lambda _: 0.0, theta, 0.0, shifts, u)
+
+    @pytest.mark.parametrize("lengths", [(3, 3, 4), (3, 4, 3), (4, 3, 3)],
+                             ids=["u", "log_g_cands", "log_p_cands"])
+    def test_independence_accept_mismatched_lengths_raise(self, either_kernels, lengths):
+        with pytest.raises(ValueError):
+            either_kernels.independence_accept(*(np.zeros(k) for k in lengths), 0.0, 0.0)
+
+    def test_compiled_rw_chain_leaks_no_reference_on_error(self, compiled):
+        theta = self.THETA.copy()
+        shifts, u = np.zeros((10, 3)), np.zeros(10)
+        target = raising_at(3)
+        before = sys.getrefcount(target), sys.getrefcount(theta)
+        for _ in range(10_000):
+            try:
+                compiled.rw_chain(target, theta, 0.0, shifts, u)
+            except NumericOverflowError:
+                pass
+        assert (sys.getrefcount(target), sys.getrefcount(theta)) == before
 
 
 class TestRunAdaptive:
