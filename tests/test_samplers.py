@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from garchmc import _kernels_py, data, diagnostics, model, proposal, samplers
+from garchmc import _kernels_py, backend, data, diagnostics, model, proposal, samplers
 from garchmc.exceptions import DataValidationError, NumericOverflowError, TuningFailureError
 
 LOG_ZERO = model.LOG_ZERO
@@ -165,7 +165,23 @@ def reference_independence_batch(theta, log_p, log_g, prop, target, n_steps, rng
     return np.array(draws), np.array(flags)
 
 
-def test_batch_scoring_matches_per_candidate_scoring(either_kernels):
+def each_kernel_module(monkeypatch):
+    """Each kernel module built here in turn, set as ``backend.kernels``: the
+    compiled one where a C compiler was found, then the numpy twin. The
+    step-by-step reference tests run in both inside one test each, so their
+    names stay one per case."""
+    modules = [backend.kernels] if backend.KERNEL == "c" else []
+    for kernels in modules + [_kernels_py]:
+        monkeypatch.setattr(backend, "kernels", kernels)
+        yield kernels
+
+
+def test_batch_scoring_matches_per_candidate_scoring(monkeypatch):
+    for _ in each_kernel_module(monkeypatch):
+        check_batch_scoring_matches_per_candidate_scoring()
+
+
+def check_batch_scoring_matches_per_candidate_scoring():
     y = small_series()
     s1 = float(np.var(y))
     target = model.make_log_posterior(y, s1)
@@ -213,7 +229,12 @@ CHUNK = _kernels_py._RW_CHUNK
 
 
 @pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
-def test_rw_chain_matches_step_by_step_reference(n_steps, either_kernels):
+def test_rw_chain_matches_step_by_step_reference(n_steps, monkeypatch):
+    for _ in each_kernel_module(monkeypatch):
+        check_rw_chain_matches_step_by_step_reference(n_steps)
+
+
+def check_rw_chain_matches_step_by_step_reference(n_steps):
     y = small_series()
     posterior = model.make_log_posterior(y, float(np.var(y)))
     scores = []
@@ -236,7 +257,12 @@ def test_rw_chain_matches_step_by_step_reference(n_steps, either_kernels):
 
 
 @pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
-def test_rw_chain_rejecting_every_candidate_stays_put(n_steps, either_kernels):
+def test_rw_chain_rejecting_every_candidate_stays_put(n_steps, monkeypatch):
+    for _ in each_kernel_module(monkeypatch):
+        check_rw_chain_rejecting_every_candidate_stays_put(n_steps)
+
+
+def check_rw_chain_rejecting_every_candidate_stays_put(n_steps):
     theta = np.array([0.05, 0.9, 0.01])
     d = np.ones(3)
 
