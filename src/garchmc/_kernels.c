@@ -35,7 +35,9 @@
    math.exp, so they take the same steps on the same random numbers.
    rw_chain still calls its target through Python once per step, on a new
    list of floats; the likelihood is not fused into the loop, so a wrapped
-   ``backend.kernels.log_likelihood`` sees every call. */
+   ``backend.kernels.log_likelihood`` sees every call. independence_accept
+   returns only its accept flags and the end log-density; which row holds
+   the state after each step is worked out by ``garchmc.samplers``. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
@@ -66,7 +68,6 @@ recur(double lag, double a, double b, double w, double s)
 static PyObject *overflow_error; /* garchmc.exceptions.NumericOverflowError */
 static PyObject *ascontiguousarray;
 static PyObject *empty;
-static PyObject *int64; /* numpy.int64 */
 
 /* A C-contiguous float64 view of obj with ndim dimensions: obj's own
    buffer when it is one, otherwise that of numpy.ascontiguousarray(obj,
@@ -372,14 +373,14 @@ done:
 /* independence_accept(log_p_cands, log_g_cands, u, log_p, log_g): the
    independence-MH accept loop of ``_kernels_py`` over k candidates already
    scored, from a state scored log_p by the target and log_g by the
-   proposal. index[i] is the row of vstack([theta, cands]) that holds the
-   state after step i. */
+   proposal. Returns the accept flags and the end state's log-density; the
+   caller knows which candidate each flag takes. */
 static PyObject *
 independence_accept(PyObject *self, PyObject *args)
 {
-    PyObject *lp_obj, *lg_obj, *u_obj, *index = NULL, *accepted = NULL, *result = NULL;
+    PyObject *lp_obj, *lg_obj, *u_obj, *accepted = NULL, *result = NULL;
     double log_p, log_g;
-    Py_buffer pv = {0}, gv = {0}, uv = {0}, iv = {0}, av = {0};
+    Py_buffer pv = {0}, gv = {0}, uv = {0}, av = {0};
     if (!PyArg_ParseTuple(args, "OOOdd:independence_accept", &lp_obj, &lg_obj, &u_obj,
                           &log_p, &log_g)
         || get_doubles(lp_obj, 1, &pv) < 0 || get_doubles(lg_obj, 1, &gv) < 0
@@ -391,30 +392,24 @@ independence_accept(PyObject *self, PyObject *args)
                      "got %zd, %zd and %zd", pv.shape[0], gv.shape[0], k);
         goto done;
     }
-    if ((index = new_array(int64, 1, k, 0, &iv)) == NULL
-        || (accepted = new_array((PyObject *)&PyBool_Type, 1, k, 0, &av)) == NULL)
+    if ((accepted = new_array((PyObject *)&PyBool_Type, 1, k, 0, &av)) == NULL)
         goto done;
     const double *log_p_cands = pv.buf, *log_g_cands = gv.buf, *u = uv.buf;
-    int64_t *at = iv.buf, state = 0;
     char *flag = av.buf;
     for (Py_ssize_t i = 0; i < k; i++) {
         flag[i] = (char)accept((log_p_cands[i] - log_p) + (log_g - log_g_cands[i]), u[i]);
         if (flag[i]) {
             log_p = log_p_cands[i];
             log_g = log_g_cands[i];
-            state = i + 1;
         }
-        at[i] = state;
     }
-    result = Py_BuildValue("OOd", index, accepted, log_p);
+    result = Py_BuildValue("Od", accepted, log_p);
 done:
     PyBuffer_Release(&av);
-    PyBuffer_Release(&iv);
     PyBuffer_Release(&uv);
     PyBuffer_Release(&gv);
     PyBuffer_Release(&pv);
     Py_XDECREF(accepted);
-    Py_XDECREF(index);
     return result;
 }
 
@@ -623,7 +618,7 @@ static PyMethodDef methods[] = {
     {"rw_chain", rw_chain, METH_VARARGS,
      "Random-walk Metropolis steps: (draws, accepted, end state, its log-density)."},
     {"independence_accept", independence_accept, METH_VARARGS,
-     "Independence-MH accept loop: (state index per step, accepted, end log-density)."},
+     "Independence-MH accept loop: (accepted, end log-density)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -640,12 +635,11 @@ PyInit__kernels(void)
     PyObject *numpy = PyImport_ImportModule("numpy");
     if (exceptions && numpy
         && (overflow_error = PyObject_GetAttrString(exceptions, "NumericOverflowError"))
-        && (ascontiguousarray = PyObject_GetAttrString(numpy, "ascontiguousarray"))
-        && (empty = PyObject_GetAttrString(numpy, "empty")))
-        int64 = PyObject_GetAttrString(numpy, "int64");
+        && (ascontiguousarray = PyObject_GetAttrString(numpy, "ascontiguousarray")))
+        empty = PyObject_GetAttrString(numpy, "empty");
     Py_XDECREF(exceptions);
     Py_XDECREF(numpy);
-    if (!overflow_error || !ascontiguousarray || !empty || !int64)
+    if (!overflow_error || !ascontiguousarray || !empty)
         return NULL;
     return PyModule_Create(&module);
 }

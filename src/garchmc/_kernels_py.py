@@ -23,7 +23,7 @@ first ``volatility`` call, so a run on the compiled kernels of
 The accept loops ``rw_chain`` and ``independence_accept`` both accept
 through ``_accept`` and step on Python floats: the random walk calls its
 target once per step, and the independence loop runs on candidates already
-scored.
+scored and returns only its accept flags and the end log-density.
 """
 import math
 import operator
@@ -219,13 +219,10 @@ def rw_chain(target, theta, log_p, shifts, u):
 def independence_accept(log_p_cands, log_g_cands, u, log_p, log_g):
     """Independence MH over k candidates scored log_p_cands by the target and
     log_g_cands by the proposal, from a state scored log_p and log_g; step i
-    accepts by u[i]. Returns the (k,) int64 index of each step's state in
-    ``vstack([theta, cands])``, the (k,) accept flags and the end state's
-    log-density.
+    accepts by u[i]. Returns the (k,) accept flags and the end state's
+    log-density; the caller knows which candidate each flag takes.
 
-    The state after step i is row 0 (theta) before the first accept, and row
-    j + 1 (candidate j) after the accept at j; the loop runs on Python floats
-    and records only the steps that accept.
+    The loop runs on Python floats and records only the steps that accept.
     """
     log_p_cands, log_g_cands, u = (np.asarray(x, dtype=np.float64)
                                    for x in (log_p_cands, log_g_cands, u))
@@ -243,5 +240,4 @@ def independence_accept(log_p_cands, log_g_cands, u, log_p, log_g):
             hits.append(i)
     accepted = np.zeros(k, dtype=bool)
     accepted[hits] = True
-    index = np.maximum.accumulate(np.where(accepted, np.arange(1, k + 1, dtype=np.int64), 0))
-    return index, accepted, log_p
+    return accepted, log_p

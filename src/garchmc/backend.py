@@ -13,12 +13,11 @@ compile error, a directory that cannot be written or a file that does not
 load. ``KERNEL`` names the kernels in use, "c" or "numpy", and each run's
 ``manifest.json`` records it.
 
-``perfbench/tracer.py`` wraps ``backend.kernels.log_likelihood`` to count and
-time scalar likelihood calls. ``model`` reaches its kernels through this
-attribute, and looks the scalar kernel up when a posterior closure is made,
-so a closure made after the patch calls the wrapper. ``samplers`` looks the
-accept loops up at each call; the random walk's loop calls the posterior
-closure once per step, so every scalar call still passes the wrapper.
+``kernels`` is the one switch: ``model``, ``samplers`` and ``cli`` read every
+kernel through it, so setting it swaps a run's likelihood, accept loops and
+chain.csv text together. ``model`` looks the scalar kernel up when a
+posterior closure is made, so ``perfbench/tracer.py``, which sets a wrapper
+as ``backend.kernels.log_likelihood`` first, counts every scalar call.
 """
 import hashlib
 import importlib.util

@@ -111,7 +111,7 @@ def _chain_csv_lines(draws, accepted):
     """The text of chain.csv: a header line, then the rows of the (k, 3)
     draws and their accept flags as ``backend.kernels.chain_text`` writes
     them, _CHUNK_ROWS rows per piece."""
-    yield "alpha,beta,omega,accepted\n"
+    yield ",".join([*diagnostics.PARAM_NAMES, "accepted\n"])
     for i in range(0, len(draws), _CHUNK_ROWS):
         rows = slice(i, i + _CHUNK_ROWS)
         yield backend.kernels.chain_text(draws[rows], accepted[rows])

@@ -2,16 +2,16 @@
 
 Parameters are plain (alpha, beta, omega) triples in that order. Return and
 volatility series are plain float64 ndarrays. The numeric work is done by
-the scalar and batch kernels that ``backend`` loads, the compiled
-``_kernels.c`` or its numpy twin ``_kernels_py``, reached through
-``backend.kernels``. The scalar closure scores each step through one kernel
-``Workspace`` that it builds when it is made, passed positionally in the
-kernel's series slot where y would go, so whatever the kernel keeps per
-series is set up once per run, not once per step.
+the kernels of ``backend.kernels``, the switch every module reads: the
+scalar closure looks them up when it is made, the batch closure at each
+call. The scalar closure scores each step through one kernel ``Workspace``
+that it builds when it is made, passed positionally in the kernel's series
+slot where y would go, so whatever the kernel keeps per series is set up
+once per run, not once per step.
 """
 import numpy as np
 
-from .backend import kernels
+from . import backend
 
 #: Log-posterior of any point outside the constraint region.
 LOG_ZERO = float("-inf")
@@ -34,10 +34,10 @@ def make_log_posterior(y, sigma1_sq):
     under ``np.errstate(all="ignore")``, as the sampler driver does, to keep
     numpy's warnings from preceding it.
     """
-    loglik = kernels.log_likelihood
+    loglik = backend.kernels.log_likelihood
     # An infinite y^2 makes every call raise; the warning would only precede it.
     with np.errstate(over="ignore"):
-        workspace = kernels.Workspace(y)
+        workspace = backend.kernels.Workspace(y)
 
     def log_post(theta):
         a, b, w = theta
@@ -61,7 +61,7 @@ def make_batch_log_posterior(y, sigma1_sq):
         # numpy's warnings would only precede the kernel's NumericOverflowError.
         with np.errstate(all="ignore"):
             inside = in_support(*thetas.T)
-            out[inside] = kernels.log_likelihood_batch(y, thetas[inside], sigma1_sq)
+            out[inside] = backend.kernels.log_likelihood_batch(y, thetas[inside], sigma1_sq)
         return out
 
     return log_post_batch

@@ -104,9 +104,7 @@ class StudentTProposal:
 
     def log_density(self, theta):
         """Log of the multivariate Student-t density at theta (or batch)."""
-        theta = np.asarray(theta, dtype=np.float64)
-        single = theta.ndim == 1
-        dev = (np.atleast_2d(theta) - self.mean).T
+        dev = (np.asarray(theta, dtype=np.float64) - self.mean).T
         # Forward substitution z = L^-1 dev, elementwise over the candidate
         # columns: a BLAS triangular solve on a wide batch wakes threaded
         # workers that spin on the other cores.
@@ -117,8 +115,7 @@ class StudentTProposal:
                 zi = zi - row[j] * z[j]
             z.append(zi / row[i])
         q = sum(zi * zi for zi in z)
-        out = self._log_norm - ((self.nu + self.dim) / 2.0) * np.log1p(q / self.nu)
-        return float(out[0]) if single else out
+        return self._log_norm - ((self.nu + self.dim) / 2.0) * np.log1p(q / self.nu)
 
     def to_dict(self):
         return {

@@ -92,18 +92,17 @@ def _independence_batch(theta, log_p, n_steps, prop, score, rng):
     theta; returns the (n_steps, p) draws, their flags and the end state, a
     row of a new float64 array.
 
-    All candidates are drawn and scored (``score``: (k, p) candidates to (k,)
-    log-densities) before the kernels' ``independence_accept``, which copies
-    no state; the draws are gathered by its index once, after it.
+    Row 0 of ``states`` is the state and row j + 1 candidate j; all are
+    scored by ``prop`` in one call, the candidates by ``score`` ((k, p) to
+    (k,) log-densities), before the kernels' ``independence_accept``, which
+    returns only flags. Step i's state is its last accept's row, or row 0.
     """
-    log_g = float(prop.log_density(theta))
-    cands = prop.sample(rng, n_steps)
-    log_g_cands = prop.log_density(cands)
+    states = np.vstack([theta, prop.sample(rng, n_steps)])
+    log_g = prop.log_density(states)
     u = rng.random(n_steps)
-    log_p_cands = score(cands)
-    index, accepted, log_p = backend.kernels.independence_accept(
-        log_p_cands, log_g_cands, u, log_p, log_g)
-    states = np.vstack([theta, cands])
+    accepted, log_p = backend.kernels.independence_accept(
+        score(states[1:]), log_g[1:], u, log_p, log_g[0])
+    index = np.maximum.accumulate(np.where(accepted, np.arange(1, n_steps + 1), 0))
     return states[index], accepted, states[index[-1] if n_steps else 0], log_p
 
 

@@ -22,7 +22,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import garchmc
-from garchmc import cli
+from garchmc import _kernels_py, cli
 
 PACKAGE = Path(garchmc.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -135,3 +135,25 @@ def test_readme_cli_section_names_the_parser_flags():
     assert named <= parsed, named - parsed
     config_flags = {"--" + f.name.replace("_", "-") for f in fields(cli.RunConfig)}
     assert config_flags <= named, config_flags - named
+
+
+def _kernel_names_read():
+    """The names the package reads as ``backend.kernels.<name>``."""
+    return {node.attr for tree in _modules().values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "kernels" and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "backend"}
+
+
+def test_every_kernel_the_package_reads_has_a_numpy_twin():
+    names = _kernel_names_read()
+    assert names, "the package reads no backend.kernels.<name>"
+    missing = sorted(name for name in names if not callable(getattr(_kernels_py, name, None)))
+    assert not missing, f"no callable twin in _kernels_py: {missing}"
+
+
+def test_compiled_kernels_export_exactly_what_the_package_reads(compiled):
+    # A C entry point that only tests call, or one the package reads but the
+    # method table lacks, fails here.
+    exported = {name for name in dir(compiled) if not name.startswith("_")}
+    assert exported == _kernel_names_read()

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from garchmc import _kernels_py, backend, cli, data, diagnostics, model, samplers
+from garchmc import _kernels_py, backend, cli, data, diagnostics, samplers
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -150,13 +150,12 @@ class TestRun:
         out = tmp_path / "run"
         args = ["run", "--synthetic", "--n", "200", "--total", "2000", "--out", str(out), *extra]
         code = (
-            "import sys, types\n"
-            "from garchmc import cli, model\n"
-            "real = model.kernels\n"
-            "model.kernels = types.SimpleNamespace(\n"
-            "    Workspace=real.Workspace,\n"
-            "    log_likelihood=lambda series, a, b, w, s: real.log_likelihood(series, a, b, w, 1e-320),\n"
-            "    log_likelihood_batch=lambda y, thetas, s: real.log_likelihood_batch(y, thetas, 1e-320))\n"
+            "import sys\n"
+            "from garchmc import backend, cli\n"
+            "kernels = backend.kernels\n"
+            "loglik, batch = kernels.log_likelihood, kernels.log_likelihood_batch\n"
+            "kernels.log_likelihood = lambda series, a, b, w, s: loglik(series, a, b, w, 1e-320)\n"
+            "kernels.log_likelihood_batch = lambda y, thetas, s: batch(y, thetas, 1e-320)\n"
             f"sys.exit(cli.main({args!r}))\n"
         )
         proc = run_python(code)
@@ -524,15 +523,25 @@ def test_import_loads_no_heavy_scipy_modules():
     assert out.stdout.strip() == ""
 
 
-@pytest.mark.parametrize("sampler", ["adaptive", "metropolis"])
-def test_each_kernel_writes_the_same_chain(tmp_path, monkeypatch, compiled, sampler):
-    chains = []
+@pytest.mark.parametrize("sampler, extra", [("adaptive", []), ("metropolis", []),
+                                            ("adaptive", ["--chains", "2"])],
+                         ids=["adaptive", "metropolis", "adaptive-chains-2"])
+def test_each_kernel_writes_the_same_chain(tmp_path, monkeypatch, compiled, sampler, extra):
+    # One whole run per kernel module, switched by backend.kernels alone; the
+    # fork-started --chains pool inherits the switch. Only manifest.json,
+    # which names the output directory, may differ.
+    runs = []
     for kernels in (_kernels_py, compiled):
-        monkeypatch.setattr(model, "kernels", kernels)
+        monkeypatch.setattr(backend, "kernels", kernels)
         out = tmp_path / kernels.__name__
-        assert run_cli(base_args(out, sampler=sampler)) == 0
-        chains.append((out / "chain.csv").read_bytes())
-    assert chains[0] == chains[1]
+        assert run_cli(base_args(out, sampler=sampler) + extra) == 0
+        runs.append({str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*")
+                     if path.is_file() and path.name != "manifest.json"})
+    names = {name.rpartition("/")[2] for name in runs[0]}
+    assert {"chain.csv", "report.json", "report.txt", "acceptance_trace.csv"} <= names
+    assert ("proposal_history.json" in names) == (sampler == "adaptive")
+    assert ("cross_chain.json" in names) == bool(extra)
+    assert runs[0] == runs[1]
 
 
 def test_compiled_run_imports_no_scipy(tmp_path):

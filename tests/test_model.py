@@ -269,7 +269,7 @@ class TestWorkspace:
 
         stand_in = types.SimpleNamespace(Workspace=lambda y: workspace,
                                          log_likelihood=log_likelihood)
-        monkeypatch.setattr(model, "kernels", stand_in)
+        monkeypatch.setattr(backend, "kernels", stand_in)
         target = model.make_log_posterior((0.5, -0.3), 0.7)
         thetas = [(0.1, 0.8, 0.01), (0.3, 0.6, 0.05)]
         assert [target(np.array(theta)) for theta in thetas] == [-1.0, -1.0]

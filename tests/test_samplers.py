@@ -1,7 +1,6 @@
 import itertools
 import math
 import sys
-import types
 import warnings
 
 import numpy as np
@@ -490,12 +489,12 @@ class TestRunMetropolis:
     def test_overflow_is_typed_error_without_warnings(self, run, monkeypatch):
         # The real kernels, called with sigma1_sq = 1e-320, so y_0^2 / sigma1_sq
         # overflows.
-        real = model.kernels
-        monkeypatch.setattr(model, "kernels", types.SimpleNamespace(
-            Workspace=real.Workspace,
-            log_likelihood=lambda series, a, b, w, s: real.log_likelihood(series, a, b, w, 1e-320),
-            log_likelihood_batch=lambda y, thetas, s: real.log_likelihood_batch(y, thetas, 1e-320),
-        ))
+        kernels = backend.kernels
+        loglik, batch = kernels.log_likelihood, kernels.log_likelihood_batch
+        monkeypatch.setattr(kernels, "log_likelihood",
+                            lambda series, a, b, w, s: loglik(series, a, b, w, 1e-320))
+        monkeypatch.setattr(kernels, "log_likelihood_batch",
+                            lambda y, thetas, s: batch(y, thetas, 1e-320))
         sched = samplers.AdaptiveSchedule(burn_in=10, pilot=10, refit_interval=10, total=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
