@@ -1,13 +1,15 @@
 """Time the kernels, called directly, of the numpy twin
 ``garchmc._kernels_py`` and of the compiled ``_kernels.c`` side by side: the
 scalar likelihood and the batch likelihood on BATCH_K candidates per call.
-The scalar likelihood is timed twice: on y, and on one reused ``Workspace``
-in y's place, as the posterior closure calls it. Every figure is per
-candidate (one parameter set): a scalar call scores one. Then the chain.csv
-text, in ns per row: ``chain_text`` of CHAIN_ROWS rows at acceptance
-CHAIN_ACCEPT in one call. Then the two accept loops: ``rw_chain``, in ns per
-step, on BATCH_K steps with a target that returns 0.0, so that the loop and
-its one Python call per step are timed and no likelihood; and
+The scalar likelihood is timed on y, and for the numpy twin also on one
+reused ``Workspace`` in y's place, as its ``rw_chain`` calls it; the compiled
+kernels keep nothing per series, so their column there reads "-". Every
+figure is per candidate (one parameter set): a scalar call scores one. Then
+the chain.csv text, in ns per row: ``chain_text`` of CHAIN_ROWS rows at
+acceptance CHAIN_ACCEPT in one call. Then the two accept loops:
+``rw_chain``, in ns per step, on BATCH_K steps inside the support with a
+stand-in ``log_likelihood`` set on its module that returns 0.0, so that the
+loop and its one Python call per step are timed and no likelihood; and
 ``independence_accept``, in ns per draw, on BATCH_K candidates whose scores
 are drawn before the clock starts. Where no C compiler is found, the
 compiled columns read "-".
@@ -32,6 +34,9 @@ import numpy as np
 from garchmc import _kernels_py, backend, data, diagnostics
 
 THETA = (0.05, 0.90, 0.01)
+#: Where the timed random walk starts: its steps of 1e-3 stay inside the
+#: support from there, so each one calls the likelihood.
+RW_THETA = (0.3, 0.3, 0.4)
 BATCHES = 5
 #: Candidates per batch call: the default refit interval.
 BATCH_K = 1000
@@ -62,12 +67,14 @@ def time_call(fn, args):
 
 
 def rows(kernels, y, sigma1_sq):
-    """(name, seconds per candidate) of each timed call of kernels."""
+    """(name, seconds per candidate, or None where kernels has no such call)
+    of each timed call of kernels."""
     thetas = np.tile(THETA, (BATCH_K, 1))
     return [
         ("log_likelihood", time_call(kernels.log_likelihood, (y, *THETA, sigma1_sq))),
         ("log_likelihood (workspace)",
-         time_call(kernels.log_likelihood, (kernels.Workspace(y), *THETA, sigma1_sq))),
+         time_call(kernels.log_likelihood, (_kernels_py.Workspace(y), *THETA, sigma1_sq))
+         if kernels is _kernels_py else None),
         ("log_likelihood_batch",
          time_call(kernels.log_likelihood_batch, (y, thetas, sigma1_sq)) / BATCH_K),
     ]
@@ -121,10 +128,16 @@ def accept_loop_rows(kernels):
     # fitted proposal does on the default protocol.
     log_p_cands = log_g_cands + 0.5 * rng.standard_normal(BATCH_K)
     u = rng.random(BATCH_K)
-    rw = time_call(kernels.rw_chain, (lambda _: 0.0, np.array(THETA), 0.0, shifts, u))
+    y = np.zeros(1)
+    loglik = kernels.log_likelihood
+    kernels.log_likelihood = lambda series, a, b, w, sigma1_sq: 0.0
+    try:
+        rw = time_call(kernels.rw_chain, (y, 1.0, np.array(RW_THETA), 0.0, shifts, u))
+    finally:
+        kernels.log_likelihood = loglik
     independence = time_call(kernels.independence_accept,
                              (log_p_cands, log_g_cands, u, 0.0, 0.0))
-    return [("rw_chain, target 0.0", rw / BATCH_K),
+    return [("rw_chain, likelihood 0.0", rw / BATCH_K),
             ("independence_accept", independence / BATCH_K)]
 
 

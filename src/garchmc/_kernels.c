@@ -1,7 +1,6 @@
 /* The GARCH(1,1) likelihood kernels, the two Metropolis-Hastings accept
    loops and the chain.csv text in C, with the signatures of ``_kernels_py``:
-   positional arguments only, the likelihood's series first. The scalar
-   kernel's series is y or this module's Workspace(y).
+   positional arguments only, the likelihood's series first.
 
    ``garchmc.backend`` compiles this file on first import with
    -ffp-contract=off, so each step of the volatility recursion,
@@ -33,8 +32,9 @@
    rw_chain and independence_accept are the loops of ``_kernels_py`` with
    the same IEEE operations in the same order and the exp of Python's
    math.exp, so they take the same steps on the same random numbers.
-   rw_chain still calls its target through Python once per step, on a new
-   list of floats; the likelihood is not fused into the loop, so a wrapped
+   rw_chain tests each candidate for the support in the loop and scores one
+   inside through this module's log_likelihood attribute, a Python call; the
+   likelihood is not fused into the loop, so a wrapper set as
    ``backend.kernels.log_likelihood`` sees every call. independence_accept
    returns only its accept flags and the end log-density; which row holds
    the state after each step is worked out by ``garchmc.samplers``. */
@@ -278,14 +278,6 @@ log_likelihood_batch(PyObject *self, PyObject *args)
     return rc < 0 ? NULL : out;
 }
 
-/* The scalar kernel keeps nothing per series, so a workspace is y as a
-   float64 array. */
-static PyObject *
-workspace(PyObject *self, PyObject *y)
-{
-    return PyObject_CallFunctionObjArgs(ascontiguousarray, y, (PyObject *)&PyFloat_Type, NULL);
-}
-
 /* The Metropolis-Hastings rule of ``_kernels_py._accept`` for log
    acceptance ratio delta and u ~ U(0, 1), with the exp of Python's
    math.exp. A delta of -inf, a candidate outside the support, and a NaN
@@ -296,65 +288,66 @@ accept(double delta, double u)
     return delta >= 0.0 || u < exp(delta);
 }
 
-/* rw_chain(target, theta, log_p, shifts, u): random-walk Metropolis from
-   the length-p state theta of log-density log_p, as in ``_kernels_py``.
-   Step i proposes theta + shifts[i], calls target once on it as a new list
-   of p floats, and accepts by u[i]. The candidate is built in its row of
-   the draws, which a rejection overwrites with the state; the state is kept
-   in the buffer of the end state's array. */
+/* rw_chain(y, sigma1_sq, theta, log_p, shifts, u): random-walk Metropolis
+   on the GARCH triple from theta of log-density log_p, as in
+   ``_kernels_py``. Step i proposes theta + shifts[i] and accepts by u[i]. A
+   candidate outside the support of garchmc.model.in_support scores -inf
+   with no call; one inside is scored by this module's log_likelihood
+   attribute, looked up once per call, so that a wrapper set there sees
+   every scalar call. The candidate is built in its row of the draws, which
+   a rejection overwrites with the state; the state is kept in the buffer of
+   the end state's array. */
 static PyObject *
 rw_chain(PyObject *self, PyObject *args)
 {
-    PyObject *target, *theta_obj, *shifts_obj, *u_obj, *result = NULL;
+    PyObject *y_obj, *theta_obj, *shifts_obj, *u_obj, *result = NULL;
+    PyObject *y = NULL, *loglik = NULL;
     PyObject *draws = NULL, *accepted = NULL, *end = NULL;
-    double log_p;
+    double sigma1_sq, log_p;
     Py_buffer tv = {0}, sv = {0}, uv = {0}, dv = {0}, av = {0}, ev = {0};
-    if (!PyArg_ParseTuple(args, "OOdOO:rw_chain", &target, &theta_obj, &log_p,
+    if (!PyArg_ParseTuple(args, "OdOdOO:rw_chain", &y_obj, &sigma1_sq, &theta_obj, &log_p,
                           &shifts_obj, &u_obj)
         || get_doubles(theta_obj, 1, &tv) < 0 || get_doubles(shifts_obj, 2, &sv) < 0
         || get_doubles(u_obj, 1, &uv) < 0)
         goto done;
-    const Py_ssize_t n = uv.shape[0], p = tv.shape[0];
-    if (sv.shape[0] != n || sv.shape[1] != p) {
-        PyErr_Format(PyExc_ValueError, "shifts must have shape (len(u), len(theta)) = "
-                     "(%zd, %zd), got (%zd, %zd)", n, p, sv.shape[0], sv.shape[1]);
+    const Py_ssize_t n = uv.shape[0];
+    if (tv.shape[0] != 3 || sv.shape[0] != n || sv.shape[1] != 3) {
+        PyErr_Format(PyExc_ValueError, "theta must have length 3 and shifts shape (len(u), 3) = "
+                     "(%zd, 3), got %zd and (%zd, %zd)", n, tv.shape[0], sv.shape[0], sv.shape[1]);
         goto done;
     }
-    if ((draws = new_array((PyObject *)&PyFloat_Type, 2, n, p, &dv)) == NULL
+    if ((y = PyObject_CallFunctionObjArgs(ascontiguousarray, y_obj,
+                                          (PyObject *)&PyFloat_Type, NULL)) == NULL
+        || (loglik = PyObject_GetAttrString(self, "log_likelihood")) == NULL
+        || (draws = new_array((PyObject *)&PyFloat_Type, 2, n, 3, &dv)) == NULL
         || (accepted = new_array((PyObject *)&PyBool_Type, 1, n, 0, &av)) == NULL
-        || (end = new_array((PyObject *)&PyFloat_Type, 1, p, 0, &ev)) == NULL)
+        || (end = new_array((PyObject *)&PyFloat_Type, 1, 3, 0, &ev)) == NULL)
         goto done;
     double *theta = ev.buf, *row = dv.buf;
     const double *shift = sv.buf, *u = uv.buf;
     char *flag = av.buf;
-    memcpy(theta, tv.buf, (size_t)p * sizeof(double));
-    for (Py_ssize_t i = 0; i < n; i++, shift += p, row += p) {
-        PyObject *list = PyList_New(p);
-        if (list == NULL)
-            goto done;
-        for (Py_ssize_t j = 0; j < p; j++) {
-            PyObject *x = PyFloat_FromDouble(row[j] = theta[j] + shift[j]);
-            if (x == NULL) {
-                Py_DECREF(list);
+    memcpy(theta, tv.buf, 3 * sizeof(double));
+    for (Py_ssize_t i = 0; i < n; i++, shift += 3, row += 3) {
+        for (int j = 0; j < 3; j++)
+            row[j] = theta[j] + shift[j];
+        double log_p_cand = -INFINITY;
+        if (row[0] > 0.0 && row[1] > 0.0 && row[2] > 0.0 && row[0] + row[1] < 1.0) {
+            PyObject *score = PyObject_CallFunction(loglik, "Odddd", y, row[0], row[1], row[2],
+                                                    sigma1_sq);
+            if (score == NULL)
                 goto done;
-            }
-            PyList_SET_ITEM(list, j, x);
+            log_p_cand = PyFloat_AsDouble(score);
+            Py_DECREF(score);
+            if (log_p_cand == -1.0 && PyErr_Occurred())
+                goto done;
         }
-        PyObject *score = PyObject_CallOneArg(target, list);
-        Py_DECREF(list);
-        if (score == NULL)
-            goto done;
-        const double log_p_cand = PyFloat_AsDouble(score);
-        Py_DECREF(score);
-        if (log_p_cand == -1.0 && PyErr_Occurred())
-            goto done;
         flag[i] = (char)accept(log_p_cand - log_p, u[i]);
         if (flag[i]) {
-            memcpy(theta, row, (size_t)p * sizeof(double));
+            memcpy(theta, row, 3 * sizeof(double));
             log_p = log_p_cand;
         }
         else
-            memcpy(row, theta, (size_t)p * sizeof(double));
+            memcpy(row, theta, 3 * sizeof(double));
     }
     result = Py_BuildValue("OOOd", draws, accepted, end, log_p);
 done:
@@ -367,6 +360,8 @@ done:
     Py_XDECREF(end);
     Py_XDECREF(accepted);
     Py_XDECREF(draws);
+    Py_XDECREF(loglik);
+    Py_XDECREF(y);
     return result;
 }
 
@@ -609,7 +604,6 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"Workspace", workspace, METH_O, "y as a C-contiguous float64 array."},
     {"log_likelihood", log_likelihood, METH_VARARGS, "Log-likelihood of one parameter set."},
     {"log_likelihood_batch", log_likelihood_batch, METH_VARARGS,
      "Log-likelihoods of the (k, 3) parameter rows of thetas."},

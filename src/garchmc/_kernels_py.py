@@ -12,8 +12,8 @@ and add and does not.
 ``log_likelihood_batch`` scores many parameter rows at once, for the
 independence sampler's candidate batches. Arguments are positional, the
 series first; a scalar call's series is y or a ``Workspace`` of y: y^2, the
-band of the solve and every buffer, built once per series. The posterior
-closure passes one for all its calls; given y, a call builds a throwaway. A
+band of the solve and every buffer, built once per series. ``rw_chain``
+passes one for all its steps; given y, a call builds a throwaway. A
 non-finite total raises ``NumericOverflowError``. ``chain_text`` writes the
 rows of chain.csv with Python's ``"%.17g"``. The module imports only
 numpy and ``garchmc.exceptions``; ``scipy.linalg.blas`` is imported by the
@@ -21,9 +21,10 @@ first ``volatility`` call, so a run on the compiled kernels of
 ``_kernels.c`` imports no scipy.
 
 The accept loops ``rw_chain`` and ``independence_accept`` both accept
-through ``_accept`` and step on Python floats: the random walk calls its
-target once per step, and the independence loop runs on candidates already
-scored and returns only its accept flags and the end log-density.
+through ``_accept`` and step on Python floats: the random walk scores each
+candidate inside the support once per step, and the independence loop runs
+on candidates already scored and returns only its accept flags and the end
+log-density.
 """
 import math
 import operator
@@ -46,9 +47,8 @@ class Workspace:
     (2, n) band of the solve with its unit row set, and the drive and terms
     buffers.
 
-    A workspace belongs to one caller, such as one posterior closure: each
-    call overwrites its buffers, so it is not thread-safe. ``--chains`` runs
-    its chains in processes, each with its own closure.
+    A workspace belongs to one caller, such as one ``rw_chain`` call: each
+    call overwrites its buffers, so it is not thread-safe.
     """
 
     def __init__(self, y):
@@ -179,20 +179,25 @@ def _accept(delta, u):
     return delta >= 0.0 or u < math.exp(delta)
 
 
-def rw_chain(target, theta, log_p, shifts, u):
-    """Random-walk Metropolis from the length-p state theta of log-density
-    log_p: step i proposes theta + shifts[i] and accepts by u[i]. Returns the
-    (n, p) draws, their (n,) accept flags, the end state as a new float64
-    array and its log-density.
+def rw_chain(y, sigma1_sq, theta, log_p, shifts, u):
+    """Random-walk Metropolis on the returns y from the GARCH triple theta of
+    log-density log_p: step i proposes theta + shifts[i] and accepts by u[i].
+    Returns the (n, 3) draws, their (n,) accept flags, the end state as a new
+    float64 array and its log-density.
 
-    ``target`` is called on each candidate as a new list of p Python floats.
-    The random numbers are converted to floats _RW_CHUNK steps at a time;
-    each chunk's states are written into the draws in one slice.
+    A candidate outside the support of ``garchmc.model.in_support`` scores
+    -inf with no call. One inside is scored on one ``Workspace`` of y by this
+    module's ``log_likelihood``, looked up once per call so that a wrapper
+    set there sees every call. The random numbers are converted to floats
+    _RW_CHUNK steps at a time; each chunk's states are written into the
+    draws in one slice.
     """
     theta, shifts, u = (np.asarray(x, dtype=np.float64) for x in (theta, shifts, u))
-    if theta.ndim != 1 or u.ndim != 1 or shifts.shape != (u.size, theta.size):
-        raise ValueError(f"shifts must have shape (len(u), len(theta)), got {shifts.shape} "
-                         f"for {u.shape} and {theta.shape}")
+    if theta.shape != (3,) or u.ndim != 1 or shifts.shape != (u.size, 3):
+        raise ValueError(f"theta must have length 3 and shifts shape (len(u), 3), got "
+                         f"{theta.shape}, {shifts.shape} and {u.shape}")
+    loglik = log_likelihood
+    ws = Workspace(y)
     log_p = float(log_p)
     n_steps = u.size
     draws = np.empty(shifts.shape)
@@ -204,7 +209,11 @@ def rw_chain(target, theta, log_p, shifts, u):
         for i, shift, u_i in zip(range(start, stop), shifts[start:stop].tolist(),
                                  u[start:stop].tolist()):
             cand = list(map(operator.add, theta, shift))
-            log_p_cand = target(cand)
+            a, b, w = cand
+            if a > 0.0 and b > 0.0 and w > 0.0 and a + b < 1.0:
+                log_p_cand = loglik(ws, a, b, w, sigma1_sq)
+            else:
+                log_p_cand = -math.inf
             if _accept(log_p_cand - log_p, u_i):
                 theta = cand
                 log_p = log_p_cand

@@ -15,9 +15,11 @@ load. ``KERNEL`` names the kernels in use, "c" or "numpy", and each run's
 
 ``kernels`` is the one switch: ``model``, ``samplers`` and ``cli`` read every
 kernel through it, so setting it swaps a run's likelihood, accept loops and
-chain.csv text together. ``model`` looks the scalar kernel up when a
-posterior closure is made, so ``perfbench/tracer.py``, which sets a wrapper
-as ``backend.kernels.log_likelihood`` first, counts every scalar call.
+chain.csv text together. A kernel module's ``rw_chain`` looks its own
+``log_likelihood`` attribute up once per call, and ``model`` reads
+``backend.kernels.log_likelihood`` at each call, so ``perfbench/tracer.py``,
+which sets a wrapper as ``backend.kernels.log_likelihood`` first, counts
+every scalar call.
 """
 import hashlib
 import importlib.util

@@ -63,13 +63,22 @@ def load_prices(path):
 
 
 def transform_returns(prices):
-    """Demeaned percent log-returns: 100*(ln(p_i/p_{i-1}) - mean)."""
+    """Demeaned percent log-returns: 100*(ln(p_i/p_{i-1}) - mean). A pair of
+    prices whose ratio leaves float64, overflowing or underflowing to 0, is
+    refused."""
     p = np.asarray(prices, dtype=np.float64)
     if p.size < 2:
         raise InsufficientDataError("need at least 2 prices to form a return")
     if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
         raise DataValidationError("prices must be finite and strictly positive")
-    s = np.log(p[1:] / p[:-1])
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = p[1:] / p[:-1]
+    bad = np.flatnonzero(~((ratio > 0.0) & (ratio < math.inf)))
+    if bad.size:
+        i = int(bad[0])
+        raise DataValidationError(f"prices {i + 1} and {i + 2} ({float(p[i])}, "
+                                  f"{float(p[i + 1])}): their ratio leaves float64")
+    s = np.log(ratio)
     return 100.0 * (s - s.mean())
 
 

@@ -171,34 +171,31 @@ def _corrected_acf(xc, whole, a, b, t_max):
         t_max = bound
 
 
-def _replicate_acfs(x, rho=None):
+def _replicate_acfs(x, rho):
     """Yield (ACF to its default lag bound, length) of each leave-one-block-out
-    series of x in turn.
+    series of x in turn, from ``rho`` = ``acf(x, _top_lag(N))``.
 
-    Given ``rho`` = ``acf(x, _top_lag(N))``, each comes from ``_corrected_acf``
-    on the whole series' lag sums, starting from twice the whole series' lag
-    bound. A replicate it refuses (one that keeps almost none of the variance,
-    a constant one among them: its corrections would cancel most digits of
-    the whole series' sums), and every replicate when ``rho`` is None, is
-    computed by ``bounded_acf`` on its own values: the reference that the
-    corrected ones are tested against.
+    Each comes from ``_corrected_acf`` on the whole series' lag sums,
+    starting from twice the whole series' lag bound. A replicate it refuses
+    (one that keeps almost none of the variance, a constant one among them:
+    its corrections would cancel most digits of the whole series' sums) is
+    computed by ``bounded_acf`` on its own values.
     """
     n = x.size
     edges = np.linspace(0, n, JACKKNIFE_BLOCKS + 1, dtype=int).tolist()
-    if rho is not None:
-        xc = x - x.mean()
-        # The lag sums of xc. Not np.dot: OpenBLAS threads a dot this long,
-        # and its idle worker then spins for about 0.1 s of CPU.
-        whole = rho * (n - np.arange(rho.size)) * np.mean(xc * xc)
-        start = 2 * _lag_bound(rho, rho.size - 1)
+    xc = x - x.mean()
+    # The lag sums of xc. Not np.dot: OpenBLAS threads a dot this long, and
+    # its idle worker then spins for about 0.1 s of CPU.
+    whole = rho * (n - np.arange(rho.size)) * np.mean(xc * xc)
+    start = 2 * _lag_bound(rho, rho.size - 1)
     for a, b in zip(edges[:-1], edges[1:]):
-        rho_i = None if rho is None else _corrected_acf(xc, whole, a, b, start)
+        rho_i = _corrected_acf(xc, whole, a, b, start)
         if rho_i is None:
             rho_i = bounded_acf(np.concatenate((x[:a], x[b:])))
         yield rho_i, n - (b - a)
 
 
-def _jackknife_tau_err(x, rho=None):
+def _jackknife_tau_err(x, rho):
     """Blocked jackknife error of tau_int over 10 contiguous segments, each
     replicate's ACF from ``_replicate_acfs(x, rho)``. NaN at the first
     replicate that finds no plateau or is degenerate."""

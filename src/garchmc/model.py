@@ -2,12 +2,11 @@
 
 Parameters are plain (alpha, beta, omega) triples in that order. Return and
 volatility series are plain float64 ndarrays. The numeric work is done by
-the kernels of ``backend.kernels``, the switch every module reads: the
-scalar closure looks them up when it is made, the batch closure at each
-call. The scalar closure scores each step through one kernel ``Workspace``
-that it builds when it is made, passed positionally in the kernel's series
-slot where y would go, so whatever the kernel keeps per series is set up
-once per run, not once per step.
+the kernels of ``backend.kernels``, the switch every module reads, looked up
+at each call. ``log_posterior`` scores one point, a chain's start; the
+random walk scores its candidates inside the kernels' ``rw_chain``, which
+applies the same support rule. The batch closure scores the independence
+sampler's candidates.
 """
 import numpy as np
 
@@ -23,34 +22,25 @@ def in_support(a, b, w):
     return (a > 0.0) & (b > 0.0) & (w > 0.0) & (a + b < 1.0)
 
 
-def make_log_posterior(y, sigma1_sq):
-    """Flat-prior log-posterior of any length-3 sequence of floats (a list,
-    a tuple or an array): the log-likelihood inside the support, LOG_ZERO
-    outside.
+def log_posterior(y, sigma1_sq, theta):
+    """Flat-prior log-posterior of the (alpha, beta, omega) triple theta: the
+    scalar kernel's log-likelihood inside the support, LOG_ZERO outside.
 
-    The scalar kernel is looked up once, here, and the closure's own kernel
-    workspace is built here; the closure, like its workspace, is not
-    thread-safe. A non-finite likelihood raises NumericOverflowError; call
-    under ``np.errstate(all="ignore")``, as the sampler driver does, to keep
+    It scores the points a chain starts from; the kernels' ``rw_chain``
+    applies the same rule to each candidate in its loop. A non-finite
+    likelihood raises NumericOverflowError; call under
+    ``np.errstate(all="ignore")``, as the sampler driver does, to keep
     numpy's warnings from preceding it.
     """
-    loglik = backend.kernels.log_likelihood
-    # An infinite y^2 makes every call raise; the warning would only precede it.
-    with np.errstate(over="ignore"):
-        workspace = backend.kernels.Workspace(y)
-
-    def log_post(theta):
-        a, b, w = theta
-        if not in_support(a, b, w):
-            return LOG_ZERO
-        return loglik(workspace, a, b, w, sigma1_sq)
-
-    return log_post
+    a, b, w = theta
+    if not in_support(a, b, w):
+        return LOG_ZERO
+    return backend.kernels.log_likelihood(y, a, b, w, sigma1_sq)
 
 
 def make_batch_log_posterior(y, sigma1_sq):
-    """Batch twin of ``make_log_posterior``: a (k, 3) array of parameter rows
-    in, the (k,) log-posteriors out, from one batch-kernel call.
+    """Batch twin of ``log_posterior``: a (k, 3) array of parameter rows in,
+    the (k,) log-posteriors out, from one batch-kernel call.
 
     Rows outside the constraint region get exactly LOG_ZERO and are not
     scored; a non-finite likelihood inside it raises NumericOverflowError.

@@ -1,18 +1,18 @@
 """Random-walk Metropolis and adaptive independence MH on one driver.
 
-The batch kernels ``_rw_chain`` and ``_independence_batch`` are
-dimension-agnostic and take and return the chain state (theta, log_p) alike.
-They draw the random numbers; the per-step accept loops run in the kernel
-module that ``backend`` picks, ``rw_chain`` and ``independence_accept`` of
-the compiled ``_kernels.c`` or of its numpy twin ``_kernels_py``, which
-write the accept rule once each. ``_rw_chain`` takes a target: any callable
-returning a log-density (-inf outside its support) for a list of parameter
-floats, called once per step. Independence candidates do not depend on the
-chain state, so ``_independence_batch`` takes a batch scorer instead,
-mapping a (k, p) array of candidates to their (k,) log-densities in one
-call. The one driver, ``_run``, wires them to the GARCH posterior:
-``run_metropolis`` and ``run_adaptive`` differ only in the kernel that fills
-each retained batch.
+The batch kernels ``_rw_chain`` and ``_independence_batch`` take and
+return the chain state (theta, log_p) alike. They draw the random numbers;
+the per-step accept loops run in the kernel module that ``backend`` picks,
+``rw_chain`` and ``independence_accept`` of the compiled ``_kernels.c`` or
+of its numpy twin ``_kernels_py``, which write the accept rule once each.
+``_rw_chain`` walks the GARCH posterior of the returns y: the kernel tests
+each candidate for the support and scores one inside with the scalar
+likelihood, once per step. Independence candidates do not depend on the
+chain state, so ``_independence_batch`` is dimension-agnostic and takes a
+batch scorer, mapping a (k, p) array of candidates to their (k,)
+log-densities in one call. The one driver, ``_run``, wires them to the
+GARCH posterior: ``run_metropolis`` and ``run_adaptive`` differ only in the
+kernel that fills each retained batch.
 """
 import math
 from dataclasses import dataclass
@@ -51,21 +51,19 @@ class AdaptiveSchedule:
             raise ValueError(f"refit_interval {self.refit_interval} exceeds total {self.total}")
 
 
-def _rw_chain(theta, log_p, n_steps, d, target, rng):
-    """Run n_steps of random walk from the length-p state theta; returns the
-    (n_steps, p) draws, their flags and the end state, a new float64 array,
-    and its log-density.
+def _rw_chain(y, sigma1_sq, theta, log_p, n_steps, d, rng):
+    """Run n_steps of random walk on the posterior of y from the GARCH triple
+    theta; returns the (n_steps, 3) draws, their flags and the end state, a
+    new float64 array, and its log-density.
 
-    The random numbers are drawn for the whole run up front; the kernels'
-    ``rw_chain`` calls ``target`` on each candidate as a list of p Python
-    floats.
+    The random numbers are drawn for the whole run up front.
     """
     shifts = d * (rng.random((n_steps, len(theta))) - 0.5)
     u = rng.random(n_steps)
-    return backend.kernels.rw_chain(target, theta, log_p, shifts, u)
+    return backend.kernels.rw_chain(y, sigma1_sq, theta, log_p, shifts, u)
 
 
-def tune_metropolis(d, target, rng, theta0):
+def tune_metropolis(y, sigma1_sq, d, rng, theta0):
     """Scale the random-walk widths d until block acceptance lands in
     [TUNE_ACCEPT_FLOOR, TUNE_ACCEPT_CEIL]; returns the tuned widths.
 
@@ -73,10 +71,10 @@ def tune_metropolis(d, target, rng, theta0):
     the floor, doubles when above the ceiling, gives up after 20 blocks.
     """
     theta = np.asarray(theta0, dtype=np.float64)
-    log_p = target(theta)
+    log_p = model.log_posterior(y, sigma1_sq, theta)
     acc = float("nan")
     for _ in range(TUNE_MAX_BLOCKS):
-        _, flags, theta, log_p = _rw_chain(theta, log_p, TUNE_BLOCK_STEPS, d, target, rng)
+        _, flags, theta, log_p = _rw_chain(y, sigma1_sq, theta, log_p, TUNE_BLOCK_STEPS, d, rng)
         acc = float(flags.mean())
         if TUNE_ACCEPT_FLOOR <= acc <= TUNE_ACCEPT_CEIL:
             return d
@@ -106,15 +104,15 @@ def _independence_batch(theta, log_p, n_steps, prop, score, rng):
     return states[index], accepted, states[index[-1] if n_steps else 0], log_p
 
 
-def _tuned_widths(target, theta0, rng):
+def _tuned_widths(y, sigma1_sq, theta0, rng):
     """Tune scalar widths, rescale per-parameter from a pilot block, retune."""
-    d = tune_metropolis(np.full(theta0.size, TUNE_START_WIDTH), target, rng, theta0)
-    log_p = target(theta0)
-    draws, _, _, _ = _rw_chain(theta0, log_p, 1000, d, target, rng)
+    d = tune_metropolis(y, sigma1_sq, np.full(theta0.size, TUNE_START_WIDTH), rng, theta0)
+    log_p = model.log_posterior(y, sigma1_sq, theta0)
+    draws, _, _, _ = _rw_chain(y, sigma1_sq, theta0, log_p, 1000, d, rng)
     stds = draws.std(axis=0)
     if np.all(stds > 0.0):
         scale = stds / math.exp(np.mean(np.log(stds)))
-        d = tune_metropolis(d * scale, target, rng, theta0)
+        d = tune_metropolis(y, sigma1_sq, d * scale, rng, theta0)
     return d
 
 
@@ -158,21 +156,20 @@ def _run(y, sigma1_sq, sched, seed, step):
     ``step``, which has the signature of ``_rw_chain``. Returns the retained
     draws, their accept flags and the acceptance of each batch.
     """
-    # The posterior closures raise NumericOverflowError on a non-finite
+    # The likelihood kernels raise NumericOverflowError on a non-finite
     # likelihood; numpy's warnings on the way there would only precede it.
     with np.errstate(all="ignore"):
-        target = model.make_log_posterior(y, sigma1_sq)
         # A stationary, constraint-interior start scaled to the data variance.
         theta0 = np.array([0.05, 0.90, sigma1_sq * (1.0 - 0.95)])
-        d = _tuned_widths(target, theta0, named_rng(seed, "tuning"))
-        _, _, theta, log_p = _rw_chain(
-            theta0, target(theta0), sched.burn_in, d, target, named_rng(seed, "burnin")
-        )
+        d = _tuned_widths(y, sigma1_sq, theta0, named_rng(seed, "tuning"))
+        log_p = model.log_posterior(y, sigma1_sq, theta0)
+        _, _, theta, log_p = _rw_chain(y, sigma1_sq, theta0, log_p, sched.burn_in, d,
+                                       named_rng(seed, "burnin"))
 
         rng = named_rng(seed, "sampling")
         parts = []
         for k in _batch_sizes(sched.total, sched.refit_interval):
-            draws, accepted, theta, log_p = step(theta, log_p, k, d, target, rng)
+            draws, accepted, theta, log_p = step(y, sigma1_sq, theta, log_p, k, d, rng)
             parts.append((draws, accepted))
     draws, accepted = (np.concatenate(col) for col in zip(*parts))
     trace = np.array([float(a.mean()) for _, a in parts])
@@ -201,9 +198,9 @@ def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0):
     history = []
     acc = proposal.SampleAccumulator()
 
-    def step(theta, log_p, n_steps, d, target, rng):
+    def step(y, sigma1_sq, theta, log_p, n_steps, d, rng):
         if not history:
-            pilot, _, theta, log_p = _rw_chain(theta, log_p, sched.pilot, d, target, rng)
+            pilot, _, theta, log_p = _rw_chain(y, sigma1_sq, theta, log_p, sched.pilot, d, rng)
             acc.add_batch(pilot)
         try:
             history.append(proposal.fit(acc, nu))

@@ -13,6 +13,8 @@ coarse grid, whose mean and covariance then frame the reference grids. The
 result is trusted only if the grid's boundary points carry almost no weight
 and two grid densities agree.
 """
+import functools
+
 import numpy as np
 from scipy import optimize
 
@@ -70,7 +72,7 @@ def posterior_moments(y, sigma1_sq, theta0):
     and the grids agree to GRID_AGREEMENT_SD.
     """
     score = model.make_batch_log_posterior(y, sigma1_sq)
-    m, L = _laplace_frame(model.make_log_posterior(y, sigma1_sq), score,
+    m, L = _laplace_frame(functools.partial(model.log_posterior, y, sigma1_sq), score,
                           np.asarray(theta0, dtype=np.float64))
     # The Laplace frame is too narrow for the skewed posterior; a wide coarse
     # grid in it gives the moments that frame the reference grids.

@@ -176,7 +176,7 @@ def test_likelihood_oracle():
         w = rng.uniform(0.001, 0.5)
         y = rng.standard_normal(rng.integers(1, 11))
         s1 = rng.uniform(0.01, 2.0)
-        got = model.make_log_posterior(y, s1)(np.array([a, b, w]))
+        got = model.log_posterior(y, s1, np.array([a, b, w]))
         s = s1
         want = 0.0
         for t in range(len(y)):

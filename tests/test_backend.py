@@ -138,8 +138,10 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
     # other test unseen. Without __int128 every value takes Python's "%.17g".
     # The batch calls run the exponent carry, the step-by-step redo of tiny
     # variances and the SIMD clone this CPU dispatches to. Both accept loops
-    # run too: on zero steps, with one parameter, on NaN scores, and with
-    # targets that raise or return None, which must leave as those errors.
+    # run too: the random walk on the real likelihood, on zero steps, on
+    # every combination of edge values in a candidate scored NaN, and with
+    # likelihood stand-ins that raise or return None, which must leave as
+    # those errors.
     path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
     cmd = [*shlex.split(CC), *backend.FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all",
            *undefine, "-Wall", "-Werror", "-I" + sysconfig.get_paths()["include"],
@@ -167,23 +169,25 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
         "from garchmc.exceptions import NumericOverflowError\n"
         "theta, u = np.array([0.05, 0.9, 0.01]), rng.random(600)\n"
         "shifts = rng.uniform(-0.02, 0.02, (600, 3))\n"
-        "def target(cand):\n"
-        "    a, b, w = cand\n"
-        "    return -1e3 * (a - 0.05) ** 2 if a > 0 else float('-inf')\n"
-        "draws, flags, end, log_p = kernels.rw_chain(target, theta, 0.0, shifts, u)\n"
+        "y = rng.standard_normal(200)\n"
+        "log_p = kernels.log_likelihood(y, *theta, 1.0)\n"
+        "draws, flags, end, log_p = kernels.rw_chain(y, 1.0, theta, log_p, shifts, u)\n"
         "assert 0 < flags.sum() < 600 and (draws[-1] == end).all()\n"
-        "kernels.rw_chain(target, theta, 0.0, shifts[:0], u[:0])\n"
-        "kernels.rw_chain(lambda cand: cand[0], theta[:1], 0.0, shifts[:, :1], u)\n"
-        "kernels.rw_chain(lambda cand: float('nan'), theta, float('-inf'), shifts, u)\n"
+        "kernels.rw_chain(y, 1.0, theta, 0.0, shifts[:0], u[:0])\n"
+        "edges = np.array([0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf])\n"
+        "kernels.log_likelihood = lambda series, a, b, w, s: float('nan')\n"
+        "kernels.rw_chain(y, 1.0, np.full(3, -0.0), float('-inf'),\n"
+        "                 np.array(np.meshgrid(edges, edges, edges)).reshape(3, -1).T, u[:216])\n"
         "calls = []\n"
-        "def fail(cand):\n"
-        "    calls.append(cand)\n"
+        "def fail(series, a, b, w, s):\n"
+        "    calls.append(a)\n"
         "    if len(calls) == 10:\n"
-        "        raise NumericOverflowError('raised by the target at step 9')\n"
+        "        raise NumericOverflowError('raised by the likelihood at call 9')\n"
         "    return 0.0\n"
-        "for bad, error in ((fail, NumericOverflowError), (lambda cand: None, TypeError)):\n"
+        "for bad, error in ((fail, NumericOverflowError), (lambda *args: None, TypeError)):\n"
+        "    kernels.log_likelihood = bad\n"
         "    try:\n"
-        "        kernels.rw_chain(bad, theta, 0.0, shifts, u)\n"
+        "        kernels.rw_chain(y, 1.0, theta, 0.0, shifts, u)\n"
         "    except error:\n"
         "        pass\n"
         "    else:\n"

@@ -163,6 +163,15 @@ class TestRun:
         assert proc.stderr.splitlines() == ["error: non-finite GARCH log-likelihood"]
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("pair", [(1e-300, 1e300), (1e300, 1e-300)],
+                             ids=["ratio-overflows", "ratio-underflows"])
+    def test_price_ratio_leaving_float64_exits_one(self, tmp_path, capsys, pair):
+        f = tmp_path / "prices.csv"
+        f.write_text(f"d0,{pair[0]}\nd1,{pair[1]}\n")
+        assert run_cli(["run", "--csv", str(f), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: prices 1 and 2 ({pair[0]}, {pair[1]}): their ratio leaves float64\n")
+
     def test_zero_variance_returns_exit_one(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("date,price\n" + "".join(f"d{i},100\n" for i in range(50)))

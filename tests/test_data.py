@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,13 @@ class TestTransformReturns:
     def test_non_positive_price(self):
         with pytest.raises(DataValidationError):
             data.transform_returns([100.0, -1.0, 100.0])
+
+    @pytest.mark.parametrize("pair", [(1e-300, 1e300), (1e300, 1e-300)],
+                             ids=["ratio-overflows", "ratio-underflows"])
+    def test_ratio_leaving_float64_names_the_pair(self, pair):
+        with pytest.raises(DataValidationError, match="^" + re.escape(
+                f"prices 2 and 3 ({pair[0]}, {pair[1]}): their ratio leaves float64")):
+            data.transform_returns([1.0, *pair, 1.0])
 
 
 class TestLoadPrices:

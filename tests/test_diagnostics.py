@@ -209,6 +209,12 @@ def adaptive_chain():
     return samplers.run_adaptive(y, sched, seed=4).draws
 
 
+def whole_acf(x):
+    """The ACF of x to ``_top_lag``, as ``summarize`` hands it to the
+    jackknife."""
+    return diagnostics.acf(x, diagnostics._top_lag(x.size))
+
+
 def corrected_replicates(x, monkeypatch):
     """The (ACF, length) of every leave-one-block-out series of x from the
     whole series' lag sums, with ``bounded_acf`` barred so that none of them
@@ -217,19 +223,35 @@ def corrected_replicates(x, monkeypatch):
     def barred(_):
         raise AssertionError("a replicate left the correction route")
 
-    rho = diagnostics.acf(x, diagnostics._top_lag(x.size))
     with monkeypatch.context() as m:
         m.setattr(diagnostics, "bounded_acf", barred)
-        return list(diagnostics._replicate_acfs(x, rho))
+        return list(diagnostics._replicate_acfs(x, whole_acf(x)))
+
+
+def own_series_replicate_acfs(x):
+    """Yield (ACF, length) of each leave-one-block-out series of x, each by
+    ``bounded_acf`` on its own values: the reference for the replicates of
+    ``_replicate_acfs``."""
+    for i in range(diagnostics.JACKKNIFE_BLOCKS):
+        sub = own_series_replicate(x, i)
+        yield diagnostics.bounded_acf(sub), sub.size
+
+
+def own_series_tau_err(x, monkeypatch):
+    """``_jackknife_tau_err`` of x with every replicate's ACF from its own
+    series."""
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "_replicate_acfs", lambda x, rho: own_series_replicate_acfs(x))
+        return diagnostics._jackknife_tau_err(x, None)
 
 
 class TestJackknife:
-    def test_matches_reference(self):
+    def test_matches_reference(self, monkeypatch):
         x = ar1(0.7, 20000, seed=30)
         t = np.array([tau for tau, _ in leave_one_block_out_taus(x)])
         m = t.size
         want = math.sqrt((m - 1) / m * np.sum((t - t.mean()) ** 2))
-        got = diagnostics._jackknife_tau_err(x)
+        got = own_series_tau_err(x, monkeypatch)
         assert got == want
 
     @pytest.mark.parametrize("phi", [0.5, 0.9])
@@ -240,7 +262,7 @@ class TestJackknife:
         # third of that.
         x = ar1(phi, 100000, seed)
         _, _, err, plateau = diagnostics.tau_int(diagnostics.bounded_acf(x), x.size)
-        jk = diagnostics._jackknife_tau_err(x)
+        jk = diagnostics._jackknife_tau_err(x, whole_acf(x))
         assert plateau
         assert 0.5 <= jk / err <= 2.0
 
@@ -248,7 +270,7 @@ class TestJackknife:
         x = ar1(0.98, 3000, seed=1)
         assert diagnostics.tau_int(diagnostics.bounded_acf(x), x.size)[3]
         assert not all(plateau for _, plateau in leave_one_block_out_taus(x))
-        assert math.isnan(diagnostics._jackknife_tau_err(x))
+        assert math.isnan(diagnostics._jackknife_tau_err(x, whole_acf(x)))
 
     @pytest.mark.parametrize("make", [
         lambda: ar1(0.5, 1000, seed=40),
@@ -282,11 +304,10 @@ class TestJackknife:
         rho, _ = corrected_replicates(x, monkeypatch)[3]
         assert rho.size - 1 > 2 * whole_bound
 
-    def test_jackknife_matches_the_own_series_one(self):
+    def test_jackknife_matches_the_own_series_one(self, monkeypatch):
         x = ar1(0.7, 20000, seed=30)
-        rho = diagnostics.acf(x, diagnostics._top_lag(x.size))
-        got = diagnostics._jackknife_tau_err(x, rho)
-        assert got == pytest.approx(diagnostics._jackknife_tau_err(x), rel=1e-12, abs=0.0)
+        got = diagnostics._jackknife_tau_err(x, whole_acf(x))
+        assert got == pytest.approx(own_series_tau_err(x, monkeypatch), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("level", [0.5, 0.1])
     def test_constant_replicate_gives_nan(self, level):

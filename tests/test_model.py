@@ -1,5 +1,4 @@
 import math
-import types
 import warnings
 
 import numpy as np
@@ -88,18 +87,19 @@ def test_fallback_volatility_is_the_plain_float_recursion(n, beta):
     assert np.array_equal(_kernels_py.volatility(y, alpha, beta, omega, 0.7), want)
 
 
-#: The kernels the posterior closures call: compiled, or the numpy twin.
+#: The kernels the posteriors call: compiled, or the numpy twin.
 KERNELS = backend.kernels
 
 
 def log_post_at(theta, y, sigma1_sq):
-    """The scalar posterior closure the samplers use, at one point."""
-    return model.make_log_posterior(y, sigma1_sq)(np.asarray(theta, dtype=np.float64))
+    """The scalar posterior that scores the samplers' start points, at one
+    point."""
+    return model.log_posterior(y, sigma1_sq, np.asarray(theta, dtype=np.float64))
 
 
 class TestLogLikelihood:
-    """The log-likelihood, read through the scalar posterior closure inside
-    the support."""
+    """The log-likelihood, read through the scalar posterior inside the
+    support."""
 
     def test_standard_normal_at_zero(self):
         got = log_post_at((0.1, 0.8, 0.01), [0.0], 1.0)
@@ -137,8 +137,7 @@ class TestLogPosterior:
     def test_log_differences_equal_likelihood_differences(self):
         y = np.random.default_rng(4).standard_normal(30)
         t1, t2 = (0.1, 0.8, 0.01), (0.05, 0.9, 0.02)
-        target = model.make_log_posterior(y, 0.05)
-        dp = target(np.array(t1)) - target(np.array(t2))
+        dp = log_post_at(t1, y, 0.05) - log_post_at(t2, y, 0.05)
         dl = KERNELS.log_likelihood(y, *t1, 0.05) - KERNELS.log_likelihood(y, *t2, 0.05)
         assert dp == dl
 
@@ -195,7 +194,8 @@ def test_kernels_raise_typed_overflow():
 
 def test_empty_series_scores_negative_zero(either_kernels):
     theta = (0.1, 0.8, 0.01)
-    for series in ([], either_kernels.Workspace([])):
+    twin_only = [_kernels_py.Workspace([])] if either_kernels is _kernels_py else []
+    for series in [[], np.empty(0), *twin_only]:
         got = either_kernels.log_likelihood(series, *theta, 0.05)
         assert got == 0.0 and math.copysign(1.0, got) == -1.0
     got = either_kernels.log_likelihood_batch([], np.array([theta, theta]), 0.05)
@@ -222,9 +222,8 @@ class TestBatchLogPosterior:
         np.testing.assert_array_equal(
             got[inside], KERNELS.log_likelihood_batch(y, thetas[inside], 0.3)
         )
-        target = model.make_log_posterior(y, 0.3)
         for value, theta in zip(got, thetas):
-            assert value == pytest.approx(target(theta), rel=1e-14)
+            assert value == pytest.approx(model.log_posterior(y, 0.3, theta), rel=1e-14)
 
     def test_overflow_raises(self):
         score = model.make_batch_log_posterior([1e200, 1e200], 1e-300)
@@ -235,45 +234,66 @@ class TestBatchLogPosterior:
                 score(thetas)
 
     def test_scalar_twin_overflow_raises(self):
-        target = model.make_log_posterior([1e200, 1e200], 1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # The scalar closure leaves numpy's error state to its caller.
+            # The scalar posterior leaves numpy's error state to its caller.
             with np.errstate(all="ignore"), pytest.raises(NumericOverflowError):
-                target(np.array([1e-8, 1e-8, 1e-300]))
+                model.log_posterior([1e200, 1e200], 1e-300, np.array([1e-8, 1e-8, 1e-300]))
 
 
 
 class TestWorkspace:
-    """A kernel Workspace reused across scalar calls, as the posterior closure
-    reuses its own, must give exactly what a fresh 5-argument call gives."""
+    """The numpy twin's Workspace, reused across scalar calls as its
+    ``rw_chain`` reuses one for all its steps, must give exactly what a fresh
+    5-argument call gives."""
 
     BETAS = (0.5, 1e-9, 0.999999, 0.5)
 
+    @staticmethod
+    def recorded_rw_chain(monkeypatch, kernels, y, sigma1_sq, theta, n_steps, seed):
+        """The arguments and value of each scalar call that ``kernels.rw_chain``
+        makes on n_steps of widths (0.05, 0.05, 0.01) from theta."""
+        calls, loglik = [], kernels.log_likelihood
+
+        def recorded(*args):
+            calls.append((args, loglik(*args)))
+            return calls[-1][1]
+
+        rng = np.random.default_rng(seed)
+        shifts = np.array([0.05, 0.05, 0.01]) * (rng.random((n_steps, 3)) - 0.5)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "log_likelihood", recorded)
+            kernels.rw_chain(y, sigma1_sq, theta, model.LOG_ZERO, shifts, rng.random(n_steps))
+        return calls
+
     @pytest.mark.parametrize("n", [1, 2, 33, 2000])
-    def test_closure_equals_fresh_kernel(self, n):
+    def test_rw_chain_scores_equal_fresh_kernel(self, n, monkeypatch):
         y = np.random.default_rng(n).standard_normal(n)
-        target = model.make_log_posterior(y, 0.7)
-        for beta in self.BETAS:
-            inside = np.array([0.3 * (1.0 - beta), beta, 0.05])
-            outside = np.array([0.3 * (1.0 - beta), beta, -0.05])
-            assert target(outside) == model.LOG_ZERO
-            assert target(inside) == KERNELS.log_likelihood(y, *inside, 0.7)
+        for seed, beta in enumerate(self.BETAS):
+            theta = np.array([0.3 * (1.0 - beta), beta, 0.05])
+            calls = self.recorded_rw_chain(monkeypatch, _kernels_py, y, 0.7, theta, 40, seed)
+            assert calls
+            for (_, *args), value in calls:
+                assert value == _kernels_py.log_likelihood(y, *args)
 
-    def test_closure_passes_its_workspace_in_the_series_slot(self, monkeypatch):
-        calls, workspace = [], object()
-
-        def log_likelihood(*args, **kwargs):
-            calls.append((args, kwargs))
-            return -1.0
-
-        stand_in = types.SimpleNamespace(Workspace=lambda y: workspace,
-                                         log_likelihood=log_likelihood)
-        monkeypatch.setattr(backend, "kernels", stand_in)
-        target = model.make_log_posterior((0.5, -0.3), 0.7)
-        thetas = [(0.1, 0.8, 0.01), (0.3, 0.6, 0.05)]
-        assert [target(np.array(theta)) for theta in thetas] == [-1.0, -1.0]
-        assert calls == [((workspace, *theta, 0.7), {}) for theta in thetas]
+    def test_rw_chain_passes_one_workspace_in_the_series_slot(self, monkeypatch):
+        # The twin passes its Workspace of y; the compiled kernels keep
+        # nothing per series and pass y as one float64 array.
+        y = [0.5, -0.3]
+        theta = np.array([0.1, 0.8, 0.01])
+        modules = [_kernels_py] + ([KERNELS] if backend.KERNEL == "c" else [])
+        for kernels in modules:
+            calls = self.recorded_rw_chain(monkeypatch, kernels, y, 0.7, theta, 5, 0)
+            assert len(calls) == 5
+            series = calls[0][0][0]
+            for args, _ in calls:
+                assert args[0] is series and len(args) == 5 and args[4] == 0.7
+            if kernels is _kernels_py:
+                assert isinstance(series, _kernels_py.Workspace)
+                assert np.array_equal(series.y2, np.square(y))
+            else:
+                assert series.dtype == np.float64 and series.flags.c_contiguous
+                assert np.array_equal(series, y)
 
     def test_kernel_workspace_equals_fresh_kernel(self):
         y = np.random.default_rng(5).standard_normal(300)
@@ -291,30 +311,18 @@ class TestWorkspace:
         # s_1 is about 3e-320, so y_1^2 / s_1 overflows.
         overflow = np.array([1e-320, 1e-320, 1e-320])
         valid = np.array([0.1, 0.8, 0.01])
-        target = model.make_log_posterior(y, 1.0)
         ws = _kernels_py.Workspace(y)
         with np.errstate(all="ignore"):
             for _ in range(2):
                 with pytest.raises(NumericOverflowError):
-                    target(overflow)
-                assert target(valid) == KERNELS.log_likelihood(y, *valid, 1.0)
+                    model.log_posterior(y, 1.0, overflow)
+                assert (model.log_posterior(y, 1.0, valid)
+                        == KERNELS.log_likelihood(y, *valid, 1.0))
                 # y_0^2 / sigma1_sq overflows.
                 with pytest.raises(FloatingPointError):
                     _kernels_py.log_likelihood(ws, *valid, 1e-310)
                 assert (_kernels_py.log_likelihood(ws, *valid, 1.0)
                         == _kernels_py.log_likelihood(y, *valid, 1.0))
-
-    def test_closures_over_different_series_share_no_buffers(self):
-        rng = np.random.default_rng(6)
-        y_a, y_b = rng.standard_normal(300), 2.0 * rng.standard_normal(300)
-        target_a = model.make_log_posterior(y_a, 0.7)
-        target_b = model.make_log_posterior(y_b, 1.5)
-        for beta_a, beta_b in zip(self.BETAS, self.BETAS[1:] + self.BETAS[:1]):
-            theta_a = np.array([0.3 * (1.0 - beta_a), beta_a, 0.05])
-            theta_b = np.array([0.2 * (1.0 - beta_b), beta_b, 0.1])
-            got_a, got_b = target_a(theta_a), target_b(theta_b)
-            assert got_a == KERNELS.log_likelihood(y_a, *theta_a, 0.7)
-            assert got_b == KERNELS.log_likelihood(y_b, *theta_b, 1.5)
 
 
 class TestCompiledKernels:
@@ -410,9 +418,8 @@ class TestCompiledKernels:
         theta = (0.1, 0.8, 0.01)
         want = compiled.log_likelihood(np.array(y), *theta, 0.05)
         assert compiled.log_likelihood(y, *theta, 0.05) == want
-        for kernels in (compiled, _kernels_py):
-            assert (kernels.log_likelihood(kernels.Workspace(y), *theta, 0.05)
-                    == kernels.log_likelihood(y, *theta, 0.05))
+        assert (_kernels_py.log_likelihood(_kernels_py.Workspace(y), *theta, 0.05)
+                == _kernels_py.log_likelihood(y, *theta, 0.05))
         assert compiled.log_likelihood_batch(y, [list(theta)], 0.05).tolist() == [want]
 
     def test_non_finite_totals_raise_typed_overflow(self, compiled):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -10,16 +11,31 @@ from garchmc import _kernels_py, backend, data, diagnostics, model, proposal, sa
 from garchmc.exceptions import DataValidationError, NumericOverflowError, TuningFailureError
 
 LOG_ZERO = model.LOG_ZERO
+#: The returns handed to ``rw_chain`` where a stand-in likelihood ignores them.
+STUB_Y = np.zeros(3)
+#: A point well inside the support, from which steps of widths below 0.1 stay
+#: inside.
+INSIDE = np.array([0.25, 0.25, 0.5])
 
 
 def std_normal_target(theta):
     return -0.5 * float(theta[0]) ** 2
 
 
-def rw_step(current, d, target, rng):
-    """One random-walk step of widths d through the production batch kernel."""
+def stub_likelihood(monkeypatch, kernels, score):
+    """Set a stand-in as the scalar likelihood of ``kernels`` that scores the
+    triple (a, b, w) as score(a, b, w); ``rw_chain`` then scores each
+    candidate inside the support with it, and ``model.log_posterior`` too
+    while ``kernels`` is ``backend.kernels``."""
+    monkeypatch.setattr(kernels, "log_likelihood",
+                        lambda series, a, b, w, sigma1_sq: score(a, b, w))
+
+
+def rw_step(current, d, rng):
+    """One random-walk step of widths d through the production batch kernel,
+    scored by the likelihood set on ``backend.kernels``."""
     _, accepted, theta, _ = samplers._rw_chain(
-        current, target(current), 1, d, target, rng
+        STUB_Y, 1.0, current, model.log_posterior(STUB_Y, 1.0, current), 1, d, rng
     )
     return theta, bool(accepted[0])
 
@@ -29,85 +45,88 @@ def small_series(seed=5, n=400):
 
 
 class TestMetropolisStep:
-    def test_flat_target_always_accepts(self):
+    """Single steps on stand-in likelihoods, with widths small enough that
+    every candidate stays inside the support."""
+
+    D = np.full(3, 1e-3)
+
+    def test_flat_target_always_accepts(self, monkeypatch):
+        stub_likelihood(monkeypatch, backend.kernels, lambda a, b, w: 0.0)
         rng = np.random.default_rng(0)
-        d = np.ones(3)
-        cur = np.zeros(3)
+        cur = INSIDE
         for _ in range(100):
-            cur, accepted = rw_step(cur, d, lambda t: 0.0, rng)
+            cur, accepted = rw_step(cur, self.D, rng)
             assert accepted
 
-    def test_zero_mass_candidate_always_rejected(self):
+    def test_zero_mass_candidate_always_rejected(self, monkeypatch):
+        start = tuple(INSIDE)
+        stub_likelihood(monkeypatch, backend.kernels,
+                        lambda *theta: 0.0 if theta == start else LOG_ZERO)
         rng = np.random.default_rng(1)
-        d = np.ones(3)
-        start = np.zeros(3)
-
-        def target(theta):
-            return 0.0 if np.array_equal(theta, start) else LOG_ZERO
-
         for _ in range(100):
-            nxt, accepted = rw_step(start, d, target, rng)
+            nxt, accepted = rw_step(INSIDE, self.D, rng)
             assert not accepted
-            assert np.array_equal(nxt, start)
+            assert np.array_equal(nxt, INSIDE)
 
-    def test_acceptance_frequency_at_fixed_log_ratio(self):
+    def test_acceptance_frequency_at_fixed_log_ratio(self, monkeypatch):
         # every candidate is exactly ln 2 below the current point
+        start = tuple(INSIDE)
+        stub_likelihood(monkeypatch, backend.kernels,
+                        lambda *theta: 0.0 if theta == start else -math.log(2.0))
         rng = np.random.default_rng(2)
-        d = np.ones(1)
-        start = np.zeros(1)
-
-        def target(theta):
-            return 0.0 if theta[0] == 0.0 else -math.log(2.0)
-
         hits = sum(
-            rw_step(start, d, target, rng)[1] for _ in range(100000)
+            rw_step(INSIDE, self.D, rng)[1] for _ in range(100000)
         )
         assert hits / 100000 == pytest.approx(0.5, abs=0.01)
 
-    def test_no_overflow_for_huge_log_ratio_deficit(self):
+    def test_no_overflow_for_huge_log_ratio_deficit(self, monkeypatch):
+        start = tuple(INSIDE)
+        stub_likelihood(monkeypatch, backend.kernels,
+                        lambda *theta: 0.0 if theta == start else -700.0)
         rng = np.random.default_rng(3)
-        d = np.ones(1)
-
-        def target(theta):
-            return 0.0 if theta[0] == 0.0 else -700.0
-
-        nxt, accepted = rw_step(np.zeros(1), d, target, rng)
+        nxt, accepted = rw_step(INSIDE, self.D, rng)
         assert not accepted
 
 
 class TestTuneMetropolis:
+    """Tuning on a stand-in likelihood that is a normal of standard deviation
+    SD in alpha around its start and flat in beta and omega, which keep
+    width 0 and so stay put: alpha's walk is the one-parameter walk on a
+    standard normal, scaled by SD."""
+
+    SD = 0.01
+
+    @pytest.fixture(autouse=True)
+    def normal_in_alpha(self, monkeypatch):
+        centre = INSIDE[0]
+        stub_likelihood(monkeypatch, backend.kernels,
+                        lambda a, b, w: -0.5 * ((a - centre) / self.SD) ** 2)
+
+    def tune(self, width, seed):
+        return samplers.tune_metropolis(STUB_Y, 1.0, np.array([width * self.SD, 0.0, 0.0]),
+                                        np.random.default_rng(seed), INSIDE)
+
     def test_in_band_returned_unchanged(self):
         # width 3 yields ~0.71 acceptance on a standard normal: already in band
-        d = np.array([3.0])
-        tuned = samplers.tune_metropolis(
-            d, std_normal_target, np.random.default_rng(4), np.zeros(1)
-        )
-        np.testing.assert_allclose(tuned, d)
+        tuned = self.tune(3.0, 4)
+        np.testing.assert_allclose(tuned, [3.0 * self.SD, 0.0, 0.0])
 
     def test_large_width_is_reduced(self):
-        d = np.array([500.0])
-        tuned = samplers.tune_metropolis(
-            d, std_normal_target, np.random.default_rng(5), np.zeros(1)
-        )
-        assert tuned[0] < 500.0
+        tuned = self.tune(500.0, 5)
+        assert tuned[0] < 500.0 * self.SD
 
     def test_wide_and_narrow_starts_converge(self):
-        a = samplers.tune_metropolis(
-            np.array([1.0]), std_normal_target, np.random.default_rng(6), np.zeros(1)
-        )
-        b = samplers.tune_metropolis(
-            np.array([100.0]), std_normal_target, np.random.default_rng(7), np.zeros(1)
-        )
+        a = self.tune(1.0, 6)
+        b = self.tune(100.0, 7)
         ratio = b[0] / a[0]
         assert 0.25 <= ratio <= 4.0
 
-    def test_failure_carries_last_acceptance(self):
-        def needle_target(theta):
-            return 0.0 if abs(theta[0]) < 1e-30 else LOG_ZERO
-
-        d = np.array([1.0])
+    def test_failure_carries_last_acceptance(self, monkeypatch):
+        centre = INSIDE[0]
+        stub_likelihood(monkeypatch, backend.kernels,
+                        lambda a, b, w: 0.0 if abs(a - centre) < 1e-30 else LOG_ZERO)
         with pytest.raises(TuningFailureError) as exc:
-            samplers.tune_metropolis(d, needle_target, np.random.default_rng(8), np.zeros(1))
+            self.tune(100.0, 8)
         assert str(exc.value).startswith("acceptance 0.000 not in [0.5, 0.85]")
 
 
@@ -183,7 +202,7 @@ def test_batch_scoring_matches_per_candidate_scoring(monkeypatch):
 def check_batch_scoring_matches_per_candidate_scoring():
     y = small_series()
     s1 = float(np.var(y))
-    target = model.make_log_posterior(y, s1)
+    target = functools.partial(model.log_posterior, y, s1)
     # Wide enough that some candidates leave the constraint region.
     prop = proposal.StudentTProposal(
         np.array([0.05, 0.9, 0.01]), np.diag([0.03, 0.04, 0.006]) ** 2, 10.0
@@ -209,6 +228,12 @@ def reference_rw_chain(theta, log_p, n_steps, d, target, rng):
     consuming the random numbers in the order the production kernel does."""
     shifts = d * (rng.random((n_steps, theta.size)) - 0.5)
     u = rng.random(n_steps)
+    return reference_steps(theta, log_p, shifts, u, target)
+
+
+def reference_steps(theta, log_p, shifts, u, target):
+    """The steps of ``reference_rw_chain`` on given random numbers: step i
+    proposes theta + shifts[i], scores it by ``target`` and accepts by u[i]."""
     draws, flags = [], []
     for shift, u_i in zip(shifts, u):
         cand = theta + shift
@@ -230,45 +255,57 @@ CHUNK = _kernels_py._RW_CHUNK
 @pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
 def test_rw_chain_matches_step_by_step_reference(n_steps, monkeypatch):
     for _ in each_kernel_module(monkeypatch):
-        check_rw_chain_matches_step_by_step_reference(n_steps)
+        check_rw_chain_matches_step_by_step_reference(n_steps, monkeypatch)
 
 
-def check_rw_chain_matches_step_by_step_reference(n_steps):
+def recording(monkeypatch, kernels):
+    """Wrap the scalar likelihood of ``kernels`` so that each call's triple
+    (a, b, w) is appended to the returned list."""
+    calls, loglik = [], kernels.log_likelihood
+
+    def recorded(series, a, b, w, sigma1_sq):
+        calls.append((a, b, w))
+        return loglik(series, a, b, w, sigma1_sq)
+
+    monkeypatch.setattr(kernels, "log_likelihood", recorded)
+    return calls
+
+
+def check_rw_chain_matches_step_by_step_reference(n_steps, monkeypatch):
+    # The reference scores each candidate by model.log_posterior, so it calls
+    # the likelihood on exactly the candidates that in_support admits.
     y = small_series()
-    posterior = model.make_log_posterior(y, float(np.var(y)))
-    scores = []
-
-    def target(theta):
-        scores.append(posterior(theta))
-        return scores[-1]
-
+    s1 = float(np.var(y))
+    posterior = functools.partial(model.log_posterior, y, s1)
+    calls = recording(monkeypatch, backend.kernels)
     # Wide enough that some candidates leave the constraint region.
     d = np.array([0.1, 0.1, 0.02])
     theta = np.array([0.05, 0.9, 0.01])
-    got = samplers._rw_chain(theta, target(theta), n_steps, d, target, np.random.default_rng(13))
-    want = reference_rw_chain(theta, posterior(theta), n_steps, d, posterior,
-                              np.random.default_rng(13))
+    log_p = posterior(theta)
+    want = reference_rw_chain(theta, log_p, n_steps, d, posterior, np.random.default_rng(13))
+    want_calls = calls[1:]
+    calls.clear()
+    got = samplers._rw_chain(y, s1, theta, log_p, n_steps, d, np.random.default_rng(13))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+    assert calls == want_calls
     if n_steps > CHUNK:
         assert 0 < got[1].sum() < n_steps
-        assert LOG_ZERO in scores
+        assert len(calls) < n_steps
 
 
 @pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
 def test_rw_chain_rejecting_every_candidate_stays_put(n_steps, monkeypatch):
-    for _ in each_kernel_module(monkeypatch):
+    for kernels in each_kernel_module(monkeypatch):
+        stub_likelihood(monkeypatch, kernels, lambda a, b, w: LOG_ZERO)
         check_rw_chain_rejecting_every_candidate_stays_put(n_steps)
 
 
 def check_rw_chain_rejecting_every_candidate_stays_put(n_steps):
     theta = np.array([0.05, 0.9, 0.01])
     d = np.ones(3)
-
-    def target(_):
-        return LOG_ZERO
-
-    got = samplers._rw_chain(theta, 0.0, n_steps, d, target, np.random.default_rng(14))
+    target = functools.partial(model.log_posterior, STUB_Y, 1.0)
+    got = samplers._rw_chain(STUB_Y, 1.0, theta, 0.0, n_steps, d, np.random.default_rng(14))
     want = reference_rw_chain(theta, 0.0, n_steps, d, target, np.random.default_rng(14))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -280,9 +317,12 @@ GARCH_START = np.array([0.05, 0.9, 0.01])
 
 
 def garch_posteriors(n=400):
+    """Returns of length n, their variance, and their scalar and batch
+    posteriors."""
     y = small_series(n=n)
     s1 = float(np.var(y))
-    return model.make_log_posterior(y, s1), model.make_batch_log_posterior(y, s1)
+    return (y, s1, functools.partial(model.log_posterior, y, s1),
+            model.make_batch_log_posterior(y, s1))
 
 
 def wide_proposal(mean):
@@ -307,10 +347,10 @@ class TestAcceptLoopEdges:
     step-by-step references."""
 
     def test_zero_steps_return_the_entry_state(self, either_kernels):
-        target, score = garch_posteriors()
+        y, s1, target, score = garch_posteriors()
         log_p = target(GARCH_START)
         draws, accepted, theta, end_log_p = samplers._rw_chain(
-            GARCH_START, log_p, 0, np.ones(3), target, np.random.default_rng(15))
+            y, s1, GARCH_START, log_p, 0, np.ones(3), np.random.default_rng(15))
         assert draws.shape == (0, 3) and accepted.shape == (0,) and accepted.dtype == bool
         assert np.array_equal(theta, GARCH_START) and theta is not GARCH_START
         assert end_log_p == log_p
@@ -319,13 +359,15 @@ class TestAcceptLoopEdges:
         assert draws.shape == (0, 3) and accepted.shape == (0,)
         assert np.array_equal(theta, GARCH_START) and end_log_p == log_p
 
-    def test_nan_score_rejects(self, either_kernels):
+    def test_nan_score_rejects(self, either_kernels, monkeypatch):
         def nan_target(_):
             return math.nan
 
-        got = samplers._rw_chain(GARCH_START, 0.0, 300, np.ones(3), nan_target,
+        stub_likelihood(monkeypatch, either_kernels, lambda a, b, w: math.nan)
+        got = samplers._rw_chain(STUB_Y, 1.0, GARCH_START, 0.0, 300, np.ones(3),
                                  np.random.default_rng(16))
-        want = reference_rw_chain(GARCH_START, 0.0, 300, np.ones(3), nan_target,
+        want = reference_rw_chain(GARCH_START, 0.0, 300, np.ones(3),
+                                  functools.partial(model.log_posterior, STUB_Y, 1.0),
                                   np.random.default_rng(16))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -336,11 +378,11 @@ class TestAcceptLoopEdges:
         assert not got[1].any()
 
     def test_start_scoring_minus_inf_moves_to_the_first_candidate_inside(self, either_kernels):
-        target, score = garch_posteriors()
+        y, s1, target, score = garch_posteriors()
         outside = np.array([0.05, 0.96, 0.01])
         assert target(outside) == LOG_ZERO
         d = np.array([0.1, 0.1, 0.02])
-        got = samplers._rw_chain(outside, LOG_ZERO, 400, d, target, np.random.default_rng(17))
+        got = samplers._rw_chain(y, s1, outside, LOG_ZERO, 400, d, np.random.default_rng(17))
         want = reference_rw_chain(outside, LOG_ZERO, 400, d, target, np.random.default_rng(17))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -352,15 +394,9 @@ class TestAcceptLoopEdges:
         assert got[1].any() and np.isfinite(got[3])
 
     def test_one_parameter(self, either_kernels):
-        d = np.array([2.0])
+        # The random walk runs on the GARCH triple only; the independence
+        # loop takes any dimension.
         theta = np.array([0.3])
-        got = samplers._rw_chain(theta, std_normal_target(theta), 700, d, std_normal_target,
-                                 np.random.default_rng(18))
-        want = reference_rw_chain(theta, std_normal_target(theta), 700, d, std_normal_target,
-                                  np.random.default_rng(18))
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-        assert 0 < got[1].sum() < 700
         prop = proposal.StudentTProposal(np.array([0.5]), np.array([[2.0]]), 10.0)
         got = assert_same_independence_batch(
             theta, std_normal_target(theta), 700, prop, std_normal_target,
@@ -369,37 +405,39 @@ class TestAcceptLoopEdges:
 
 
 def raising_at(step):
-    """A target that scores 0.0 and raises NumericOverflowError at its call
-    number ``step`` (from 0), and every ``step + 1`` calls after."""
+    """A stand-in scalar likelihood that scores 0.0 and raises
+    NumericOverflowError at its call number ``step`` (from 0), and every
+    ``step + 1`` calls after."""
     calls = itertools.count()
 
-    def target(_):
+    def log_likelihood(series, a, b, w, sigma1_sq):
         if next(calls) % (step + 1) == step:
-            raise NumericOverflowError("raised by the target")
+            raise NumericOverflowError("raised by the likelihood")
         return 0.0
 
-    return target
+    return log_likelihood
 
 
 class TestAcceptLoopErrors:
     THETA = np.array([0.05, 0.9, 0.01])
 
-    def test_target_error_propagates(self, either_kernels):
+    def test_target_error_propagates(self, either_kernels, monkeypatch):
         seen = []
-        target = raising_at(4)
+        loglik = raising_at(4)
 
-        def counted(cand):
-            seen.append(cand)
-            return target(cand)
+        def counted(*args):
+            seen.append(args)
+            return loglik(*args)
 
-        with pytest.raises(NumericOverflowError, match="raised by the target"):
-            either_kernels.rw_chain(counted, self.THETA, 0.0, np.zeros((10, 3)), np.zeros(10))
+        monkeypatch.setattr(either_kernels, "log_likelihood", counted)
+        with pytest.raises(NumericOverflowError, match="raised by the likelihood"):
+            either_kernels.rw_chain(STUB_Y, 1.0, self.THETA, 0.0, np.zeros((10, 3)), np.zeros(10))
         assert len(seen) == 5
 
-    def test_non_numeric_score_raises_type_error(self, either_kernels):
+    def test_non_numeric_score_raises_type_error(self, either_kernels, monkeypatch):
+        stub_likelihood(monkeypatch, either_kernels, lambda a, b, w: None)
         with pytest.raises(TypeError):
-            either_kernels.rw_chain(lambda _: None, self.THETA, 0.0, np.zeros((3, 3)),
-                                    np.zeros(3))
+            either_kernels.rw_chain(STUB_Y, 1.0, self.THETA, 0.0, np.zeros((3, 3)), np.zeros(3))
 
     @pytest.mark.parametrize("theta, shifts, u", [
         (THETA, np.zeros((3, 3)), np.zeros(4)),
@@ -408,7 +446,7 @@ class TestAcceptLoopErrors:
     ], ids=["u", "shifts", "theta"])
     def test_rw_chain_mismatched_lengths_raise(self, either_kernels, theta, shifts, u):
         with pytest.raises(ValueError):
-            either_kernels.rw_chain(lambda _: 0.0, theta, 0.0, shifts, u)
+            either_kernels.rw_chain(STUB_Y, 1.0, theta, 0.0, shifts, u)
 
     @pytest.mark.parametrize("lengths", [(3, 3, 4), (3, 4, 3), (4, 3, 3)],
                              ids=["u", "log_g_cands", "log_p_cands"])
@@ -416,17 +454,73 @@ class TestAcceptLoopErrors:
         with pytest.raises(ValueError):
             either_kernels.independence_accept(*(np.zeros(k) for k in lengths), 0.0, 0.0)
 
-    def test_compiled_rw_chain_leaks_no_reference_on_error(self, compiled):
-        theta = self.THETA.copy()
+    def test_compiled_rw_chain_leaks_no_reference_on_error(self, compiled, monkeypatch):
+        theta, y = self.THETA.copy(), STUB_Y.copy()
         shifts, u = np.zeros((10, 3)), np.zeros(10)
-        target = raising_at(3)
-        before = sys.getrefcount(target), sys.getrefcount(theta)
+        loglik = raising_at(3)
+        monkeypatch.setattr(compiled, "log_likelihood", loglik)
+        before = sys.getrefcount(loglik), sys.getrefcount(theta), sys.getrefcount(y)
         for _ in range(10_000):
             try:
-                compiled.rw_chain(target, theta, 0.0, shifts, u)
+                compiled.rw_chain(y, 1.0, theta, 0.0, shifts, u)
             except NumericOverflowError:
                 pass
-        assert (sys.getrefcount(target), sys.getrefcount(theta)) == before
+        assert (sys.getrefcount(loglik), sys.getrefcount(theta), sys.getrefcount(y)) == before
+
+
+#: Edge values that each coordinate of a candidate takes in turn.
+EDGES = (0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf)
+
+
+def edge_candidates():
+    """INSIDE with each of EDGES in each coordinate in turn; then alpha+beta
+    exactly 1, one below 1 that rounds to 1 in the sum (1 - 2^-54 is a tie,
+    and rounds to even), one just below 1, and INSIDE itself."""
+    cands = []
+    for j, value in itertools.product(range(3), EDGES):
+        cands.append(INSIDE.copy())
+        cands[-1][j] = value
+    cands += [[0.5, 0.5, 0.5], [0.5, 0.5 - 2.0 ** -54, 0.5], [0.5, 0.5 - 2.0 ** -53, 0.5], INSIDE]
+    return np.array(cands)
+
+
+def test_rw_chain_scores_exactly_the_candidates_inside_the_support(either_kernels, monkeypatch):
+    cands = edge_candidates()
+    inside = model.in_support(*cands.T)
+    assert inside.tolist() == ([False, False, True, False, False, False] * 2
+                               + [False, False, True, False, True, False]
+                               + [False, False, True, True])
+    calls = []
+
+    def run(start, log_p, shifts, score):
+        """rw_chain and the reference, each with its likelihood calls; the
+        stand-in records each call's triple."""
+        stub_likelihood(monkeypatch, either_kernels,
+                        lambda *theta: calls.append(theta) or score(*theta))
+        u = np.random.default_rng(19).random(len(shifts))
+        got = either_kernels.rw_chain(STUB_Y, 1.0, start, log_p, shifts, u)
+        got_calls = calls[:]
+        calls.clear()
+        want = reference_steps(start, log_p, shifts, u,
+                               functools.partial(model.log_posterior, STUB_Y, 1.0))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert got_calls == calls
+        calls.clear()
+        return got, got_calls
+
+    # From (-0.0, -0.0, -0.0), outside the support, candidate i is exactly
+    # cands[i], since x + (-0.0) is x for every x, -0.0 included. A score of
+    # -inf accepts none, so the state stays there.
+    start = np.full(3, -0.0)
+    assert (start + cands).tobytes() == cands.tobytes()
+    got, got_calls = run(start, LOG_ZERO, cands, lambda a, b, w: LOG_ZERO)
+    assert np.array(got_calls).tobytes() == cands[inside].tobytes()
+    assert not got[1].any()
+    # Quarter steps from INSIDE towards each candidate, with finite scores:
+    # some are accepted, and the steps after them start from there.
+    got, got_calls = run(INSIDE, -1.0, (cands - INSIDE) / 4, lambda a, b, w: -(a + b + w))
+    assert 0 < got[1].sum() and 0 < len(got_calls) < len(cands)
 
 
 class TestRunAdaptive:
