@@ -4,15 +4,24 @@ scalar likelihood and the batch likelihood on BATCH_K candidates per call.
 The scalar likelihood is timed on y, and for the numpy twin also on one
 reused ``Workspace`` in y's place, as its ``rw_chain`` calls it; the compiled
 kernels keep nothing per series, so their column there reads "-". Every
-figure is per candidate (one parameter set): a scalar call scores one. Then
-the chain.csv text, in ns per row: ``chain_text`` of CHAIN_ROWS rows at
+figure is per candidate (one parameter set): a scalar call scores one.
+
+Then ``rw_chain`` on the real likelihood, in ns per step, BATCH_K steps from
+THETA at each n, whose widths accept about 0.6 of them, inside the tuned
+band RW_ACCEPT_BAND. The compiled kernels run it twice: on their fused
+path, which scores two candidates per pass and makes no Python call, and on
+their per-step path, which a forwarding wrapper set as their
+``log_likelihood`` takes, one Python call per candidate inside the support.
+The numpy twin has the per-step path only.
+
+Then the chain.csv text, in ns per row: ``chain_text`` of CHAIN_ROWS rows at
 acceptance CHAIN_ACCEPT in one call. Then the two accept loops:
-``rw_chain``, in ns per step, on BATCH_K steps inside the support with a
-stand-in ``log_likelihood`` set on its module that returns 0.0, so that the
-loop and its one Python call per step are timed and no likelihood; and
-``independence_accept``, in ns per draw, on BATCH_K candidates whose scores
-are drawn before the clock starts. Where no C compiler is found, the
-compiled columns read "-".
+``rw_chain``'s per-step path, in ns per step, on BATCH_K steps inside the
+support with a stand-in ``log_likelihood`` set on its module that returns
+0.0, so that the loop and its one Python call per step are timed and no
+likelihood; and ``independence_accept``, in ns per draw, on BATCH_K
+candidates whose scores are drawn before the clock starts. Where no C
+compiler is found, the compiled columns read "-".
 
 One layer follows that calls no kernel: ``diagnostics.summarize``, in ms per
 call, the report of a chain of SUMMARIZE_DRAWS draws whose three columns are
@@ -34,9 +43,13 @@ import numpy as np
 from garchmc import _kernels_py, backend, data, diagnostics
 
 THETA = (0.05, 0.90, 0.01)
-#: Where the timed random walk starts: its steps of 1e-3 stay inside the
-#: support from there, so each one calls the likelihood.
+#: Where the random walk on the stand-in likelihood starts: its steps of
+#: 1e-3 stay inside the support from there, so each one calls the likelihood.
 RW_THETA = (0.3, 0.3, 0.4)
+#: Step widths of the random walk on the real likelihood, times 1/sqrt(n),
+#: and the band its acceptance must lie in.
+RW_WIDTHS = (0.1, 0.1, 0.02)
+RW_ACCEPT_BAND = (0.5, 0.85)
 BATCHES = 5
 #: Candidates per batch call: the default refit interval.
 BATCH_K = 1000
@@ -78,6 +91,31 @@ def rows(kernels, y, sigma1_sq):
         ("log_likelihood_batch",
          time_call(kernels.log_likelihood_batch, (y, thetas, sigma1_sq)) / BATCH_K),
     ]
+
+
+def random_walk_row(kernels, y, sigma1_sq):
+    """(acceptance, seconds per step on the fused path or None where kernels
+    has none, seconds per step on the per-step path) of ``kernels.rw_chain``
+    on BATCH_K steps from THETA on the likelihood of y. Exits unless the
+    acceptance lies in RW_ACCEPT_BAND."""
+    rng = np.random.default_rng(1)
+    shifts = np.array(RW_WIDTHS) / math.sqrt(len(y)) * rng.standard_normal((BATCH_K, 3))
+    log_p = kernels.log_likelihood(y, *THETA, sigma1_sq)
+    args = (y, sigma1_sq, np.array(THETA), log_p, shifts, rng.random(BATCH_K))
+    accept = kernels.rw_chain(*args)[1].mean()
+    if not RW_ACCEPT_BAND[0] <= accept <= RW_ACCEPT_BAND[1]:
+        raise SystemExit(f"the random walk at n={len(y)} accepts {accept:.3f} of its steps, "
+                         f"outside {RW_ACCEPT_BAND}")
+    if kernels is _kernels_py:
+        return accept, None, time_call(kernels.rw_chain, args) / BATCH_K
+    fused = time_call(kernels.rw_chain, args) / BATCH_K
+    loglik = kernels.log_likelihood
+    kernels.log_likelihood = lambda *a: loglik(*a)
+    try:
+        per_step = time_call(kernels.rw_chain, args) / BATCH_K
+    finally:
+        kernels.log_likelihood = loglik
+    return accept, fused, per_step
 
 
 def ar1_draws(rng, k):
@@ -137,7 +175,7 @@ def accept_loop_rows(kernels):
         kernels.log_likelihood = loglik
     independence = time_call(kernels.independence_accept,
                              (log_p_cands, log_g_cands, u, 0.0, 0.0))
-    return [("rw_chain, likelihood 0.0", rw / BATCH_K),
+    return [("rw_chain per-step (0.0)", rw / BATCH_K),
             ("independence_accept", independence / BATCH_K)]
 
 
@@ -168,6 +206,19 @@ def main():
             us_c, ns_c = (f"{t_c * 1e6:.2f}", f"{t_c * 1e9 / n:.1f}") if t_c else ("-", "-")
             print(f"{name:>26} {n:>6} {t_py * 1e6:14.2f} {us_c:>10} "
                   f"{t_py * 1e9 / n:14.1f} {ns_c:>10}")
+    print()
+    print(f"{'random walk, likelihood':>26} {'n':>6} {'accept':>7} {'numpy ns/step':>14} "
+          f"{'c ns/step':>10}")
+    for n in args.n:
+        y = np.ascontiguousarray(data.generate_synthetic(THETA, n, 1))
+        sigma1_sq = float(np.var(y))
+        accept, _, t_py = random_walk_row(_kernels_py, y, sigma1_sq)
+        _, *t_c = (random_walk_row(backend.kernels, y, sigma1_sq)
+                   if backend.KERNEL == "c" else (None, None, None))
+        for name, t_np, t in zip(("rw_chain, fused", "rw_chain, per-step"), (None, t_py), t_c):
+            ns_np = f"{t_np * 1e9:.0f}" if t_np else "-"
+            ns_c = f"{t * 1e9:.0f}" if t else "-"
+            print(f"{name:>26} {n:>6} {accept:>7.3f} {ns_np:>14} {ns_c:>10}")
     print()
     draws, accepted = chain_draws(np.random.default_rng(1))
     ns_py = time_call(_kernels_py.chain_text, (draws, accepted)) / CHAIN_ROWS * 1e9

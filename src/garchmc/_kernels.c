@@ -24,20 +24,27 @@
    -ffp-contract=off, every build rounds each operation alike, so all give
    the same bits.
 
-   chain_text writes "%.17g" of each parameter: a positive double whose text
-   is in fixed notation by exact 128-bit integer arithmetic (put_fixed), and
-   every other value, or every value where the compiler has no __int128, by
-   PyOS_double_to_string, the routine behind Python's "%.17g".
+   chain_text writes "%.17g" of each parameter: a positive normal double
+   between about 1e-16 and 1e48, in fixed or exponential notation, by exact
+   128-bit integer arithmetic (put_exact), and every other value, or every
+   value where the compiler has no __int128, by PyOS_double_to_string, the
+   routine behind Python's "%.17g".
 
    rw_chain and independence_accept are the loops of ``_kernels_py`` with
    the same IEEE operations in the same order and the exp of Python's
    math.exp, so they take the same steps on the same random numbers.
-   rw_chain tests each candidate for the support in the loop and scores one
-   inside through this module's log_likelihood attribute, a Python call; the
-   likelihood is not fused into the loop, so a wrapper set as
-   ``backend.kernels.log_likelihood`` sees every call. independence_accept
-   returns only its accept flags and the end log-density; which row holds
-   the state after each step is worked out by ``garchmc.samplers``. */
+   rw_chain tests each candidate for the support in the loop. While this
+   module's log_likelihood attribute is its own function, the likelihood is
+   fused into the loop: each pass scores a candidate inside the support
+   together with the one the next step proposes if this step accepts, two
+   lanes of score for about the cost of one, and makes no Python call.
+   While a wrapper is set there, as ``perfbench/tracer.py`` sets one on
+   ``backend.kernels.log_likelihood``, the loop calls it once per candidate
+   inside the support, so the wrapper sees every call; that per-step path
+   can go once the benchmark no longer counts calls through a wrapper.
+   Both paths give the same bits. independence_accept returns only its
+   accept flags and the end log-density; which row holds the state after
+   each step is worked out by ``garchmc.samplers``. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
@@ -288,15 +295,119 @@ accept(double delta, double u)
     return delta >= 0.0 || u < exp(delta);
 }
 
+/* Whether the GARCH triple at theta lies in the support of
+   garchmc.model.in_support. */
+static inline int
+in_support(const double *theta)
+{
+    return theta[0] > 0.0 && theta[1] > 0.0 && theta[2] > 0.0 && theta[0] + theta[1] < 1.0;
+}
+
+/* One step of rw_chain to the candidate in row, of log-density log_p_cand,
+   from the state theta of log-density *log_p: when u accepts, the candidate
+   becomes the state; otherwise row is overwritten with the state. Returns
+   the accept flag. */
+static inline char
+decide(double *theta, double *log_p, double *row, double log_p_cand, double u)
+{
+    const int accepted = accept(log_p_cand - *log_p, u);
+    if (accepted) {
+        memcpy(theta, row, 3 * sizeof(double));
+        *log_p = log_p_cand;
+    }
+    else
+        memcpy(row, theta, 3 * sizeof(double));
+    return (char)accepted;
+}
+
+/* The n steps of rw_chain from the state theta of log-density *log_p, each
+   candidate built in its row of the draws and, inside the support, scored
+   by a call of loglik on y. Returns 0, or -1 with an exception set. */
+static int
+called_steps(PyObject *loglik, PyObject *y, double sigma1_sq, double *theta, double *log_p,
+             const double *shift, const double *u, Py_ssize_t n, double *row, char *flag)
+{
+    for (Py_ssize_t i = 0; i < n; i++, shift += 3, row += 3) {
+        for (int j = 0; j < 3; j++)
+            row[j] = theta[j] + shift[j];
+        double log_p_cand = -INFINITY;
+        if (in_support(row)) {
+            PyObject *score = PyObject_CallFunction(loglik, "Odddd", y, row[0], row[1], row[2],
+                                                    sigma1_sq);
+            if (score == NULL)
+                return -1;
+            log_p_cand = PyFloat_AsDouble(score);
+            Py_DECREF(score);
+            if (log_p_cand == -1.0 && PyErr_Occurred())
+                return -1;
+        }
+        flag[i] = decide(theta, log_p, row, log_p_cand, u[i]);
+    }
+    return 0;
+}
+
+/* The steps of called_steps with this module's own likelihood, scored in
+   passes with no Python call. A pass whose candidate i is inside the
+   support scores it with score, together with step i + 1's candidate if
+   step i accepts, row i + shifts[i + 1], built in row i + 1: two lanes cost
+   about one, since the recursion is bound by latency. When step i accepts,
+   lane 2 decides step i + 1 in the same pass; when it rejects, lane 2 is
+   discarded and step i + 1 proposes from the state, as in called_steps.
+   Each lane takes score's operations for one candidate, so every score,
+   and so the chain, has the bits of called_steps. Lane 2's total is checked
+   for finiteness only when it is used, since called_steps never scores a
+   candidate whose step before it rejects. */
+static int
+fused_steps(const double *y, Py_ssize_t ny, double sigma1_sq, double *theta, double *log_p,
+            const double *shift, const double *u, Py_ssize_t n, double *row, char *flag)
+{
+    for (Py_ssize_t i = 0; i < n; i++, shift += 3, row += 3) {
+        for (int j = 0; j < 3; j++)
+            row[j] = theta[j] + shift[j];
+        double total[2] = {-INFINITY, -INFINITY};
+        int lanes = 0;
+        if (in_support(row)) {
+            lanes = 1;
+            if (i + 1 < n) {
+                for (int j = 0; j < 3; j++)
+                    row[3 + j] = row[j] + shift[3 + j];
+                lanes += in_support(row + 3);
+            }
+            /* k a constant in each call, so that score's loops over the
+               lanes unroll; with k = lanes, known only at run time, this
+               loop took 1.5 times as long. */
+            const int rc = lanes == 2 ? score(y, ny, row, 2, sigma1_sq, total)
+                                      : score(y, ny, row, 1, sigma1_sq, total);
+            if (rc < 0) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            if (check_finite(total, 1) < 0)
+                return -1;
+        }
+        flag[i] = decide(theta, log_p, row, total[0], u[i]);
+        if (!flag[i] || !lanes || i + 1 == n)
+            continue;
+        /* Step i + 1, whose candidate is in the next row: scored in lane 2,
+           or outside the support. */
+        i++, shift += 3, row += 3;
+        if (lanes == 2 && check_finite(total + 1, 1) < 0)
+            return -1;
+        flag[i] = decide(theta, log_p, row, total[1], u[i]);
+    }
+    return 0;
+}
+
 /* rw_chain(y, sigma1_sq, theta, log_p, shifts, u): random-walk Metropolis
    on the GARCH triple from theta of log-density log_p, as in
    ``_kernels_py``. Step i proposes theta + shifts[i] and accepts by u[i]. A
-   candidate outside the support of garchmc.model.in_support scores -inf
-   with no call; one inside is scored by this module's log_likelihood
-   attribute, looked up once per call, so that a wrapper set there sees
-   every scalar call. The candidate is built in its row of the draws, which
-   a rejection overwrites with the state; the state is kept in the buffer of
-   the end state's array. */
+   candidate outside the support scores -inf with no call. One inside is
+   scored by this module's log_likelihood attribute, looked up once per
+   call. While that attribute is this module's own function, the steps run
+   in fused_steps and make no Python call; once a wrapper is set there, as
+   ``perfbench/tracer.py`` does, they run in called_steps, one call per
+   candidate inside the support, so the wrapper sees every scalar call. The
+   state is kept in the buffer of the end state's array. */
 static PyObject *
 rw_chain(PyObject *self, PyObject *args)
 {
@@ -304,7 +415,7 @@ rw_chain(PyObject *self, PyObject *args)
     PyObject *y = NULL, *loglik = NULL;
     PyObject *draws = NULL, *accepted = NULL, *end = NULL;
     double sigma1_sq, log_p;
-    Py_buffer tv = {0}, sv = {0}, uv = {0}, dv = {0}, av = {0}, ev = {0};
+    Py_buffer tv = {0}, sv = {0}, uv = {0}, yv = {0}, dv = {0}, av = {0}, ev = {0};
     if (!PyArg_ParseTuple(args, "OdOdOO:rw_chain", &y_obj, &sigma1_sq, &theta_obj, &log_p,
                           &shifts_obj, &u_obj)
         || get_doubles(theta_obj, 1, &tv) < 0 || get_doubles(shifts_obj, 2, &sv) < 0
@@ -316,44 +427,28 @@ rw_chain(PyObject *self, PyObject *args)
                      "(%zd, 3), got %zd and (%zd, %zd)", n, tv.shape[0], sv.shape[0], sv.shape[1]);
         goto done;
     }
-    if ((y = PyObject_CallFunctionObjArgs(ascontiguousarray, y_obj,
-                                          (PyObject *)&PyFloat_Type, NULL)) == NULL
-        || (loglik = PyObject_GetAttrString(self, "log_likelihood")) == NULL
+    if ((loglik = PyObject_GetAttrString(self, "log_likelihood")) == NULL)
+        goto done;
+    const int fused = PyCFunction_Check(loglik)
+                      && PyCFunction_GET_FUNCTION(loglik) == log_likelihood;
+    if ((fused ? get_doubles(y_obj, 1, &yv) < 0
+               : (y = PyObject_CallFunctionObjArgs(ascontiguousarray, y_obj,
+                                                   (PyObject *)&PyFloat_Type, NULL)) == NULL)
         || (draws = new_array((PyObject *)&PyFloat_Type, 2, n, 3, &dv)) == NULL
         || (accepted = new_array((PyObject *)&PyBool_Type, 1, n, 0, &av)) == NULL
         || (end = new_array((PyObject *)&PyFloat_Type, 1, 3, 0, &ev)) == NULL)
         goto done;
-    double *theta = ev.buf, *row = dv.buf;
-    const double *shift = sv.buf, *u = uv.buf;
-    char *flag = av.buf;
-    memcpy(theta, tv.buf, 3 * sizeof(double));
-    for (Py_ssize_t i = 0; i < n; i++, shift += 3, row += 3) {
-        for (int j = 0; j < 3; j++)
-            row[j] = theta[j] + shift[j];
-        double log_p_cand = -INFINITY;
-        if (row[0] > 0.0 && row[1] > 0.0 && row[2] > 0.0 && row[0] + row[1] < 1.0) {
-            PyObject *score = PyObject_CallFunction(loglik, "Odddd", y, row[0], row[1], row[2],
-                                                    sigma1_sq);
-            if (score == NULL)
-                goto done;
-            log_p_cand = PyFloat_AsDouble(score);
-            Py_DECREF(score);
-            if (log_p_cand == -1.0 && PyErr_Occurred())
-                goto done;
-        }
-        flag[i] = (char)accept(log_p_cand - log_p, u[i]);
-        if (flag[i]) {
-            memcpy(theta, row, 3 * sizeof(double));
-            log_p = log_p_cand;
-        }
-        else
-            memcpy(row, theta, 3 * sizeof(double));
-    }
-    result = Py_BuildValue("OOOd", draws, accepted, end, log_p);
+    memcpy(ev.buf, tv.buf, 3 * sizeof(double));
+    if ((fused ? fused_steps(yv.buf, yv.shape[0], sigma1_sq, ev.buf, &log_p, sv.buf, uv.buf, n,
+                             dv.buf, av.buf)
+               : called_steps(loglik, y, sigma1_sq, ev.buf, &log_p, sv.buf, uv.buf, n, dv.buf,
+                              av.buf)) == 0)
+        result = Py_BuildValue("OOOd", draws, accepted, end, log_p);
 done:
     PyBuffer_Release(&ev);
     PyBuffer_Release(&av);
     PyBuffer_Release(&dv);
+    PyBuffer_Release(&yv);
     PyBuffer_Release(&uv);
     PyBuffer_Release(&sv);
     PyBuffer_Release(&tv);
@@ -417,12 +512,16 @@ done:
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
-/* 10^0 ... 10^20; 10^20 exceeds 64 bits. */
-static const u128 POW10[21] = {
-    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
-    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
-    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, POW10_16, POW10_17,
-    1000000000000000000ULL, 10000000000000000000ULL, (u128)10000000000000000000ULL * 10,
+/* 5^0 ... 5^32; from 5^28 on they exceed 64 bits. */
+#define POW5_27 7450580596923828125ULL
+static const u128 POW5[33] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL, 1953125ULL,
+    9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL, 30517578125ULL,
+    152587890625ULL, 762939453125ULL, 3814697265625ULL, 19073486328125ULL, 95367431640625ULL,
+    476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL,
+    298023223876953125ULL, 1490116119384765625ULL, POW5_27,
+    (u128)POW5_27 * 5, (u128)POW5_27 * 25, (u128)POW5_27 * 125, (u128)POW5_27 * 625,
+    (u128)POW5_27 * 3125,
 };
 
 static const char DIGIT_PAIRS[] =
@@ -443,36 +542,53 @@ put_digits(char *out, uint32_t v, int count)
 }
 
 /* "%.17g" of x at out by exact integer arithmetic, where x is positive and
-   normal and its 17-digit decimal exponent k is in [-4, 16], so that the
-   text is in fixed notation; NULL, with nothing written, for any other x.
+   normal and its 17-digit decimal exponent k is in [-16, 48], so that the
+   17 significant digits N = round-half-even(x * 10^(16-k)) fit 128-bit
+   arithmetic; NULL, with nothing written, for any other x. The text is in
+   fixed notation for k in [-4, 16] and in exponential notation, d.ddde+kk,
+   outside, as "%.17g" writes it.
 
-   With x = m * 2^e, N = round-half-even(m * 10^(16-k) * 2^e) holds the 17
-   significant digits. k is fixed by the unrounded quotient, 10^16 <= q <
-   10^17, and moves up only when rounding carries N to 10^17: a k taken
-   after rounding would write the double nearest 1e-6, 9.9999999999999995e-07,
-   as 1e-06. */
+   With x = m * 2^e and j = 16 - k, x * 10^j = m * 5^j * 2^(e+j). For j >= 0
+   that is m * 5^j shifted by e + j bits, with the bits shifted out as the
+   remainder. For j < 0 it is m * 2^(e+j) divided by 5^-j: k >= 17 means
+   x >= 2^56, so e + j >= 0 there. That quotient has no tie, since 5^-j is
+   odd. k is fixed by the unrounded quotient, 10^16 <= q < 10^17, and moves
+   up only when rounding carries N to 10^17: a k taken after rounding would
+   write the double nearest 1e-6, 9.9999999999999995e-07, as 1e-06. */
 static char *
-put_fixed(char *out, double x)
+put_exact(char *out, double x)
 {
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
     const int biased = (int)(bits >> 52);  /* above 2047 when x is negative */
     const int b = biased - 1023;           /* 2^b <= x < 2^(b+1) */
-    /* Zero, subnormal, negative, non-finite, or k surely outside. */
-    if (biased == 0 || b < -14 || b > 56)
+    if (biased == 0 || biased >= 2047)     /* zero, subnormal, negative or not finite */
         return NULL;
     const uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
     const int e = b - 52;
-    /* floor(b * log10(2)), or one below, which the loop corrects. */
+    /* Within one of floor(b * log10(2)), which the loop corrects. */
     int k = b >= 0 ? (b * 1233) >> 12 : -((-b * 1233 + 4095) >> 12);
-    k = k < -4 ? -4 : k;
-    u128 p, q;
+    /* N is q, plus one when the remainder rem passes half, or ties it with q
+       odd. */
+    u128 q, rem, half;
     for (;;) {
-        if (k < -4 || k > 16)
+        const int j = 16 - k;
+        /* m * 5^j < 2^53 * 5^32 < 2^128, and m * 2^(e+j) < 2^(53+75). */
+        if (j > 32 || j < -32 || e + j > 75)
             return NULL;
-        /* p < 2^53 * 10^20 < 2^120, and e is in [-66, 4]. */
-        p = (u128)m * POW10[16 - k];
-        q = e >= 0 ? p << e : p >> -e;
+        if (j >= 0) {
+            const u128 p = (u128)m * POW5[j];
+            const int s = e + j;  /* at most 5, since k <= 16 means x < 2^57 */
+            q = s >= 0 ? p << s : p >> -s;
+            rem = s >= 0 ? 0 : p & (((u128)1 << -s) - 1);
+            half = s >= 0 ? 1 : (u128)1 << (-s - 1);
+        }
+        else {
+            const u128 num = (u128)m << (e + j);
+            q = num / POW5[-j];
+            rem = 2 * (num % POW5[-j]);
+            half = POW5[-j];
+        }
         if (q < POW10_16)
             k--;
         else if (q >= POW10_17)
@@ -481,12 +597,9 @@ put_fixed(char *out, double x)
             break;
     }
     uint64_t n = (uint64_t)q;
-    if (e < 0) {
-        const u128 rem = p & (((u128)1 << -e) - 1), half = (u128)1 << (-e - 1);
-        n += rem > half || (rem == half && (n & 1));
-    }
+    n += rem > half || (rem == half && (n & 1));
     if (n == POW10_17) {
-        if (++k > 16)
+        if (++k > 48)
             return NULL;
         n = POW10_16;
     }
@@ -496,7 +609,19 @@ put_fixed(char *out, double x)
     int nd = 17;
     while (digits[nd - 1] == '0')
         nd--;
-    if (k >= 0) {
+    if (k < -4 || k > 16) {
+        *out++ = digits[0];
+        if (nd > 1) {
+            *out++ = '.';
+            memcpy(out, digits + 1, nd - 1);
+            out += nd - 1;
+        }
+        *out++ = 'e';
+        *out++ = k < 0 ? '-' : '+';
+        put_digits(out, (uint32_t)(k < 0 ? -k : k), 2);
+        out += 2;
+    }
+    else if (k >= 0) {
         memcpy(out, digits, k + 1);
         out += k + 1;
         if (nd > k + 1) {
@@ -518,13 +643,13 @@ put_fixed(char *out, double x)
 #endif
 
 /* "%.17g" of x at out; the end of the text, or NULL with an exception set.
-   What put_fixed does not take goes to Python's own "%.17g", which is exact
+   What put_exact does not take goes to Python's own "%.17g", which is exact
    by construction. */
 static char *
 put_double(char *out, double x)
 {
 #ifdef __SIZEOF_INT128__
-    char *end = put_fixed(out, x);
+    char *end = put_exact(out, x);
     if (end != NULL)
         return end;
 #endif

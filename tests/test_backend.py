@@ -24,16 +24,23 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def edge_values():
     """Doubles at the edges of the compiled kernels' exact integer path: each
-    power of ten from 1e-8 to 1e18 with both of its neighbours; every odd
-    m/2^18 in [0.1, 1), a tie at 17 significant digits; the ends of the
-    binary exponents that path takes, 2^-14 and 2^57; and zeros, subnormals,
-    negatives and non-finite values, which it leaves to Python's formatting."""
-    tens = np.array([float(f"1e{e}") for e in range(-8, 19)])
+    power of ten from 1e-17 to 1e49 with both of its neighbours, so every
+    change of decimal exponent, of notation and the ends of the decimal
+    exponents that path takes, 1e-16 and 1e48; every odd m/2^18 in [0.1, 1),
+    a tie at 17 significant digits in fixed notation, and every odd
+    c * 2^(k-17) in [10^k, 10^(k+1)) for k from -8 to -5, one in exponential
+    notation; the binary exponents where the path's 128-bit shift runs out,
+    2^159 and 2^160; and zeros, subnormals, negatives and non-finite values,
+    which it leaves to Python's formatting."""
+    tens = np.array([float(f"1e{e}") for e in range(-17, 50)])
     m = np.arange(int(0.1 * 2 ** 18) | 1, 2 ** 18, 2)
-    ends = np.array([2.0 ** -14, 2.0 ** 57, 9.999999999999999e16, 1e17, 9.9999e-5])
-    special = [5e-324, 1e-300, -0.0, 0.0, 1e22, -1.5, -1e-5, math.inf, -math.inf, math.nan]
+    c = np.arange(1, 2 * 10 ** 5, 2)
+    ties = [c * 2.0 ** (k - 17) for k in range(-8, -4)]
+    ties = [t[(10.0 ** k <= t) & (t < 10.0 ** (k + 1))] for k, t in zip(range(-8, -4), ties)]
+    ends = np.array([2.0 ** 159, 2.0 ** 160, 9.999999999999999e16, 1e17, 9.9999e-5])
+    special = [5e-324, 1e-300, -0.0, 0.0, 1e300, -1.5, -1e-5, math.inf, -math.inf, math.nan]
     return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, math.inf),
-                           m / 2.0 ** 18, ends, np.nextafter(ends, 0.0),
+                           m / 2.0 ** 18, *ties, ends, np.nextafter(ends, 0.0),
                            np.nextafter(ends, math.inf), special])
 
 
@@ -138,10 +145,12 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
     # other test unseen. Without __int128 every value takes Python's "%.17g".
     # The batch calls run the exponent carry, the step-by-step redo of tiny
     # variances and the SIMD clone this CPU dispatches to. Both accept loops
-    # run too: the random walk on the real likelihood, on zero steps, on
-    # every combination of edge values in a candidate scored NaN, and with
-    # likelihood stand-ins that raise or return None, which must leave as
-    # those errors.
+    # run too: the random walk on the real likelihood, which takes its fused
+    # two-lane path, and on zero steps; on every combination of edge values
+    # in its shifts through the real likelihood, with the same outcome as a
+    # forwarding wrapper's per-step path, and in a candidate scored NaN; and
+    # with likelihood stand-ins that raise or return None, which must leave
+    # as those errors.
     path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
     cmd = [*shlex.split(CC), *backend.FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all",
            *undefine, "-Wall", "-Werror", "-I" + sysconfig.get_paths()["include"],
@@ -175,9 +184,23 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
         "assert 0 < flags.sum() < 600 and (draws[-1] == end).all()\n"
         "kernels.rw_chain(y, 1.0, theta, 0.0, shifts[:0], u[:0])\n"
         "edges = np.array([0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf])\n"
+        "grid = np.array(np.meshgrid(edges, edges, edges)).reshape(3, -1).T\n"
+        "loglik = kernels.log_likelihood\n"
+        "def outcome(*args):\n"
+        "    try:\n"
+        "        return [np.asarray(x).tobytes() for x in kernels.rw_chain(*args)]\n"
+        "    except NumericOverflowError:\n"
+        "        return NumericOverflowError\n"
+        "for start in (np.full(3, -0.0), np.array([0.25, 0.25, 0.5])):\n"
+        "    for grid_shifts in (grid, grid[grid[:, 2] != np.inf]):\n"
+        "        args = (y, 1.0, start, float('-inf'), grid_shifts, u[:len(grid_shifts)])\n"
+        "        kernels.log_likelihood = loglik\n"
+        "        fused = outcome(*args)\n"
+        "        kernels.log_likelihood = lambda *args: loglik(*args)\n"
+        "        if outcome(*args) != fused:\n"
+        "            raise SystemExit(f'the two rw_chain paths differ from {start}')\n"
         "kernels.log_likelihood = lambda series, a, b, w, s: float('nan')\n"
-        "kernels.rw_chain(y, 1.0, np.full(3, -0.0), float('-inf'),\n"
-        "                 np.array(np.meshgrid(edges, edges, edges)).reshape(3, -1).T, u[:216])\n"
+        "kernels.rw_chain(y, 1.0, np.full(3, -0.0), float('-inf'), grid, u[:216])\n"
         "calls = []\n"
         "def fail(series, a, b, w, s):\n"
         "    calls.append(a)\n"
@@ -272,8 +295,12 @@ class TestChainText:
     """Both modules' chain_text against per-row "%.17g"."""
 
     def test_both_modules_write_per_row_format_exactly(self, compiled):
+        # The spread scaled by 1e-6 and by 1e20 is mostly in exponential
+        # notation, as the omega of ``--omega 1e-6`` is.
         rng = np.random.default_rng(5)
-        values = np.concatenate([edge_values(), 10.0 ** rng.uniform(-9.0, 19.0, 10 ** 6)])
+        spread = 10.0 ** rng.uniform(-9.0, 19.0, 10 ** 6)
+        values = np.concatenate([edge_values(), spread, spread[:2 * 10 ** 5] * 1e-6,
+                                 spread[:2 * 10 ** 5] * 1e20])
         draws, accepted = chain_rows(values, rng)
         want = per_row_text(draws, accepted)
         assert_same_text(compiled.chain_text(draws, accepted), want)

@@ -523,6 +523,106 @@ def test_rw_chain_scores_exactly_the_candidates_inside_the_support(either_kernel
     assert 0 < got[1].sum() and 0 < len(got_calls) < len(cands)
 
 
+def forwarding(monkeypatch, kernels):
+    """Set as the scalar likelihood of ``kernels`` a wrapper that forwards
+    each call to the one there now: the compiled ``rw_chain`` then takes its
+    per-step path, one Python call per candidate inside the support, as it
+    does under the benchmark tracer's wrapper."""
+    loglik = kernels.log_likelihood
+    monkeypatch.setattr(kernels, "log_likelihood", lambda *args: loglik(*args))
+
+
+def both_paths(compiled, monkeypatch, *args):
+    """The outcome of ``compiled.rw_chain(*args)`` on its fused path, after
+    asserting that its per-step path has the same one: both return the same
+    bits of draws, flags, end state and log-density, or both raise
+    NumericOverflowError, which is then the outcome."""
+    outcomes = []
+    for wrapped in (False, True):
+        with monkeypatch.context() as patch:
+            if wrapped:
+                forwarding(patch, compiled)
+            try:
+                outcomes.append(compiled.rw_chain(*args))
+            except NumericOverflowError:
+                outcomes.append(NumericOverflowError)
+    fused, per_step = (o if o is NumericOverflowError else [np.asarray(x).tobytes() for x in o]
+                       for o in outcomes)
+    assert fused == per_step
+    return outcomes[0]
+
+
+class TestFusedRandomWalk:
+    """The compiled ``rw_chain`` on its own likelihood, whose steps run in
+    two-lane passes with no Python call, against the same call with a
+    forwarding wrapper set as its likelihood."""
+
+    #: Step widths from which chains on 250 returns accept from about 0.95
+    #: of their steps down to below 0.1; the widest leave the support often.
+    WIDTHS = (3e-4, 3e-3, 1e-2, 4e-2, 0.3)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 301])
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_same_bits_as_the_per_step_path(self, compiled, monkeypatch, seed, n_steps):
+        y = small_series(seed, n=250)
+        s1 = float(np.var(y))
+        log_p = compiled.log_likelihood(y, *GARCH_START, s1)
+        rng = np.random.default_rng(seed)
+        rates, lane_2_outside = [], 0
+        for width in self.WIDTHS:
+            shifts = width * rng.standard_normal((n_steps, 3)) * [1.0, 1.0, 0.2]
+            u = rng.random(n_steps)
+            draws, accepted, *_ = both_paths(compiled, monkeypatch, y, s1, GARCH_START, log_p,
+                                             shifts, u)
+            rates.append(accepted.mean() if n_steps else 0.0)
+            # Steps that accept and whose next candidate, lane 2 of their
+            # pass when they open one, is outside the support.
+            lane_2_outside += sum(not model.in_support(*(draws[i] + shifts[i + 1]))
+                                  for i in np.flatnonzero(accepted[:-1]))
+        if n_steps == 301:
+            assert min(rates) < 0.1 and max(rates) > 0.9
+            assert lane_2_outside > 0
+
+    #: Returns, a state and shifts for which the likelihood of lane 2 is not
+    #: finite: from omega 1e307 and beta 0.1, step i proposes beta 0.5 and
+    #: step i + 1 adds 0.45 more. At beta 0.95 the variance tends to
+    #: omega / 0.05, which overflows; at 0.5, and at the 0.55 that step i + 1
+    #: proposes after a rejection, it stays finite.
+    OVERFLOW_START = np.array([0.001, 0.1, 1e307])
+    RISKY_SHIFTS = [[0.0, 0.4, 0.0], [0.0, 0.45, 0.0]]
+
+    @pytest.mark.parametrize("u_i, raises", [(0.0, True), (0.9, False)],
+                             ids=["step-i-accepts", "step-i-rejects"])
+    @pytest.mark.parametrize("lead", [0, 1, 2, 3])
+    def test_non_finite_lane_2_raises_only_when_used(self, compiled, monkeypatch, lead, u_i,
+                                                     raises):
+        # ``lead`` steps of zero shift, each accepted, come first, so that
+        # step i opens a pass or is lane 2 of one; three more follow.
+        y = np.random.default_rng(3).standard_normal(200)
+        theta = self.OVERFLOW_START
+        log_p = compiled.log_likelihood(y, *theta, 1.0)
+        shifts = np.array([[0.0] * 3] * lead + self.RISKY_SHIFTS + [[0.0] * 3] * 3)
+        u = np.full(len(shifts), 0.5)
+        u[lead] = u_i
+        with pytest.raises(NumericOverflowError):
+            compiled.log_likelihood(y, *(theta + shifts[lead] + shifts[lead + 1]), 1.0)
+        # The same outcome on every prefix: both raise at the same step.
+        for steps in range(len(shifts) + 1):
+            fused = both_paths(compiled, monkeypatch, y, 1.0, theta, log_p, shifts[:steps],
+                               u[:steps])
+        assert (fused is NumericOverflowError) == raises
+
+    def test_overflow_leaks_no_reference(self, compiled):
+        y = np.random.default_rng(3).standard_normal(200)
+        theta = self.OVERFLOW_START.copy()
+        shifts, u = np.array(self.RISKY_SHIFTS), np.zeros(2)
+        before = sys.getrefcount(theta), sys.getrefcount(y), sys.getrefcount(shifts)
+        for _ in range(2000):
+            with pytest.raises(NumericOverflowError):
+                compiled.rw_chain(y, 1.0, theta, -math.inf, shifts, u)
+        assert (sys.getrefcount(theta), sys.getrefcount(y), sys.getrefcount(shifts)) == before
+
+
 class TestRunAdaptive:
     def test_single_batch_schedule(self):
         y = small_series()
