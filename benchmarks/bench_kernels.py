@@ -8,15 +8,18 @@ figure is per candidate (one parameter set): a scalar call scores one.
 
 Then ``rw_chain`` on the real likelihood, in ns per step, BATCH_K steps from
 THETA at each n, whose widths accept about 0.6 of them, inside the tuned
-band RW_ACCEPT_BAND. The compiled kernels run it twice: on their fused
-path, which scores two candidates per pass and makes no Python call, and on
-their per-step path, which a forwarding wrapper set as their
-``log_likelihood`` takes, one Python call per candidate inside the support.
-The numpy twin has the per-step path only.
+band RW_ACCEPT_BAND. The compiled kernels run it twice, once through each
+branch of their one step loop: "two-lane", on their own likelihood, which
+scores two candidates per pass and makes no Python call, and "wrapper",
+with a forwarding wrapper set as their ``log_likelihood``, one Python call
+per candidate inside the support. The numpy twin steps as the wrapper row
+does. The script exits unless the two-lane row is below TWO_LANE_RATIO
+times the wrapper row at every n: a build that never takes the two-lane
+branch takes the same steps, so only its speed shows it.
 
 Then the chain.csv text, in ns per row: ``chain_text`` of CHAIN_ROWS rows at
 acceptance CHAIN_ACCEPT in one call. Then the two accept loops:
-``rw_chain``'s per-step path, in ns per step, on BATCH_K steps inside the
+``rw_chain``'s wrapper branch, in ns per step, on BATCH_K steps inside the
 support with a stand-in ``log_likelihood`` set on its module that returns
 0.0, so that the loop and its one Python call per step are timed and no
 likelihood; and ``independence_accept``, in ns per draw, on BATCH_K
@@ -50,6 +53,9 @@ RW_THETA = (0.3, 0.3, 0.4)
 #: and the band its acceptance must lie in.
 RW_WIDTHS = (0.1, 0.1, 0.02)
 RW_ACCEPT_BAND = (0.5, 0.85)
+#: The compiled two-lane branch must take less than this share of the
+#: wrapper branch's time per step (0.4-0.5 and 0.7 measured at n = 250 and 2000).
+TWO_LANE_RATIO = 0.9
 BATCHES = 5
 #: Candidates per batch call: the default refit interval.
 BATCH_K = 1000
@@ -94,10 +100,10 @@ def rows(kernels, y, sigma1_sq):
 
 
 def random_walk_row(kernels, y, sigma1_sq):
-    """(acceptance, seconds per step on the fused path or None where kernels
-    has none, seconds per step on the per-step path) of ``kernels.rw_chain``
-    on BATCH_K steps from THETA on the likelihood of y. Exits unless the
-    acceptance lies in RW_ACCEPT_BAND."""
+    """(acceptance, seconds per step in the two-lane branch or None where
+    kernels has none, seconds per step in the wrapper branch, or the twin's)
+    of ``kernels.rw_chain`` on BATCH_K steps from THETA on the likelihood of
+    y. Exits unless the acceptance lies in RW_ACCEPT_BAND."""
     rng = np.random.default_rng(1)
     shifts = np.array(RW_WIDTHS) / math.sqrt(len(y)) * rng.standard_normal((BATCH_K, 3))
     log_p = kernels.log_likelihood(y, *THETA, sigma1_sq)
@@ -108,14 +114,14 @@ def random_walk_row(kernels, y, sigma1_sq):
                          f"outside {RW_ACCEPT_BAND}")
     if kernels is _kernels_py:
         return accept, None, time_call(kernels.rw_chain, args) / BATCH_K
-    fused = time_call(kernels.rw_chain, args) / BATCH_K
+    two_lane = time_call(kernels.rw_chain, args) / BATCH_K
     loglik = kernels.log_likelihood
     kernels.log_likelihood = lambda *a: loglik(*a)
     try:
-        per_step = time_call(kernels.rw_chain, args) / BATCH_K
+        wrapper = time_call(kernels.rw_chain, args) / BATCH_K
     finally:
         kernels.log_likelihood = loglik
-    return accept, fused, per_step
+    return accept, two_lane, wrapper
 
 
 def ar1_draws(rng, k):
@@ -175,7 +181,7 @@ def accept_loop_rows(kernels):
         kernels.log_likelihood = loglik
     independence = time_call(kernels.independence_accept,
                              (log_p_cands, log_g_cands, u, 0.0, 0.0))
-    return [("rw_chain per-step (0.0)", rw / BATCH_K),
+    return [("rw_chain wrapper (0.0)", rw / BATCH_K),
             ("independence_accept", independence / BATCH_K)]
 
 
@@ -215,10 +221,14 @@ def main():
         accept, _, t_py = random_walk_row(_kernels_py, y, sigma1_sq)
         _, *t_c = (random_walk_row(backend.kernels, y, sigma1_sq)
                    if backend.KERNEL == "c" else (None, None, None))
-        for name, t_np, t in zip(("rw_chain, fused", "rw_chain, per-step"), (None, t_py), t_c):
+        for name, t_np, t in zip(("rw_chain, two-lane", "rw_chain, wrapper"), (None, t_py), t_c):
             ns_np = f"{t_np * 1e9:.0f}" if t_np else "-"
             ns_c = f"{t * 1e9:.0f}" if t else "-"
             print(f"{name:>26} {n:>6} {accept:>7.3f} {ns_np:>14} {ns_c:>10}")
+        if t_c[0] is not None and not t_c[0] < TWO_LANE_RATIO * t_c[1]:
+            raise SystemExit(f"the two-lane rw_chain at n={n} takes {t_c[0] * 1e9:.0f} ns per "
+                             f"step, not below {TWO_LANE_RATIO} of the wrapper's "
+                             f"{t_c[1] * 1e9:.0f}")
     print()
     draws, accepted = chain_draws(np.random.default_rng(1))
     ns_py = time_call(_kernels_py.chain_text, (draws, accepted)) / CHAIN_ROWS * 1e9

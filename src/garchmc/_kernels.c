@@ -33,16 +33,15 @@
    rw_chain and independence_accept are the loops of ``_kernels_py`` with
    the same IEEE operations in the same order and the exp of Python's
    math.exp, so they take the same steps on the same random numbers.
-   rw_chain tests each candidate for the support in the loop. While this
-   module's log_likelihood attribute is its own function, the likelihood is
-   fused into the loop: each pass scores a candidate inside the support
-   together with the one the next step proposes if this step accepts, two
-   lanes of score for about the cost of one, and makes no Python call.
-   While a wrapper is set there, as ``perfbench/tracer.py`` sets one on
-   ``backend.kernels.log_likelihood``, the loop calls it once per candidate
-   inside the support, so the wrapper sees every call; that per-step path
-   can go once the benchmark no longer counts calls through a wrapper.
-   Both paths give the same bits. independence_accept returns only its
+   rw_chain walks its steps in one loop that tests each candidate for the
+   support and scores it in one of two branches. While this module's
+   log_likelihood attribute is its own function, each pass scores a
+   candidate inside the support together with the one the next step
+   proposes if this step accepts, two lanes of score for about the cost of
+   one, and makes no Python call. While a wrapper is set there, as
+   ``perfbench/tracer.py`` sets one on ``backend.kernels.log_likelihood``,
+   each pass calls it once, on lane 1 alone, so the wrapper sees every call.
+   Both branches give the same bits. independence_accept returns only its
    accept flags and the end log-density; which row holds the state after
    each step is worked out by ``garchmc.samplers``. */
 #define PY_SSIZE_T_CLEAN
@@ -320,53 +319,40 @@ decide(double *theta, double *log_p, double *row, double log_p_cand, double u)
     return (char)accepted;
 }
 
-/* The n steps of rw_chain from the state theta of log-density *log_p, each
-   candidate built in its row of the draws and, inside the support, scored
-   by a call of loglik on y. Returns 0, or -1 with an exception set. */
+/* The n steps of rw_chain from the state theta of log-density *log_p, one
+   or two per pass: candidate i is built in its row of the draws and, inside
+   the support, scored. While loglik is NULL, for this module's own
+   likelihood, score scores it on the ny returns y with no Python call,
+   together with step i + 1's candidate if step i accepts, row i +
+   shifts[i + 1], built in row i + 1: two lanes cost about one, since the
+   recursion is bound by latency. When step i accepts, lane 2 decides step
+   i + 1 in the same pass; when it rejects, lane 2 is discarded and step
+   i + 1 proposes from the state. Each lane takes score's operations for one
+   candidate, so every score, and so the chain, has the bits of one lane per
+   pass; lane 2's total is checked for finiteness only when it is used. A
+   wrapper set as loglik scores lane 1 by one call on y_obj, the owner of
+   y's buffer, and opens no lane 2. Returns 0, or -1 with an exception set. */
 static int
-called_steps(PyObject *loglik, PyObject *y, double sigma1_sq, double *theta, double *log_p,
-             const double *shift, const double *u, Py_ssize_t n, double *row, char *flag)
-{
-    for (Py_ssize_t i = 0; i < n; i++, shift += 3, row += 3) {
-        for (int j = 0; j < 3; j++)
-            row[j] = theta[j] + shift[j];
-        double log_p_cand = -INFINITY;
-        if (in_support(row)) {
-            PyObject *score = PyObject_CallFunction(loglik, "Odddd", y, row[0], row[1], row[2],
-                                                    sigma1_sq);
-            if (score == NULL)
-                return -1;
-            log_p_cand = PyFloat_AsDouble(score);
-            Py_DECREF(score);
-            if (log_p_cand == -1.0 && PyErr_Occurred())
-                return -1;
-        }
-        flag[i] = decide(theta, log_p, row, log_p_cand, u[i]);
-    }
-    return 0;
-}
-
-/* The steps of called_steps with this module's own likelihood, scored in
-   passes with no Python call. A pass whose candidate i is inside the
-   support scores it with score, together with step i + 1's candidate if
-   step i accepts, row i + shifts[i + 1], built in row i + 1: two lanes cost
-   about one, since the recursion is bound by latency. When step i accepts,
-   lane 2 decides step i + 1 in the same pass; when it rejects, lane 2 is
-   discarded and step i + 1 proposes from the state, as in called_steps.
-   Each lane takes score's operations for one candidate, so every score,
-   and so the chain, has the bits of called_steps. Lane 2's total is checked
-   for finiteness only when it is used, since called_steps never scores a
-   candidate whose step before it rejects. */
-static int
-fused_steps(const double *y, Py_ssize_t ny, double sigma1_sq, double *theta, double *log_p,
-            const double *shift, const double *u, Py_ssize_t n, double *row, char *flag)
+walk(PyObject *loglik, PyObject *y_obj, const double *y, Py_ssize_t ny, double sigma1_sq,
+     double *theta, double *log_p, const double *shift, const double *u, Py_ssize_t n,
+     double *row, char *flag)
 {
     for (Py_ssize_t i = 0; i < n; i++, shift += 3, row += 3) {
         for (int j = 0; j < 3; j++)
             row[j] = theta[j] + shift[j];
         double total[2] = {-INFINITY, -INFINITY};
         int lanes = 0;
-        if (in_support(row)) {
+        if (loglik != NULL && in_support(row)) {
+            PyObject *value = PyObject_CallFunction(loglik, "Odddd", y_obj, row[0], row[1],
+                                                    row[2], sigma1_sq);
+            if (value == NULL)
+                return -1;
+            total[0] = PyFloat_AsDouble(value);
+            Py_DECREF(value);
+            if (total[0] == -1.0 && PyErr_Occurred())
+                return -1;
+        }
+        else if (loglik == NULL && in_support(row)) {
             lanes = 1;
             if (i + 1 < n) {
                 for (int j = 0; j < 3; j++)
@@ -403,16 +389,17 @@ fused_steps(const double *y, Py_ssize_t ny, double sigma1_sq, double *theta, dou
    ``_kernels_py``. Step i proposes theta + shifts[i] and accepts by u[i]. A
    candidate outside the support scores -inf with no call. One inside is
    scored by this module's log_likelihood attribute, looked up once per
-   call. While that attribute is this module's own function, the steps run
-   in fused_steps and make no Python call; once a wrapper is set there, as
-   ``perfbench/tracer.py`` does, they run in called_steps, one call per
-   candidate inside the support, so the wrapper sees every scalar call. The
-   state is kept in the buffer of the end state's array. */
+   call: while that is this module's own function, walk scores two lanes
+   per pass and makes no Python call; once a wrapper is set there, as
+   ``perfbench/tracer.py`` does, walk calls it once per candidate inside the
+   support, so the wrapper sees every scalar call, with the array that owns
+   y's buffer: y itself when it is a C-contiguous float64 array. The state
+   is kept in the buffer of the end state's array. */
 static PyObject *
 rw_chain(PyObject *self, PyObject *args)
 {
     PyObject *y_obj, *theta_obj, *shifts_obj, *u_obj, *result = NULL;
-    PyObject *y = NULL, *loglik = NULL;
+    PyObject *loglik = NULL;
     PyObject *draws = NULL, *accepted = NULL, *end = NULL;
     double sigma1_sq, log_p;
     Py_buffer tv = {0}, sv = {0}, uv = {0}, yv = {0}, dv = {0}, av = {0}, ev = {0};
@@ -429,20 +416,16 @@ rw_chain(PyObject *self, PyObject *args)
     }
     if ((loglik = PyObject_GetAttrString(self, "log_likelihood")) == NULL)
         goto done;
-    const int fused = PyCFunction_Check(loglik)
-                      && PyCFunction_GET_FUNCTION(loglik) == log_likelihood;
-    if ((fused ? get_doubles(y_obj, 1, &yv) < 0
-               : (y = PyObject_CallFunctionObjArgs(ascontiguousarray, y_obj,
-                                                   (PyObject *)&PyFloat_Type, NULL)) == NULL)
+    if (PyCFunction_Check(loglik) && PyCFunction_GET_FUNCTION(loglik) == log_likelihood)
+        Py_CLEAR(loglik);
+    if (get_doubles(y_obj, 1, &yv) < 0
         || (draws = new_array((PyObject *)&PyFloat_Type, 2, n, 3, &dv)) == NULL
         || (accepted = new_array((PyObject *)&PyBool_Type, 1, n, 0, &av)) == NULL
         || (end = new_array((PyObject *)&PyFloat_Type, 1, 3, 0, &ev)) == NULL)
         goto done;
     memcpy(ev.buf, tv.buf, 3 * sizeof(double));
-    if ((fused ? fused_steps(yv.buf, yv.shape[0], sigma1_sq, ev.buf, &log_p, sv.buf, uv.buf, n,
-                             dv.buf, av.buf)
-               : called_steps(loglik, y, sigma1_sq, ev.buf, &log_p, sv.buf, uv.buf, n, dv.buf,
-                              av.buf)) == 0)
+    if (walk(loglik, yv.obj, yv.buf, yv.shape[0], sigma1_sq, ev.buf, &log_p, sv.buf, uv.buf, n,
+             dv.buf, av.buf) == 0)
         result = Py_BuildValue("OOOd", draws, accepted, end, log_p);
 done:
     PyBuffer_Release(&ev);
@@ -456,7 +439,6 @@ done:
     Py_XDECREF(accepted);
     Py_XDECREF(draws);
     Py_XDECREF(loglik);
-    Py_XDECREF(y);
     return result;
 }
 

@@ -17,13 +17,13 @@ load. ``KERNEL`` names the kernels in use, "c" or "numpy", and each run's
 kernel through it, so setting it swaps a run's likelihood, accept loops and
 chain.csv text together. A kernel module's ``rw_chain`` looks its own
 ``log_likelihood`` attribute up once per call, and ``model`` reads
-``backend.kernels.log_likelihood`` at each call. While that attribute is the
-compiled module's own function, its ``rw_chain`` scores inside the loop, two
-candidates per pass, and makes no Python call. ``perfbench/tracer.py`` sets
-a wrapper there first; the compiled ``rw_chain`` then calls it once per
-candidate inside the support, as the twin always does, so the tracer counts
-every scalar call, and its per-layer numbers describe that per-step path.
-Both paths take the same steps.
+``backend.kernels.log_likelihood`` at each call. The compiled ``rw_chain``
+walks its steps in one loop with two branches. While that attribute is the
+compiled module's own function, the loop scores two candidates per pass and
+makes no Python call. ``perfbench/tracer.py`` sets a wrapper there first;
+the loop then calls it once per candidate inside the support, as the twin
+always does, so the tracer counts every scalar call, and its per-layer
+numbers describe that wrapper branch. Both branches take the same steps.
 """
 import hashlib
 import importlib.util

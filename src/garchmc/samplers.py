@@ -63,15 +63,15 @@ def _rw_chain(y, sigma1_sq, theta, log_p, n_steps, d, rng):
     return backend.kernels.rw_chain(y, sigma1_sq, theta, log_p, shifts, u)
 
 
-def tune_metropolis(y, sigma1_sq, d, rng, theta0):
-    """Scale the random-walk widths d until block acceptance lands in
-    [TUNE_ACCEPT_FLOOR, TUNE_ACCEPT_CEIL]; returns the tuned widths.
+def tune_metropolis(y, sigma1_sq, d, rng, theta0, log_p0):
+    """Scale the random-walk widths d, from theta0 of log-density log_p0,
+    until block acceptance lands in [TUNE_ACCEPT_FLOOR, TUNE_ACCEPT_CEIL];
+    returns the tuned widths.
 
     Runs 500-step pilot blocks; halves every width when acceptance is below
     the floor, doubles when above the ceiling, gives up after 20 blocks.
     """
-    theta = np.asarray(theta0, dtype=np.float64)
-    log_p = model.log_posterior(y, sigma1_sq, theta)
+    theta, log_p = np.asarray(theta0, dtype=np.float64), log_p0
     acc = float("nan")
     for _ in range(TUNE_MAX_BLOCKS):
         _, flags, theta, log_p = _rw_chain(y, sigma1_sq, theta, log_p, TUNE_BLOCK_STEPS, d, rng)
@@ -104,15 +104,15 @@ def _independence_batch(theta, log_p, n_steps, prop, score, rng):
     return states[index], accepted, states[index[-1] if n_steps else 0], log_p
 
 
-def _tuned_widths(y, sigma1_sq, theta0, rng):
+def _tuned_widths(y, sigma1_sq, theta0, log_p0, rng):
     """Tune scalar widths, rescale per-parameter from a pilot block, retune."""
-    d = tune_metropolis(y, sigma1_sq, np.full(theta0.size, TUNE_START_WIDTH), rng, theta0)
-    log_p = model.log_posterior(y, sigma1_sq, theta0)
-    draws, _, _, _ = _rw_chain(y, sigma1_sq, theta0, log_p, 1000, d, rng)
+    d = tune_metropolis(y, sigma1_sq, np.full(theta0.size, TUNE_START_WIDTH), rng, theta0,
+                        log_p0)
+    draws, _, _, _ = _rw_chain(y, sigma1_sq, theta0, log_p0, 1000, d, rng)
     stds = draws.std(axis=0)
     if np.all(stds > 0.0):
         scale = stds / math.exp(np.mean(np.log(stds)))
-        d = tune_metropolis(y, sigma1_sq, d * scale, rng, theta0)
+        d = tune_metropolis(y, sigma1_sq, d * scale, rng, theta0, log_p0)
     return d
 
 
@@ -161,9 +161,9 @@ def _run(y, sigma1_sq, sched, seed, step):
     with np.errstate(all="ignore"):
         # A stationary, constraint-interior start scaled to the data variance.
         theta0 = np.array([0.05, 0.90, sigma1_sq * (1.0 - 0.95)])
-        d = _tuned_widths(y, sigma1_sq, theta0, named_rng(seed, "tuning"))
-        log_p = model.log_posterior(y, sigma1_sq, theta0)
-        _, _, theta, log_p = _rw_chain(y, sigma1_sq, theta0, log_p, sched.burn_in, d,
+        log_p0 = model.log_posterior(y, sigma1_sq, theta0)
+        d = _tuned_widths(y, sigma1_sq, theta0, log_p0, named_rng(seed, "tuning"))
+        _, _, theta, log_p = _rw_chain(y, sigma1_sq, theta0, log_p0, sched.burn_in, d,
                                        named_rng(seed, "burnin"))
 
         rng = named_rng(seed, "sampling")

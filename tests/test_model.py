@@ -278,7 +278,9 @@ class TestWorkspace:
 
     def test_rw_chain_passes_one_workspace_in_the_series_slot(self, monkeypatch):
         # The twin passes its Workspace of y; the compiled kernels keep
-        # nothing per series and pass y as one float64 array.
+        # nothing per series and pass the array that owns the buffer they
+        # read y through: a list's one float64 conversion, and a
+        # C-contiguous float64 array itself.
         y = [0.5, -0.3]
         theta = np.array([0.1, 0.8, 0.01])
         modules = [_kernels_py] + ([KERNELS] if backend.KERNEL == "c" else [])
@@ -294,6 +296,10 @@ class TestWorkspace:
             else:
                 assert series.dtype == np.float64 and series.flags.c_contiguous
                 assert np.array_equal(series, y)
+                y_array = np.array(y)
+                calls = self.recorded_rw_chain(monkeypatch, kernels, y_array, 0.7, theta, 5, 0)
+                assert len(calls) == 5
+                assert all(args[0] is y_array for args, _ in calls)
 
     def test_kernel_workspace_equals_fresh_kernel(self):
         y = np.random.default_rng(5).standard_normal(300)

@@ -104,7 +104,8 @@ class TestTuneMetropolis:
 
     def tune(self, width, seed):
         return samplers.tune_metropolis(STUB_Y, 1.0, np.array([width * self.SD, 0.0, 0.0]),
-                                        np.random.default_rng(seed), INSIDE)
+                                        np.random.default_rng(seed), INSIDE,
+                                        model.log_posterior(STUB_Y, 1.0, INSIDE))
 
     def test_in_band_returned_unchanged(self):
         # width 3 yields ~0.71 acceptance on a standard normal: already in band
