@@ -1,10 +1,8 @@
 """Time the kernels, called directly, of the numpy twin
 ``garchmc._kernels_py`` and of the compiled ``_kernels.c`` side by side: the
-scalar likelihood and the batch likelihood on BATCH_K candidates per call.
-The scalar likelihood is timed on y, and for the numpy twin also on one
-reused ``Workspace`` in y's place, as its ``rw_chain`` calls it; the compiled
-kernels keep nothing per series, so their column there reads "-". Every
-figure is per candidate (one parameter set): a scalar call scores one.
+scalar likelihood on y, as ``rw_chain`` calls it, and the batch likelihood
+on BATCH_K candidates per call. Every figure is per candidate (one
+parameter set): a scalar call scores one.
 
 Then ``rw_chain`` on the real likelihood, in ns per step, BATCH_K steps from
 THETA at each n, whose widths accept about 0.6 of them, inside the tuned
@@ -86,14 +84,10 @@ def time_call(fn, args):
 
 
 def rows(kernels, y, sigma1_sq):
-    """(name, seconds per candidate, or None where kernels has no such call)
-    of each timed call of kernels."""
+    """(name, seconds per candidate) of each timed call of kernels."""
     thetas = np.tile(THETA, (BATCH_K, 1))
     return [
         ("log_likelihood", time_call(kernels.log_likelihood, (y, *THETA, sigma1_sq))),
-        ("log_likelihood (workspace)",
-         time_call(kernels.log_likelihood, (_kernels_py.Workspace(y), *THETA, sigma1_sq))
-         if kernels is _kernels_py else None),
         ("log_likelihood_batch",
          time_call(kernels.log_likelihood_batch, (y, thetas, sigma1_sq)) / BATCH_K),
     ]

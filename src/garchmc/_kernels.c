@@ -1,6 +1,6 @@
 /* The GARCH(1,1) likelihood kernels, the two Metropolis-Hastings accept
    loops and the chain.csv text in C, with the signatures of ``_kernels_py``:
-   positional arguments only, the likelihood's series first.
+   positional arguments only, the returns y first.
 
    ``garchmc.backend`` compiles this file on first import with
    -ffp-contract=off, so each step of the volatility recursion,

@@ -11,10 +11,8 @@ and add and does not.
 ``log_likelihood`` scores one parameter set, for the random-walk steps;
 ``log_likelihood_batch`` scores many parameter rows at once, for the
 independence sampler's candidate batches. Arguments are positional, the
-series first; a scalar call's series is y or a ``Workspace`` of y: y^2, the
-band of the solve and every buffer, built once per series. ``rw_chain``
-passes one for all its steps; given y, a call builds a throwaway. A
-non-finite total raises ``NumericOverflowError``. ``chain_text`` writes the
+returns y first; each call allocates its own buffers. A non-finite total
+raises ``NumericOverflowError``. ``chain_text`` writes the
 rows of chain.csv with Python's ``"%.17g"``. The module imports only
 numpy and ``garchmc.exceptions``; ``scipy.linalg.blas`` is imported by the
 first ``volatility`` call, so a run on the compiled kernels of
@@ -42,55 +40,35 @@ LOG_2PI = math.log(2.0 * math.pi)
 _RW_CHUNK = 256
 
 
-class Workspace:
-    """What a scalar call needs that depends on the series y alone: y^2, the
-    (2, n) band of the solve with its unit row set, and the drive and terms
-    buffers.
-
-    A workspace belongs to one caller, such as one ``rw_chain`` call: each
-    call overwrites its buffers, so it is not thread-safe.
-    """
-
-    def __init__(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        n = y.shape[0]
-        self.y2 = y * y
-        self.drive = np.empty(n)
-        self.band = np.empty((2, n), order="F")
-        self.band[1] = 1.0
-        self.beta_row = self.band[0]
-        self.terms = np.empty(n)
-
-
-def volatility(series, alpha, beta, omega, sigma1_sq):
-    """Run the squared-volatility recursion forward from sigma1_sq.
-
-    ``series`` is y or a ``Workspace`` built on y. The result is the
-    workspace's drive buffer, which its next call overwrites.
-    """
+def volatility(y, alpha, beta, omega, sigma1_sq):
+    """Run the squared-volatility recursion forward from sigma1_sq over the
+    returns y; returns a new array."""
     from scipy.linalg.blas import dtbsv
 
-    ws = series if isinstance(series, Workspace) else Workspace(series)
-    drive = ws.drive
+    y = np.asarray(y, dtype=np.float64)
+    drive = np.empty(y.shape[0])
     if not len(drive):
         return drive  # BLAS refuses an empty solve
     drive[0] = sigma1_sq
-    np.multiply(ws.y2[:-1], alpha, out=drive[1:])
-    np.add(drive[1:], omega, out=drive[1:])
-    ws.beta_row.fill(-beta)
-    return dtbsv(1, ws.band, drive, lower=0, trans=1, diag=1, overwrite_x=1)
+    lag, steps = y[:-1], drive[1:]
+    np.multiply(lag, lag, out=steps)
+    np.multiply(steps, alpha, out=steps)
+    np.add(steps, omega, out=steps)
+    band = np.empty((2, len(drive)), order="F")
+    band[0] = -beta
+    band[1] = 1.0
+    return dtbsv(1, band, drive, lower=0, trans=1, diag=1, overwrite_x=1)
 
 
-def log_likelihood(series, alpha, beta, omega, sigma1_sq):
-    """Sum of Gaussian log-densities along the volatility recursion; ``series``
-    is as for ``volatility``. An empty series scores -0.0, as in the batch
-    kernel and ``_kernels.c``."""
-    ws = series if isinstance(series, Workspace) else Workspace(series)
-    sig = volatility(ws, alpha, beta, omega, sigma1_sq)
-    terms = ws.terms
-    np.multiply(sig, 2.0 * math.pi, out=terms)
+def log_likelihood(y, alpha, beta, omega, sigma1_sq):
+    """Sum of Gaussian log-densities of the returns y along the volatility
+    recursion. An empty series scores -0.0, as in the batch kernel and
+    ``_kernels.c``."""
+    y = np.asarray(y, dtype=np.float64)
+    sig = volatility(y, alpha, beta, omega, sigma1_sq)
+    terms = np.multiply(sig, 2.0 * math.pi)
     np.log(terms, out=terms)
-    np.divide(ws.y2, sig, out=sig)  # y^2/s over s, which is read no more
+    np.divide(np.multiply(y, y), sig, out=sig)  # y^2/s over s, which is read no more
     np.add(terms, sig, out=terms)
     total = -0.5 * float(np.add.reduce(terms))
     if not math.isfinite(total):
@@ -186,9 +164,10 @@ def rw_chain(y, sigma1_sq, theta, log_p, shifts, u):
     float64 array and its log-density.
 
     A candidate outside the support of ``garchmc.model.in_support`` scores
-    -inf with no call. One inside is scored on one ``Workspace`` of y by this
-    module's ``log_likelihood``, looked up once per call so that a wrapper
-    set there sees every call. The random numbers are converted to floats
+    -inf with no call. One inside is scored by this module's
+    ``log_likelihood``, looked up once per call so that a wrapper set there
+    sees every call, on y as one C-contiguous float64 array: y itself when it
+    is one, as in ``_kernels.c``. The random numbers are converted to floats
     _RW_CHUNK steps at a time; each chunk's states are written into the
     draws in one slice.
     """
@@ -197,7 +176,7 @@ def rw_chain(y, sigma1_sq, theta, log_p, shifts, u):
         raise ValueError(f"theta must have length 3 and shifts shape (len(u), 3), got "
                          f"{theta.shape}, {shifts.shape} and {u.shape}")
     loglik = log_likelihood
-    ws = Workspace(y)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     log_p = float(log_p)
     n_steps = u.size
     draws = np.empty(shifts.shape)
@@ -211,7 +190,7 @@ def rw_chain(y, sigma1_sq, theta, log_p, shifts, u):
             cand = list(map(operator.add, theta, shift))
             a, b, w = cand
             if a > 0.0 and b > 0.0 and w > 0.0 and a + b < 1.0:
-                log_p_cand = loglik(ws, a, b, w, sigma1_sq)
+                log_p_cand = loglik(y, a, b, w, sigma1_sq)
             else:
                 log_p_cand = -math.inf
             if _accept(log_p_cand - log_p, u_i):

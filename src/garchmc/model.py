@@ -5,8 +5,8 @@ volatility series are plain float64 ndarrays. The numeric work is done by
 the kernels of ``backend.kernels``, the switch every module reads, looked up
 at each call. ``log_posterior`` scores one point, a chain's start; the
 random walk scores its candidates inside the kernels' ``rw_chain``, which
-applies the same support rule. The batch closure scores the independence
-sampler's candidates.
+applies the same support rule. ``log_posterior_batch`` scores the
+independence sampler's candidates.
 """
 import numpy as np
 
@@ -38,20 +38,16 @@ def log_posterior(y, sigma1_sq, theta):
     return backend.kernels.log_likelihood(y, a, b, w, sigma1_sq)
 
 
-def make_batch_log_posterior(y, sigma1_sq):
-    """Batch twin of ``log_posterior``: a (k, 3) array of parameter rows in,
-    the (k,) log-posteriors out, from one batch-kernel call.
+def log_posterior_batch(y, sigma1_sq, thetas):
+    """Batch twin of ``log_posterior``: the (k,) log-posteriors of the (k, 3)
+    parameter rows thetas, from one batch-kernel call.
 
     Rows outside the constraint region get exactly LOG_ZERO and are not
     scored; a non-finite likelihood inside it raises NumericOverflowError.
     """
-
-    def log_post_batch(thetas):
-        out = np.full(thetas.shape[0], LOG_ZERO)
-        # numpy's warnings would only precede the kernel's NumericOverflowError.
-        with np.errstate(all="ignore"):
-            inside = in_support(*thetas.T)
-            out[inside] = backend.kernels.log_likelihood_batch(y, thetas[inside], sigma1_sq)
-        return out
-
-    return log_post_batch
+    out = np.full(thetas.shape[0], LOG_ZERO)
+    # numpy's warnings would only precede the kernel's NumericOverflowError.
+    with np.errstate(all="ignore"):
+        inside = in_support(*thetas.T)
+        out[inside] = backend.kernels.log_likelihood_batch(y, thetas[inside], sigma1_sq)
+    return out

@@ -14,6 +14,7 @@ log-densities in one call. The one driver, ``_run``, wires them to the
 GARCH posterior: ``run_metropolis`` and ``run_adaptive`` differ only in the
 kernel that fills each retained batch.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,7 +195,7 @@ def run_adaptive(y, sched, nu=proposal.DEFAULT_NU, seed=0):
     holds one fitted proposal per refit.
     """
     y, sigma1_sq = _data(y)
-    score = model.make_batch_log_posterior(y, sigma1_sq)
+    score = functools.partial(model.log_posterior_batch, y, sigma1_sq)
     history = []
     acc = proposal.SampleAccumulator()
 

@@ -5,7 +5,7 @@ The posterior has three parameters, so it can be integrated on a grid. The
 grid is regular in whitened coordinates z: theta = m + L z with z in
 [-Z_MAX, Z_MAX]^3, so the Jacobian is constant and the moments are weighted
 sums of the grid points, weighted by the posterior scored with
-``model.make_batch_log_posterior`` (points outside the support weigh 0).
+``model.log_posterior_batch`` (points outside the support weigh 0).
 
 The frame (m, L) comes from the posterior alone, never from a chain: a
 Laplace fit (Nelder-Mead mode, finite-difference Hessian) frames a wide
@@ -71,7 +71,7 @@ def posterior_moments(y, sigma1_sq, theta0):
     Fails unless every grid keeps its boundary weight below EDGE_MASS_MAX
     and the grids agree to GRID_AGREEMENT_SD.
     """
-    score = model.make_batch_log_posterior(y, sigma1_sq)
+    score = functools.partial(model.log_posterior_batch, y, sigma1_sq)
     m, L = _laplace_frame(functools.partial(model.log_posterior, y, sigma1_sq), score,
                           np.asarray(theta0, dtype=np.float64))
     # The Laplace frame is too narrow for the skewed posterior; a wide coarse

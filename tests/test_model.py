@@ -194,8 +194,7 @@ def test_kernels_raise_typed_overflow():
 
 def test_empty_series_scores_negative_zero(either_kernels):
     theta = (0.1, 0.8, 0.01)
-    twin_only = [_kernels_py.Workspace([])] if either_kernels is _kernels_py else []
-    for series in [[], np.empty(0), *twin_only]:
+    for series in [[], np.empty(0)]:
         got = either_kernels.log_likelihood(series, *theta, 0.05)
         assert got == 0.0 and math.copysign(1.0, got) == -1.0
     got = either_kernels.log_likelihood_batch([], np.array([theta, theta]), 0.05)
@@ -216,7 +215,7 @@ class TestBatchLogPosterior:
             [np.nan, 0.8, 0.01],
             [0.05, 0.9, 0.02],
         ])
-        got = model.make_batch_log_posterior(y, 0.3)(thetas)
+        got = model.log_posterior_batch(y, 0.3, thetas)
         inside = np.array([True, False, False, False, False, False, False, False, True])
         assert np.all(got[~inside] == model.LOG_ZERO)
         np.testing.assert_array_equal(
@@ -226,12 +225,11 @@ class TestBatchLogPosterior:
             assert value == pytest.approx(model.log_posterior(y, 0.3, theta), rel=1e-14)
 
     def test_overflow_raises(self):
-        score = model.make_batch_log_posterior([1e200, 1e200], 1e-300)
         thetas = np.array([[0.1, 0.8, 0.01], [1e-8, 1e-8, 1e-300]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflowError):
-                score(thetas)
+                model.log_posterior_batch([1e200, 1e200], 1e-300, thetas)
 
     def test_scalar_twin_overflow_raises(self):
         with warnings.catch_warnings():
@@ -241,94 +239,58 @@ class TestBatchLogPosterior:
                 model.log_posterior([1e200, 1e200], 1e-300, np.array([1e-8, 1e-8, 1e-300]))
 
 
+def test_rw_chain_passes_y_in_the_series_slot(either_kernels, monkeypatch):
+    # Both modules hand a wrapper the one C-contiguous float64 array they
+    # read y through: a list's one conversion, and such an array itself.
+    loglik = either_kernels.log_likelihood
 
-class TestWorkspace:
-    """The numpy twin's Workspace, reused across scalar calls as its
-    ``rw_chain`` reuses one for all its steps, must give exactly what a fresh
-    5-argument call gives."""
-
-    BETAS = (0.5, 1e-9, 0.999999, 0.5)
-
-    @staticmethod
-    def recorded_rw_chain(monkeypatch, kernels, y, sigma1_sq, theta, n_steps, seed):
-        """The arguments and value of each scalar call that ``kernels.rw_chain``
-        makes on n_steps of widths (0.05, 0.05, 0.01) from theta."""
-        calls, loglik = [], kernels.log_likelihood
+    def series_of_calls(y):
+        """The series argument of each of 5 wrapper calls by rw_chain."""
+        calls = []
 
         def recorded(*args):
-            calls.append((args, loglik(*args)))
-            return calls[-1][1]
+            assert len(args) == 5 and args[4] == 0.7
+            calls.append(args[0])
+            return loglik(*args)
 
-        rng = np.random.default_rng(seed)
-        shifts = np.array([0.05, 0.05, 0.01]) * (rng.random((n_steps, 3)) - 0.5)
+        rng = np.random.default_rng(0)
+        shifts = np.array([0.05, 0.05, 0.01]) * (rng.random((5, 3)) - 0.5)
         with monkeypatch.context() as m:
-            m.setattr(kernels, "log_likelihood", recorded)
-            kernels.rw_chain(y, sigma1_sq, theta, model.LOG_ZERO, shifts, rng.random(n_steps))
+            m.setattr(either_kernels, "log_likelihood", recorded)
+            either_kernels.rw_chain(y, 0.7, np.array([0.1, 0.8, 0.01]), model.LOG_ZERO, shifts,
+                                    rng.random(5))
+        assert len(calls) == 5
         return calls
 
-    @pytest.mark.parametrize("n", [1, 2, 33, 2000])
-    def test_rw_chain_scores_equal_fresh_kernel(self, n, monkeypatch):
-        y = np.random.default_rng(n).standard_normal(n)
-        for seed, beta in enumerate(self.BETAS):
-            theta = np.array([0.3 * (1.0 - beta), beta, 0.05])
-            calls = self.recorded_rw_chain(monkeypatch, _kernels_py, y, 0.7, theta, 40, seed)
-            assert calls
-            for (_, *args), value in calls:
-                assert value == _kernels_py.log_likelihood(y, *args)
+    y_list = [0.5, -0.3]
+    calls = series_of_calls(y_list)
+    assert calls[0].dtype == np.float64 and calls[0].flags.c_contiguous
+    assert np.array_equal(calls[0], y_list)
+    assert all(series is calls[0] for series in calls)
+    y_array = np.array(y_list)
+    assert all(series is y_array for series in series_of_calls(y_array))
 
-    def test_rw_chain_passes_one_workspace_in_the_series_slot(self, monkeypatch):
-        # The twin passes its Workspace of y; the compiled kernels keep
-        # nothing per series and pass the array that owns the buffer they
-        # read y through: a list's one float64 conversion, and a
-        # C-contiguous float64 array itself.
-        y = [0.5, -0.3]
-        theta = np.array([0.1, 0.8, 0.01])
-        modules = [_kernels_py] + ([KERNELS] if backend.KERNEL == "c" else [])
-        for kernels in modules:
-            calls = self.recorded_rw_chain(monkeypatch, kernels, y, 0.7, theta, 5, 0)
-            assert len(calls) == 5
-            series = calls[0][0][0]
-            for args, _ in calls:
-                assert args[0] is series and len(args) == 5 and args[4] == 0.7
-            if kernels is _kernels_py:
-                assert isinstance(series, _kernels_py.Workspace)
-                assert np.array_equal(series.y2, np.square(y))
-            else:
-                assert series.dtype == np.float64 and series.flags.c_contiguous
-                assert np.array_equal(series, y)
-                y_array = np.array(y)
-                calls = self.recorded_rw_chain(monkeypatch, kernels, y_array, 0.7, theta, 5, 0)
-                assert len(calls) == 5
-                assert all(args[0] is y_array for args, _ in calls)
 
-    def test_kernel_workspace_equals_fresh_kernel(self):
-        y = np.random.default_rng(5).standard_normal(300)
-        ws = _kernels_py.Workspace(y)
-        for beta in self.BETAS:
-            for sigma1_sq in (0.7, 2.5):
-                args = (0.3 * (1.0 - beta), beta, 0.05, sigma1_sq)
-                assert np.array_equal(_kernels_py.volatility(ws, *args),
-                                      _kernels_py.volatility(y, *args))
-                assert (_kernels_py.log_likelihood(ws, *args)
-                        == _kernels_py.log_likelihood(y, *args))
+def test_valid_call_after_overflow_is_fresh():
+    y = np.array([0.5, -1.0, 2.0, 1.5])
+    # s_1 is about 3e-320, so y_1^2 / s_1 overflows.
+    overflow = np.array([1e-320, 1e-320, 1e-320])
+    valid = np.array([0.1, 0.8, 0.01])
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            with pytest.raises(NumericOverflowError):
+                model.log_posterior(y, 1.0, overflow)
+            assert (model.log_posterior(y, 1.0, valid)
+                    == KERNELS.log_likelihood(y, *valid, 1.0))
 
-    def test_valid_call_after_overflow_is_fresh(self):
-        y = np.array([0.5, -1.0, 2.0, 1.5])
-        # s_1 is about 3e-320, so y_1^2 / s_1 overflows.
-        overflow = np.array([1e-320, 1e-320, 1e-320])
-        valid = np.array([0.1, 0.8, 0.01])
-        ws = _kernels_py.Workspace(y)
-        with np.errstate(all="ignore"):
-            for _ in range(2):
-                with pytest.raises(NumericOverflowError):
-                    model.log_posterior(y, 1.0, overflow)
-                assert (model.log_posterior(y, 1.0, valid)
-                        == KERNELS.log_likelihood(y, *valid, 1.0))
-                # y_0^2 / sigma1_sq overflows.
-                with pytest.raises(FloatingPointError):
-                    _kernels_py.log_likelihood(ws, *valid, 1e-310)
-                assert (_kernels_py.log_likelihood(ws, *valid, 1.0)
-                        == _kernels_py.log_likelihood(y, *valid, 1.0))
+
+def test_lists_are_accepted(either_kernels):
+    y = [0.5, -0.3, 0.2, 1.1]
+    theta = (0.1, 0.8, 0.01)
+    want = either_kernels.log_likelihood(np.array(y), *theta, 0.05)
+    assert either_kernels.log_likelihood(y, *theta, 0.05) == want
+    assert np.array_equal(either_kernels.log_likelihood_batch(y, [list(theta)], 0.05),
+                          either_kernels.log_likelihood_batch(np.array(y), np.array([theta]), 0.05))
 
 
 class TestCompiledKernels:
@@ -418,15 +380,6 @@ class TestCompiledKernels:
             carried = s.min(axis=1) >= safe_min
             assert straddle.any() and carried.any()
         self.check(compiled, y, thetas, safe_min)
-
-    def test_lists_and_workspace_are_accepted(self, compiled):
-        y = [0.5, -0.3, 0.2, 1.1]
-        theta = (0.1, 0.8, 0.01)
-        want = compiled.log_likelihood(np.array(y), *theta, 0.05)
-        assert compiled.log_likelihood(y, *theta, 0.05) == want
-        assert (_kernels_py.log_likelihood(_kernels_py.Workspace(y), *theta, 0.05)
-                == _kernels_py.log_likelihood(y, *theta, 0.05))
-        assert compiled.log_likelihood_batch(y, [list(theta)], 0.05).tolist() == [want]
 
     def test_non_finite_totals_raise_typed_overflow(self, compiled):
         y = [0.5, -1.0, 2.0]

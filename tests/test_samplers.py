@@ -32,7 +32,7 @@ def stub_likelihood(monkeypatch, kernels, score):
 
 
 def rw_step(current, d, rng):
-    """One random-walk step of widths d through the production batch kernel,
+    """One random-walk step of widths d through ``backend.kernels.rw_chain``,
     scored by the likelihood set on ``backend.kernels``."""
     _, accepted, theta, _ = samplers._rw_chain(
         STUB_Y, 1.0, current, model.log_posterior(STUB_Y, 1.0, current), 1, d, rng
@@ -210,7 +210,7 @@ def check_batch_scoring_matches_per_candidate_scoring():
     )
     theta = np.array([0.05, 0.9, 0.01])
     draws, accepted, *_ = samplers._independence_batch(
-        theta, target(theta), 2000, prop, model.make_batch_log_posterior(y, s1),
+        theta, target(theta), 2000, prop, functools.partial(model.log_posterior_batch, y, s1),
         np.random.default_rng(12),
     )
     want_draws, want_accepted = reference_independence_batch(
@@ -323,7 +323,7 @@ def garch_posteriors(n=400):
     y = small_series(n=n)
     s1 = float(np.var(y))
     return (y, s1, functools.partial(model.log_posterior, y, s1),
-            model.make_batch_log_posterior(y, s1))
+            functools.partial(model.log_posterior_batch, y, s1))
 
 
 def wide_proposal(mean):
