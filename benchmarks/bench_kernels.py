@@ -4,6 +4,14 @@ scalar likelihood on y, as ``rw_chain`` calls it, and the batch likelihood
 on BATCH_K candidates per call. Every figure is per candidate (one
 parameter set): a scalar call scores one.
 
+Then the compiled batch kernel's threads: it prints the CPUs of the
+process's affinity mask, and the time per candidate at n = 2000 of BATCH_K
+candidates and of ONE_THREAD_K, few enough that the kernel scores them on
+the calling thread alone. Where the mask holds two CPUs or more, the script
+exits unless the BATCH_K row is below THREADS_RATIO times the ONE_THREAD_K
+row: a build that never starts a thread gives the same bits, so only its
+speed shows it.
+
 Then ``rw_chain`` on the real likelihood, in ns per step, BATCH_K steps from
 THETA at each n, whose widths accept about 0.6 of them, inside the tuned
 band RW_ACCEPT_BAND. The compiled kernels run it twice, once through each
@@ -37,6 +45,7 @@ End-to-end run timing is the job of ``perfbench/run.py``.
 import argparse
 import gc
 import math
+import os
 import timeit
 
 import numpy as np
@@ -57,6 +66,15 @@ TWO_LANE_RATIO = 0.9
 BATCHES = 5
 #: Candidates per batch call: the default refit interval.
 BATCH_K = 1000
+#: A batch that the compiled kernel scores on one thread at n = 2000: its
+#: 64 * 2000 candidate-steps are fewer than two threads' worth of
+#: ``_kernels.c``'s MIN_THREAD_STEPS, and 64 candidates are one of its
+#: blocks.
+ONE_THREAD_K = 64
+#: Where the process may use two CPUs or more, BATCH_K candidates at n = 2000
+#: must take less than this share of ONE_THREAD_K's time per candidate
+#: (0.58-0.61 measured on 2 CPUs, 0.94-1.13 with the threads taken out).
+THREADS_RATIO = 0.8
 #: Rows and acceptance of the chain whose chain.csv text is timed.
 CHAIN_ROWS = 20000
 CHAIN_ACCEPT = 0.4
@@ -91,6 +109,15 @@ def rows(kernels, y, sigma1_sq):
         ("log_likelihood_batch",
          time_call(kernels.log_likelihood_batch, (y, thetas, sigma1_sq)) / BATCH_K),
     ]
+
+
+def threads_rows(kernels):
+    """(candidates, seconds per candidate) of ``kernels.log_likelihood_batch``
+    on ONE_THREAD_K and on BATCH_K candidates at n = 2000."""
+    y = np.ascontiguousarray(data.generate_synthetic(THETA, 2000, 1))
+    thetas = np.tile(THETA, (BATCH_K, 1))
+    return [(k, time_call(kernels.log_likelihood_batch, (y, thetas[:k], float(np.var(y)))) / k)
+            for k in (ONE_THREAD_K, BATCH_K)]
 
 
 def random_walk_row(kernels, y, sigma1_sq):
@@ -206,6 +233,19 @@ def main():
             us_c, ns_c = (f"{t_c * 1e6:.2f}", f"{t_c * 1e9 / n:.1f}") if t_c else ("-", "-")
             print(f"{name:>26} {n:>6} {t_py * 1e6:14.2f} {us_c:>10} "
                   f"{t_py * 1e9 / n:14.1f} {ns_c:>10}")
+    print()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    print(f"batch threads: {cpus} CPUs in the affinity mask")
+    if backend.KERNEL == "c":
+        print(f"{'log_likelihood_batch':>26} {'n':>6} {'cands':>6} {'c us/cand':>10}")
+        (_, t_one), (_, t_batch) = times = threads_rows(backend.kernels)
+        for k, t in times:
+            print(f"{'':>26} {2000:>6} {k:>6} {t * 1e6:10.2f}")
+        print(f"{'ratio':>26} {t_batch / t_one:24.2f}")
+        if cpus >= 2 and not t_batch < THREADS_RATIO * t_one:
+            raise SystemExit(f"{BATCH_K} candidates at n=2000 take {t_batch * 1e6:.2f} us each, "
+                             f"not below {THREADS_RATIO} of {ONE_THREAD_K} candidates' "
+                             f"{t_one * 1e6:.2f} on {cpus} CPUs")
     print()
     print(f"{'random walk, likelihood':>26} {'n':>6} {'accept':>7} {'numpy ns/step':>14} "
           f"{'c ns/step':>10}")

@@ -4,9 +4,11 @@ compiled on first import, or its numpy twin ``_kernels_py``.
 
 ``build`` compiles ``_kernels.c`` with the C compiler and include directory
 Python was built with, into ``__pycache__/_kernels-<hash><EXT_SUFFIX>`` beside
-this file, and loads it. The hash covers the source, the compile command and
-the suffix, so a file already there is loaded without a compile, and a
-changed source or interpreter gets a file of its own. The compiler writes a
+this file, and loads it. The command holds -pthread, since the batch kernel
+scores its candidates on threads that it creates and joins within each call.
+The hash covers the source, the compile command and the suffix, so a file
+already there is loaded without a compile, and a changed source, command or
+interpreter gets a file of its own. The compiler writes a
 per-process temporary name that is then moved into place, so concurrent first
 imports are safe. Any failure falls back to ``_kernels_py``: no compiler, a
 compile error, a directory that cannot be written or a file that does not
@@ -41,7 +43,7 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 #: keeps the batch kernel's AVX2 and AVX-512 clones equal to each other and
 #: to the baseline build. No -march: the cache file is keyed by source and
 #: command, not by CPU, and the loader picks the clone the CPU supports.
-FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 COMPILE_TIMEOUT_S = 120
 
 

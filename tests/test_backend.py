@@ -144,7 +144,9 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
     # A 128-bit shift by 128 or more, or a signed overflow, would pass every
     # other test unseen. Without __int128 every value takes Python's "%.17g".
     # The batch calls run the exponent carry, the step-by-step redo of tiny
-    # variances and the SIMD clone this CPU dispatches to. Both accept loops
+    # variances and the SIMD clone this CPU dispatches to, and one raises
+    # for a NaN total in its last range, which a spawned thread scores where
+    # the process may use two CPUs, across the join. Both accept loops
     # run too: the random walk on the real likelihood, which takes its fused
     # two-lane path, and on zero steps; on every combination of edge values
     # in its shifts through the real likelihood, with the same outcome as a
@@ -176,6 +178,16 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
         "thetas[:, 2] = 1e-26\n"
         "kernels.log_likelihood_batch(y, thetas, 1e-24)\n"
         "from garchmc.exceptions import NumericOverflowError\n"
+        "y = rng.standard_normal(2000)\n"
+        "y[0] = 1.0\n"
+        "thetas = np.tile([0.05, 0.9, 0.01], (1003, 1))\n"
+        "thetas[-1] = (-5.0, 0.5, 0.01)\n"
+        "try:\n"
+        "    kernels.log_likelihood_batch(y, thetas, 1.0)\n"
+        "except NumericOverflowError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no NumericOverflowError from the last range')\n"
         "theta, u = np.array([0.05, 0.9, 0.01]), rng.random(600)\n"
         "shifts = rng.uniform(-0.02, 0.02, (600, 3))\n"
         "y = rng.standard_normal(200)\n"

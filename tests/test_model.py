@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -395,3 +397,89 @@ class TestCompiledKernels:
                         kernels.log_likelihood(y, *theta, s1)
                     with pytest.raises(NumericOverflowError):
                         kernels.log_likelihood_batch(y, np.array([theta, (0.1, 0.8, 0.01)]), s1)
+
+
+def thread_count():
+    """The threads of this process."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def batch_case(k, n, seed=0):
+    """(y, thetas) of k candidates on n returns; y_0 = 1, so that the row
+    (-5.0, 0.5, 0.01) has a negative s_1 and a NaN total."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n)
+    y[0] = 1.0
+    thetas = np.column_stack([rng.uniform(0.01, 0.1, k), rng.uniform(0.5, 0.89, k),
+                              rng.uniform(0.2, 1.0, k)])
+    return y, thetas
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+class TestBatchThreads:
+    """The compiled batch kernel scores its candidates in contiguous ranges,
+    one per thread, on as many threads as the process may use CPUs, when
+    each gets enough candidate-steps: 1003 candidates at n = 2000 do; the
+    other batches here stay on the calling thread."""
+
+    OVERFLOW = (-5.0, 0.5, 0.01)
+
+    @pytest.mark.parametrize("n", [1, 17, 250, 2000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 1003])
+    def test_rows_equal_scalar_calls_bit_for_bit(self, compiled, k, n):
+        y, thetas = batch_case(k, n)
+        got = compiled.log_likelihood_batch(y, thetas, 1.0)
+        want = np.array([compiled.log_likelihood(y, *theta, 1.0) for theta in thetas])
+        assert got.tobytes() == want.tobytes()
+
+    def test_large_batch_runs_on_more_threads(self, compiled):
+        # A second thread exists only within a call, so a worker scores
+        # batches while this thread counts the process's threads.
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("the process may use one CPU only")
+        y, thetas = batch_case(1003, 2000)
+        before = thread_count()
+
+        def score():
+            for _ in range(20):
+                compiled.log_likelihood_batch(y, thetas, 1.0)
+
+        worker = threading.Thread(target=score)
+        worker.start()
+        most = before
+        while worker.is_alive():
+            most = max(most, thread_count())
+        worker.join(timeout=60)
+        assert most >= before + 2
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first-range", "last-range"])
+    def test_overflow_in_either_range_raises_and_leaves_no_thread(self, compiled, row):
+        y, thetas = batch_case(1003, 2000)
+        before = thread_count()
+        compiled.log_likelihood_batch(y, thetas, 1.0)
+        assert thread_count() == before
+        thetas[row] = self.OVERFLOW
+        with np.errstate(all="ignore"), pytest.raises(NumericOverflowError):
+            compiled.log_likelihood_batch(y, thetas, 1.0)
+        assert thread_count() == before
+
+    def test_concurrent_calls_equal_serial_calls(self, compiled):
+        # Three callers at once, each on its own batch.
+        cases = [batch_case(1003, n, seed) for seed, n in enumerate((2000, 250, 2000))]
+        want = [compiled.log_likelihood_batch(y, thetas, 1.0).tobytes() for y, thetas in cases]
+        start = threading.Barrier(len(cases))
+        got = [[] for _ in cases]
+
+        def score(i):
+            y, thetas = cases[i]
+            start.wait()
+            for _ in range(10):
+                got[i].append(compiled.log_likelihood_batch(y, thetas, 1.0).tobytes())
+
+        workers = [threading.Thread(target=score, args=(i,)) for i in range(len(cases))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        assert got == [[bits] * 10 for bits in want]
