@@ -18,11 +18,11 @@
    per step. A non-finite total raises
    garchmc.exceptions.NumericOverflowError.
 
-   The batch kernel is built once per x86-64 SIMD level (AVX-512, AVX2 and
-   the baseline) by target_clones, and the loader picks the one the CPU
-   supports; the scalar kernel is built at the baseline only. Since
-   -ffp-contract=off, every build rounds each operation alike, so all give
-   the same bits.
+   The batch kernel and rw_chain's lanes are built once per x86-64 SIMD
+   level (AVX-512, AVX2 and the baseline) by target_clones, and the loader
+   picks the one the CPU supports; the scalar kernel is built at the
+   baseline only. Since -ffp-contract=off, every build rounds each
+   operation alike, so all give the same bits.
 
    The batch kernel splits its k candidates into contiguous ranges, one per
    thread: as many threads as the process's affinity mask holds CPUs, at
@@ -45,15 +45,17 @@
    math.exp, so they take the same steps on the same random numbers.
    rw_chain walks its steps in one loop that tests each candidate for the
    support and scores it in one of two branches. While this module's
-   log_likelihood attribute is its own function, each pass scores a
-   candidate inside the support together with the one the next step
-   proposes if this step accepts, two lanes of score for about the cost of
-   one, and makes no Python call. While a wrapper is set there, as
-   ``perfbench/tracer.py`` sets one on ``backend.kernels.log_likelihood``,
-   each pass calls it once, on lane 1 alone, so the wrapper sees every call.
-   Both branches give the same bits. independence_accept returns only its
-   accept flags and the end log-density; which row holds the state after
-   each step is worked out by ``garchmc.samplers``. */
+   log_likelihood attribute is its own function, a candidate inside the
+   support opens a pass that scores four lanes of score at once: the
+   candidate, the next step's after this step accepts and after it
+   rejects, and the one after that after both accept. So a pass decides
+   two steps, or three when both accept, and makes no Python call. While a
+   wrapper is set there, as ``perfbench/tracer.py`` sets one on
+   ``backend.kernels.log_likelihood``, each step calls it once on its own
+   candidate, so the wrapper sees every call. Both branches give the same
+   bits. independence_accept returns only its accept flags and the end
+   log-density; which row holds the state after each step is worked out by
+   ``garchmc.samplers``. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
@@ -228,6 +230,86 @@ score_batch(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
             double sigma1_sq, double *total)
 {
     return score(y, n, theta, k, sigma1_sq, total);
+}
+
+/* Two doubles, and their bits: score_lanes keeps each per-lane quantity in
+   two of these. In one vector of four, the baseline x86-64 build, which
+   has no register for one, ran every operation through the stack. */
+typedef double pair __attribute__((vector_size(2 * sizeof(double))));
+typedef uint64_t pair_bits __attribute__((vector_size(2 * sizeof(uint64_t))));
+#define LANE(v, l) ((v)[(l) / 2][(l) % 2])
+
+/* score of the four rows of theta, each inside the support, into total:
+   every lane takes score's operations for its row in score's order, so
+   each total has the bits that score gives its row.
+
+   score's check of a chunk needs its least s_t, which this loop does not
+   keep: with alpha, beta and omega positive, a rounded step from s_{t-1}
+   >= 0 gives s_t >= omega, so a lane whose omega and sigma1_sq are at least
+   SAFE_MIN has no s_t below it (a NaN one makes the product NaN, which
+   fails the check as in score). Only a lane with a smaller omega or
+   sigma1_sq has its chunk's s_t redone to find the least. */
+SIMD_CLONES static void
+score_lanes(const double *y, Py_ssize_t n, const double (*theta)[3], double sigma1_sq,
+            double *total)
+{
+    pair a[2], b[2], w[2], s[2] = {{0}}, quad[2] = {{0}}, mant[2] = {{1.0, 1.0}, {1.0, 1.0}};
+    const pair first = {sigma1_sq, sigma1_sq};
+    pair_bits twos[2] = {{0}}, bounded[2];
+    double logs[4] = {0.0};
+    for (int l = 0; l < 4; l++) {
+        LANE(a, l) = theta[l][0];
+        LANE(b, l) = theta[l][1];
+        LANE(w, l) = theta[l][2];
+    }
+    for (int h = 0; h < 2; h++)
+        bounded[h] = (pair_bits)(w[h] >= SAFE_MIN) & (pair_bits)(first >= SAFE_MIN);
+    for (Py_ssize_t t0 = 0; t0 < n; t0 += CHUNK) {
+        const Py_ssize_t t1 = t0 + CHUNK < n ? t0 + CHUNK : n;
+        const pair start[2] = {s[0], s[1]};
+        pair prod[2] = {mant[0], mant[1]};
+        for (Py_ssize_t t = t0; t < t1; t++) {
+            for (int h = 0; h < 2; h++) {
+                s[h] = t ? (y[t - 1] * y[t - 1] * a[h] + w[h]) + b[h] * s[h] : first;
+                quad[h] += y[t] * y[t] / s[h];
+                prod[h] *= s[h];
+            }
+        }
+        /* All ones in each lane whose chunk passes score's check, as a
+           bounded lane with a finite product does. Any other lane is redone
+           step by step, and its logs are kept when it fails. */
+        pair_bits ok[2];
+        int redo = 0;
+        for (int h = 0; h < 2; h++) {
+            ok[h] = bounded[h] & (pair_bits)(prod[h] <= DBL_MAX);
+            redo |= !(ok[h][0] & ok[h][1]);
+        }
+        for (int l = 0; redo && l < 4; l++) {
+            if (LANE(ok, l))
+                continue;
+            double st = LANE(start, l), chunk = 0.0;
+            int above = LANE(prod, l) <= DBL_MAX;
+            for (Py_ssize_t t = t0; t < t1; t++) {
+                st = t ? recur(y[t - 1] * y[t - 1], LANE(a, l), LANE(b, l), LANE(w, l), st)
+                       : sigma1_sq;
+                chunk += log(st);
+                above &= !(st < SAFE_MIN);
+            }
+            LANE(ok, l) = -(uint64_t)above;
+            if (!above)
+                logs[l] += chunk;
+        }
+        for (int h = 0; h < 2; h++) {
+            const pair_bits bits = (pair_bits)prod[h];
+            twos[h] += ok[h] & ((bits >> 52) - 1023);
+            mant[h] = (pair)((ok[h] & ((bits & SIGNIFICAND_BITS) | ONE_BITS))
+                             | (~ok[h] & (pair_bits)mant[h]));
+        }
+    }
+    for (int l = 0; l < 4; l++) {
+        const double sum = (log(LANE(mant, l)) + (double)(int64_t)LANE(twos, l) * LN2) + logs[l];
+        total[l] = -0.5 * ((sum + LANE(quad, l)) + (double)n * LOG_2PI);
+    }
 }
 
 /* At most this many threads score one batch call. */
@@ -417,67 +499,83 @@ decide(double *theta, double *log_p, double *row, double log_p_cand, double u)
     return (char)accepted;
 }
 
-/* The n steps of rw_chain from the state theta of log-density *log_p, one
-   or two per pass: candidate i is built in its row of the draws and, inside
-   the support, scored. While loglik is NULL, for this module's own
-   likelihood, score scores it on the ny returns y with no Python call,
-   together with step i + 1's candidate if step i accepts, row i +
-   shifts[i + 1], built in row i + 1: two lanes cost about one, since the
-   recursion is bound by latency. When step i accepts, lane 2 decides step
-   i + 1 in the same pass; when it rejects, lane 2 is discarded and step
-   i + 1 proposes from the state. Each lane takes score's operations for one
-   candidate, so every score, and so the chain, has the bits of one lane per
-   pass; lane 2's total is checked for finiteness only when it is used. A
-   wrapper set as loglik scores lane 1 by one call on y_obj, the owner of
-   y's buffer, and opens no lane 2. Returns 0, or -1 with an exception set. */
+/* Steps i, i + 1 and, when both accept, i + 2 of walk, of the left that
+   remain, where step i's candidate, in row, lies inside the support.
+   score_lanes scores four lanes on the ny returns y side by side: step i's
+   candidate (I), step i + 1's after step i accepts (A) and after it
+   rejects (R), and step i + 2's after both accept (AA). A lane outside the
+   support, or past the last step, holds step i's candidate instead and
+   its total is ignored. Each step takes the lane its predecessors'
+   decisions pick, and a lane's total is checked for finiteness only when
+   a step takes it. Returns the steps taken, or -1 with an exception set. */
+enum { LANE_I, LANE_A, LANE_R, LANE_AA };
+static Py_ssize_t
+pass(const double *y, Py_ssize_t ny, double sigma1_sq, double *theta, double *log_p,
+     const double *shift, const double *u, Py_ssize_t left, double *row, char *flag)
+{
+    /* The next step's lane after each lane rejects and accepts; -1 ends. */
+    static const int next[4][2] = {{LANE_R, LANE_A}, {-1, LANE_AA}, {-1, -1}, {-1, -1}};
+    const Py_ssize_t steps = left < 3 ? left : 3;
+    double cand[4][3], total[4];
+    int inside[4];
+    for (int j = 0; j < 3; j++) {
+        cand[LANE_I][j] = row[j];
+        cand[LANE_A][j] = steps > 1 ? row[j] + shift[3 + j] : row[j];
+        cand[LANE_R][j] = steps > 1 ? theta[j] + shift[3 + j] : row[j];
+        cand[LANE_AA][j] = steps > 2 ? cand[LANE_A][j] + shift[6 + j] : row[j];
+    }
+    for (int l = 0; l < 4; l++) {
+        if (!(inside[l] = in_support(cand[l])))
+            memcpy(cand[l], row, sizeof cand[l]);
+    }
+    score_lanes(y, ny, (const double (*)[3])cand, sigma1_sq, total);
+    for (int m = 0, lane = LANE_I; m < steps; m++) {
+        if (inside[lane] && check_finite(total + lane, 1) < 0)
+            return -1;
+        memcpy(row + 3 * m, cand[lane], sizeof cand[lane]);
+        flag[m] = decide(theta, log_p, row + 3 * m, inside[lane] ? total[lane] : -INFINITY, u[m]);
+        if ((lane = next[lane][(int)flag[m]]) < 0)
+            return m + 1;
+    }
+    return steps;
+}
+
+/* The n steps of rw_chain from the state theta of log-density *log_p: step
+   i's candidate, theta + shift[i], is built in its row of the draws. While
+   loglik is NULL, for this module's own likelihood, a candidate inside the
+   support opens a pass, with no Python call. Any other candidate takes
+   one step: outside the support it scores -inf, and inside, a call of the
+   wrapper loglik on y_obj, the owner of y's buffer. Returns 0, or -1 with
+   an exception set. */
 static int
 walk(PyObject *loglik, PyObject *y_obj, const double *y, Py_ssize_t ny, double sigma1_sq,
      double *theta, double *log_p, const double *shift, const double *u, Py_ssize_t n,
-     double *row, char *flag)
+     double *draws, char *flag)
 {
-    for (Py_ssize_t i = 0; i < n; i++, shift += 3, row += 3) {
+    for (Py_ssize_t i = 0, steps; i < n; i += steps) {
+        double *row = draws + 3 * i;
         for (int j = 0; j < 3; j++)
-            row[j] = theta[j] + shift[j];
-        double total[2] = {-INFINITY, -INFINITY};
-        int lanes = 0;
-        if (loglik != NULL && in_support(row)) {
+            row[j] = theta[j] + shift[3 * i + j];
+        if (loglik == NULL && in_support(row)) {
+            steps = pass(y, ny, sigma1_sq, theta, log_p, shift + 3 * i, u + i, n - i, row,
+                         flag + i);
+            if (steps < 0)
+                return -1;
+            continue;
+        }
+        double total = -INFINITY;
+        if (in_support(row)) {
             PyObject *value = PyObject_CallFunction(loglik, "Odddd", y_obj, row[0], row[1],
                                                     row[2], sigma1_sq);
             if (value == NULL)
                 return -1;
-            total[0] = PyFloat_AsDouble(value);
+            total = PyFloat_AsDouble(value);
             Py_DECREF(value);
-            if (total[0] == -1.0 && PyErr_Occurred())
+            if (total == -1.0 && PyErr_Occurred())
                 return -1;
         }
-        else if (loglik == NULL && in_support(row)) {
-            lanes = 1;
-            if (i + 1 < n) {
-                for (int j = 0; j < 3; j++)
-                    row[3 + j] = row[j] + shift[3 + j];
-                lanes += in_support(row + 3);
-            }
-            /* k a constant in each call, so that score's loops over the
-               lanes unroll; with k = lanes, known only at run time, this
-               loop took 1.5 times as long. */
-            const int rc = lanes == 2 ? score(y, ny, row, 2, sigma1_sq, total)
-                                      : score(y, ny, row, 1, sigma1_sq, total);
-            if (rc < 0) {
-                PyErr_NoMemory();
-                return -1;
-            }
-            if (check_finite(total, 1) < 0)
-                return -1;
-        }
-        flag[i] = decide(theta, log_p, row, total[0], u[i]);
-        if (!flag[i] || !lanes || i + 1 == n)
-            continue;
-        /* Step i + 1, whose candidate is in the next row: scored in lane 2,
-           or outside the support. */
-        i++, shift += 3, row += 3;
-        if (lanes == 2 && check_finite(total + 1, 1) < 0)
-            return -1;
-        flag[i] = decide(theta, log_p, row, total[1], u[i]);
+        flag[i] = decide(theta, log_p, row, total, u[i]);
+        steps = 1;
     }
     return 0;
 }
@@ -487,12 +585,12 @@ walk(PyObject *loglik, PyObject *y_obj, const double *y, Py_ssize_t ny, double s
    ``_kernels_py``. Step i proposes theta + shifts[i] and accepts by u[i]. A
    candidate outside the support scores -inf with no call. One inside is
    scored by this module's log_likelihood attribute, looked up once per
-   call: while that is this module's own function, walk scores two lanes
-   per pass and makes no Python call; once a wrapper is set there, as
-   ``perfbench/tracer.py`` does, walk calls it once per candidate inside the
-   support, so the wrapper sees every scalar call, with the array that owns
-   y's buffer: y itself when it is a C-contiguous float64 array. The state
-   is kept in the buffer of the end state's array. */
+   call: while that is this module's own function, walk decides two or
+   three steps per pass and makes no Python call; once a wrapper is set
+   there, as ``perfbench/tracer.py`` does, walk calls it once per candidate
+   inside the support, so the wrapper sees every scalar call, with the
+   array that owns y's buffer: y itself when it is a C-contiguous float64
+   array. The state is kept in the buffer of the end state's array. */
 static PyObject *
 rw_chain(PyObject *self, PyObject *args)
 {

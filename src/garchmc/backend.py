@@ -21,8 +21,9 @@ chain.csv text together. A kernel module's ``rw_chain`` looks its own
 ``log_likelihood`` attribute up once per call, and ``model`` reads
 ``backend.kernels.log_likelihood`` at each call. The compiled ``rw_chain``
 walks its steps in one loop with two branches. While that attribute is the
-compiled module's own function, the loop scores two candidates per pass and
-makes no Python call. ``perfbench/tracer.py`` sets a wrapper there first;
+compiled module's own function, each pass scores four speculative
+candidates at once, decides two or three steps with them and makes no
+Python call. ``perfbench/tracer.py`` sets a wrapper there first;
 the loop then calls it once per candidate inside the support, as the twin
 always does, so the tracer counts every scalar call, and its per-layer
 numbers describe that wrapper branch. Both branches take the same steps.

@@ -7,10 +7,12 @@ the per-step accept loops run in the kernel module that ``backend`` picks,
 of its numpy twin ``_kernels_py``, which write the accept rule once each.
 ``_rw_chain`` walks the GARCH posterior of the returns y: the kernel tests
 each candidate for the support and scores one inside with the scalar
-likelihood, once per step. Independence candidates do not depend on the
-chain state, so ``_independence_batch`` is dimension-agnostic and takes a
-batch scorer, mapping a (k, p) array of candidates to their (k,)
-log-densities in one call. The one driver, ``_run``, wires them to the
+likelihood's operations, the twin once per step and the compiled module in
+passes that score the candidates of up to three steps at once.
+Independence candidates do not depend on the chain state, so
+``_independence_batch`` is dimension-agnostic and takes a batch scorer,
+mapping a (k, p) array of candidates to their (k,) log-densities in one
+call. The one driver, ``_run``, wires them to the
 GARCH posterior: ``run_metropolis`` and ``run_adaptive`` differ only in the
 kernel that fills each retained batch.
 """

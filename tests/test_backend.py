@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from garchmc import _kernels_py, backend
+from garchmc import _kernels_py, backend, data
 
 CC = sysconfig.get_config_var("CC")
 FOUND = bool(CC) and shutil.which(shlex.split(CC)[0]) is not None
@@ -148,7 +148,7 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
     # for a NaN total in its last range, which a spawned thread scores where
     # the process may use two CPUs, across the join. Both accept loops
     # run too: the random walk on the real likelihood, which takes its fused
-    # two-lane path, and on zero steps; on every combination of edge values
+    # four-lane passes, and on zero steps; on every combination of edge values
     # in its shifts through the real likelihood, with the same outcome as a
     # forwarding wrapper's per-step path, and in a candidate scored NaN; and
     # with likelihood stand-ins that raise or return None, which must leave
@@ -260,8 +260,10 @@ def cpu_flags():
                                           ("arch=x86-64", None)])
 def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, target, flag):
     # A CPU only ever runs the clone it dispatches to. The macro rewrites the
-    # batch kernel's target_clones attribute into a single target, so each
-    # build holds that clone alone; 1003 candidates leave a vector epilogue.
+    # target_clones attribute of the batch kernel and of rw_chain's lanes
+    # into a single target, so each build holds that clone alone; 1003
+    # candidates leave a vector epilogue. The random walks take 2000 steps on
+    # GARCH returns at widths that accept about 0.77 and 0.30 of them.
     if flag is not None and flag not in cpu_flags():
         pytest.skip(f"this CPU has no {flag}")
     path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
@@ -275,6 +277,12 @@ def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, target, flag):
     thetas = np.column_stack([rng.uniform(0.01, 0.3, 1003), rng.uniform(0.5, 0.69, 1003),
                               rng.uniform(0.2, 1.0, 1003)])
     ys = [rng.standard_normal(n) for n in (1, 17, 250, 2000)]
+    start = np.array([0.05, 0.9, 0.01])
+    walk_y = data.generate_synthetic(tuple(start), 2000, 11)
+    walk_s1 = float(np.var(walk_y))
+    scale = np.array([0.1, 0.1, 0.02]) / math.sqrt(len(walk_y))
+    walks = [(width * scale * rng.standard_normal((2000, 3)), rng.random(2000))
+             for width in (0.5, 3.0)]
     code = (
         "import importlib.util, io, sys\n"
         "import numpy as np\n"
@@ -282,25 +290,42 @@ def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, target, flag):
         "kernels = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(kernels)\n"
         "cases = np.load(io.BytesIO(sys.stdin.buffer.read()))\n"
-        "thetas = cases['thetas']\n"
-        "out = []\n"
-        "for i in range(len(cases.files) - 1):\n"
-        "    y = cases[f'y{i}']\n"
-        "    out.append(kernels.log_likelihood_batch(y, thetas, 1.0))\n"
-        "    out.append([kernels.log_likelihood(y, *theta, 1.0) for theta in thetas])\n"
-        "sys.stdout.buffer.write(np.concatenate(out).tobytes())\n"
+        "thetas, y, s1, start = cases['thetas'], cases['walk_y'], float(cases['walk_s1']), "
+        "cases['start']\n"
+        "out = {}\n"
+        "for i in range(4):\n"
+        "    y_i = cases[f'y{i}']\n"
+        "    out[f'batch{i}'] = kernels.log_likelihood_batch(y_i, thetas, 1.0)\n"
+        "    out[f'scalar{i}'] = [kernels.log_likelihood(y_i, *theta, 1.0) for theta in thetas]\n"
+        "for i in range(2):\n"
+        "    walk = kernels.rw_chain(y, s1, start, kernels.log_likelihood(y, *start, s1),\n"
+        "                            cases[f'shifts{i}'], cases[f'u{i}'])\n"
+        "    for name, value in zip(('draws', 'accepted', 'end', 'log_p'), walk):\n"
+        "        out[f'{name}{i}'] = value\n"
+        "buf = io.BytesIO()\n"
+        "np.savez(buf, **out)\n"
+        "sys.stdout.buffer.write(buf.getvalue())\n"
     )
     cases = io.BytesIO()
-    np.savez(cases, thetas=thetas, **{f"y{i}": y for i, y in enumerate(ys)})
+    np.savez(cases, thetas=thetas, walk_y=walk_y, walk_s1=walk_s1, start=start,
+             **{f"y{i}": y for i, y in enumerate(ys)},
+             **{f"shifts{i}": shifts for i, (shifts, _) in enumerate(walks)},
+             **{f"u{i}": u for i, (_, u) in enumerate(walks)})
     done = subprocess.run([sys.executable, "-c", code], input=cases.getvalue(),
                           capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
                           timeout=backend.COMPILE_TIMEOUT_S)
     assert done.returncode == 0, done.stderr.decode()
-    got = np.frombuffer(done.stdout).reshape(len(ys), 2, len(thetas))
-    for y, (batch, scalar) in zip(ys, got):
+    got = np.load(io.BytesIO(done.stdout))
+    for i, y in enumerate(ys):
         want = compiled.log_likelihood_batch(y, thetas, 1.0)
-        assert batch.tobytes() == want.tobytes()
-        assert scalar.tobytes() == want.tobytes()
+        assert got[f"batch{i}"].tobytes() == want.tobytes()
+        assert got[f"scalar{i}"].tobytes() == want.tobytes()
+    for i, (shifts, u) in enumerate(walks):
+        want = compiled.rw_chain(walk_y, walk_s1, start,
+                                 compiled.log_likelihood(walk_y, *start, walk_s1), shifts, u)
+        assert 0.25 < want[1].mean() < 0.85
+        for name, value in zip(("draws", "accepted", "end", "log_p"), want):
+            assert got[f"{name}{i}"].tobytes() == np.asarray(value).tobytes(), name
 
 
 class TestChainText:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -553,10 +554,30 @@ def both_paths(compiled, monkeypatch, *args):
     return outcomes[0]
 
 
+def lanes_outside_support(start, draws, accepted, shifts):
+    """How many steps of the compiled ``rw_chain`` took each speculative lane
+    of a pass, A, R or AA, while it held a candidate outside the support:
+    a pass opens at a candidate inside the support and decides the next
+    step from lane A after an accept or R after a reject, and the step
+    after that from lane AA when both accept."""
+    states = np.vstack([start, draws])  # the state before each step
+    inside = [model.in_support(*c) for c in states[:-1] + shifts]
+    counts = dict.fromkeys(("A", "R", "AA"), 0)
+    i, n = 0, len(shifts)
+    while i < n:
+        lanes = ["A" if accepted[i] else "R"] if inside[i] and i + 1 < n else []
+        if lanes == ["A"] and accepted[i + 1] and i + 2 < n:
+            lanes.append("AA")
+        for m, lane in enumerate(lanes, start=1):
+            counts[lane] += not inside[i + m]
+        i += 1 + len(lanes)
+    return counts
+
+
 class TestFusedRandomWalk:
     """The compiled ``rw_chain`` on its own likelihood, whose steps run in
-    two-lane passes with no Python call, against the same call with a
-    forwarding wrapper set as its likelihood."""
+    passes of two or three with no Python call, against the same call with
+    a forwarding wrapper set as its likelihood."""
 
     #: Step widths from which chains on 250 returns accept from about 0.95
     #: of their steps down to below 0.1; the widest leave the support often.
@@ -569,44 +590,83 @@ class TestFusedRandomWalk:
         s1 = float(np.var(y))
         log_p = compiled.log_likelihood(y, *GARCH_START, s1)
         rng = np.random.default_rng(seed)
-        rates, lane_2_outside = [], 0
+        rates, outside = [], collections.Counter()
         for width in self.WIDTHS:
             shifts = width * rng.standard_normal((n_steps, 3)) * [1.0, 1.0, 0.2]
             u = rng.random(n_steps)
             draws, accepted, *_ = both_paths(compiled, monkeypatch, y, s1, GARCH_START, log_p,
                                              shifts, u)
             rates.append(accepted.mean() if n_steps else 0.0)
-            # Steps that accept and whose next candidate, lane 2 of their
-            # pass when they open one, is outside the support.
-            lane_2_outside += sum(not model.in_support(*(draws[i] + shifts[i + 1]))
-                                  for i in np.flatnonzero(accepted[:-1]))
+            outside.update(lanes_outside_support(GARCH_START, draws, accepted, shifts))
         if n_steps == 301:
             assert min(rates) < 0.1 and max(rates) > 0.9
-            assert lane_2_outside > 0
+            assert min(outside[lane] for lane in ("A", "R", "AA")) > 0, outside
 
-    #: Returns, a state and shifts for which the likelihood of lane 2 is not
+    #: ``_kernels.c`` scores a chunk of 16 steps at once when its least s_t
+    #: is at least SAFE_MIN, 2^-62, and step by step otherwise, where the
+    #: product of its s_t could be subnormal. Returns whose scale steps from
+    #: 1e-10 to 1e-8 halfway, with omega 1e-21, put the chunks of the first
+    #: half below it and those of the second above; a sigma1_sq of 1e-300,
+    #: with y_0 = 0, puts the first chunk below.
+    @pytest.mark.parametrize("scales, omega, s1", [((1e-10, 1e-8), 1e-21, None),
+                                                   ((1.0, 1.0), 0.01, 1e-300)],
+                             ids=["omega-below-safe-min", "sigma1_sq-below-safe-min"])
+    def test_same_bits_near_the_least_variance(self, compiled, monkeypatch, scales, omega, s1):
+        y = small_series(5, n=256) * np.repeat(scales, 128)
+        y[0] = 0.0
+        s1 = float(np.var(y)) if s1 is None else s1
+        start = np.array([0.05, 0.9, omega])
+        variances = [s1]
+        for t in range(1, len(y)):
+            variances.append((y[t - 1] * y[t - 1] * start[0] + start[2]) + start[1] * variances[-1])
+        lows = [min(variances[t:t + 16]) for t in range(0, len(y), 16)]
+        assert min(lows) < 2.0 ** -62 <= max(lows)
+        log_p = compiled.log_likelihood(y, *start, s1)
+        rng = np.random.default_rng(9)
+        for width in (1e-4, 1e-3):
+            shifts = width * rng.standard_normal((301, 3)) * [1.0, 1.0, omega]
+            _, accepted, *_ = both_paths(compiled, monkeypatch, y, s1, start, log_p, shifts,
+                                         rng.random(301))
+            assert 0.0 < accepted.mean() < 1.0
+
+    #: Returns, a state and shifts for which the likelihood of lane A is not
     #: finite: from omega 1e307 and beta 0.1, step i proposes beta 0.5 and
     #: step i + 1 adds 0.45 more. At beta 0.95 the variance tends to
     #: omega / 0.05, which overflows; at 0.5, and at the 0.55 that step i + 1
     #: proposes after a rejection, it stays finite.
     OVERFLOW_START = np.array([0.001, 0.1, 1e307])
     RISKY_SHIFTS = [[0.0, 0.4, 0.0], [0.0, 0.45, 0.0]]
+    #: For each lane, shifts after which it alone reaches beta 0.95, and the
+    #: steps whose shifts take OVERFLOW_START there. Lane R gets there after
+    #: step i rejects; after it accepts, lane A's 1.35 is outside the
+    #: support. Lane AA gets there after steps i and i + 1 accept; every
+    #: other path stays at 0.7 or below.
+    RISKY = {"A": (RISKY_SHIFTS, [0, 1]),
+             "R": ([[0.0, 0.4, 0.0], [0.0, 0.85, 0.0]], [1]),
+             "AA": ([[0.0, 0.3, 0.0], [0.0, 0.3, 0.0], [0.0, 0.25, 0.0]], [0, 1, 2])}
 
-    @pytest.mark.parametrize("u_i, raises", [(0.0, True), (0.9, False)],
-                             ids=["step-i-accepts", "step-i-rejects"])
+    @pytest.mark.parametrize("lane, u_risky, raises", [
+        ("A", [0.0], True), ("A", [0.9], False), ("R", [0.0], False), ("R", [0.9], True),
+        ("AA", [0.0, 0.0], True), ("AA", [0.0, 0.9], False), ("AA", [0.9, 0.0], False),
+    ], ids=["step-i-accepts", "step-i-rejects", "lane-R-step-i-accepts",
+            "lane-R-step-i-rejects", "lane-AA-both-accept", "lane-AA-step-i-plus-1-rejects",
+            "lane-AA-step-i-rejects"])
     @pytest.mark.parametrize("lead", [0, 1, 2, 3])
-    def test_non_finite_lane_2_raises_only_when_used(self, compiled, monkeypatch, lead, u_i,
-                                                     raises):
+    def test_non_finite_lane_2_raises_only_when_used(self, compiled, monkeypatch, lead, lane,
+                                                     u_risky, raises):
         # ``lead`` steps of zero shift, each accepted, come first, so that
-        # step i opens a pass or is lane 2 of one; three more follow.
+        # step i opens a pass or is lane A or AA of one; three more follow.
+        # u of 0.0 accepts a risky step and 0.9 rejects it.
         y = np.random.default_rng(3).standard_normal(200)
         theta = self.OVERFLOW_START
         log_p = compiled.log_likelihood(y, *theta, 1.0)
-        shifts = np.array([[0.0] * 3] * lead + self.RISKY_SHIFTS + [[0.0] * 3] * 3)
+        risky, path = self.RISKY[lane]
+        shifts = np.array([[0.0] * 3] * lead + risky + [[0.0] * 3] * 3)
         u = np.full(len(shifts), 0.5)
-        u[lead] = u_i
+        u[lead:lead + len(u_risky)] = u_risky
         with pytest.raises(NumericOverflowError):
-            compiled.log_likelihood(y, *(theta + shifts[lead] + shifts[lead + 1]), 1.0)
+            compiled.log_likelihood(y, *functools.reduce(np.add, [risky[j] for j in path], theta),
+                                    1.0)
         # The same outcome on every prefix: both raise at the same step.
         for steps in range(len(shifts) + 1):
             fused = both_paths(compiled, monkeypatch, y, 1.0, theta, log_p, shifts[:steps],
