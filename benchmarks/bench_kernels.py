@@ -37,7 +37,11 @@ One layer follows that calls no kernel: ``diagnostics.summarize``, in ms per
 call, the report of a chain of SUMMARIZE_DRAWS draws whose three columns are
 AR(1) series, then of one whose columns also carry a slow sine wave, so that
 their lag bound is N/10 as on real chains. The script checks that those
-bounds reach N/10 and that every jackknife replicate finds a plateau.
+bounds reach N/10 and that every jackknife replicate finds a plateau, and
+exits unless the long-range row at the longest chain is below
+LONG_RANGE_RATIO times the AR(1) row: the jackknife's lag sums stop near
+each replicate's window, whatever its lag bound, so only its speed shows a
+jackknife that takes them out to the bound.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
@@ -84,9 +88,16 @@ CHAIN_ACCEPT = 0.4
 #: Chain lengths whose summarize is timed, and the AR(1) coefficient of their
 #: columns: 2tau_int = (1 + phi) / (1 - phi) = 4, and the ACF first falls
 #: below 0.01 near lag 10, so the lag bound is about 100. Real chains' bounds
-#: reach N/10 (870-4630 at 60000 draws on 251 CSV prices).
+#: reach N/10 (870-4630 at 60000 draws on 251 CSV prices). Either way the
+#: cost is the whole series' FFT to its lag bound plus jackknife lag sums to
+#: about twice the window T*, tens of lags on both.
 SUMMARIZE_DRAWS = (30000, 60000)
 SUMMARIZE_PHI = 0.6
+#: At the longest chain, summarize on the long-range draws must take less
+#: than this multiple of its time on the AR(1) draws: it read 0.48-1.13 in
+#: nine runs with jackknife lag sums that stop near the window, and
+#: 1.77-2.73 in eight with lag sums to the lag bound (2-vCPU Xeon).
+LONG_RANGE_RATIO = 1.5
 #: The long-range columns add to those a sine wave of one period over the
 #: chain that carries SLOW_SHARE of the variance: 2tau_int stays near 8, but
 #: the ACF stays near 0.08 or above out to lag N/10, so the lag bound is N/10.
@@ -282,8 +293,14 @@ def main():
         print(f"{name:>26} {BATCH_K:>6} {t_py * 1e9:14.1f} {ns_c:>10}")
     print()
     print(f"{'layer':>42} {'time':>8}")
-    for name, t in summarize_rows():
+    times = summarize_rows()
+    for name, t in times:
         print(f"{name:>42} {t:8.1f} ms/call")
+    (_, t_ar1), (_, t_long) = times[len(SUMMARIZE_DRAWS) - 1], times[-1]
+    if not t_long < LONG_RANGE_RATIO * t_ar1:
+        raise SystemExit(f"summarize of {SUMMARIZE_DRAWS[-1]} long-range draws takes "
+                         f"{t_long:.1f} ms, not below {LONG_RANGE_RATIO} of the AR(1) "
+                         f"draws' {t_ar1:.1f}")
 
 
 if __name__ == "__main__":

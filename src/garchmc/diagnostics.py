@@ -5,8 +5,9 @@ tau_int(T) = 1/2 + sum_{i<=T} ACF(i); the reported value is read at the
 self-consistent window T* = smallest T with T >= c*tau_int(T), where c is
 WINDOW_FACTOR. Its blocked-jackknife error takes each leave-one-block-out
 series' lag sums from the whole series' ones plus corrections over the
-removed block (``_corrected_acf``), so only the whole series gets a
-full-length FFT.
+removed block (``_corrected_acf``), to a lag range that doubles from twice
+the whole series' T* until it holds that series' own window (or reaches its
+lag bound), so only the whole series gets a full-length FFT.
 """
 import math
 
@@ -128,21 +129,21 @@ def bounded_acf(x):
 
 
 def _corrected_acf(xc, whole, a, b, t_max):
-    """ACF to its default lag bound of xc with the block [a, b) removed, from
-    ``whole`` = the lag sums of xc to at least the replicate's ``_top_lag``,
-    starting from lag range t_max. None where the replicate keeps less than
-    _MIN_KEPT_SHARE of whole[0].
+    """ACF of xc with the block [a, b) removed, from ``whole`` = the lag sums
+    of xc to at least the replicate's ``_top_lag``: to the replicate's window
+    T*, or to its default lag bound where no window lies within that. None
+    where it keeps less than _MIN_KEPT_SHARE of whole[0].
 
-    The replicate's lag sums, still centred on the mean of xc, are whole's
-    minus those of the window W = the block with t_max points of xc on each
-    side, plus those of W with the block cut out (its two margins joined at
-    the seam). No other pair changes, because t_max <= ``_top_lag`` of the
-    replicate's length stays below the block length for N >= MIN_DRAWS.
-    They are then re-centred on the replicate's own mean, which needs only
-    its first and last t_max values. The lag range grows to the replicate's
-    own bound where its 0.01 crossing needs more lags, or to its
-    ``_top_lag`` where it has none; so the bound and the ACF are those of
-    ``bounded_acf`` on the replicate, up to rounding.
+    Its lag sums to lag range t_max, still centred on the mean of xc, are
+    whole's minus those of the window W = the block with t_max points of xc
+    on each side, plus those of W with the block cut out (its margins joined
+    at the seam): t_max <= the replicate's ``_top_lag`` stays below the
+    block length for N >= MIN_DRAWS, so no other pair changes. Re-centring
+    on its own mean needs only its first and last t_max values. From the
+    t_max given, the range doubles, up to the bound it gives, while it holds
+    no window. A bound from a 0.01 crossing in the range is exact and any
+    other lies past it, so the window is the first within the bound: T*,
+    tau_int and plateau are ``bounded_acf``'s on the replicate, to rounding.
     """
     n, shift = xc.size, b - a
     size = n - shift
@@ -166,20 +167,19 @@ def _corrected_acf(xc, whole, a, b, t_max):
             return None
         rho = _normalized(sums, size)
         bound = _lag_bound(rho, top)
-        if bound <= t_max:
-            return rho[: bound + 1]
-        t_max = bound
+        _, t_star, _, plateau = tau_int(rho[: min(bound, t_max) + 1], size)
+        if plateau or bound <= t_max:
+            return rho[: t_star + 1]
+        t_max = min(2 * t_max, bound)
 
 
 def _replicate_acfs(x, rho):
-    """Yield (ACF to its default lag bound, length) of each leave-one-block-out
-    series of x in turn, from ``rho`` = ``acf(x, _top_lag(N))``.
-
-    Each comes from ``_corrected_acf`` on the whole series' lag sums,
-    starting from twice the whole series' lag bound. A replicate it refuses
-    (one that keeps almost none of the variance, a constant one among them:
-    its corrections would cancel most digits of the whole series' sums) is
-    computed by ``bounded_acf`` on its own values.
+    """Yield (ACF, length) of each leave-one-block-out series of x in turn,
+    from ``rho`` = ``acf(x, _top_lag(N))``: by ``_corrected_acf``, starting
+    from twice the whole series' T*, or by ``bounded_acf`` on its own values
+    where that refuses it (a series that keeps almost none of the variance,
+    a constant one among them: its corrections would cancel most digits of
+    the whole series' sums).
     """
     n = x.size
     edges = np.linspace(0, n, JACKKNIFE_BLOCKS + 1, dtype=int).tolist()
@@ -187,7 +187,7 @@ def _replicate_acfs(x, rho):
     # The lag sums of xc. Not np.dot: OpenBLAS threads a dot this long, and
     # its idle worker then spins for about 0.1 s of CPU.
     whole = rho * (n - np.arange(rho.size)) * np.mean(xc * xc)
-    start = 2 * _lag_bound(rho, rho.size - 1)
+    start = 2 * tau_int(rho[: _lag_bound(rho, rho.size - 1) + 1], n)[1]
     for a, b in zip(edges[:-1], edges[1:]):
         rho_i = _corrected_acf(xc, whole, a, b, start)
         if rho_i is None:

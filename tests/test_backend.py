@@ -97,17 +97,6 @@ def test_built_package_ships_and_compiles_the_kernel_source(tmp_path):
     assert len(built) == (1 if FOUND else 0), built
 
 
-@pytest.mark.skipif(not FOUND, reason="no C compiler")
-def test_kernel_source_compiles_without_warnings(tmp_path):
-    # build() keeps no compiler output, so a warning would go unseen.
-    cmd = [*shlex.split(CC), *backend.FLAGS, "-Wall", "-Werror",
-           "-I" + sysconfig.get_paths()["include"], str(backend.SOURCE),
-           "-o", str(tmp_path / "_kernels.so"), "-lm"]
-    done = subprocess.run(cmd, capture_output=True, text=True, stdin=subprocess.DEVNULL,
-                          timeout=backend.COMPILE_TIMEOUT_S)
-    assert done.returncode == 0, done.stderr
-
-
 @pytest.mark.parametrize("cc", [None, "", "false", "garchmc-no-such-compiler"])
 def test_failed_compile_falls_back_to_numpy_twin(tmp_path, cc):
     assert backend.build(cc, tmp_path / "cache") == (_kernels_py, "numpy")
@@ -121,10 +110,23 @@ def test_unwritable_cache_falls_back_to_numpy_twin(tmp_path):
 
 def test_build_compiles_once_then_loads(tmp_path, monkeypatch, compiled):
     # Each build registers its module under garchmc._kernels; monkeypatch
-    # puts the package's own back afterwards.
+    # puts the package's own back afterwards. The build adds -Wall -Werror
+    # to its flags, since it keeps no compiler output and a warning would
+    # go unseen.
     monkeypatch.delitem(sys.modules, "garchmc._kernels")
+    monkeypatch.setattr(backend, "FLAGS", (*backend.FLAGS, "-Wall", "-Werror"))
+    run, errors = subprocess.run, []
+
+    def kept_stderr(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        except subprocess.CalledProcessError as exc:
+            errors.append(exc.stderr.decode())
+            raise
+
+    monkeypatch.setattr(subprocess, "run", kept_stderr)
     module, name = backend.build(CC, tmp_path)
-    assert name == "c" and module is not compiled
+    assert name == "c" and module is not compiled, "".join(errors)
     built = list(tmp_path.iterdir())
     assert len(built) == 1 and built[0].name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
     assert module.log_likelihood([0.5, -0.3], 0.1, 0.8, 0.01, 0.05) == \

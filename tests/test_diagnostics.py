@@ -1,5 +1,7 @@
 import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +211,16 @@ def adaptive_chain():
     return samplers.run_adaptive(y, sched, seed=4).draws
 
 
+@functools.cache
+def bench_kernels():
+    """``benchmarks/bench_kernels.py`` loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def whole_acf(x):
     """The ACF of x to ``_top_lag``, as ``summarize`` hands it to the
     jackknife."""
@@ -289,20 +301,43 @@ class TestJackknife:
         for i, (rho, size) in enumerate(corrected_replicates(x, monkeypatch)):
             sub = own_series_replicate(x, i)
             want = diagnostics.bounded_acf(sub)
-            assert (size, rho.size) == (sub.size, want.size), i
             tau, t_star, _, plateau = diagnostics.tau_int(rho, size)
             tau_want, t_star_want, _, plateau_want = diagnostics.tau_int(want, size)
+            # To the own series' window where it finds one, else to its bound.
+            length = t_star_want if plateau_want else want.size - 1
+            assert (size, rho.size - 1) == (sub.size, length), i
             assert (t_star, plateau) == (t_star_want, plateau_want), i
             assert tau == pytest.approx(tau_want, rel=1e-12, abs=0.0), i
 
     @pytest.mark.parametrize("phi, n, sd", [(0.97, 30000, 300.0), (0.6, 5000, 10.0)])
     def test_lag_range_grows_past_its_start(self, phi, n, sd, monkeypatch):
-        # The lag range starts at twice the whole series' bound; replicate 3,
-        # without the noise, needs more.
+        # The lag range starts at twice the whole series' window; replicate
+        # 3, without the noise, finds its own window past that.
         x = with_noise_block(phi, n, sd)
-        whole_bound = diagnostics.bounded_acf(x).size - 1
+        _, whole_t_star, _, _ = diagnostics.tau_int(diagnostics.bounded_acf(x), x.size)
         rho, _ = corrected_replicates(x, monkeypatch)[3]
-        assert rho.size - 1 > 2 * whole_bound
+        assert rho.size - 1 > 2 * whole_t_star
+
+    def test_lag_sums_stop_near_the_windows(self, monkeypatch):
+        # The bench's long-range draws have lag bound N/10 = 6000, while each
+        # replicate's window lies near lag 20: lag sums to the replicates'
+        # bounds would take ranges of 5400.
+        lag_sums = diagnostics._lag_sums
+        ranges = []
+
+        def recorded(v, t_max):
+            ranges.append(t_max)
+            return lag_sums(v, t_max)
+
+        draws = bench_kernels().long_range_draws(np.random.default_rng(1), 60000)
+        for x in draws.T:
+            rho = whole_acf(x)
+            ranges.clear()
+            with monkeypatch.context() as m:
+                m.setattr(diagnostics, "_lag_sums", recorded)
+                replicates = list(diagnostics._replicate_acfs(x, rho))
+            t_stars = [diagnostics.tau_int(r, size)[1] for r, size in replicates]
+            assert max(ranges) < 4 * max(t_stars)
 
     def test_jackknife_matches_the_own_series_one(self, monkeypatch):
         x = ar1(0.7, 20000, seed=30)
