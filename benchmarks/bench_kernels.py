@@ -75,8 +75,8 @@ BATCHES = 5
 BATCH_K = 1000
 #: A batch that the compiled kernel scores on one thread at n = 2000: its
 #: 64 * 2000 candidate-steps are fewer than two threads' worth of
-#: ``_kernels.c``'s MIN_THREAD_STEPS, and 64 candidates are one of its
-#: blocks.
+#: ``_kernels.c``'s MIN_THREAD_STEPS, so BATCH_K's time per candidate
+#: against it shows what the threads alone save.
 ONE_THREAD_K = 64
 #: Where the process may use two CPUs or more, BATCH_K candidates at n = 2000
 #: must take less than this share of ONE_THREAD_K's time per candidate

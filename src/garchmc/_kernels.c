@@ -18,11 +18,13 @@
    per step. A non-finite total raises
    garchmc.exceptions.NumericOverflowError.
 
-   The batch kernel and rw_chain's lanes are built once per x86-64 SIMD
-   level (AVX-512, AVX2 and the baseline) by target_clones, and the loader
-   picks the one the CPU supports; the scalar kernel is built at the
-   baseline only. Since -ffp-contract=off, every build rounds each
-   operation alike, so all give the same bits.
+   One routine, score, computes it, four candidates side by side, for all
+   three callers: the scalar kernel fills its four lanes with its one
+   candidate, the batch kernel takes its rows four at a time, and rw_chain
+   scores four speculative candidates per pass. score is built once per
+   x86-64 SIMD level (AVX-512, AVX2 and the baseline) by target_clones, and
+   the loader picks the one the CPU supports. Since -ffp-contract=off, every
+   build rounds each operation alike, so all give the same bits.
 
    The batch kernel splits its k candidates into contiguous ranges, one per
    thread: as many threads as the process's affinity mask holds CPUs, at
@@ -30,9 +32,9 @@
    candidate-steps (k * n), so a small batch stays on the calling thread.
    The calling thread scores the first range and the others run on plain
    pthreads that are created and joined inside the call, so no thread
-   outlives it and a fork never copies one. Each thread scores its range
-   BLOCK_K candidates at a time. Each candidate's operations do not depend
-   on its neighbours, so every split gives the same bits.
+   outlives it and a fork never copies one. Each candidate's operations do
+   not depend on its neighbours, so every split and every grouping gives
+   the same bits.
 
    chain_text writes "%.17g" of each parameter: a positive normal double
    between about 1e-16 and 1e48, in fixed or exponential notation, by exact
@@ -46,11 +48,10 @@
    rw_chain walks its steps in one loop that tests each candidate for the
    support and scores it in one of two branches. While this module's
    log_likelihood attribute is its own function, a candidate inside the
-   support opens a pass that scores four lanes of score at once: the
-   candidate, the next step's after this step accepts and after it
-   rejects, and the one after that after both accept. So a pass decides
-   two steps, or three when both accept, and makes no Python call. While a
-   wrapper is set there, as ``perfbench/tracer.py`` sets one on
+   support opens a pass that scores four lanes at once: the candidate, the
+   next step's after this step accepts and after it rejects, and the one
+   after that after both accept. So a pass decides two steps, or three when
+   both accept, and makes no Python call. While a wrapper is set there, as ``perfbench/tracer.py`` sets one on
    ``backend.kernels.log_likelihood``, each step calls it once on its own
    candidate, so the wrapper sees every call. Both branches give the same
    bits. independence_accept returns only its accept flags and the end
@@ -63,7 +64,6 @@
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #define CHUNK 16
@@ -77,13 +77,6 @@
 /* The significand field of a double, and the bits of 1.0. */
 #define SIGNIFICAND_BITS 0x000fffffffffffffULL
 #define ONE_BITS 0x3ff0000000000000ULL
-
-/* One step of the volatility recursion from s = s_{t-1} and lag = y_{t-1}^2. */
-static inline double
-recur(double lag, double a, double b, double w, double s)
-{
-    return (lag * a + w) + b * s;
-}
 
 static PyObject *overflow_error; /* garchmc.exceptions.NumericOverflowError */
 static PyObject *ascontiguousarray;
@@ -128,94 +121,8 @@ new_array(PyObject *dtype, int ndim, Py_ssize_t n, Py_ssize_t p, Py_buffer *view
     return arr;
 }
 
-/* The log-likelihoods of the k rows (alpha, beta, omega) of theta on the n
-   returns y, into total. Time-outer and candidate-inner; touches no Python
-   object, so it may run without the GIL. Returns -1 when out of memory.
-
-   A candidate's product of s_t so far is mant * 2^twos, mant in [1, 2). A
-   chunk's product starts from mant; when it passes the check, its exponent
-   moves into twos and its significand becomes mant, exactly and without a
-   branch. A chunk that fails adds its own step-by-step logs into total. */
-static inline __attribute__((always_inline)) int
-score(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
-      double sigma1_sq, double *total)
-{
-    double *buf = malloc(10 * (size_t)(k ? k : 1) * sizeof(double));
-    if (buf == NULL)
-        return -1;
-    double *restrict a = buf, *restrict b = a + k, *restrict w = b + k;
-    double *restrict s = w + k, *restrict start = s + k, *restrict prod = start + k;
-    double *restrict low = prod + k, *restrict quad = low + k, *restrict mant = quad + k;
-    int64_t *restrict twos = (int64_t *)(mant + k);
-    for (Py_ssize_t j = 0; j < k; j++) {
-        a[j] = theta[3 * j];
-        b[j] = theta[3 * j + 1];
-        w[j] = theta[3 * j + 2];
-        total[j] = quad[j] = s[j] = 0.0;
-        mant[j] = 1.0;
-        twos[j] = 0;
-    }
-    for (Py_ssize_t t0 = 0; t0 < n; t0 += CHUNK) {
-        const Py_ssize_t t1 = t0 + CHUNK < n ? t0 + CHUNK : n;
-        memcpy(start, s, k * sizeof(double));
-        for (Py_ssize_t j = 0; j < k; j++) {
-            prod[j] = mant[j];
-            low[j] = INFINITY;
-        }
-        for (Py_ssize_t t = t0; t < t1; t++) {
-            const double y2 = y[t] * y[t];
-            if (t == 0) {
-                for (Py_ssize_t j = 0; j < k; j++)
-                    s[j] = sigma1_sq;
-            }
-            else {
-                const double lag = y[t - 1] * y[t - 1];
-                for (Py_ssize_t j = 0; j < k; j++)
-                    s[j] = recur(lag, a[j], b[j], w[j], s[j]);
-            }
-            for (Py_ssize_t j = 0; j < k; j++) {
-                quad[j] += y2 / s[j];
-                prod[j] *= s[j];
-                low[j] = s[j] < low[j] ? s[j] : low[j];
-            }
-        }
-        int failed = 0;
-        for (Py_ssize_t j = 0; j < k; j++) {
-            const int ok = (low[j] >= SAFE_MIN) & (prod[j] <= DBL_MAX);
-            uint64_t bits;
-            double m;
-            memcpy(&bits, &prod[j], sizeof bits);
-            const int64_t e = (int64_t)(bits >> 52) - 1023;
-            bits = (bits & SIGNIFICAND_BITS) | ONE_BITS;
-            memcpy(&m, &bits, sizeof m);
-            twos[j] += ok ? e : 0;
-            mant[j] = ok ? m : mant[j];
-            failed |= !ok;
-        }
-        if (!failed)
-            continue;
-        for (Py_ssize_t j = 0; j < k; j++) {
-            if ((low[j] >= SAFE_MIN) & (prod[j] <= DBL_MAX))
-                continue;
-            double st = start[j], logs = 0.0;
-            for (Py_ssize_t t = t0; t < t1; t++) {
-                st = t ? recur(y[t - 1] * y[t - 1], a[j], b[j], w[j], st) : sigma1_sq;
-                logs += log(st);
-            }
-            total[j] += logs;
-        }
-    }
-    for (Py_ssize_t j = 0; j < k; j++) {
-        const double logs = (log(mant[j]) + (double)twos[j] * LN2) + total[j];
-        total[j] = -0.5 * ((logs + quad[j]) + (double)n * LOG_2PI);
-    }
-    free(buf);
-    return 0;
-}
-
-/* The batch entry point's score, built once per x86-64 SIMD level; the
-   loader's ifunc resolver binds the clone that the CPU runs. score itself
-   is not cloned, so that it stays inlined into the scalar entry point. */
+/* score is built once per x86-64 SIMD level; the loader's ifunc resolver
+   binds the clone that the CPU runs. */
 #if defined(__x86_64__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define SIMD_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
@@ -225,36 +132,37 @@ score(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
 #define SIMD_CLONES
 #endif
 
-SIMD_CLONES static int
-score_batch(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
-            double sigma1_sq, double *total)
-{
-    return score(y, n, theta, k, sigma1_sq, total);
-}
-
-/* Two doubles, and their bits: score_lanes keeps each per-lane quantity in
-   two of these. In one vector of four, the baseline x86-64 build, which
-   has no register for one, ran every operation through the stack. */
+/* Two doubles, and their bits: score keeps each per-lane quantity in two of
+   these. In one vector of four, the baseline x86-64 build, which has no
+   register for one, ran every operation through the stack. */
 typedef double pair __attribute__((vector_size(2 * sizeof(double))));
 typedef uint64_t pair_bits __attribute__((vector_size(2 * sizeof(uint64_t))));
 #define LANE(v, l) ((v)[(l) / 2][(l) % 2])
 
-/* score of the four rows of theta, each inside the support, into total:
-   every lane takes score's operations for its row in score's order, so
-   each total has the bits that score gives its row.
+/* The log-likelihoods of the four rows (alpha, beta, omega) of theta on the
+   n returns y, into total, one row per lane: time-outer and lane-inner, and
+   no lane's operations depend on another's. Each step scores s_t, then
+   moves s on to s_{t+1} with the same y_t^2. Touches no Python object, so
+   it may run without the GIL.
 
-   score's check of a chunk needs its least s_t, which this loop does not
-   keep: with alpha, beta and omega positive, a rounded step from s_{t-1}
-   >= 0 gives s_t >= omega, so a lane whose omega and sigma1_sq are at least
-   SAFE_MIN has no s_t below it (a NaN one makes the product NaN, which
-   fails the check as in score). Only a lane with a smaller omega or
-   sigma1_sq has its chunk's s_t redone to find the least. */
+   A lane's product of s_t so far is mant * 2^twos, mant in [1, 2). A
+   chunk's product starts from mant; when the chunk passes the check, no
+   s_t below SAFE_MIN and a finite product, its exponent moves into twos and
+   its significand becomes mant, exactly and without a branch. A lane whose
+   chunk fails adds its own step-by-step logs into logs.
+
+   The check needs the chunk's least s_t, which the loop does not keep: with
+   alpha and beta at least 0, a rounded step from s_{t-1} >= 0 gives s_t >=
+   omega, so a lane whose omega and sigma1_sq are at least SAFE_MIN has no
+   s_t below it (a NaN one makes the product NaN, which fails the check).
+   Only a lane outside those bounds, which the scalar and batch kernels may
+   be given, has its chunk's s_t redone to find the least. */
 SIMD_CLONES static void
-score_lanes(const double *y, Py_ssize_t n, const double (*theta)[3], double sigma1_sq,
-            double *total)
+score(const double *y, Py_ssize_t n, const double (*theta)[3], double sigma1_sq, double *total)
 {
-    pair a[2], b[2], w[2], s[2] = {{0}}, quad[2] = {{0}}, mant[2] = {{1.0, 1.0}, {1.0, 1.0}};
     const pair first = {sigma1_sq, sigma1_sq};
+    pair a[2], b[2], w[2], s[2] = {first, first}, quad[2] = {{0}};
+    pair mant[2] = {{1.0, 1.0}, {1.0, 1.0}};
     pair_bits twos[2] = {{0}}, bounded[2];
     double logs[4] = {0.0};
     for (int l = 0; l < 4; l++) {
@@ -263,19 +171,21 @@ score_lanes(const double *y, Py_ssize_t n, const double (*theta)[3], double sigm
         LANE(w, l) = theta[l][2];
     }
     for (int h = 0; h < 2; h++)
-        bounded[h] = (pair_bits)(w[h] >= SAFE_MIN) & (pair_bits)(first >= SAFE_MIN);
+        bounded[h] = (pair_bits)(a[h] >= 0.0) & (pair_bits)(b[h] >= 0.0)
+                     & (pair_bits)(w[h] >= SAFE_MIN) & (pair_bits)(first >= SAFE_MIN);
     for (Py_ssize_t t0 = 0; t0 < n; t0 += CHUNK) {
         const Py_ssize_t t1 = t0 + CHUNK < n ? t0 + CHUNK : n;
         const pair start[2] = {s[0], s[1]};
         pair prod[2] = {mant[0], mant[1]};
         for (Py_ssize_t t = t0; t < t1; t++) {
+            const double y2 = y[t] * y[t];
             for (int h = 0; h < 2; h++) {
-                s[h] = t ? (y[t - 1] * y[t - 1] * a[h] + w[h]) + b[h] * s[h] : first;
-                quad[h] += y[t] * y[t] / s[h];
+                quad[h] += y2 / s[h];
                 prod[h] *= s[h];
+                s[h] = (y2 * a[h] + w[h]) + b[h] * s[h];
             }
         }
-        /* All ones in each lane whose chunk passes score's check, as a
+        /* All ones in each lane whose chunk passes the check, as a
            bounded lane with a finite product does. Any other lane is redone
            step by step, and its logs are kept when it fails. */
         pair_bits ok[2];
@@ -290,10 +200,9 @@ score_lanes(const double *y, Py_ssize_t n, const double (*theta)[3], double sigm
             double st = LANE(start, l), chunk = 0.0;
             int above = LANE(prod, l) <= DBL_MAX;
             for (Py_ssize_t t = t0; t < t1; t++) {
-                st = t ? recur(y[t - 1] * y[t - 1], LANE(a, l), LANE(b, l), LANE(w, l), st)
-                       : sigma1_sq;
                 chunk += log(st);
                 above &= !(st < SAFE_MIN);
+                st = (y[t] * y[t] * LANE(a, l) + LANE(w, l)) + LANE(b, l) * st;
             }
             LANE(ok, l) = -(uint64_t)above;
             if (!above)
@@ -314,34 +223,37 @@ score_lanes(const double *y, Py_ssize_t n, const double (*theta)[3], double sigm
 
 /* At most this many threads score one batch call. */
 #define MAX_THREADS 8
-/* A thread scores its range BLOCK_K candidates per score_batch call, so that
-   the ten arrays score keeps per candidate stay in the L1 cache: one thread
-   took 1.4-1.6 times as long per candidate on 1000 candidates at once
-   (n = 250 and 2000; 48 KiB L1 data cache). */
-#define BLOCK_K 64
-/* Each thread scores at least this many candidate-steps, about 0.2 ms of
-   one core's work. With a quarter of it, 1000 candidates at n = 251 went to
-   two threads, and a run of 60 such batches took 5% more CPU time and no
-   less wall time (2-vCPU Xeon). */
+/* Each thread scores at least this many candidate-steps, about 0.3 ms of
+   one core's work at 1.1 ns each (one thread, n = 251 and 2000). With a
+   quarter of it, 1000 candidates at n = 251 went to two threads, and a run
+   of 60 such batches took 5% more CPU time and no less wall time (2-vCPU
+   Xeon). */
 #define MIN_THREAD_STEPS 262144
 
 /* One thread's range of a batch call: k candidates from theta, scored into
-   total BLOCK_K at a time, and -1 when any block ran out of memory. */
+   total. */
 struct range {
-    const double *y, *theta;
+    const double *y;
+    const double (*theta)[3];
     Py_ssize_t n, k;
     double sigma1_sq, *total;
-    int rc;
 };
 
+/* score over a range four rows at a time. A short last group is padded
+   with its first row, and only its real totals are kept. */
 static void *
 score_range(void *arg)
 {
-    struct range *r = arg;
-    r->rc = 0;
-    for (Py_ssize_t j = 0; j < r->k; j += BLOCK_K) {
-        const Py_ssize_t m = r->k - j < BLOCK_K ? r->k - j : BLOCK_K;
-        r->rc |= score_batch(r->y, r->n, r->theta + 3 * j, m, r->sigma1_sq, r->total + j);
+    const struct range *r = arg;
+    Py_ssize_t j = 0;
+    for (; j + 4 <= r->k; j += 4)
+        score(r->y, r->n, r->theta + j, r->sigma1_sq, r->total + j);
+    if (j < r->k) {
+        double group[4][3], total[4];
+        for (int l = 0; l < 4; l++)
+            memcpy(group[l], r->theta[j + l < r->k ? j + l : j], sizeof group[l]);
+        score(r->y, r->n, (const double (*)[3])group, r->sigma1_sq, total);
+        memcpy(r->total + j, total, (r->k - j) * sizeof(double));
     }
     return NULL;
 }
@@ -367,12 +279,12 @@ thread_count(Py_ssize_t n, Py_ssize_t k)
     return count;
 }
 
-/* score_batch over the k candidates of theta in thread_count(n, k)
+/* score_range over the k candidates of theta in thread_count(n, k)
    contiguous ranges, the first on the calling thread. A range whose thread
    cannot be created is scored by the calling thread after its own. Touches
-   no Python object; returns -1 when any range ran out of memory. */
-static int
-score_threads(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
+   no Python object. */
+static void
+score_threads(const double *y, Py_ssize_t n, const double (*theta)[3], Py_ssize_t k,
               double sigma1_sq, double *total)
 {
     struct range ranges[MAX_THREADS];
@@ -381,21 +293,17 @@ score_threads(const double *y, Py_ssize_t n, const double *theta, Py_ssize_t k,
     const int count = thread_count(n, k);
     for (int i = 0; i < count; i++) {
         const Py_ssize_t first = k * i / count, end = k * (i + 1) / count;
-        ranges[i] = (struct range){y, theta + 3 * first, n, end - first, sigma1_sq,
-                                   total + first, 0};
+        ranges[i] = (struct range){y, theta + first, n, end - first, sigma1_sq, total + first};
     }
     for (int i = 1; i < count; i++)
         started[i] = pthread_create(&threads[i], NULL, score_range, &ranges[i]) == 0;
     score_range(&ranges[0]);
-    int rc = ranges[0].rc;
     for (int i = 1; i < count; i++) {
         if (started[i])
             pthread_join(threads[i], NULL);
         else
             score_range(&ranges[i]);
-        rc |= ranges[i].rc;
     }
-    return rc;
 }
 
 /* Raises NumericOverflowError unless all k totals are finite. */
@@ -415,19 +323,19 @@ static PyObject *
 log_likelihood(PyObject *self, PyObject *args)
 {
     PyObject *series;
-    double theta[3], sigma1_sq, total;
+    double theta[4][3], sigma1_sq, total[4];
     Py_buffer yv;
     if (!PyArg_ParseTuple(args, "Odddd:log_likelihood", &series,
-                          &theta[0], &theta[1], &theta[2], &sigma1_sq)
+                          &theta[0][0], &theta[0][1], &theta[0][2], &sigma1_sq)
         || get_doubles(series, 1, &yv) < 0)
         return NULL;
-    int rc = score(yv.buf, yv.shape[0], theta, 1, sigma1_sq, &total);
+    for (int l = 1; l < 4; l++)
+        memcpy(theta[l], theta[0], sizeof theta[l]);
+    score(yv.buf, yv.shape[0], (const double (*)[3])theta, sigma1_sq, total);
     PyBuffer_Release(&yv);
-    if (rc < 0)
-        return PyErr_NoMemory();
-    if (check_finite(&total, 1) < 0)
+    if (check_finite(total, 1) < 0)
         return NULL;
-    return PyFloat_FromDouble(total);
+    return PyFloat_FromDouble(total[0]);
 }
 
 static PyObject *
@@ -443,25 +351,20 @@ log_likelihood_batch(PyObject *self, PyObject *args)
         PyBuffer_Release(&yv);
         return NULL;
     }
-    Py_ssize_t k = tv.shape[0];
-    int rc = -1;
+    const Py_ssize_t k = tv.shape[0];
     if (tv.shape[1] != 3)
         PyErr_Format(PyExc_ValueError, "thetas must have 3 columns, got %zd", tv.shape[1]);
     else if ((out = new_array((PyObject *)&PyFloat_Type, 1, k, 0, &ov)) != NULL) {
         Py_BEGIN_ALLOW_THREADS
-        rc = score_threads(yv.buf, yv.shape[0], tv.buf, k, sigma1_sq, ov.buf);
+        score_threads(yv.buf, yv.shape[0], tv.buf, k, sigma1_sq, ov.buf);
         Py_END_ALLOW_THREADS
-        if (rc < 0)
-            PyErr_NoMemory();
-        else
-            rc = check_finite(ov.buf, k);
-        PyBuffer_Release(&ov);
-        if (rc < 0)
+        if (check_finite(ov.buf, k) < 0)
             Py_CLEAR(out);
+        PyBuffer_Release(&ov);
     }
     PyBuffer_Release(&yv);
     PyBuffer_Release(&tv);
-    return rc < 0 ? NULL : out;
+    return out;
 }
 
 /* The Metropolis-Hastings rule of ``_kernels_py._accept`` for log
@@ -501,7 +404,7 @@ decide(double *theta, double *log_p, double *row, double log_p_cand, double u)
 
 /* Steps i, i + 1 and, when both accept, i + 2 of walk, of the left that
    remain, where step i's candidate, in row, lies inside the support.
-   score_lanes scores four lanes on the ny returns y side by side: step i's
+   score scores four lanes on the ny returns y side by side: step i's
    candidate (I), step i + 1's after step i accepts (A) and after it
    rejects (R), and step i + 2's after both accept (AA). A lane outside the
    support, or past the last step, holds step i's candidate instead and
@@ -528,7 +431,7 @@ pass(const double *y, Py_ssize_t ny, double sigma1_sq, double *theta, double *lo
         if (!(inside[l] = in_support(cand[l])))
             memcpy(cand[l], row, sizeof cand[l]);
     }
-    score_lanes(y, ny, (const double (*)[3])cand, sigma1_sq, total);
+    score(y, ny, (const double (*)[3])cand, sigma1_sq, total);
     for (int m = 0, lane = LANE_I; m < steps; m++) {
         if (inside[lane] && check_finite(total + lane, 1) < 0)
             return -1;

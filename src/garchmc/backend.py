@@ -8,25 +8,25 @@ this file, and loads it. The command holds -pthread, since the batch kernel
 scores its candidates on threads that it creates and joins within each call.
 The hash covers the source, the compile command and the suffix, so a file
 already there is loaded without a compile, and a changed source, command or
-interpreter gets a file of its own. The compiler writes a
-per-process temporary name that is then moved into place, so concurrent first
-imports are safe. Any failure falls back to ``_kernels_py``: no compiler, a
-compile error, a directory that cannot be written or a file that does not
-load. ``KERNEL`` names the kernels in use, "c" or "numpy", and each run's
+interpreter gets a file of its own. The compiler writes a per-process
+temporary name that is then moved into place, so concurrent first imports
+are safe. Any failure falls back to ``_kernels_py``: no compiler, a compile
+error, a directory that cannot be written or a file that does not load.
+``KERNEL`` names the kernels in use, "c" or "numpy", and each run's
 ``manifest.json`` records it.
 
 ``kernels`` is the one switch: ``model``, ``samplers`` and ``cli`` read every
 kernel through it, so setting it swaps a run's likelihood, accept loops and
-chain.csv text together. A kernel module's ``rw_chain`` looks its own
-``log_likelihood`` attribute up once per call, and ``model`` reads
-``backend.kernels.log_likelihood`` at each call. The compiled ``rw_chain``
-walks its steps in one loop with two branches. While that attribute is the
-compiled module's own function, each pass scores four speculative
-candidates at once, decides two or three steps with them and makes no
-Python call. ``perfbench/tracer.py`` sets a wrapper there first;
-the loop then calls it once per candidate inside the support, as the twin
-always does, so the tracer counts every scalar call, and its per-layer
-numbers describe that wrapper branch. Both branches take the same steps.
+chain.csv text together. One compiled routine scores every candidate, four
+side by side. A kernel module's ``rw_chain`` looks its own ``log_likelihood``
+attribute up once per call, and ``model`` reads ``backend.kernels.log_likelihood``
+at each call. The compiled ``rw_chain`` walks its steps in one loop with two
+branches. While that attribute is the compiled module's own function, each
+pass scores four speculative candidates at once, decides two or three steps
+with them and makes no Python call. ``perfbench/tracer.py`` sets a wrapper
+there first; the loop then calls it once per candidate inside the support, as
+the twin always does, so the tracer counts every scalar call, and its
+per-layer numbers describe that wrapper branch. Both branches take the same steps.
 """
 import hashlib
 import importlib.util
@@ -41,8 +41,8 @@ from . import _kernels_py
 SOURCE = Path(__file__).with_name("_kernels.c")
 #: -ffp-contract=off keeps the recursion's multiply and add from being fused
 #: into an FMA, which would round differently from ``_kernels_py``, and so
-#: keeps the batch kernel's AVX2 and AVX-512 clones equal to each other and
-#: to the baseline build. No -march: the cache file is keyed by source and
+#: keeps the likelihood routine's AVX2 and AVX-512 clones equal to each other
+#: and to the baseline build. No -march: the cache file is keyed by source and
 #: command, not by CPU, and the loader picks the clone the CPU supports.
 FLAGS = ("-O3", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 COMPILE_TIMEOUT_S = 120

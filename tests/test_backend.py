@@ -262,9 +262,9 @@ def cpu_flags():
                                           ("arch=x86-64", None)])
 def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, target, flag):
     # A CPU only ever runs the clone it dispatches to. The macro rewrites the
-    # target_clones attribute of the batch kernel and of rw_chain's lanes
-    # into a single target, so each build holds that clone alone; 1003
-    # candidates leave a vector epilogue. The random walks take 2000 steps on
+    # target_clones attribute of score, the one likelihood routine, into a
+    # single target, so each build holds that clone alone; 1003 candidates
+    # end in a partial group of four. The random walks take 2000 steps on
     # GARCH returns at widths that accept about 0.77 and 0.30 of them.
     if flag is not None and flag not in cpu_flags():
         pytest.skip(f"this CPU has no {flag}")
