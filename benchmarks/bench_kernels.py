@@ -7,10 +7,14 @@ parameter set): a scalar call scores one.
 Then the compiled batch kernel's threads: it prints the CPUs of the
 process's affinity mask, and the time per candidate at n = 2000 of BATCH_K
 candidates and of ONE_THREAD_K, few enough that the kernel scores them on
-the calling thread alone. Where the mask holds two CPUs or more, the script
-exits unless the BATCH_K row is below THREADS_RATIO times the ONE_THREAD_K
-row: a build that never starts a thread gives the same bits, so only its
-speed shows it.
+the calling thread alone, in wall time and in the process's CPU time. Where
+the mask holds two CPUs or more, the script exits unless the BATCH_K row's
+wall time is below THREADS_RATIO times the ONE_THREAD_K row's: a build that
+never starts a thread gives the same bits, so only its speed shows it. The
+CPU column tells a miss on a busy machine from a build without threads:
+when the second thread gets a CPU of its own, the BATCH_K row's CPU time is
+near twice its wall time; when the two take turns on one, the two are near
+equal.
 
 Then ``rw_chain`` on the real likelihood, in ns per step, BATCH_K steps from
 THETA at each n, whose widths accept about 0.6 of them, inside the tuned
@@ -51,6 +55,7 @@ import argparse
 import gc
 import math
 import os
+import time
 import timeit
 
 import numpy as np
@@ -106,11 +111,11 @@ LONG_RANGE_RATIO = 1.5
 SLOW_SHARE = 0.1
 
 
-def time_call(fn, args):
-    """Seconds per call of fn(*args): the minimum over BATCHES batches of
-    at least 0.2 s each, the least disturbed by other load. The garbage
-    collector stays on, as in a run."""
-    timer = timeit.Timer(lambda: fn(*args), setup=gc.enable)
+def time_call(fn, args, clock=time.perf_counter):
+    """Seconds per call of fn(*args) on clock, wall time by default: the
+    minimum over BATCHES batches of at least 0.2 s each, the least disturbed
+    by other load. The garbage collector stays on, as in a run."""
+    timer = timeit.Timer(lambda: fn(*args), setup=gc.enable, timer=clock)
     reps, _ = timer.autorange()
     return min(timer.repeat(BATCHES, reps)) / reps
 
@@ -126,11 +131,14 @@ def rows(kernels, y, sigma1_sq):
 
 
 def threads_rows(kernels):
-    """(candidates, seconds per candidate) of ``kernels.log_likelihood_batch``
-    on ONE_THREAD_K and on BATCH_K candidates at n = 2000."""
+    """(candidates, wall seconds, process CPU seconds per candidate) of
+    ``kernels.log_likelihood_batch`` on ONE_THREAD_K and on BATCH_K
+    candidates at n = 2000."""
     y = np.ascontiguousarray(data.generate_synthetic(THETA, 2000, 1))
     thetas = np.tile(THETA, (BATCH_K, 1))
-    return [(k, time_call(kernels.log_likelihood_batch, (y, thetas[:k], float(np.var(y)))) / k)
+    sigma1_sq = float(np.var(y))
+    return [(k, *(time_call(kernels.log_likelihood_batch, (y, thetas[:k], sigma1_sq), clock) / k
+                  for clock in (time.perf_counter, time.process_time)))
             for k in (ONE_THREAD_K, BATCH_K)]
 
 
@@ -251,15 +259,17 @@ def main():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     print(f"batch threads: {cpus} CPUs in the affinity mask")
     if backend.KERNEL == "c":
-        print(f"{'log_likelihood_batch':>26} {'n':>6} {'cands':>6} {'c us/cand':>10}")
-        (_, t_one), (_, t_batch) = times = threads_rows(backend.kernels)
-        for k, t in times:
-            print(f"{'':>26} {2000:>6} {k:>6} {t * 1e6:10.2f}")
+        print(f"{'log_likelihood_batch':>26} {'n':>6} {'cands':>6} {'c us/cand':>10} "
+              f"{'cpu us/cand':>12}")
+        (_, t_one, cpu_one), (_, t_batch, cpu_batch) = times = threads_rows(backend.kernels)
+        for k, t, cpu in times:
+            print(f"{'':>26} {2000:>6} {k:>6} {t * 1e6:10.2f} {cpu * 1e6:12.2f}")
         print(f"{'ratio':>26} {t_batch / t_one:24.2f}")
         if cpus >= 2 and not t_batch < THREADS_RATIO * t_one:
-            raise SystemExit(f"{BATCH_K} candidates at n=2000 take {t_batch * 1e6:.2f} us each, "
-                             f"not below {THREADS_RATIO} of {ONE_THREAD_K} candidates' "
-                             f"{t_one * 1e6:.2f} on {cpus} CPUs")
+            raise SystemExit(f"{BATCH_K} candidates at n=2000 take {t_batch * 1e6:.2f} us each "
+                             f"({cpu_batch * 1e6:.2f} us of process CPU), not below "
+                             f"{THREADS_RATIO} of {ONE_THREAD_K} candidates' "
+                             f"{t_one * 1e6:.2f} ({cpu_one * 1e6:.2f} us of CPU) on {cpus} CPUs")
     print()
     print(f"{'random walk, likelihood':>26} {'n':>6} {'accept':>7} {'numpy ns/step':>14} "
           f"{'c ns/step':>10}")

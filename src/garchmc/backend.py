@@ -11,7 +11,8 @@ already there is loaded without a compile, and a changed source, command or
 interpreter gets a file of its own. The compiler writes a per-process
 temporary name that is then moved into place, so concurrent first imports
 are safe. Any failure falls back to ``_kernels_py``: no compiler, a compile
-error, a directory that cannot be written or a file that does not load.
+error, a directory that cannot be written or a file that does not load. The
+twin is imported only then, so a run on the compiled kernels never loads it.
 ``KERNEL`` names the kernels in use, "c" or "numpy", and each run's
 ``manifest.json`` records it.
 
@@ -36,8 +37,6 @@ import sys
 import sysconfig
 from pathlib import Path
 
-from . import _kernels_py
-
 SOURCE = Path(__file__).with_name("_kernels.c")
 #: -ffp-contract=off keeps the recursion's multiply and add from being fused
 #: into an FMA, which would round differently from ``_kernels_py``, and so
@@ -52,22 +51,25 @@ def build(cc, cache_dir):
     """(module, name) of the kernels: ``_kernels.c`` compiled by the compiler
     command ``cc`` into ``cache_dir`` unless already there, and "c"; or
     ``_kernels_py`` and "numpy" when any step fails."""
-    if not cc:
-        return _kernels_py, "numpy"
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    cmd = [*shlex.split(cc), *FLAGS, "-I" + sysconfig.get_paths()["include"], str(SOURCE)]
-    try:
-        key = hashlib.sha256(SOURCE.read_bytes() + "\0".join([*cmd, suffix]).encode())
-        path = Path(cache_dir) / f"_kernels-{key.hexdigest()[:16]}{suffix}"
-        if not path.exists():
-            _compile(cmd, path)
-        spec = importlib.util.spec_from_file_location("garchmc._kernels", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except (OSError, ImportError):
-        return _kernels_py, "numpy"
-    sys.modules[spec.name] = module
-    return module, "c"
+    if cc:
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        cmd = [*shlex.split(cc), *FLAGS, "-I" + sysconfig.get_paths()["include"], str(SOURCE)]
+        try:
+            key = hashlib.sha256(SOURCE.read_bytes() + "\0".join([*cmd, suffix]).encode())
+            path = Path(cache_dir) / f"_kernels-{key.hexdigest()[:16]}{suffix}"
+            if not path.exists():
+                _compile(cmd, path)
+            spec = importlib.util.spec_from_file_location("garchmc._kernels", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (OSError, ImportError):
+            pass
+        else:
+            sys.modules[spec.name] = module
+            return module, "c"
+    from . import _kernels_py
+
+    return _kernels_py, "numpy"
 
 
 def _compile(cmd, path):

@@ -1,7 +1,6 @@
 """Command-line front end: run a sampler on CSV or synthetic data, dump
 reports/traces, and compare two completed runs."""
 import argparse
-import concurrent.futures
 import contextlib
 import fcntl
 import hashlib
@@ -214,6 +213,8 @@ def run(config):
         if config.chains == 1:
             _run_one_chain(config, sched, y, config.seed, out)
         else:
+            import concurrent.futures  # loads logging; only a pool needs it
+
             k = config.chains
             seeds = [chain_seed(config.seed, i) for i in range(k)]
             dirs = [out / f"chain_{i:02d}" for i in range(k)]

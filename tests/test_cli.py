@@ -520,16 +520,34 @@ def test_run_flags_map_onto_config(monkeypatch):
     assert seen[1:] == [want]
 
 
-def test_import_loads_no_heavy_scipy_modules():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["blas-default", "blas-2"])
+def test_import_loads_no_heavy_scipy_modules(blas_threads):
+    # Importing garchmc sets OPENBLAS_NUM_THREADS=1 before numpy loads, so no
+    # BLAS worker starts, unless the caller set a value of their own. It
+    # loads neither the process pool's modules nor, on the compiled kernels,
+    # the numpy twin.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(SRC)
+    if blas_threads:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.special", "scipy.fft")
     code = (
-        "import sys, garchmc.cli\n"
-        f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+        "import os, sys, garchmc.cli, json\n"
+        "from garchmc import backend\n"
+        "print(json.dumps({'threads': len(os.listdir('/proc/self/task')),\n"
+        "                  'blas': os.environ['OPENBLAS_NUM_THREADS'],\n"
+        "                  'kernel': backend.KERNEL,\n"
+        f"                  'loaded': [m for m in {heavy!r} + ('concurrent.futures',\n"
+        "                              'garchmc._kernels_py') if m in sys.modules]}))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == ""
+    got = json.loads(out.stdout)
+    assert got["blas"] == (blas_threads or "1")
+    if not blas_threads:
+        assert got["threads"] == 1
+    assert got["loaded"] == (["garchmc._kernels_py"] if got["kernel"] == "numpy" else [])
 
 
 @pytest.mark.parametrize("sampler, extra", [("adaptive", []), ("metropolis", []),

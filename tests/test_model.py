@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -404,6 +405,15 @@ def thread_count():
     return len(os.listdir("/proc/self/task"))
 
 
+def settled_thread_count(want, timeout_s=1.0):
+    """thread_count() once it reads want, or after timeout_s: a joined
+    thread can stay listed in /proc/self/task while the kernel reaps it."""
+    deadline = time.monotonic() + timeout_s
+    while (count := thread_count()) != want and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return count
+
+
 def batch_case(k, n, seed=0):
     """(y, thetas) of k candidates on n returns; y_0 = 1, so that the row
     (-5.0, 0.5, 0.01) has a negative s_1 and a NaN total."""
@@ -445,21 +455,26 @@ class TestBatchThreads:
 
     def test_large_batch_runs_on_more_threads(self, compiled):
         # A second thread exists only within a call, so a worker scores
-        # batches while this thread counts the process's threads.
+        # batches while this thread counts the process's threads, until it
+        # has seen the kernel's helper or the worker has made 2000 calls.
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("the process may use one CPU only")
         y, thetas = batch_case(1003, 2000)
         before = thread_count()
+        seen = threading.Event()
 
         def score():
-            for _ in range(20):
+            for _ in range(2000):
+                if seen.is_set():
+                    return
                 compiled.log_likelihood_batch(y, thetas, 1.0)
 
         worker = threading.Thread(target=score)
         worker.start()
         most = before
-        while worker.is_alive():
+        while worker.is_alive() and most < before + 2:
             most = max(most, thread_count())
+        seen.set()
         worker.join(timeout=60)
         assert most >= before + 2
 
@@ -468,11 +483,11 @@ class TestBatchThreads:
         y, thetas = batch_case(1003, 2000)
         before = thread_count()
         compiled.log_likelihood_batch(y, thetas, 1.0)
-        assert thread_count() == before
+        assert settled_thread_count(before) == before
         thetas[row] = self.OVERFLOW
         with np.errstate(all="ignore"), pytest.raises(NumericOverflowError):
             compiled.log_likelihood_batch(y, thetas, 1.0)
-        assert thread_count() == before
+        assert settled_thread_count(before) == before
 
     def test_concurrent_calls_equal_serial_calls(self, compiled):
         # Three callers at once, each on its own batch.
