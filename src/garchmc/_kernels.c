@@ -12,19 +12,26 @@
 
    log L = -0.5 * sum_t [log(2 pi) + log(s_t) + y_t^2/s_t]. The log(s_t)
    are taken as one log per candidate: the product of its s_t is carried,
-   CHUNK steps at a time, as a significand in [1, 2) and a power of two. A
-   chunk with an s_t below SAFE_MIN, whose product could pass through the
-   subnormals, and one whose product is not finite are redone with one log
-   per step. A non-finite total raises
-   garchmc.exceptions.NumericOverflowError.
+   CHUNK steps at a time, as a significand in [1, 2) and a power of two. The
+   y_t^2/s_t are taken two steps per divide, over s_t*s_{t+1}. A chunk with
+   an s_t below SAFE_MIN, whose product could pass through the subnormals,
+   and one whose product or quadratic sum is not finite are redone with one
+   log and one divide per step. A non-finite total raises
+   garchmc.exceptions.NumericOverflowError. The numpy twin divides and
+   takes a log at every step, so the two differ in rounding only.
 
-   One routine, score, computes it, four candidates side by side, for all
-   three callers: the scalar kernel fills its four lanes with its one
-   candidate, the batch kernel takes its rows four at a time, and rw_chain
-   scores four speculative candidates per pass. score is built once per
-   x86-64 SIMD level (AVX-512, AVX2 and the baseline) by target_clones, and
-   the loader picks the one the CPU supports. Since -ffp-contract=off, every
-   build rounds each operation alike, so all give the same bits.
+   One body, SCORE, computes it, several candidates side by side, and is
+   instantiated twice. score holds four lanes in two vectors of two doubles
+   and serves all three callers: the scalar kernel fills its four lanes with
+   its one candidate, the batch kernel on a CPU without AVX2 takes its rows
+   four at a time, and rw_chain scores four speculative candidates per
+   pass. score is built once per x86-64 SIMD level (AVX-512, AVX2 and the
+   baseline) by target_clones, and the loader picks the one the CPU
+   supports. score8 holds eight lanes in two vectors of four doubles and is
+   built for AVX2 alone; module init checks the CPU once, and where it has
+   AVX2 the batch kernel takes its rows eight at a time through score8.
+   Each lane runs the same IEEE operations in either, and -ffp-contract=off
+   keeps every build from fusing them, so all give the same bits.
 
    The batch kernel splits its k candidates into contiguous ranges, one per
    thread: as many threads as the process's affinity mask holds CPUs, at
@@ -51,12 +58,12 @@
    support opens a pass that scores four lanes at once: the candidate, the
    next step's after this step accepts and after it rejects, and the one
    after that after both accept. So a pass decides two steps, or three when
-   both accept, and makes no Python call. While a wrapper is set there, as ``perfbench/tracer.py`` sets one on
-   ``backend.kernels.log_likelihood``, each step calls it once on its own
-   candidate, so the wrapper sees every call. Both branches give the same
-   bits. independence_accept returns only its accept flags and the end
-   log-density; which row holds the state after each step is worked out by
-   ``garchmc.samplers``. */
+   both accept, and makes no Python call. While a wrapper is set there, as
+   ``perfbench/tracer.py`` sets one on ``backend.kernels.log_likelihood``,
+   each step calls it once on its own candidate, so the wrapper sees every
+   call. Both branches give the same bits. independence_accept returns only
+   its accept flags and the end log-density; which row holds the state after
+   each step is worked out by ``garchmc.samplers``. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
@@ -69,8 +76,8 @@
 #define CHUNK 16
 /* With every s_t at least 2^-62, each partial product of at most CHUNK of
    them, times a significand in [1, 2), is at least 2^-992, so normal; an
-   s_t above it can only overflow the product to inf, which stays inf and
-   fails the finiteness check. */
+   s_t or a pair product s_t*s_{t+1} above it can only overflow the product
+   to inf, which stays inf and fails the finiteness check. */
 #define SAFE_MIN 0x1p-62
 #define LOG_2PI 1.8378770664093454836
 #define LN2 0.69314718055994530942
@@ -122,34 +129,46 @@ new_array(PyObject *dtype, int ndim, Py_ssize_t n, Py_ssize_t p, Py_buffer *view
 }
 
 /* score is built once per x86-64 SIMD level; the loader's ifunc resolver
-   binds the clone that the CPU runs. */
+   binds the clone that the CPU runs. score8 is built for AVX2 alone. */
 #if defined(__x86_64__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define SIMD_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define AVX2 __attribute__((target("avx2")))
 #endif
 #endif
 #ifndef SIMD_CLONES
 #define SIMD_CLONES
 #endif
 
-/* Two doubles, and their bits: score keeps each per-lane quantity in two of
-   these. In one vector of four, the baseline x86-64 build, which has no
-   register for one, ran every operation through the stack. */
+/* Two and four doubles, and their bits. score keeps each per-lane quantity
+   in two pairs: in a vector of four, the baseline x86-64 build, which has no
+   register for one, ran every operation through the stack. score8 keeps
+   its eight lanes in two vectors of four, which AVX2 holds in registers. */
 typedef double pair __attribute__((vector_size(2 * sizeof(double))));
 typedef uint64_t pair_bits __attribute__((vector_size(2 * sizeof(uint64_t))));
-#define LANE(v, l) ((v)[(l) / 2][(l) % 2])
+typedef double quartet __attribute__((vector_size(4 * sizeof(double))));
+typedef uint64_t quartet_bits __attribute__((vector_size(4 * sizeof(uint64_t))));
 
-/* The log-likelihoods of the four rows (alpha, beta, omega) of theta on the
-   n returns y, into total, one row per lane: time-outer and lane-inner, and
-   no lane's operations depend on another's. Each step scores s_t, then
-   moves s on to s_{t+1} with the same y_t^2. Touches no Python object, so
-   it may run without the GIL.
+/* SCORE(name, vec, bits) defines name, the log-likelihoods of the 2 *
+   WIDTH rows (alpha, beta, omega) of theta on the n returns y, into total,
+   one row per lane, with each per-lane quantity in two vecs of WIDTH
+   lanes: time-outer and lane-inner, and no lane's operations depend on
+   another's, so every vec gives the same bits. Touches no Python object,
+   so it may run without the GIL.
 
-   A lane's product of s_t so far is mant * 2^twos, mant in [1, 2). A
-   chunk's product starts from mant; when the chunk passes the check, no
-   s_t below SAFE_MIN and a finite product, its exponent moves into twos and
-   its significand becomes mant, exactly and without a branch. A lane whose
-   chunk fails adds its own step-by-step logs into logs.
+   Steps go two at a time with one divide: with p = s_t*s_{t+1},
+   y_t^2/s_t + y_{t+1}^2/s_{t+1} = (y_t^2*s_{t+1} + y_{t+1}^2*s_t)/p. A
+   lane's product of s_t so far is mant * 2^twos, mant in [1, 2), and is
+   carried on by p; a short last chunk's odd step divides alone. A chunk's
+   product starts from mant, and its quadratic sum from 0; when the chunk
+   passes the check, no s_t below SAFE_MIN and a finite product and
+   quadratic sum, the sum moves into quad, the product's exponent into twos
+   and its significand becomes mant, exactly and without a branch. A finite
+   product means that no p overflowed, and a finite sum that no numerator
+   did, so each quotient equals the pair's two terms to within a few
+   roundings. A lane whose chunk fails has its quadratic sum redone with one divide per
+   step, and its logs step by step into logs unless its s_t and product
+   pass.
 
    The check needs the chunk's least s_t, which the loop does not keep: with
    alpha and beta at least 0, a rounded step from s_{t-1} >= 0 gives s_t >=
@@ -157,77 +176,108 @@ typedef uint64_t pair_bits __attribute__((vector_size(2 * sizeof(uint64_t))));
    s_t below it (a NaN one makes the product NaN, which fails the check).
    Only a lane outside those bounds, which the scalar and batch kernels may
    be given, has its chunk's s_t redone to find the least. */
-SIMD_CLONES static void
-score(const double *y, Py_ssize_t n, const double (*theta)[3], double sigma1_sq, double *total)
-{
-    const pair first = {sigma1_sq, sigma1_sq};
-    pair a[2], b[2], w[2], s[2] = {first, first}, quad[2] = {{0}};
-    pair mant[2] = {{1.0, 1.0}, {1.0, 1.0}};
-    pair_bits twos[2] = {{0}}, bounded[2];
-    double logs[4] = {0.0};
-    for (int l = 0; l < 4; l++) {
-        LANE(a, l) = theta[l][0];
-        LANE(b, l) = theta[l][1];
-        LANE(w, l) = theta[l][2];
-    }
-    for (int h = 0; h < 2; h++)
-        bounded[h] = (pair_bits)(a[h] >= 0.0) & (pair_bits)(b[h] >= 0.0)
-                     & (pair_bits)(w[h] >= SAFE_MIN) & (pair_bits)(first >= SAFE_MIN);
-    for (Py_ssize_t t0 = 0; t0 < n; t0 += CHUNK) {
-        const Py_ssize_t t1 = t0 + CHUNK < n ? t0 + CHUNK : n;
-        const pair start[2] = {s[0], s[1]};
-        pair prod[2] = {mant[0], mant[1]};
-        for (Py_ssize_t t = t0; t < t1; t++) {
-            const double y2 = y[t] * y[t];
-            for (int h = 0; h < 2; h++) {
-                quad[h] += y2 / s[h];
-                prod[h] *= s[h];
-                s[h] = (y2 * a[h] + w[h]) + b[h] * s[h];
-            }
-        }
-        /* All ones in each lane whose chunk passes the check, as a
-           bounded lane with a finite product does. Any other lane is redone
-           step by step, and its logs are kept when it fails. */
-        pair_bits ok[2];
-        int redo = 0;
-        for (int h = 0; h < 2; h++) {
-            ok[h] = bounded[h] & (pair_bits)(prod[h] <= DBL_MAX);
-            redo |= !(ok[h][0] & ok[h][1]);
-        }
-        for (int l = 0; redo && l < 4; l++) {
-            if (LANE(ok, l))
-                continue;
-            double st = LANE(start, l), chunk = 0.0;
-            int above = LANE(prod, l) <= DBL_MAX;
-            for (Py_ssize_t t = t0; t < t1; t++) {
-                chunk += log(st);
-                above &= !(st < SAFE_MIN);
-                st = (y[t] * y[t] * LANE(a, l) + LANE(w, l)) + LANE(b, l) * st;
-            }
-            LANE(ok, l) = -(uint64_t)above;
-            if (!above)
-                logs[l] += chunk;
-        }
-        for (int h = 0; h < 2; h++) {
-            const pair_bits bits = (pair_bits)prod[h];
-            twos[h] += ok[h] & ((bits >> 52) - 1023);
-            mant[h] = (pair)((ok[h] & ((bits & SIGNIFICAND_BITS) | ONE_BITS))
-                             | (~ok[h] & (pair_bits)mant[h]));
-        }
-    }
-    for (int l = 0; l < 4; l++) {
-        const double sum = (log(LANE(mant, l)) + (double)(int64_t)LANE(twos, l) * LN2) + logs[l];
-        total[l] = -0.5 * ((sum + LANE(quad, l)) + (double)n * LOG_2PI);
-    }
+#define SCORE(name, vec, bits)                                                                 \
+static void                                                                                    \
+name(const double *y, Py_ssize_t n, const double (*theta)[3], double sigma1_sq, double *total) \
+{                                                                                              \
+    enum { WIDTH = sizeof(vec) / sizeof(double), LANES = 2 * WIDTH };                          \
+    const vec first = (vec){0} + sigma1_sq;                                                    \
+    vec a[2], b[2], w[2], s[2] = {first, first}, quad[2] = {{0}};                              \
+    vec mant[2] = {(vec){0} + 1.0, (vec){0} + 1.0};                                            \
+    bits twos[2] = {{0}}, bounded[2];                                                          \
+    double logs[LANES] = {0.0};                                                                \
+    for (int l = 0; l < LANES; l++) {                                                          \
+        a[l / WIDTH][l % WIDTH] = theta[l][0];                                                 \
+        b[l / WIDTH][l % WIDTH] = theta[l][1];                                                 \
+        w[l / WIDTH][l % WIDTH] = theta[l][2];                                                 \
+    }                                                                                          \
+    for (int h = 0; h < 2; h++)                                                                \
+        bounded[h] = (bits)(a[h] >= 0.0) & (bits)(b[h] >= 0.0)                                 \
+                     & (bits)(w[h] >= SAFE_MIN) & (bits)(first >= SAFE_MIN);                   \
+    for (Py_ssize_t t0 = 0; t0 < n; t0 += CHUNK) {                                             \
+        const Py_ssize_t t1 = t0 + CHUNK < n ? t0 + CHUNK : n;                                 \
+        const vec start[2] = {s[0], s[1]};                                                     \
+        vec prod[2] = {mant[0], mant[1]}, part[2] = {{0}};                                     \
+        Py_ssize_t t = t0;                                                                     \
+        for (; t + 1 < t1; t += 2) {                                                           \
+            const double y2 = y[t] * y[t], y2_next = y[t + 1] * y[t + 1];                      \
+            for (int h = 0; h < 2; h++) {                                                      \
+                const vec s_next = (y2 * a[h] + w[h]) + b[h] * s[h], p = s[h] * s_next;        \
+                part[h] += (y2 * s_next + y2_next * s[h]) / p;                                 \
+                prod[h] *= p;                                                                  \
+                s[h] = (y2_next * a[h] + w[h]) + b[h] * s_next;                                \
+            }                                                                                  \
+        }                                                                                      \
+        if (t < t1) {                                                                          \
+            const double y2 = y[t] * y[t];                                                     \
+            for (int h = 0; h < 2; h++) {                                                      \
+                part[h] += y2 / s[h];                                                          \
+                prod[h] *= s[h];                                                               \
+                s[h] = (y2 * a[h] + w[h]) + b[h] * s[h];                                       \
+            }                                                                                  \
+        }                                                                                      \
+        /* All ones in each lane whose chunk passes the check. Any other lane                  \
+           is redone step by step. */                                                          \
+        bits ok[2];                                                                            \
+        int redo = 0;                                                                          \
+        for (int h = 0; h < 2; h++) {                                                          \
+            ok[h] = bounded[h] & (bits)(prod[h] <= DBL_MAX) & (bits)(part[h] <= DBL_MAX);      \
+            for (int i = 0; i < WIDTH; i++)                                                    \
+                redo |= !ok[h][i];                                                             \
+        }                                                                                      \
+        for (int l = 0; redo && l < LANES; l++) {                                              \
+            const int h = l / WIDTH, i = l % WIDTH;                                            \
+            if (ok[h][i])                                                                      \
+                continue;                                                                      \
+            double st = start[h][i], chunk = 0.0, quadratic = 0.0;                             \
+            int above = prod[h][i] <= DBL_MAX;                                                 \
+            for (t = t0; t < t1; t++) {                                                        \
+                chunk += log(st);                                                              \
+                quadratic += y[t] * y[t] / st;                                                 \
+                above &= !(st < SAFE_MIN);                                                     \
+                st = (y[t] * y[t] * a[h][i] + w[h][i]) + b[h][i] * st;                         \
+            }                                                                                  \
+            part[h][i] = quadratic;                                                            \
+            ok[h][i] = -(uint64_t)above;                                                       \
+            if (!above)                                                                        \
+                logs[l] += chunk;                                                              \
+        }                                                                                      \
+        for (int h = 0; h < 2; h++) {                                                          \
+            const bits prod_bits = (bits)prod[h];                                              \
+            quad[h] += part[h];                                                                \
+            twos[h] += ok[h] & ((prod_bits >> 52) - 1023);                                     \
+            mant[h] = (vec)((ok[h] & ((prod_bits & SIGNIFICAND_BITS) | ONE_BITS))              \
+                            | (~ok[h] & (bits)mant[h]));                                       \
+        }                                                                                      \
+    }                                                                                          \
+    for (int l = 0; l < LANES; l++) {                                                          \
+        const int h = l / WIDTH, i = l % WIDTH;                                                \
+        const double sum = (log(mant[h][i]) + (double)(int64_t)twos[h][i] * LN2) + logs[l];    \
+        total[l] = -0.5 * ((sum + quad[h][i]) + (double)n * LOG_2PI);                          \
+    }                                                                                          \
 }
+
+/* score: four lanes in pairs, built per SIMD level, for the scalar kernel,
+   rw_chain and the batch kernel where the CPU has no AVX2. score8: eight
+   lanes in quartets, for the batch kernel where it has. */
+SIMD_CLONES SCORE(score, pair, pair_bits)
+#ifdef AVX2
+AVX2 SCORE(score8, quartet, quartet_bits)
+#endif
+
+/* The batch kernel's routine and its lanes: score8 and 8 where the CPU has
+   AVX2, set at module init, otherwise score and 4. */
+static void (*score_group)(const double *, Py_ssize_t, const double (*)[3], double, double *)
+    = score;
+static int group_lanes = 4;
 
 /* At most this many threads score one batch call. */
 #define MAX_THREADS 8
-/* Each thread scores at least this many candidate-steps, about 0.3 ms of
-   one core's work at 1.1 ns each (one thread, n = 251 and 2000). With a
-   quarter of it, 1000 candidates at n = 251 went to two threads, and a run
-   of 60 such batches took 5% more CPU time and no less wall time (2-vCPU
-   Xeon). */
+/* Each thread scores at least this many candidate-steps, about 0.12 ms of
+   one core's work at 0.45 ns each (one thread, eight lanes, n = 251 and
+   500). With a quarter of it, 1000 candidates at n = 251 and at n = 500 go
+   to two threads, which took 13% and 27% less wall time per call and 32%
+   and 31% more CPU time (2-vCPU Xeon). */
 #define MIN_THREAD_STEPS 262144
 
 /* One thread's range of a batch call: k candidates from theta, scored into
@@ -239,20 +289,21 @@ struct range {
     double sigma1_sq, *total;
 };
 
-/* score over a range four rows at a time. A short last group is padded
-   with its first row, and only its real totals are kept. */
+/* score_group over a range group_lanes rows at a time. A short last group
+   is padded with its first row, and only its real totals are kept. */
 static void *
 score_range(void *arg)
 {
     const struct range *r = arg;
+    const int lanes = group_lanes;
     Py_ssize_t j = 0;
-    for (; j + 4 <= r->k; j += 4)
-        score(r->y, r->n, r->theta + j, r->sigma1_sq, r->total + j);
+    for (; j + lanes <= r->k; j += lanes)
+        score_group(r->y, r->n, r->theta + j, r->sigma1_sq, r->total + j);
     if (j < r->k) {
-        double group[4][3], total[4];
-        for (int l = 0; l < 4; l++)
+        double group[8][3], total[8];
+        for (int l = 0; l < lanes; l++)
             memcpy(group[l], r->theta[j + l < r->k ? j + l : j], sizeof group[l]);
-        score(r->y, r->n, (const double (*)[3])group, r->sigma1_sq, total);
+        score_group(r->y, r->n, (const double (*)[3])group, r->sigma1_sq, total);
         memcpy(r->total + j, total, (r->k - j) * sizeof(double));
     }
     return NULL;
@@ -841,5 +892,11 @@ PyInit__kernels(void)
     Py_XDECREF(numpy);
     if (!overflow_error || !ascontiguousarray || !empty)
         return NULL;
+#ifdef AVX2
+    if (__builtin_cpu_supports("avx2")) {
+        score_group = score8;
+        group_lanes = 8;
+    }
+#endif
     return PyModule_Create(&module);
 }

@@ -18,16 +18,21 @@ twin is imported only then, so a run on the compiled kernels never loads it.
 
 ``kernels`` is the one switch: ``model``, ``samplers`` and ``cli`` read every
 kernel through it, so setting it swaps a run's likelihood, accept loops and
-chain.csv text together. One compiled routine scores every candidate, four
-side by side. A kernel module's ``rw_chain`` looks its own ``log_likelihood``
-attribute up once per call, and ``model`` reads ``backend.kernels.log_likelihood``
-at each call. The compiled ``rw_chain`` walks its steps in one loop with two
-branches. While that attribute is the compiled module's own function, each
-pass scores four speculative candidates at once, decides two or three steps
-with them and makes no Python call. ``perfbench/tracer.py`` sets a wrapper
-there first; the loop then calls it once per candidate inside the support, as
-the twin always does, so the tracer counts every scalar call, and its
-per-layer numbers describe that wrapper branch. Both branches take the same steps.
+chain.csv text together. One compiled likelihood body scores every candidate,
+several side by side, and differs from the twin in rounding only: it takes one
+log per candidate and one divide per two steps. Its four-lane routine, in
+two-double vectors, serves the scalar kernel and ``rw_chain``; the batch
+kernel takes eight lanes in four-double vectors where the CPU has AVX2, which
+the module checks once when it loads, and four elsewhere. A kernel module's
+``rw_chain`` looks its own ``log_likelihood`` attribute up once per call, and
+``model`` reads ``backend.kernels.log_likelihood`` at each call. The compiled
+``rw_chain`` walks its steps in one loop with two branches. While that
+attribute is the compiled module's own function, each pass scores four
+speculative candidates at once, decides two or three steps with them and makes
+no Python call. ``perfbench/tracer.py`` sets a wrapper there first; the loop
+then calls it once per candidate inside the support, as the twin always does,
+so the tracer counts every scalar call, and its per-layer numbers describe
+that wrapper branch. Both branches take the same steps.
 """
 import hashlib
 import importlib.util
@@ -40,8 +45,8 @@ from pathlib import Path
 SOURCE = Path(__file__).with_name("_kernels.c")
 #: -ffp-contract=off keeps the recursion's multiply and add from being fused
 #: into an FMA, which would round differently from ``_kernels_py``, and so
-#: keeps the likelihood routine's AVX2 and AVX-512 clones equal to each other
-#: and to the baseline build. No -march: the cache file is keyed by source and
+#: keeps the likelihood routine's AVX2 and AVX-512 clones and its eight-lane
+#: AVX2 instance equal to each other and to the baseline build. No -march: the cache file is keyed by source and
 #: command, not by CPU, and the loader picks the clone the CPU supports.
 FLAGS = ("-O3", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 COMPILE_TIMEOUT_S = 120

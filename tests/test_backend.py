@@ -258,18 +258,27 @@ def cpu_flags():
 
 
 @pytest.mark.skipif(platform.machine() != "x86_64", reason="the SIMD clones are x86-64 only")
-@pytest.mark.parametrize("target, flag", [("avx512f", "avx512f"), ("avx2", "avx2"),
-                                          ("arch=x86-64", None)])
-def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, target, flag):
-    # A CPU only ever runs the clone it dispatches to. The macro rewrites the
-    # target_clones attribute of score, the one likelihood routine, into a
-    # single target, so each build holds that clone alone; 1003 candidates
-    # end in a partial group of four. The random walks take 2000 steps on
-    # GARCH returns at widths that accept about 0.77 and 0.30 of them.
+@pytest.mark.parametrize("define, flag", [
+    pytest.param('target_clones(...)=target("avx512f")', "avx512f", id="avx512f"),
+    pytest.param('target_clones(...)=target("avx2")', "avx2", id="avx2"),
+    pytest.param('target_clones(...)=target("arch=x86-64")', None, id="baseline"),
+    pytest.param("__builtin_cpu_supports(feature)=0", "avx2", id="four-lane-batch"),
+])
+def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, define, flag):
+    # A CPU only ever runs the clone it dispatches to. The first three macros
+    # rewrite the target_clones attribute of score, the four-lane routine,
+    # into a single target, so each build holds that clone alone; its batch
+    # kernel still takes eight lanes through the AVX2 routine score8 on an
+    # AVX2 CPU. The last keeps the clones but makes module init find no
+    # AVX2, so its batch kernel takes four lanes through score, against the
+    # eight that this process's build takes on the same CPU. 1003 candidates
+    # end in a partial group of four and of eight. The random walks take
+    # 2000 steps on GARCH returns at widths that accept about 0.77 and 0.30
+    # of them.
     if flag is not None and flag not in cpu_flags():
         pytest.skip(f"this CPU has no {flag}")
     path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
-    cmd = [*shlex.split(CC), *backend.FLAGS, f'-Dtarget_clones(...)=target("{target}")',
+    cmd = [*shlex.split(CC), *backend.FLAGS, f"-D{define}",
            "-Wall", "-Werror", "-I" + sysconfig.get_paths()["include"], str(backend.SOURCE),
            "-o", str(path), "-lm"]
     done = subprocess.run(cmd, capture_output=True, text=True, stdin=subprocess.DEVNULL,

@@ -299,12 +299,16 @@ def test_lists_are_accepted(either_kernels):
 class TestCompiledKernels:
     """The compiled kernels against the numpy twin, which is the reference:
     within rtol 1e-13 everywhere, since only the order of the sums differs
-    and how the log(s_t) are taken: the compiled kernel takes one log per
-    candidate, of its product of s_t carried as a significand and a power of
-    two, and redoes a chunk step by step only when its product could leave
-    the normal range. The compiled scalar kernel equals the compiled batch
-    row exactly, as both run one routine: checked on the first and the last
-    20 rows, where the batch kernel's last group of four may be short."""
+    and how the log(s_t) and the y_t^2/s_t are taken: the compiled kernel
+    takes one log per candidate, of its product of s_t carried as a
+    significand and a power of two, and one divide per two steps, over
+    s_t*s_{t+1}, and redoes a chunk step by step only when its product could
+    leave the normal range or its quadratic sum is not finite. The compiled
+    scalar kernel equals the compiled batch row exactly, as both run one
+    body: the scalar kernel in four lanes of two-double vectors, the batch
+    kernel in eight lanes of four-double vectors where the CPU has AVX2.
+    Checked on the first and the last 20 rows, where the batch kernel's last
+    group may be short."""
 
     RTOL = 1e-13
 
@@ -384,6 +388,31 @@ class TestCompiledKernels:
             assert straddle.any() and carried.any()
         self.check(compiled, y, thetas, safe_min)
 
+    @pytest.mark.parametrize("spike, last", [(86.25, 255.5), (85.75, 256.5)],
+                             ids=["pair-product-overflows", "numerator-overflows"])
+    def test_spikes_in_one_pair_of_a_finite_chunk_match_twin(self, compiled, spike, last):
+        # The compiled kernel divides once per two steps: (y_t^2*s_{t+1} +
+        # y_{t+1}^2*s_t) / (s_t*s_{t+1}). Steps 14 and 15, the last pair of
+        # the first 16-step chunk, hold spikes near 2^512, while the chunk's
+        # product of s_t stays finite, since steps 0 to 12 sit at 2^-60. With
+        # alpha = 2^340 and beta = 2^-900 the spikes come from single returns
+        # and die out at once. In the first case the pair's product
+        # overflows, so a quotient over it would lose step 15's term of
+        # 2^-1.5; in the second the product is finite but the numerator
+        # overflows. Either chunk must be redone with a divide per step.
+        y = np.zeros(64)
+        y[12:16] = 2.0 ** -20, 2.0 ** spike, 2.0 ** spike, 2.0 ** last
+        y[17:] = np.random.default_rng(17).standard_normal(47) * 2.0 ** -200
+        spiky, s1 = (2.0 ** 340, 2.0 ** -900, 2.0 ** -60), 2.0 ** -60
+        s = _kernels_py.volatility(y, *spiky, s1)
+        assert np.log2(s[14:16]) == pytest.approx([2 * spike + 340] * 2)
+        with np.errstate(over="ignore"):
+            overflows = [s[14] * s[15] == math.inf, y[15] ** 2 * s[14] == math.inf]
+        assert overflows == [spike > 86, spike < 86]
+        assert math.isfinite(math.prod(s[:16]))
+        thetas = np.array([spiky] * 3 + [(0.1, 0.8, 2.0 ** -60)] + [spiky] * 5)
+        self.check(compiled, y, thetas, s1)
+
     def test_non_finite_totals_raise_typed_overflow(self, compiled):
         y = [0.5, -1.0, 2.0]
         cases = [
@@ -439,7 +468,7 @@ class TestBatchThreads:
           for k in (1, 2, 3, 17, 1003) for n in (1, 17, 250, 2000)),
         # Returns of scale 2^-40 and an omega of 2^-70 in every third row:
         # rows whose s_t fall below 2^-62 after their first chunks, which are
-        # redone step by step, share each group of four with rows whose s_t
+        # redone step by step, share each group of lanes with rows whose s_t
         # stay above omega >= 0.2 and skip the check; each thread's range
         # (501 and 502 rows on two CPUs, 1003 on one) ends in a short group.
         pytest.param(1003, 2000, True, id="1003-2000-tiny-omega"),
