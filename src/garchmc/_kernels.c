@@ -21,15 +21,14 @@
    takes a log at every step, so the two differ in rounding only.
 
    One body, SCORE, computes it, several candidates side by side, and is
-   instantiated twice. score holds four lanes in two vectors of two doubles
-   and serves all three callers: the scalar kernel fills its four lanes with
-   its one candidate, the batch kernel on a CPU without AVX2 takes its rows
-   four at a time, and rw_chain scores four speculative candidates per
-   pass. score is built once per x86-64 SIMD level (AVX-512, AVX2 and the
-   baseline) by target_clones, and the loader picks the one the CPU
-   supports. score8 holds eight lanes in two vectors of four doubles and is
-   built for AVX2 alone; module init checks the CPU once, and where it has
-   AVX2 the batch kernel takes its rows eight at a time through score8.
+   instantiated twice. score holds four lanes in two vectors of two doubles:
+   the scalar kernel fills its four lanes with its one candidate. score is
+   built once per x86-64 SIMD level (AVX-512, AVX2 and the baseline) by
+   target_clones, and the loader picks the one the CPU supports. score8
+   holds eight lanes in two vectors of four doubles and is built for AVX2
+   alone. Module init checks the CPU once and sets score_group: score8
+   where it has AVX2, score elsewhere. The batch kernel takes its rows, and
+   rw_chain its speculative candidates, that many at a time through it.
    Each lane runs the same IEEE operations in either, and -ffp-contract=off
    keeps every build from fusing them, so all give the same bits.
 
@@ -55,15 +54,20 @@
    rw_chain walks its steps in one loop that tests each candidate for the
    support and scores it in one of two branches. While this module's
    log_likelihood attribute is its own function, a candidate inside the
-   support opens a pass that scores four lanes at once: the candidate, the
-   next step's after this step accepts and after it rejects, and the one
-   after that after both accept. So a pass decides two steps, or three when
-   both accept, and makes no Python call. While a wrapper is set there, as
-   ``perfbench/tracer.py`` sets one on ``backend.kernels.log_likelihood``,
-   each step calls it once on its own candidate, so the wrapper sees every
-   call. Both branches give the same bits. independence_accept returns only
-   its accept flags and the end log-density; which row holds the state after
-   each step is worked out by ``garchmc.samplers``. */
+   support opens a pass that scores score_group's lanes at once, one table,
+   TREE, of the candidates that the steps after it may propose. Eight lanes
+   hold the candidate, the next two steps' after every accept and reject,
+   and the one after three accepts, so a pass decides three steps, or four
+   when three accept: 3 + a^3 on average at acceptance a. The first four
+   lanes of TREE, the tree where score_group is score, hold the candidate,
+   the next step's after an accept and a reject, and the one after that
+   after two accepts, and decide 2 + a^2. No pass makes a Python call.
+   While a wrapper is set there, as ``perfbench/tracer.py`` sets one on
+   ``backend.kernels.log_likelihood``, each step calls it once on its own
+   candidate, so the wrapper sees every call. Both branches give the same
+   bits. independence_accept returns only its accept flags and the end
+   log-density; which row holds the state after each step is worked out by
+   ``garchmc.samplers``. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
@@ -258,15 +262,17 @@ name(const double *y, Py_ssize_t n, const double (*theta)[3], double sigma1_sq, 
 }
 
 /* score: four lanes in pairs, built per SIMD level, for the scalar kernel,
-   rw_chain and the batch kernel where the CPU has no AVX2. score8: eight
-   lanes in quartets, for the batch kernel where it has. */
+   and for the batch kernel and rw_chain where the CPU has no AVX2. score8:
+   eight lanes in quartets, for the batch kernel and rw_chain where it
+   has. */
 SIMD_CLONES SCORE(score, pair, pair_bits)
 #ifdef AVX2
 AVX2 SCORE(score8, quartet, quartet_bits)
 #endif
 
-/* The batch kernel's routine and its lanes: score8 and 8 where the CPU has
-   AVX2, set at module init, otherwise score and 4. */
+/* The routine and lanes of the batch kernel and of rw_chain's passes:
+   score8 and 8 where the CPU has AVX2, set at module init, otherwise score
+   and 4. */
 static void (*score_group)(const double *, Py_ssize_t, const double (*)[3], double, double *)
     = score;
 static int group_lanes = 4;
@@ -453,45 +459,64 @@ decide(double *theta, double *log_p, double *row, double log_p_cand, double u)
     return (char)accepted;
 }
 
-/* Steps i, i + 1 and, when both accept, i + 2 of walk, of the left that
-   remain, where step i's candidate, in row, lies inside the support.
-   score scores four lanes on the ny returns y side by side: step i's
-   candidate (I), step i + 1's after step i accepts (A) and after it
-   rejects (R), and step i + 2's after both accept (AA). A lane outside the
-   support, or past the last step, holds step i's candidate instead and
+/* The speculative lanes of a pass: the candidates of step i and of the
+   steps after it, named by the decisions, accept (A) or reject (R), that
+   lead to them from step i, whose candidate is lane I. The first four, I,
+   A, R and AA, are the tree where group_lanes is 4; all eight, which add
+   AR, RA, RR and AAA, are the tree where it is 8. For each lane, depth is
+   the step after step i that it proposes; base is the lane whose candidate
+   is the state after those decisions, or THETA for the state before step
+   i; and next is the lane of the following step after a reject and after
+   an accept, where a lane at or past group_lanes ends the pass. */
+enum { LANE_I, LANE_A, LANE_R, LANE_AA, LANE_AR, LANE_RA, LANE_RR, LANE_AAA, LANES, THETA = -1 };
+static const struct {
+    int depth, base, next[2];
+} TREE[LANES] = {
+    [LANE_I] = {0, THETA, {LANE_R, LANE_A}},
+    [LANE_A] = {1, LANE_I, {LANE_AR, LANE_AA}},
+    [LANE_R] = {1, THETA, {LANE_RR, LANE_RA}},
+    [LANE_AA] = {2, LANE_A, {LANES, LANE_AAA}},
+    [LANE_AR] = {2, LANE_I, {LANES, LANES}},
+    [LANE_RA] = {2, LANE_R, {LANES, LANES}},
+    [LANE_RR] = {2, THETA, {LANES, LANES}},
+    [LANE_AAA] = {3, LANE_AA, {LANES, LANES}},
+};
+
+/* Step i of walk and the steps after it that its tree's lanes reach, of the
+   left that remain, where step i's candidate, in row, lies inside the
+   support: two or three steps with four lanes, three or four with eight.
+   score_group scores group_lanes lanes on the ny returns y side by side,
+   each the state after its decisions plus its step's shift. A lane outside
+   the support, or past the last step, holds step i's candidate instead and
    its total is ignored. Each step takes the lane its predecessors'
    decisions pick, and a lane's total is checked for finiteness only when
    a step takes it. Returns the steps taken, or -1 with an exception set. */
-enum { LANE_I, LANE_A, LANE_R, LANE_AA };
 static Py_ssize_t
 pass(const double *y, Py_ssize_t ny, double sigma1_sq, double *theta, double *log_p,
      const double *shift, const double *u, Py_ssize_t left, double *row, char *flag)
 {
-    /* The next step's lane after each lane rejects and accepts; -1 ends. */
-    static const int next[4][2] = {{LANE_R, LANE_A}, {-1, LANE_AA}, {-1, -1}, {-1, -1}};
-    const Py_ssize_t steps = left < 3 ? left : 3;
-    double cand[4][3], total[4];
-    int inside[4];
-    for (int j = 0; j < 3; j++) {
-        cand[LANE_I][j] = row[j];
-        cand[LANE_A][j] = steps > 1 ? row[j] + shift[3 + j] : row[j];
-        cand[LANE_R][j] = steps > 1 ? theta[j] + shift[3 + j] : row[j];
-        cand[LANE_AA][j] = steps > 2 ? cand[LANE_A][j] + shift[6 + j] : row[j];
+    const int lanes = group_lanes;
+    double cand[LANES][3], total[LANES];
+    int inside[LANES];
+    for (int l = 0; l < lanes; l++) {
+        const int depth = TREE[l].depth;
+        const double *from = TREE[l].base == THETA ? theta : cand[TREE[l].base];
+        for (int j = 0; j < 3; j++)
+            cand[l][j] = depth < left ? from[j] + shift[3 * depth + j] : row[j];
     }
-    for (int l = 0; l < 4; l++) {
-        if (!(inside[l] = in_support(cand[l])))
+    for (int l = 0; l < lanes; l++) {
+        if (!(inside[l] = TREE[l].depth < left && in_support(cand[l])))
             memcpy(cand[l], row, sizeof cand[l]);
     }
-    score(y, ny, (const double (*)[3])cand, sigma1_sq, total);
-    for (int m = 0, lane = LANE_I; m < steps; m++) {
+    score_group(y, ny, (const double (*)[3])cand, sigma1_sq, total);
+    for (int m = 0, lane = LANE_I;; m++) {
         if (inside[lane] && check_finite(total + lane, 1) < 0)
             return -1;
         memcpy(row + 3 * m, cand[lane], sizeof cand[lane]);
         flag[m] = decide(theta, log_p, row + 3 * m, inside[lane] ? total[lane] : -INFINITY, u[m]);
-        if ((lane = next[lane][(int)flag[m]]) < 0)
+        if ((lane = TREE[lane].next[(int)flag[m]]) >= lanes || m + 1 == left)
             return m + 1;
     }
-    return steps;
 }
 
 /* The n steps of rw_chain from the state theta of log-density *log_p: step
@@ -539,8 +564,8 @@ walk(PyObject *loglik, PyObject *y_obj, const double *y, Py_ssize_t ny, double s
    ``_kernels_py``. Step i proposes theta + shifts[i] and accepts by u[i]. A
    candidate outside the support scores -inf with no call. One inside is
    scored by this module's log_likelihood attribute, looked up once per
-   call: while that is this module's own function, walk decides two or
-   three steps per pass and makes no Python call; once a wrapper is set
+   call: while that is this module's own function, walk decides up to
+   four steps per pass and makes no Python call; once a wrapper is set
    there, as ``perfbench/tracer.py`` does, walk calls it once per candidate
    inside the support, so the wrapper sees every scalar call, with the
    array that owns y's buffer: y itself when it is a C-contiguous float64

@@ -21,18 +21,19 @@ kernel through it, so setting it swaps a run's likelihood, accept loops and
 chain.csv text together. One compiled likelihood body scores every candidate,
 several side by side, and differs from the twin in rounding only: it takes one
 log per candidate and one divide per two steps. Its four-lane routine, in
-two-double vectors, serves the scalar kernel and ``rw_chain``; the batch
-kernel takes eight lanes in four-double vectors where the CPU has AVX2, which
-the module checks once when it loads, and four elsewhere. A kernel module's
-``rw_chain`` looks its own ``log_likelihood`` attribute up once per call, and
-``model`` reads ``backend.kernels.log_likelihood`` at each call. The compiled
-``rw_chain`` walks its steps in one loop with two branches. While that
-attribute is the compiled module's own function, each pass scores four
-speculative candidates at once, decides two or three steps with them and makes
-no Python call. ``perfbench/tracer.py`` sets a wrapper there first; the loop
-then calls it once per candidate inside the support, as the twin always does,
-so the tracer counts every scalar call, and its per-layer numbers describe
-that wrapper branch. Both branches take the same steps.
+two-double vectors, serves the scalar kernel. The batch kernel and
+``rw_chain`` take eight lanes in four-double vectors where the CPU has AVX2,
+which the module checks once when it loads, and four elsewhere. A kernel
+module's ``rw_chain`` looks its own ``log_likelihood`` attribute up once per
+call, and ``model`` reads ``backend.kernels.log_likelihood`` at each call. The
+compiled ``rw_chain`` walks its steps in one loop with two branches. While
+that attribute is the compiled module's own function, each pass scores a tree
+of speculative candidates at once and makes no Python call: with eight lanes
+it decides three steps, or four when three accept, and with four lanes two or
+three. ``perfbench/tracer.py`` sets a wrapper there first; the loop then calls
+it once per candidate inside the support, as the twin always does, so the
+tracer counts every scalar call, and its per-layer numbers describe that
+wrapper branch. Both branches take the same steps.
 """
 import hashlib
 import importlib.util

@@ -8,7 +8,7 @@ of its numpy twin ``_kernels_py``, which write the accept rule once each.
 ``_rw_chain`` walks the GARCH posterior of the returns y: the kernel tests
 each candidate for the support and scores one inside with the scalar
 likelihood's operations, the twin once per step and the compiled module in
-passes that score the candidates of up to three steps at once.
+passes that score the candidates of up to four steps at once.
 Independence candidates do not depend on the chain state, so
 ``_independence_batch`` is dimension-agnostic and takes a batch scorer,
 mapping a (k, p) array of candidates to their (k,) log-densities in one
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend, model, proposal
-from .exceptions import DataValidationError, DegenerateSampleError, TuningFailureError
+from .exceptions import (DataValidationError, DegenerateSampleError, InsufficientDataError,
+                         TuningFailureError)
 from .rng import named_rng
 
 #: Random-walk half-window width every parameter starts tuning from.
@@ -33,6 +34,11 @@ TUNE_ACCEPT_FLOOR = 0.5
 TUNE_ACCEPT_CEIL = 0.85
 TUNE_BLOCK_STEPS = 500
 TUNE_MAX_BLOCKS = 20
+#: The fewest returns a run takes. Under the flat prior the posterior's omega
+#: tail falls as omega^-(n-1)/2, since s_1 = sigma1_sq does not move with
+#: omega: below 4 returns it has no finite mass, below 6 no omega mean and
+#: below 8 no omega sd.
+MIN_RETURNS = 8
 
 
 @dataclass(frozen=True)
@@ -142,12 +148,18 @@ def _data(y):
     volatility recursion starts from.
 
     Returns without a positive variance (flat prices, a single return) leave
-    the GARCH scale unidentified and sigma1_sq zero, so they are refused.
+    the GARCH scale unidentified and sigma1_sq zero, so they are refused, and
+    then fewer than MIN_RETURNS, whose posterior has no omega sd.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     var = float(np.var(y))
     if not var > 0.0:
         raise DataValidationError(f"returns need a positive variance, got {var} over {y.size} values")
+    if y.size < MIN_RETURNS:
+        raise InsufficientDataError(
+            f"need at least {MIN_RETURNS} returns, got {y.size}: under the flat prior the "
+            f"posterior's omega tail falls as omega^-(n-1)/2, so it has no omega sd below "
+            f"{MIN_RETURNS} returns and no finite mass below 4")
     return y, var
 
 

@@ -179,6 +179,12 @@ class TestRun:
             assert run_cli(["run", *source, "--out", str(tmp_path / "o")]) == 1
             assert "positive variance" in capsys.readouterr().err
 
+    def test_seven_returns_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(["run", "--synthetic", "--n", "7", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: need at least 8 returns, got 7")
+        assert not (out / "manifest.json").exists()
+
     def test_multi_chain(self, tmp_path):
         out = tmp_path / "multi"
         assert run_cli(base_args(out, total=2000) + ["--chains", "2"]) == 0

@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from cpu import cpu_flags
 from garchmc import _kernels_py, backend, data, diagnostics, model, proposal, samplers
-from garchmc.exceptions import DataValidationError, NumericOverflowError, TuningFailureError
+from garchmc.exceptions import (DataValidationError, InsufficientDataError, NumericOverflowError,
+                                TuningFailureError)
 
 LOG_ZERO = model.LOG_ZERO
 #: The returns handed to ``rw_chain`` where a stand-in likelihood ignores them.
@@ -554,34 +556,58 @@ def both_paths(compiled, monkeypatch, *args):
     return outcomes[0]
 
 
+#: The speculative lanes of a compiled ``rw_chain`` pass, each named by the
+#: decisions, accept (A) or reject (R), that lead to it from the candidate
+#: that opens the pass: the four-lane tree, and the eight-lane tree that
+#: ``_kernels.c`` takes where the CPU has AVX2.
+FOUR_LANE_TREE = ("A", "R", "AA")
+EIGHT_LANE_TREE = FOUR_LANE_TREE + ("AR", "RA", "RR", "AAA")
+PASS_TREE = EIGHT_LANE_TREE if "avx2" in cpu_flags() else FOUR_LANE_TREE
+
+
 def lanes_outside_support(start, draws, accepted, shifts):
     """How many steps of the compiled ``rw_chain`` took each speculative lane
-    of a pass, A, R or AA, while it held a candidate outside the support:
-    a pass opens at a candidate inside the support and decides the next
-    step from lane A after an accept or R after a reject, and the step
-    after that from lane AA when both accept."""
+    of PASS_TREE while it held a candidate outside the support: a pass
+    opens at a candidate inside the support, and each following step takes
+    the lane that the decisions since then name, until that lane is not in
+    the tree."""
     states = np.vstack([start, draws])  # the state before each step
     inside = [model.in_support(*c) for c in states[:-1] + shifts]
-    counts = dict.fromkeys(("A", "R", "AA"), 0)
+    counts = dict.fromkeys(PASS_TREE, 0)
     i, n = 0, len(shifts)
     while i < n:
-        lanes = ["A" if accepted[i] else "R"] if inside[i] and i + 1 < n else []
-        if lanes == ["A"] and accepted[i + 1] and i + 2 < n:
-            lanes.append("AA")
-        for m, lane in enumerate(lanes, start=1):
+        m, lane = 1, ""  # the steps the pass has taken, and the lane of the next
+        while inside[i] and i + m < n:
+            lane += "A" if accepted[i + m - 1] else "R"
+            if lane not in counts:
+                break
             counts[lane] += not inside[i + m]
-        i += 1 + len(lanes)
+            m += 1
+        i += m
     return counts
 
 
 class TestFusedRandomWalk:
     """The compiled ``rw_chain`` on its own likelihood, whose steps run in
-    passes of two or three with no Python call, against the same call with
-    a forwarding wrapper set as its likelihood."""
+    passes of up to four with no Python call, against the same call with a
+    forwarding wrapper set as its likelihood."""
 
     #: Step widths from which chains on 250 returns accept from about 0.95
     #: of their steps down to below 0.1; the widest leave the support often.
     WIDTHS = (3e-4, 3e-3, 1e-2, 4e-2, 0.3)
+    #: The share of steps of the last walk, otherwise at the narrowest width,
+    #: that add 1 to beta and so leave the support. A walk of normal steps
+    #: seldom accepts three and then leaves, which lane AAA needs; this one
+    #: accepts about 0.8 of its steps and does.
+    JUMP_SHARE = 0.2
+
+    def walks(self, rng, n_steps):
+        """(shifts, u) of a walk at each of WIDTHS, then of the jump walk."""
+        for width in self.WIDTHS:
+            yield width * rng.standard_normal((n_steps, 3)) * [1.0, 1.0, 0.2], rng.random(n_steps)
+        shifts = self.WIDTHS[0] * rng.standard_normal((n_steps, 3)) * [1.0, 1.0, 0.2]
+        shifts[:, 1] += rng.random(n_steps) < self.JUMP_SHARE
+        yield shifts, rng.random(n_steps)
 
     @pytest.mark.parametrize("n_steps", [0, 1, 2, 301])
     @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -591,16 +617,14 @@ class TestFusedRandomWalk:
         log_p = compiled.log_likelihood(y, *GARCH_START, s1)
         rng = np.random.default_rng(seed)
         rates, outside = [], collections.Counter()
-        for width in self.WIDTHS:
-            shifts = width * rng.standard_normal((n_steps, 3)) * [1.0, 1.0, 0.2]
-            u = rng.random(n_steps)
+        for shifts, u in self.walks(rng, n_steps):
             draws, accepted, *_ = both_paths(compiled, monkeypatch, y, s1, GARCH_START, log_p,
                                              shifts, u)
             rates.append(accepted.mean() if n_steps else 0.0)
             outside.update(lanes_outside_support(GARCH_START, draws, accepted, shifts))
         if n_steps == 301:
             assert min(rates) < 0.1 and max(rates) > 0.9
-            assert min(outside[lane] for lane in ("A", "R", "AA")) > 0, outside
+            assert min(outside[lane] for lane in PASS_TREE) > 0, outside
 
     #: ``_kernels.c`` scores a chunk of 16 steps at once when its least s_t
     #: is at least SAFE_MIN, 2^-62, and step by step otherwise, where the
@@ -637,26 +661,44 @@ class TestFusedRandomWalk:
     OVERFLOW_START = np.array([0.001, 0.1, 1e307])
     RISKY_SHIFTS = [[0.0, 0.4, 0.0], [0.0, 0.45, 0.0]]
     #: For each lane, shifts after which it alone reaches beta 0.95, and the
-    #: steps whose shifts take OVERFLOW_START there. Lane R gets there after
-    #: step i rejects; after it accepts, lane A's 1.35 is outside the
+    #: steps whose shifts take OVERFLOW_START there. Every shift moves beta
+    #: up, so that u decides each step inside the support. Lane R gets there
+    #: after step i rejects; after it accepts, lane A's 1.35 is outside the
     #: support. Lane AA gets there after steps i and i + 1 accept; every
-    #: other path stays at 0.7 or below.
+    #: other path stays at 0.7 or below. Lanes AR, RA and RR get there after
+    #: the decisions that name them; lane AA's candidate is outside the
+    #: support, and every other candidate is outside it or at 0.7 or below.
+    #: Lane AAA gets there after three accepts; every other path stays at
+    #: 0.75 or below.
     RISKY = {"A": (RISKY_SHIFTS, [0, 1]),
              "R": ([[0.0, 0.4, 0.0], [0.0, 0.85, 0.0]], [1]),
-             "AA": ([[0.0, 0.3, 0.0], [0.0, 0.3, 0.0], [0.0, 0.25, 0.0]], [0, 1, 2])}
+             "AA": ([[0.0, 0.3, 0.0], [0.0, 0.3, 0.0], [0.0, 0.25, 0.0]], [0, 1, 2]),
+             "AR": ([[0.0, 0.45, 0.0], [0.0, 0.15, 0.0], [0.0, 0.4, 0.0]], [0, 2]),
+             "RA": ([[0.0, 0.15, 0.0], [0.0, 0.45, 0.0], [0.0, 0.4, 0.0]], [1, 2]),
+             "RR": ([[0.0, 0.2, 0.0], [0.0, 0.3, 0.0], [0.0, 0.85, 0.0]], [2]),
+             "AAA": ([[0.0, 0.2, 0.0]] * 3 + [[0.0, 0.25, 0.0]], [0, 1, 2, 3])}
 
     @pytest.mark.parametrize("lane, u_risky, raises", [
         ("A", [0.0], True), ("A", [0.9], False), ("R", [0.0], False), ("R", [0.9], True),
         ("AA", [0.0, 0.0], True), ("AA", [0.0, 0.9], False), ("AA", [0.9, 0.0], False),
+        ("AR", [0.0, 0.9], True), ("AR", [0.0, 0.0], False), ("AR", [0.9, 0.9], False),
+        ("RA", [0.9, 0.0], True), ("RA", [0.0, 0.0], False), ("RA", [0.9, 0.9], False),
+        ("RR", [0.9, 0.9], True), ("RR", [0.9, 0.0], False), ("RR", [0.0, 0.9], False),
+        ("AAA", [0.0, 0.0, 0.0], True), ("AAA", [0.0, 0.0, 0.9], False),
+        ("AAA", [0.9, 0.0, 0.0], False),
     ], ids=["step-i-accepts", "step-i-rejects", "lane-R-step-i-accepts",
             "lane-R-step-i-rejects", "lane-AA-both-accept", "lane-AA-step-i-plus-1-rejects",
-            "lane-AA-step-i-rejects"])
-    @pytest.mark.parametrize("lead", [0, 1, 2, 3])
+            "lane-AA-step-i-rejects", "lane-AR-taken", "lane-AR-both-accept",
+            "lane-AR-both-reject", "lane-RA-taken", "lane-RA-both-accept", "lane-RA-both-reject",
+            "lane-RR-taken", "lane-RR-step-i-plus-1-accepts", "lane-RR-step-i-accepts",
+            "lane-AAA-three-accept", "lane-AAA-step-i-plus-2-rejects",
+            "lane-AAA-step-i-rejects"])
+    @pytest.mark.parametrize("lead", [0, 1, 2, 3, 4])
     def test_non_finite_lane_2_raises_only_when_used(self, compiled, monkeypatch, lead, lane,
                                                      u_risky, raises):
         # ``lead`` steps of zero shift, each accepted, come first, so that
-        # step i opens a pass or is lane A or AA of one; three more follow.
-        # u of 0.0 accepts a risky step and 0.9 rejects it.
+        # step i opens a pass or is lane A, AA or AAA of one; three more
+        # follow. u of 0.0 accepts a risky step and 0.9 rejects it.
         y = np.random.default_rng(3).standard_normal(200)
         theta = self.OVERFLOW_START
         log_p = compiled.log_likelihood(y, *theta, 1.0)
@@ -741,6 +783,15 @@ class TestRunMetropolis:
             run(np.zeros(10), sched)
 
     @pytest.mark.parametrize("run", [samplers.run_metropolis, samplers.run_adaptive])
+    def test_fewer_than_eight_returns_refused(self, run):
+        # Below 8 returns the flat-prior posterior has no omega sd.
+        sched = samplers.AdaptiveSchedule(burn_in=10, pilot=10, refit_interval=10, total=10)
+        y = np.random.default_rng(1).standard_normal(samplers.MIN_RETURNS)
+        with pytest.raises(InsufficientDataError, match="omega"):
+            run(y[:-1], sched)
+        assert run(y, sched).draws.shape == (10, 3)
+
+    @pytest.mark.parametrize("run", [samplers.run_metropolis, samplers.run_adaptive])
     def test_overflow_is_typed_error_without_warnings(self, run, monkeypatch):
         # The real kernels, called with sigma1_sq = 1e-320, so y_0^2 / sigma1_sq
         # overflows.
@@ -754,7 +805,7 @@ class TestRunMetropolis:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflowError):
-                run(np.array([1.0, -1.0, 1.0]), sched)
+                run(np.array([1.0, -1.0] * 4), sched)
 
 
 class TestCrossSamplerAgreement:
