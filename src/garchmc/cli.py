@@ -169,8 +169,35 @@ def _remove_stale_artifacts(out, config):
             d.rmdir()
 
 
-def _run_one_chain(config, sched, y, seed, out):
-    """Run a single chain and write all artifacts into ``out``."""
+def _cpu_shares(cpus, k):
+    """The CPUs each of ``k`` chains runs on: chain i takes every k-th of
+    the sorted ``cpus`` from the i-th, so with k <= len(cpus) the shares are
+    disjoint and cover ``cpus``, and with more chains each takes one CPU,
+    chain i the (i mod len(cpus))-th."""
+    return [cpus[i % len(cpus)::k] for i in range(k)]
+
+
+def _median(values):
+    """``np.median`` of the floats ``values``, bit for bit and NaN when any
+    is NaN, without the ``numpy.ma`` import that ``np.median`` makes."""
+    s = np.sort(values)
+    if math.isnan(s[-1]):  # np.sort puts NaN last
+        return math.nan
+    mid = (len(s) - 1) // 2
+    return float(np.mean(s[mid:len(s) - mid]))
+
+
+def _run_one_chain(config, sched, y, seed, out, cpus=None):
+    """Run a single chain and write all artifacts into ``out``.
+
+    A pool worker first moves onto its share ``cpus`` of the parent's CPUs,
+    so that chains forked together do not take turns on one CPU; the batch
+    kernel then starts its threads on that share alone. A refused move
+    leaves the worker where it was.
+    """
+    if cpus is not None:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
     out.mkdir(parents=True, exist_ok=True)
     if config.sampler == "adaptive":
         res = samplers.run_adaptive(y, sched, nu=config.nu, seed=seed)
@@ -218,9 +245,13 @@ def run(config):
             k = config.chains
             seeds = [chain_seed(config.seed, i) for i in range(k)]
             dirs = [out / f"chain_{i:02d}" for i in range(k)]
+            # Without both affinity calls (macOS), the workers share every CPU.
+            shares = [None] * k
+            if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
+                shares = _cpu_shares(sorted(os.sched_getaffinity(0)), k)
             with concurrent.futures.ProcessPoolExecutor(max_workers=min(k, 8)) as pool:
                 reports = list(pool.map(_run_one_chain, [config] * k, [sched] * k, [y] * k,
-                                        seeds, dirs))
+                                        seeds, dirs, shares))
             spread = {}
             for name in diagnostics.PARAM_NAMES:
                 means = np.array([r["params"][name]["mean"] for r in reports])
@@ -228,7 +259,7 @@ def run(config):
                 spread[name] = {
                     "mean_of_means": float(means.mean()),
                     "spread_of_means": float(means.std(ddof=1)),
-                    "median_stat_error": float(np.median(stat_errs)),
+                    "median_stat_error": _median(stat_errs),
                 }
             _write_json(out / "cross_chain.json", {"seeds": seeds, "spread": spread})
 

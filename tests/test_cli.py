@@ -595,3 +595,103 @@ def test_compiled_run_imports_no_scipy(tmp_path):
     kernel, imported, ran = out.stdout.split()
     assert kernel == backend.KERNEL
     assert (imported, ran) == ("False", str(kernel == "numpy"))
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_cpu_shares_split_the_mask(n_cpus, k):
+    cpus = [0, 2, 3, 7][:n_cpus]
+    shares = cli._cpu_shares(cpus, k)
+    assert len(shares) == k
+    if k <= n_cpus:
+        assert all(shares)
+        assert sorted(c for share in shares for c in share) == cpus
+    else:
+        assert shares == [[cpus[i % n_cpus]] for i in range(k)]
+
+
+def _worker_cpus(tmp_path, monkeypatch, chains, getaffinity=os.sched_getaffinity):
+    """Run ``--chains chains`` through the fork-started pool with a sampler
+    that first records the CPUs its worker may run on; returns them in chain
+    order."""
+    run_adaptive = samplers.run_adaptive
+    seen = tmp_path / "seen"
+    seen.mkdir()
+
+    def recording(y, sched, nu, seed):
+        (seen / str(seed)).write_text(json.dumps(sorted(getaffinity(0))))
+        return run_adaptive(y, sched, nu=nu, seed=seed)
+
+    monkeypatch.setattr(samplers, "run_adaptive", recording)
+    out = tmp_path / "run"
+    assert run_cli(base_args(out, total=1000) + ["--chains", str(chains)]) == 0
+    seeds = json.loads((out / "cross_chain.json").read_text())["seeds"]
+    return [json.loads((seen / str(seed)).read_text()) for seed in seeds]
+
+
+@pytest.mark.parametrize("chains", [2, 3])
+def test_each_pool_worker_runs_on_its_share(tmp_path, monkeypatch, chains):
+    cpus = sorted(os.sched_getaffinity(0))
+    got = _worker_cpus(tmp_path, monkeypatch, chains)
+    assert got == [cpus[i % len(cpus)::chains] for i in range(chains)]
+
+
+def _refuse_affinity(pid, cpus):
+    raise OSError(errno.EINVAL, "Invalid argument")
+
+
+@pytest.mark.parametrize("change", ["no-getaffinity", "no-setaffinity", "setaffinity-fails"])
+def test_pool_without_affinity_runs_on_every_cpu(tmp_path, monkeypatch, change):
+    # As where os lacks the affinity calls (macOS), or the kernel refuses the
+    # share: the run still completes, each worker on the parent's whole mask.
+    getaffinity = os.sched_getaffinity
+    if change == "setaffinity-fails":
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
+    else:
+        monkeypatch.delattr(os, "sched_" + change.removeprefix("no-"))
+    cpus = sorted(getaffinity(0))
+    assert _worker_cpus(tmp_path, monkeypatch, 2, getaffinity) == [cpus, cpus]
+
+
+def test_chains_on_one_cpu_keep_their_bytes(tmp_path):
+    out = tmp_path / "run"
+    args = base_args(out, seed=1, total=2000) + ["--chains", "2"]
+    code = (
+        "import os, sys\n"
+        "from garchmc import cli\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        f"sys.exit(cli.main({args!r}))\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    got = hashlib.sha256((out / "cross_chain.json").read_bytes()).hexdigest()
+    assert got == PINNED_SHA256["chains-2"]["cross_chain.json"]
+
+
+def test_chains_run_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma at its first call, about 10 ms that the
+    # parent would spend after the pool has finished.
+    args = base_args(tmp_path / "run", total=1000) + ["--chains", "2"]
+    code = (
+        "import sys\n"
+        "from garchmc import cli\n"
+        f"assert cli.main({args!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_median_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for trial in range(11000):
+        values = rng.lognormal(-5.0, 2.0, size=trial % 11 + 1)
+        if trial % 10 == 0:
+            values[rng.integers(values.size)] = np.nan
+        elif trial % 10 == 1:
+            values[rng.integers(values.size)] = np.inf
+        elif trial % 10 == 2:
+            values[:] = rng.choice(values[:2], size=values.size)  # ties
+        want = np.float64(np.median(values)).tobytes()
+        assert np.float64(cli._median(values)).tobytes() == want, values
