@@ -19,7 +19,9 @@ row's: a build that never starts a thread gives the same bits, so only its
 speed shows it. The rows are timed again, up to THREAD_ROUNDS rounds in
 all, while that ratio misses, and the best round is judged, since a
 second thread gets no CPU of its own while the machine's other CPUs are
-busy. The CPU column tells such a miss from a build without threads: when
+busy, or where the scheduler starts it on the calling thread's CPU, as it
+did before the kernel kept its helpers off that CPU (see THREADS_RATIO).
+The CPU column tells such a miss from a build without threads: when
 the second thread gets a CPU of its own, the BATCH_K row's CPU time is
 near twice its wall time; when the two take turns on one, the two are near
 equal.
@@ -101,7 +103,12 @@ ONE_THREAD_K = 64
 #: Where the process may use two CPUs or more, BATCH_K candidates at n = 2000
 #: must take less than this share of ONE_THREAD_K's time per candidate
 #: (0.54-0.64 measured on 2 CPUs, and once 0.82 in a first round while the
-#: other CPU was busy; 1.05-1.15 with the threads taken out).
+#: other CPU was busy; 1.05-1.15 with the threads taken out). A first round
+#: also missed where the scheduler started the kernel's helper thread on the
+#: calling thread's CPU and the two took turns there: before the helpers
+#: were kept off that CPU, first rounds read 0.56, 0.54, 0.82 and 0.57 in
+#: four runs, the miss at 1.3 times as much CPU as wall time, and after it
+#: 0.64, 0.54, 0.53 and 0.56 (2-vCPU Xeon).
 THREADS_RATIO = 0.8
 #: Rounds of the threads rows at most, while THREADS_RATIO misses.
 THREAD_ROUNDS = 3

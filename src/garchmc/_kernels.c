@@ -36,11 +36,17 @@
    thread: as many threads as the process's affinity mask holds CPUs, at
    most MAX_THREADS, and no more than give each thread MIN_THREAD_STEPS
    candidate-steps (k * n), so a small batch stays on the calling thread.
-   The calling thread scores the first range and the others run on plain
+   The calling thread scores the first range and the others run on
    pthreads that are created and joined inside the call, so no thread
-   outlives it and a fork never copies one. Each candidate's operations do
-   not depend on its neighbours, so every split and every grouping gives
-   the same bits.
+   outlives it and a fork never copies one. These helpers are created with
+   the mask less the CPU the calling thread is on: started without one, a
+   helper began on that CPU, where the two took turns, so that a call in a
+   run took as long as on one thread. Where that CPU is unknown or not in
+   the mask, the attribute cannot be set or the C library has no
+   pthread_attr_setaffinity_np, the helpers start where the scheduler puts
+   them. The calling thread's own mask is never changed. Each candidate's
+   operations do not depend on its neighbours, so every split and every
+   grouping gives the same bits.
 
    chain_text writes "%.17g" of each parameter: a positive normal double
    between about 1e-16 and 1e48, in fixed or exponential notation, by exact
@@ -282,8 +288,12 @@ static int group_lanes = 4;
 /* Each thread scores at least this many candidate-steps, about 0.12 ms of
    one core's work at 0.45 ns each (one thread, eight lanes, n = 251 and
    500). With a quarter of it, 1000 candidates at n = 251 and at n = 500 go
-   to two threads, which took 13% and 27% less wall time per call and 32%
-   and 31% more CPU time (2-vCPU Xeon). */
+   to two threads, which took 87-120 us per call against 110-176 on one
+   at n = 251, and 132-176 against 222-280 at n = 500, at 1.46-1.69 times
+   as much CPU as wall time (2-vCPU Xeon). Yet a whole adaptive run on 251
+   returns, 60 such calls among its other work, then took 3% more wall and
+   7% more CPU time, longer in 9 of 10 alternating pairs, so the threshold
+   stays here. */
 #define MIN_THREAD_STEPS 262144
 
 /* One thread's range of a batch call: k candidates from theta, scored into
@@ -315,18 +325,24 @@ score_range(void *arg)
     return NULL;
 }
 
+#ifdef CPU_COUNT
+typedef cpu_set_t cpu_mask;
+#else
+typedef char cpu_mask;
+#endif
+
 /* The threads that score k candidates on n returns: the CPUs of the
-   process's affinity mask, but at most MAX_THREADS, k and one per
-   MIN_THREAD_STEPS candidate-steps, and at least one. */
+   process's affinity mask, which is left in cpus when it is read, but at
+   most MAX_THREADS, k and one per MIN_THREAD_STEPS candidate-steps, and at
+   least one. */
 static int
-thread_count(Py_ssize_t n, Py_ssize_t k)
+thread_count(Py_ssize_t n, Py_ssize_t k, cpu_mask *cpus)
 {
     int count = 1;
 #ifdef CPU_COUNT
     const double steps = (double)n * (double)k;
-    cpu_set_t cpus;
-    if (steps >= 2.0 * MIN_THREAD_STEPS && sched_getaffinity(0, sizeof cpus, &cpus) == 0) {
-        count = CPU_COUNT(&cpus) < MAX_THREADS ? CPU_COUNT(&cpus) : MAX_THREADS;
+    if (steps >= 2.0 * MIN_THREAD_STEPS && sched_getaffinity(0, sizeof *cpus, cpus) == 0) {
+        count = CPU_COUNT(cpus) < MAX_THREADS ? CPU_COUNT(cpus) : MAX_THREADS;
         if (count > steps / MIN_THREAD_STEPS)
             count = (int)(steps / MIN_THREAD_STEPS);
         if (count > k)
@@ -336,10 +352,32 @@ thread_count(Py_ssize_t n, Py_ssize_t k)
     return count;
 }
 
+/* attr, initialised to start threads on the CPUs of cpus other than the
+   one the calling thread is on, which it clears from cpus; or NULL, for
+   threads that start where the scheduler puts them, where that CPU is
+   unknown or not in cpus, the attribute cannot be set, or the C library
+   has no pthread_attr_setaffinity_np. */
+static pthread_attr_t *
+helper_attr(pthread_attr_t *attr, cpu_mask *cpus)
+{
+#if defined(CPU_COUNT) && defined(__GLIBC__)
+    /* CPU_ISSET is 0 for a CPU outside the set, sched_getcpu's -1 too. */
+    const int cpu = sched_getcpu();
+    if (!CPU_ISSET(cpu, cpus) || pthread_attr_init(attr) != 0)
+        return NULL;
+    CPU_CLR(cpu, cpus);
+    if (pthread_attr_setaffinity_np(attr, sizeof *cpus, cpus) == 0)
+        return attr;
+    pthread_attr_destroy(attr);
+#endif
+    return NULL;
+}
+
 /* score_range over the k candidates of theta in thread_count(n, k)
-   contiguous ranges, the first on the calling thread. A range whose thread
-   cannot be created is scored by the calling thread after its own. Touches
-   no Python object. */
+   contiguous ranges, the first on the calling thread and the others on
+   threads that helper_attr keeps off its CPU. A range whose thread cannot
+   be created is scored by the calling thread after its own. Touches no
+   Python object. */
 static void
 score_threads(const double *y, Py_ssize_t n, const double (*theta)[3], Py_ssize_t k,
               double sigma1_sq, double *total)
@@ -347,13 +385,17 @@ score_threads(const double *y, Py_ssize_t n, const double (*theta)[3], Py_ssize_
     struct range ranges[MAX_THREADS];
     pthread_t threads[MAX_THREADS];
     int started[MAX_THREADS] = {0};
-    const int count = thread_count(n, k);
+    cpu_mask cpus;
+    const int count = thread_count(n, k, &cpus);
     for (int i = 0; i < count; i++) {
         const Py_ssize_t first = k * i / count, end = k * (i + 1) / count;
         ranges[i] = (struct range){y, theta + first, n, end - first, sigma1_sq, total + first};
     }
+    pthread_attr_t attr, *pin = count > 1 ? helper_attr(&attr, &cpus) : NULL;
     for (int i = 1; i < count; i++)
-        started[i] = pthread_create(&threads[i], NULL, score_range, &ranges[i]) == 0;
+        started[i] = pthread_create(&threads[i], pin, score_range, &ranges[i]) == 0;
+    if (pin != NULL)
+        pthread_attr_destroy(pin);
     score_range(&ranges[0]);
     for (int i = 1; i < count; i++) {
         if (started[i])

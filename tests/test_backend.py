@@ -21,6 +21,13 @@ from garchmc import _kernels_py, backend, data
 CC = sysconfig.get_config_var("CC")
 FOUND = bool(CC) and shutil.which(shlex.split(CC)[0]) is not None
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = str(Path(__file__).resolve().parent)
+#: Read ahead of ``_kernels.c`` by the "unpinned" build: pthread.h as the
+#: kernels include it, then a pthread_attr_setaffinity_np that fails with
+#: EINVAL, so the batch kernel's helpers start with no CPU mask of their
+#: own. A -D of that macro would rewrite the header's declaration too.
+UNPINNED = ("#define _GNU_SOURCE 1\n#include <pthread.h>\n"
+            "#define pthread_attr_setaffinity_np(attr, size, cpus) 22\n")
 
 
 def edge_values():
@@ -253,6 +260,7 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
     pytest.param('target_clones(...)=target("avx2")', "avx2", id="avx2"),
     pytest.param('target_clones(...)=target("arch=x86-64")', None, id="baseline"),
     pytest.param("__builtin_cpu_supports(feature)=0", "avx2", id="four-lane-batch"),
+    pytest.param(None, None, id="unpinned"),
 ])
 def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, define, flag):
     # A CPU only ever runs the clone it dispatches to. The first three macros
@@ -266,11 +274,19 @@ def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, define, flag):
     # that build covers both pass trees. 1003 candidates end in a partial
     # group of four and of eight. The random walks take 2000 steps on GARCH
     # returns at widths that accept about 0.74, 0.28 and 0.96 of them; at
-    # the last, most eight-lane passes decide four steps.
+    # the last, most eight-lane passes decide four steps. The unpinned build
+    # reads UNPINNED first, so its helpers start where the scheduler puts
+    # them; the others keep theirs off the calling thread's CPU. Each build
+    # must end its calls with the threads it started with.
     if flag is not None and flag not in cpu_flags():
         pytest.skip(f"this CPU has no {flag}")
     path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
-    cmd = [*shlex.split(CC), *backend.FLAGS, f"-D{define}",
+    if define is None:
+        (tmp_path / "unpinned.h").write_text(UNPINNED)
+        variant = ["-include", str(tmp_path / "unpinned.h")]
+    else:
+        variant = [f"-D{define}"]
+    cmd = [*shlex.split(CC), *backend.FLAGS, *variant,
            "-Wall", "-Werror", "-I" + sysconfig.get_paths()["include"], str(backend.SOURCE),
            "-o", str(path), "-lm"]
     done = subprocess.run(cmd, capture_output=True, text=True, stdin=subprocess.DEVNULL,
@@ -293,6 +309,8 @@ def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, define, flag):
         f"spec = importlib.util.spec_from_file_location('garchmc._kernels', {str(path)!r})\n"
         "kernels = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(kernels)\n"
+        "from cpu import helper_cpus, settled_thread_count, thread_count\n"
+        "before = thread_count()\n"
         "cases = np.load(io.BytesIO(sys.stdin.buffer.read()))\n"
         "thetas, y, s1, start = cases['thetas'], cases['walk_y'], float(cases['walk_s1']), "
         "cases['start']\n"
@@ -306,6 +324,8 @@ def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, define, flag):
         "                            cases[f'shifts{i}'], cases[f'u{i}'])\n"
         "    for name, value in zip(('draws', 'accepted', 'end', 'log_p'), walk):\n"
         "        out[f'{name}{i}'] = value\n"
+        "out['helper_cpus'] = sorted(helper_cpus(kernels, cases['y3'], thetas) or ())\n"
+        "out['threads'] = [before, settled_thread_count(before)]\n"
         "buf = io.BytesIO()\n"
         "np.savez(buf, **out)\n"
         "sys.stdout.buffer.write(buf.getvalue())\n"
@@ -316,10 +336,17 @@ def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, define, flag):
              **{f"shifts{i}": shifts for i, (shifts, _) in enumerate(walks)},
              **{f"u{i}": u for i, (_, u) in enumerate(walks)})
     done = subprocess.run([sys.executable, "-c", code], input=cases.getvalue(),
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), TESTS])),
                           timeout=backend.COMPILE_TIMEOUT_S)
     assert done.returncode == 0, done.stderr.decode()
     got = np.load(io.BytesIO(done.stdout))
+    cpus = os.sched_getaffinity(0)
+    helper = set(got["helper_cpus"].tolist())
+    if len(cpus) >= 2:
+        assert helper == cpus if define is None else helper < cpus and len(cpus - helper) == 1
+    before, after = got["threads"]
+    assert after == before
     for i, y in enumerate(ys):
         want = compiled.log_likelihood_batch(y, thetas, 1.0)
         assert got[f"batch{i}"].tobytes() == want.tobytes()

@@ -1,12 +1,12 @@
 import math
 import os
 import threading
-import time
 import warnings
 
 import numpy as np
 import pytest
 
+from cpu import helper_cpus, settled_thread_count, thread_count
 from garchmc import _kernels_py, backend, model
 from garchmc.exceptions import GarchMCError, NumericOverflowError
 
@@ -429,20 +429,6 @@ class TestCompiledKernels:
                         kernels.log_likelihood_batch(y, np.array([theta, (0.1, 0.8, 0.01)]), s1)
 
 
-def thread_count():
-    """The threads of this process."""
-    return len(os.listdir("/proc/self/task"))
-
-
-def settled_thread_count(want, timeout_s=1.0):
-    """thread_count() once it reads want, or after timeout_s: a joined
-    thread can stay listed in /proc/self/task while the kernel reaps it."""
-    deadline = time.monotonic() + timeout_s
-    while (count := thread_count()) != want and time.monotonic() < deadline:
-        time.sleep(0.001)
-    return count
-
-
 def batch_case(k, n, seed=0):
     """(y, thetas) of k candidates on n returns; y_0 = 1, so that the row
     (-5.0, 0.5, 0.01) has a negative s_1 and a NaN total."""
@@ -459,7 +445,8 @@ class TestBatchThreads:
     """The compiled batch kernel scores its candidates in contiguous ranges,
     one per thread, on as many threads as the process may use CPUs, when
     each gets enough candidate-steps: 1003 candidates at n = 2000 do; the
-    other batches here stay on the calling thread."""
+    other batches here stay on the calling thread. The helper threads run
+    on the process's CPUs less the calling thread's."""
 
     OVERFLOW = (-5.0, 0.5, 0.01)
 
@@ -483,29 +470,20 @@ class TestBatchThreads:
         assert got.tobytes() == want.tobytes()
 
     def test_large_batch_runs_on_more_threads(self, compiled):
-        # A second thread exists only within a call, so a worker scores
-        # batches while this thread counts the process's threads, until it
-        # has seen the kernel's helper or the worker has made 2000 calls.
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("the process may use one CPU only")
-        y, thetas = batch_case(1003, 2000)
         before = thread_count()
-        seen = threading.Event()
+        assert helper_cpus(compiled, *batch_case(1003, 2000)) is not None
+        assert settled_thread_count(before) == before
 
-        def score():
-            for _ in range(2000):
-                if seen.is_set():
-                    return
-                compiled.log_likelihood_batch(y, thetas, 1.0)
-
-        worker = threading.Thread(target=score)
-        worker.start()
-        most = before
-        while worker.is_alive() and most < before + 2:
-            most = max(most, thread_count())
-        seen.set()
-        worker.join(timeout=60)
-        assert most >= before + 2
+    def test_helper_runs_off_the_callers_cpu(self, compiled):
+        # The calling thread scores the first range itself, so a helper that
+        # may take its CPU would take turns with it there.
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip("the process may use one CPU only")
+        got = helper_cpus(compiled, *batch_case(1003, 2000))
+        assert got is not None and got < cpus and len(cpus - got) == 1
 
     @pytest.mark.parametrize("row", [0, -1], ids=["first-range", "last-range"])
     def test_overflow_in_either_range_raises_and_leaves_no_thread(self, compiled, row):
