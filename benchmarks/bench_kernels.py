@@ -10,9 +10,11 @@ scalar call, of ONE_THREAD_K candidates, few enough that the kernel scores
 them on the calling thread alone, and of BATCH_K, in wall time and in the
 process's CPU time. Where the CPU has AVX2, the script exits unless the
 ONE_THREAD_K row's wall time is below LANE_RATIO times the scalar call's:
-the scalar call scores four copies of its candidate in one pass, and the
-batch kernel eight candidates per pass there, so a build whose batch
-kernel takes four lanes gives the same bits and shows only in its speed.
+the scalar call scores its candidate as one group of the CPU's lanes, with
+the other lanes repeating it, and the batch kernel fills every lane of a
+group with a candidate of its own, so the ratio is near one over the
+lanes. A build whose kernels take four lanes gives the same bits and shows
+only in that ratio.
 Where the mask holds two CPUs or more, the script exits unless the
 BATCH_K row's wall time is below THREADS_RATIO times the ONE_THREAD_K
 row's: a build that never starts a thread gives the same bits, so only its
@@ -113,9 +115,10 @@ THREADS_RATIO = 0.8
 #: Rounds of the threads rows at most, while THREADS_RATIO misses.
 THREAD_ROUNDS = 3
 #: Where the CPU has AVX2, ONE_THREAD_K candidates at n = 2000 must take
-#: less than this share of a scalar call's time per candidate: 0.11-0.15
-#: with eight lanes per batch pass, and 0.22-0.25 in a build whose batch
-#: kernel takes four (2-vCPU Xeon).
+#: less than this share of a scalar call's time per candidate: 0.124-0.126
+#: in three runs with eight lanes, the scalar call scoring one group of
+#: eight, and 0.215-0.257 in three runs of a build whose CPU check finds no
+#: AVX2, so that both take four (2-vCPU Xeon).
 LANE_RATIO = 0.18
 #: Rows and acceptance of the chain whose chain.csv text is timed.
 CHAIN_ROWS = 20000

@@ -21,16 +21,15 @@
    takes a log at every step, so the two differ in rounding only.
 
    One body, SCORE, computes it, several candidates side by side, and is
-   instantiated twice. score holds four lanes in two vectors of two doubles:
-   the scalar kernel fills its four lanes with its one candidate. score is
-   built once per x86-64 SIMD level (AVX-512, AVX2 and the baseline) by
-   target_clones, and the loader picks the one the CPU supports. score8
-   holds eight lanes in two vectors of four doubles and is built for AVX2
-   alone. Module init checks the CPU once and sets score_group: score8
-   where it has AVX2, score elsewhere. The batch kernel takes its rows, and
-   rw_chain its speculative candidates, that many at a time through it.
-   Each lane runs the same IEEE operations in either, and -ffp-contract=off
-   keeps every build from fusing them, so all give the same bits.
+   instantiated twice: score holds four lanes in two vectors of two doubles,
+   and score8 eight lanes in two vectors of four, built for AVX2 alone.
+   Module init checks the CPU once, the file's one CPU dispatch, and sets
+   score_group: score8 where it has AVX2, score elsewhere. Every candidate
+   goes through it, that many at a time: the batch kernel's rows, rw_chain's
+   speculative candidates, and the scalar kernel's one, as a batch of one
+   whose other lanes repeat it. Each lane runs the same IEEE operations in
+   either, and -ffp-contract=off keeps them from being fused, so both give
+   the same bits.
 
    The batch kernel splits its k candidates into contiguous ranges, one per
    thread: as many threads as the process's affinity mask holds CPUs, at
@@ -138,16 +137,12 @@ new_array(PyObject *dtype, int ndim, Py_ssize_t n, Py_ssize_t p, Py_buffer *view
     return arr;
 }
 
-/* score is built once per x86-64 SIMD level; the loader's ifunc resolver
-   binds the clone that the CPU runs. score8 is built for AVX2 alone. */
+/* score8 is built for AVX2 alone, and runs only where module init finds
+   it. */
 #if defined(__x86_64__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define SIMD_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#if __has_attribute(target)
 #define AVX2 __attribute__((target("avx2")))
 #endif
-#endif
-#ifndef SIMD_CLONES
-#define SIMD_CLONES
 #endif
 
 /* Two and four doubles, and their bits. score keeps each per-lane quantity
@@ -267,18 +262,15 @@ name(const double *y, Py_ssize_t n, const double (*theta)[3], double sigma1_sq, 
     }                                                                                          \
 }
 
-/* score: four lanes in pairs, built per SIMD level, for the scalar kernel,
-   and for the batch kernel and rw_chain where the CPU has no AVX2. score8:
-   eight lanes in quartets, for the batch kernel and rw_chain where it
-   has. */
-SIMD_CLONES SCORE(score, pair, pair_bits)
+/* score: four lanes in pairs, where the CPU has no AVX2. score8: eight
+   lanes in quartets, where it has. */
+SCORE(score, pair, pair_bits)
 #ifdef AVX2
 AVX2 SCORE(score8, quartet, quartet_bits)
 #endif
 
-/* The routine and lanes of the batch kernel and of rw_chain's passes:
-   score8 and 8 where the CPU has AVX2, set at module init, otherwise score
-   and 4. */
+/* The routine and lanes of every kernel that scores: score8 and 8 where
+   the CPU has AVX2, set at module init, otherwise score and 4. */
 static void (*score_group)(const double *, Py_ssize_t, const double (*)[3], double, double *)
     = score;
 static int group_lanes = 4;
@@ -418,23 +410,23 @@ check_finite(const double *total, Py_ssize_t k)
     return 0;
 }
 
+/* The one candidate is a range of one: a short group of score_group's. */
 static PyObject *
 log_likelihood(PyObject *self, PyObject *args)
 {
     PyObject *series;
-    double theta[4][3], sigma1_sq, total[4];
+    double theta[1][3], sigma1_sq, total;
     Py_buffer yv;
     if (!PyArg_ParseTuple(args, "Odddd:log_likelihood", &series,
                           &theta[0][0], &theta[0][1], &theta[0][2], &sigma1_sq)
         || get_doubles(series, 1, &yv) < 0)
         return NULL;
-    for (int l = 1; l < 4; l++)
-        memcpy(theta[l], theta[0], sizeof theta[l]);
-    score(yv.buf, yv.shape[0], (const double (*)[3])theta, sigma1_sq, total);
+    score_range(&(struct range){yv.buf, (const double (*)[3])theta, yv.shape[0], 1, sigma1_sq,
+                                &total});
     PyBuffer_Release(&yv);
-    if (check_finite(total, 1) < 0)
+    if (check_finite(&total, 1) < 0)
         return NULL;
-    return PyFloat_FromDouble(total[0]);
+    return PyFloat_FromDouble(total);
 }
 
 static PyObject *

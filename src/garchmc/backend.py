@@ -20,17 +20,18 @@ twin is imported only then, so a run on the compiled kernels never loads it.
 kernel through it, so setting it swaps a run's likelihood, accept loops and
 chain.csv text together. One compiled likelihood body scores every candidate,
 several side by side, and differs from the twin in rounding only: it takes one
-log per candidate and one divide per two steps. Its four-lane routine, in
-two-double vectors, serves the scalar kernel. The batch kernel and
-``rw_chain`` take eight lanes in four-double vectors where the CPU has AVX2,
-which the module checks once when it loads, and four elsewhere. A kernel
-module's ``rw_chain`` looks its own ``log_likelihood`` attribute up once per
-call, and ``model`` reads ``backend.kernels.log_likelihood`` at each call. The
-compiled ``rw_chain`` walks its steps in one loop with two branches. While
-that attribute is the compiled module's own function, each pass scores a tree
-of speculative candidates at once and makes no Python call: with eight lanes
-it decides three steps, or four when three accept, and with four lanes two or
-three. ``perfbench/tracer.py`` sets a wrapper there first; the loop then calls
+log per candidate and one divide per two steps. It takes eight lanes in
+four-double vectors where the CPU has AVX2, which the module checks once when
+it loads, and four in two-double vectors elsewhere, for the batch kernel,
+``rw_chain`` and the scalar kernel alike: the scalar kernel scores its one
+candidate as a batch of one. A kernel module's ``rw_chain`` looks its own
+``log_likelihood`` attribute up once per call, and ``model`` reads
+``backend.kernels.log_likelihood`` at each call. The compiled ``rw_chain``
+walks its steps in one loop with two branches. While that attribute is the
+compiled module's own function, each pass scores a tree of speculative
+candidates at once and makes no Python call: with eight lanes it decides
+three steps, or four when three accept, and with four lanes two or three.
+``perfbench/tracer.py`` sets a wrapper there first; the loop then calls
 it once per candidate inside the support, as the twin always does, so the
 tracer counts every scalar call, and its per-layer numbers describe that
 wrapper branch. Both branches take the same steps.
@@ -46,9 +47,9 @@ from pathlib import Path
 SOURCE = Path(__file__).with_name("_kernels.c")
 #: -ffp-contract=off keeps the recursion's multiply and add from being fused
 #: into an FMA, which would round differently from ``_kernels_py``, and so
-#: keeps the likelihood routine's AVX2 and AVX-512 clones and its eight-lane
-#: AVX2 instance equal to each other and to the baseline build. No -march: the cache file is keyed by source and
-#: command, not by CPU, and the loader picks the clone the CPU supports.
+#: keeps the likelihood body's eight-lane AVX2 instance equal to its four-lane
+#: baseline one. No -march: the cache file is keyed by source and command, not
+#: by CPU, and the module picks its instance by the CPU when it loads.
 FLAGS = ("-O3", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 COMPILE_TIMEOUT_S = 120
 

@@ -154,15 +154,16 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
     # A 128-bit shift by 128 or more, or a signed overflow, would pass every
     # other test unseen. Without __int128 every value takes Python's "%.17g".
     # The batch calls run the exponent carry, the step-by-step redo of tiny
-    # variances and the SIMD clone this CPU dispatches to, and one raises
-    # for a NaN total in its last range, which a spawned thread scores where
-    # the process may use two CPUs, across the join. Both accept loops
-    # run too: the random walk on the real likelihood, which takes its fused
-    # four-lane passes, and on zero steps; on every combination of edge values
-    # in its shifts through the real likelihood, with the same outcome as a
-    # forwarding wrapper's per-step path, and in a candidate scored NaN; and
-    # with likelihood stand-ins that raise or return None, which must leave
-    # as those errors.
+    # variances and the one routine that module init picks for this CPU, which
+    # the scalar calls run as a batch of one, and one batch call raises for a
+    # NaN total in its last range, which a spawned thread scores where the
+    # process may use two CPUs, across the join. Both accept loops run too:
+    # the random walk on the real likelihood, which takes its speculative
+    # passes in that routine's lanes, and on zero steps; on every combination
+    # of edge values in its shifts through the real likelihood, with the same
+    # outcome as a forwarding wrapper's per-step path, and in a candidate
+    # scored NaN; and with likelihood stand-ins that raise or return None,
+    # which must leave as those errors.
     path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"
     cmd = [*shlex.split(CC), *backend.FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all",
            *undefine, "-Wall", "-Werror", "-I" + sysconfig.get_paths()["include"],
@@ -254,30 +255,27 @@ def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
     assert_same_text(done.stdout.decode(), per_row_text(draws, accepted))
 
 
-@pytest.mark.skipif(platform.machine() != "x86_64", reason="the SIMD clones are x86-64 only")
 @pytest.mark.parametrize("define, flag", [
-    pytest.param('target_clones(...)=target("avx512f")', "avx512f", id="avx512f"),
-    pytest.param('target_clones(...)=target("avx2")', "avx2", id="avx2"),
-    pytest.param('target_clones(...)=target("arch=x86-64")', None, id="baseline"),
-    pytest.param("__builtin_cpu_supports(feature)=0", "avx2", id="four-lane-batch"),
+    pytest.param("__builtin_cpu_supports(feature)=0", "avx2", id="four-lane",
+                 marks=pytest.mark.skipif(platform.machine() != "x86_64",
+                                          reason="only x86-64 has the eight-lane routine")),
     pytest.param(None, None, id="unpinned"),
 ])
-def test_every_simd_clone_gives_the_same_bits(tmp_path, compiled, define, flag):
-    # A CPU only ever runs the clone it dispatches to. The first three macros
-    # rewrite the target_clones attribute of score, the four-lane routine,
-    # into a single target, so each build holds that clone alone; its batch
-    # kernel and rw_chain's passes still take eight lanes through the AVX2
-    # routine score8 on an AVX2 CPU. The last keeps the clones but makes
-    # module init find no AVX2, so its batch kernel takes four lanes through
-    # score and rw_chain the four-lane pass tree, against the eight lanes and
+def test_four_lane_and_unpinned_builds_give_the_same_bits(tmp_path, compiled, define, flag):
+    # Module init's one CPU check picks the lanes of every kernel that
+    # scores: eight through score8 on an AVX2 CPU, four through score
+    # elsewhere. The four-lane build makes that check find no AVX2, so its
+    # scalar kernel, batch kernel and rw_chain's passes take four lanes
+    # through score and the four-lane pass tree, against the eight lanes and
     # the eight-lane tree that this process's build takes on the same CPU:
-    # that build covers both pass trees. 1003 candidates end in a partial
-    # group of four and of eight. The random walks take 2000 steps on GARCH
+    # the two builds cover both routines and both pass trees. 1003
+    # candidates end in a partial group of four and of eight, and each scalar
+    # call is a group of one. The random walks take 2000 steps on GARCH
     # returns at widths that accept about 0.74, 0.28 and 0.96 of them; at
     # the last, most eight-lane passes decide four steps. The unpinned build
     # reads UNPINNED first, so its helpers start where the scheduler puts
-    # them; the others keep theirs off the calling thread's CPU. Each build
-    # must end its calls with the threads it started with.
+    # them; the four-lane build keeps them off the calling thread's CPU. Each
+    # build must end its calls with the threads it started with.
     if flag is not None and flag not in cpu_flags():
         pytest.skip(f"this CPU has no {flag}")
     path = tmp_path / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}"

@@ -305,10 +305,10 @@ class TestCompiledKernels:
     s_t*s_{t+1}, and redoes a chunk step by step only when its product could
     leave the normal range or its quadratic sum is not finite. The compiled
     scalar kernel equals the compiled batch row exactly, as both run one
-    body: the scalar kernel in four lanes of two-double vectors, the batch
-    kernel in eight lanes of four-double vectors where the CPU has AVX2.
-    Checked on the first and the last 20 rows, where the batch kernel's last
-    group may be short."""
+    routine, eight lanes of four-double vectors where the CPU has AVX2 and
+    four of two-double vectors elsewhere: the scalar kernel scores its
+    candidate as a short group of one. Checked on the first and the last 20
+    rows, where the batch kernel's last group may be short."""
 
     RTOL = 1e-13
 
