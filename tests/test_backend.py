@@ -148,6 +148,15 @@ def test_build_compiles_once_then_loads(tmp_path, monkeypatch, compiled):
     assert name == "c" and list(tmp_path.iterdir()) == built
 
 
+def test_kernel_source_checks_the_cpu_once():
+    # Module init's check for AVX2 picks the lanes of every kernel that
+    # scores, the scalar one too; no function is built once per CPU it may
+    # meet and picked again at load time.
+    source = (SRC / "garchmc" / "_kernels.c").read_text()
+    assert "target_clones" not in source
+    assert source.count("__builtin_cpu_supports(") == 1
+
+
 @pytest.mark.skipif(not FOUND, reason="no C compiler")
 @pytest.mark.parametrize("undefine", [[], ["-U__SIZEOF_INT128__"]], ids=["int128", "no-int128"])
 def test_kernel_source_runs_clean_under_ubsan(tmp_path, undefine):
