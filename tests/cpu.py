@@ -5,8 +5,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
-
 
 def cpu_flags():
     """The CPU feature flags that /proc/cpuinfo lists; none where it cannot
@@ -33,7 +31,7 @@ def settled_thread_count(want, timeout_s=1.0):
     return count
 
 
-def helper_cpus(kernels, y, thetas, calls=40):
+def helper_cpus(kernels, y, thetas, calls=500):
     """The CPUs that a thread started by ``kernels.log_likelihood_batch(y,
     thetas, 1.0)`` may run on: the first mask read from such a thread that
     differs from this thread's, else this thread's mask once one was read,
@@ -42,13 +40,8 @@ def helper_cpus(kernels, y, thetas, calls=40):
     threads in /proc/self/task that neither existed before nor are the
     worker. A thread created with a mask of its own starts on its creator's
     until the C library has set it, so a reading can come too early, but
-    not every reading of every helper does. The worker scores thetas 16
-    times over in each call, so that a helper outlives a scheduler slice:
-    1003 candidates at n = 2000 gave helpers of about 0.3 ms, and with both
-    CPUs of a 2-vCPU machine running the two scoring threads, this thread
-    read none of 500 of them in some runs. Waits up to a second for the
+    not every reading of every helper does. Waits up to a second for the
     worker to leave /proc/self/task, so that a later count leaves it out."""
-    thetas = np.tile(thetas, (16, 1))
     mine = os.sched_getaffinity(0)
     seen = set(os.listdir("/proc/self/task"))
     before = len(seen)

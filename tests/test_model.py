@@ -348,29 +348,6 @@ class TestCompiledKernels:
             for value, theta in zip(compiled.log_likelihood_batch(y, thetas, s1), thetas):
                 assert value == pytest.approx(loglik_oracle(theta, y, s1), rel=1e-12)
 
-    @pytest.mark.parametrize("n, scale", [(1, 1.0), (2000, 1.0), (400, 1e-12)],
-                             ids=["one-step", "carried", "redone"])
-    def test_scalar_equals_its_row_in_every_lane_of_a_short_group(self, compiled, n, scale):
-        # The scalar kernel scores its candidate as a short group of one,
-        # padded with copies of itself. The same candidate in any lane of a
-        # batch of 1 to 9 rows, among neighbours that differ, so in every
-        # lane of a short last group of four or of eight, must give the
-        # same bits. Returns of 1e-12 put every s_t below 2^-62, so each
-        # chunk is redone step by step; unit-scale ones carry the products.
-        rng = np.random.default_rng(19)
-        y = rng.standard_normal(n) * scale
-        s1 = scale ** 2
-        others = np.column_stack([rng.uniform(0.01, 0.3, 8), rng.uniform(0.5, 0.69, 8),
-                                  rng.uniform(0.2, 1.0, 8) * s1])
-        theta = np.array([0.1, 0.8, 0.3 * s1])
-        assert (_kernels_py.volatility(y, *theta, s1).max() < 2.0 ** -62) == (scale < 1.0)
-        want = compiled.log_likelihood(y, *theta, s1)
-        assert want == pytest.approx(_kernels_py.log_likelihood(y, *theta, s1), rel=self.RTOL)
-        for k in range(1, 10):
-            for j in range(k):
-                thetas = np.insert(others[:k - 1], j, theta, axis=0)
-                assert compiled.log_likelihood_batch(y, thetas, s1)[j] == want
-
     def test_tiny_variances_take_one_log_per_step(self, compiled):
         # Returns of 1e-12 give s_t near 1e-25, below the 2^-62 at which a
         # chunk's product is redone step by step; the tiny first half of the
@@ -475,7 +452,7 @@ class TestBatchThreads:
 
     @pytest.mark.parametrize("k, n, tiny", [
         *(pytest.param(k, n, False, id=f"{k}-{n}")
-          for k in (1, 2, 3, 17, 1003) for n in (1, 17, 250, 2000)),
+          for k in (*range(1, 10), 17, 1003) for n in (1, 17, 250, 2000)),
         # Returns of scale 2^-40 and an omega of 2^-70 in every third row:
         # rows whose s_t fall below 2^-62 after their first chunks, which are
         # redone step by step, share each group of lanes with rows whose s_t
@@ -505,7 +482,10 @@ class TestBatchThreads:
         cpus = os.sched_getaffinity(0)
         if len(cpus) < 2:
             pytest.skip("the process may use one CPU only")
-        got = helper_cpus(compiled, *batch_case(1003, 2000))
+        # 16048 candidates, 16 times the others' 1003, keep a helper alive
+        # about 5 ms, not 0.3: with both CPUs of a two-CPU machine busy
+        # scoring, this thread can miss every helper of 1003.
+        got = helper_cpus(compiled, *batch_case(16048, 2000), calls=40)
         assert got is not None and got < cpus and len(cpus - got) == 1
 
     @pytest.mark.parametrize("row", [0, -1], ids=["first-range", "last-range"])
