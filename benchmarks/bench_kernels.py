@@ -61,7 +61,9 @@ bounds reach N/10 and that every jackknife replicate finds a plateau, and
 exits unless the long-range row at the longest chain is below
 LONG_RANGE_RATIO times the AR(1) row: the jackknife's lag sums stop near
 each replicate's window, whatever its lag bound, so only its speed shows a
-jackknife that takes them out to the bound.
+jackknife that takes them out to the bound. The two rows at the longest
+chain are timed again, up to SUMMARIZE_ROUNDS rounds in all, while that
+ratio misses, and the best round is judged, as for THREADS_RATIO.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--n 250 2000]
 
@@ -136,6 +138,11 @@ SUMMARIZE_PHI = 0.6
 #: nine runs with jackknife lag sums that stop near the window, and
 #: 1.77-2.73 in eight with lag sums to the lag bound (2-vCPU Xeon).
 LONG_RANGE_RATIO = 1.5
+#: Rounds of the longest chain's summarize rows at most, while
+#: LONG_RANGE_RATIO misses: single rounds at one tree read 1.67 and 1.80 in
+#: two of four runs, each row alone moving between 9 and 26 ms from process
+#: to process (2-vCPU Xeon).
+SUMMARIZE_ROUNDS = 3
 #: The long-range columns add to those a sine wave of one period over the
 #: chain that carries SLOW_SHARE of the variance: 2tau_int stays near 8, but
 #: the ACF stays near 0.08 or above out to lag N/10, so the lag bound is N/10.
@@ -274,13 +281,14 @@ def accept_loop_rows(kernels):
             ("independence_accept", independence / BATCH_K)]
 
 
-def summarize_rows():
-    """(name, ms per call) of summarize on each kind and length of chain."""
+def summarize_rows(lengths=SUMMARIZE_DRAWS):
+    """(name, ms per call) of summarize on each kind of chain at each of
+    lengths, the AR(1) rows first."""
     rng = np.random.default_rng(1)
     return [(f"summarize, {k} {kind} draws",
              time_call(diagnostics.summarize, (make(rng, k), np.ones(k, bool))) * 1e3)
             for kind, make in (("AR(1)", ar1_draws), ("long-range", long_range_draws))
-            for k in SUMMARIZE_DRAWS]
+            for k in lengths]
 
 
 def main():
@@ -364,14 +372,20 @@ def main():
         print(f"{name:>26} {BATCH_K:>6} {t_py * 1e9:14.1f} {ns_c:>10}")
     print()
     print(f"{'layer':>42} {'time':>8}")
-    times = summarize_rows()
-    for name, t in times:
-        print(f"{name:>42} {t:8.1f} ms/call")
-    (_, t_ar1), (_, t_long) = times[len(SUMMARIZE_DRAWS) - 1], times[-1]
-    if not t_long < LONG_RANGE_RATIO * t_ar1:
+    rounds = []
+    for lengths in [SUMMARIZE_DRAWS] + [SUMMARIZE_DRAWS[-1:]] * (SUMMARIZE_ROUNDS - 1):
+        times = summarize_rows(lengths)
+        for name, t in times:
+            print(f"{name:>42} {t:8.1f} ms/call")
+        (_, t_ar1), (_, t_long) = times[len(lengths) - 1], times[-1]
+        rounds.append((t_long / t_ar1, t_long, t_ar1))
+        if t_long < LONG_RANGE_RATIO * t_ar1:
+            break
+    ratio, t_long, t_ar1 = min(rounds)
+    if not ratio < LONG_RANGE_RATIO:
         raise SystemExit(f"summarize of {SUMMARIZE_DRAWS[-1]} long-range draws takes "
                          f"{t_long:.1f} ms, not below {LONG_RANGE_RATIO} of the AR(1) "
-                         f"draws' {t_ar1:.1f}")
+                         f"draws' {t_ar1:.1f}, in the best of {len(rounds)} rounds")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -190,10 +191,10 @@ def _median(values):
 def _run_one_chain(config, sched, y, seed, out, cpus=None):
     """Run a single chain and write all artifacts into ``out``.
 
-    A pool worker first moves onto its share ``cpus`` of the parent's CPUs,
-    so that chains forked together do not take turns on one CPU; the batch
-    kernel then starts its threads on that share alone. A refused move
-    leaves the worker where it was.
+    A ``--chains`` child first moves onto its share ``cpus`` of the parent's
+    CPUs, so that chains run together do not take turns on one CPU; the
+    batch kernel then starts its threads on that share alone. A refused move
+    leaves the child where it was.
     """
     if cpus is not None:
         with contextlib.suppress(OSError):
@@ -214,6 +215,55 @@ def _run_one_chain(config, sched, y, seed, out, cpus=None):
     _write_atomic(out / "report.txt",
                   [diagnostics.report_text(report, f"{config.sampler} run (seed {seed})") + "\n"])
     return report
+
+
+def _chain_child(w, *args):
+    """Pickle ``(True, _run_one_chain(*args))``, or ``(False, exception)``,
+    into the pipe ``w`` and leave the forked child, with status 0 once sent."""
+    try:
+        try:
+            sent = True, _run_one_chain(*args)
+        except Exception as exc:
+            sent = False, exc
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(sent))
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _run_chains(config, sched, y, seeds, dirs, shares):
+    """Run chain i, of seed ``seeds[i]`` into ``dirs[i]`` on the CPUs
+    ``shares[i]``, in forked child i, at most 8 at once; return the reports.
+    Raise the first failing chain's exception in chain order, with every
+    child reaped and no later chain started."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, reports = [], []
+    try:
+        for i in range(len(seeds) + 8):
+            if i < len(seeds):
+                r, w = os.pipe()
+                if (pid := os.fork()) == 0:
+                    _chain_child(w, config, sched, y, seeds[i], dirs[i], shares[i])
+                os.close(w)
+                children.append((pid, open(r, "rb")))
+            if i >= 7 and len(reports) < len(children):  # reap chain i - 7 before i + 1 starts
+                pid, pipe = children[len(reports)]
+                with pipe:
+                    sent = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                ok, value = pickle.loads(sent) if code == 0 else (
+                    False, GarchMCError(f"chain {len(reports)} {how} without a report"))
+                reports.append(value)
+                if not ok:
+                    raise value
+    finally:
+        for pid, pipe in children[len(reports):]:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return reports
 
 
 def run(config):
@@ -240,18 +290,14 @@ def run(config):
         if config.chains == 1:
             _run_one_chain(config, sched, y, config.seed, out)
         else:
-            import concurrent.futures  # loads logging; only a pool needs it
-
             k = config.chains
             seeds = [chain_seed(config.seed, i) for i in range(k)]
             dirs = [out / f"chain_{i:02d}" for i in range(k)]
-            # Without both affinity calls (macOS), the workers share every CPU.
+            # Without both affinity calls (macOS), the chains share every CPU.
             shares = [None] * k
             if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
                 shares = _cpu_shares(sorted(os.sched_getaffinity(0)), k)
-            with concurrent.futures.ProcessPoolExecutor(max_workers=min(k, 8)) as pool:
-                reports = list(pool.map(_run_one_chain, [config] * k, [sched] * k, [y] * k,
-                                        seeds, dirs, shares))
+            reports = _run_chains(config, sched, y, seeds, dirs, shares)
             spread = {}
             for name in diagnostics.PARAM_NAMES:
                 means = np.array([r["params"][name]["mean"] for r in reports])

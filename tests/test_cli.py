@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -31,6 +33,16 @@ def run_python(code):
     """``python -c code`` on this tree's src/, capturing its output."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+#: Code that prints whether the process has a child left, running or unreaped.
+PRINT_CHILD_LEFT = (
+    "try:\n"
+    "    os.waitpid(-1, os.WNOHANG)\n"
+    "    print('child left')\n"
+    "except ChildProcessError:\n"
+    "    print('no child')\n"
+)
 
 
 def fixed_report():
@@ -146,21 +158,49 @@ class TestRun:
     @pytest.mark.parametrize("extra", [[], ["--chains", "2"]], ids=["one-chain", "chains-2"])
     def test_overflow_exits_one_without_warning(self, tmp_path, extra):
         # The real kernels, called with sigma1_sq = 1e-320, so y_0^2 / sigma1_sq
-        # overflows; the fork-started --chains pool inherits the stand-in.
+        # overflows; each forked --chains child inherits the stand-in.
         out = tmp_path / "run"
         args = ["run", "--synthetic", "--n", "200", "--total", "2000", "--out", str(out), *extra]
         code = (
-            "import sys\n"
+            "import os, sys\n"
             "from garchmc import backend, cli\n"
             "kernels = backend.kernels\n"
             "loglik, batch = kernels.log_likelihood, kernels.log_likelihood_batch\n"
             "kernels.log_likelihood = lambda series, a, b, w, s: loglik(series, a, b, w, 1e-320)\n"
             "kernels.log_likelihood_batch = lambda y, thetas, s: batch(y, thetas, 1e-320)\n"
-            f"sys.exit(cli.main({args!r}))\n"
+            f"status = cli.main({args!r})\n"
+            f"{PRINT_CHILD_LEFT}"
+            "sys.exit(status)\n"
         )
         proc = run_python(code)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: non-finite GARCH log-likelihood"]
+        assert proc.stdout.splitlines() == ["no child"]
+        assert not (out / "manifest.json").exists()
+
+    def test_killed_chain_exits_one_naming_its_signal(self, tmp_path):
+        # Chain 1's stand-in sampler ends its child by SIGKILL, as the OOM
+        # killer would: no report reaches the parent.
+        out = tmp_path / "run"
+        args = base_args(out, total=1000) + ["--chains", "2"]
+        code = (
+            "import os, signal, sys\n"
+            "from garchmc import cli, rng, samplers\n"
+            "run_adaptive = samplers.run_adaptive\n"
+            "def killed(y, sched, nu, seed):\n"
+            "    if seed == rng.chain_seed(11, 1):\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return run_adaptive(y, sched, nu=nu, seed=seed)\n"
+            "samplers.run_adaptive = killed\n"
+            f"status = cli.main({args!r})\n"
+            f"{PRINT_CHILD_LEFT}"
+            "sys.exit(status)\n"
+        )
+        proc = run_python(code)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: chain 1 was killed by signal {int(signal.SIGKILL)} without a report"]
+        assert proc.stdout.splitlines() == ["no child"]
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("pair", [(1e-300, 1e300), (1e300, 1e-300)],
@@ -530,8 +570,8 @@ def test_run_flags_map_onto_config(monkeypatch):
 def test_import_loads_no_heavy_scipy_modules(blas_threads):
     # Importing garchmc sets OPENBLAS_NUM_THREADS=1 before numpy loads, so no
     # BLAS worker starts, unless the caller set a value of their own. It
-    # loads neither the process pool's modules nor, on the compiled kernels,
-    # the numpy twin.
+    # loads no process pool's modules nor, on the compiled kernels, the
+    # numpy twin.
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = str(SRC)
@@ -560,8 +600,8 @@ def test_import_loads_no_heavy_scipy_modules(blas_threads):
                                             ("adaptive", ["--chains", "2"])],
                          ids=["adaptive", "metropolis", "adaptive-chains-2"])
 def test_each_kernel_writes_the_same_chain(tmp_path, monkeypatch, compiled, sampler, extra):
-    # One whole run per kernel module, switched by backend.kernels alone; the
-    # fork-started --chains pool inherits the switch. Only manifest.json,
+    # One whole run per kernel module, switched by backend.kernels alone;
+    # each forked --chains child inherits the switch. Only manifest.json,
     # which names the output directory, may differ.
     runs = []
     for kernels in (_kernels_py, compiled):
@@ -610,9 +650,9 @@ def test_cpu_shares_split_the_mask(n_cpus, k):
         assert shares == [[cpus[i % n_cpus]] for i in range(k)]
 
 
-def _worker_cpus(tmp_path, monkeypatch, chains, getaffinity=os.sched_getaffinity):
-    """Run ``--chains chains`` through the fork-started pool with a sampler
-    that first records the CPUs its worker may run on; returns them in chain
+def _chain_cpus(tmp_path, monkeypatch, chains, getaffinity=os.sched_getaffinity):
+    """Run ``--chains chains``, one forked child per chain, with a sampler
+    that first records the CPUs its child may run on; returns them in chain
     order."""
     run_adaptive = samplers.run_adaptive
     seen = tmp_path / "seen"
@@ -630,9 +670,9 @@ def _worker_cpus(tmp_path, monkeypatch, chains, getaffinity=os.sched_getaffinity
 
 
 @pytest.mark.parametrize("chains", [2, 3])
-def test_each_pool_worker_runs_on_its_share(tmp_path, monkeypatch, chains):
+def test_each_chain_child_runs_on_its_share(tmp_path, monkeypatch, chains):
     cpus = sorted(os.sched_getaffinity(0))
-    got = _worker_cpus(tmp_path, monkeypatch, chains)
+    got = _chain_cpus(tmp_path, monkeypatch, chains)
     assert got == [cpus[i % len(cpus)::chains] for i in range(chains)]
 
 
@@ -641,16 +681,42 @@ def _refuse_affinity(pid, cpus):
 
 
 @pytest.mark.parametrize("change", ["no-getaffinity", "no-setaffinity", "setaffinity-fails"])
-def test_pool_without_affinity_runs_on_every_cpu(tmp_path, monkeypatch, change):
+def test_chains_without_affinity_run_on_every_cpu(tmp_path, monkeypatch, change):
     # As where os lacks the affinity calls (macOS), or the kernel refuses the
-    # share: the run still completes, each worker on the parent's whole mask.
+    # share: the run still completes, each child on the parent's whole mask.
     getaffinity = os.sched_getaffinity
     if change == "setaffinity-fails":
         monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
     else:
         monkeypatch.delattr(os, "sched_" + change.removeprefix("no-"))
     cpus = sorted(getaffinity(0))
-    assert _worker_cpus(tmp_path, monkeypatch, 2, getaffinity) == [cpus, cpus]
+    assert _chain_cpus(tmp_path, monkeypatch, 2, getaffinity) == [cpus, cpus]
+
+
+def test_at_most_eight_chains_run_at_once(tmp_path, monkeypatch):
+    # Each stand-in sampler holds its chain for 0.2 s, so nine chains
+    # started together would all overlap.
+    run_adaptive = samplers.run_adaptive
+    spans = tmp_path / "spans"
+    spans.mkdir()
+
+    def timed(y, sched, nu, seed):
+        start = time.monotonic()
+        res = run_adaptive(y, sched, nu=nu, seed=seed)
+        time.sleep(0.2)
+        (spans / str(seed)).write_text(json.dumps([start, time.monotonic()]))
+        return res
+
+    monkeypatch.setattr(samplers, "run_adaptive", timed)
+    out = tmp_path / "run"
+    assert run_cli(base_args(out, total=1000) + ["--chains", "9"]) == 0
+    seeds = json.loads((out / "cross_chain.json").read_text())["seeds"]
+    events = sorted((t, step) for seed in seeds
+                    for t, step in zip(json.loads((spans / str(seed)).read_text()), (1, -1)))
+    running = np.cumsum([step for _, step in events])
+    assert running.max() == 8
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_chains_on_one_cpu_keep_their_bytes(tmp_path):
@@ -670,17 +736,20 @@ def test_chains_on_one_cpu_keep_their_bytes(tmp_path):
 
 def test_chains_run_does_not_import_numpy_ma(tmp_path):
     # np.median imports numpy.ma at its first call, about 10 ms that the
-    # parent would spend after the pool has finished.
+    # parent would spend after its chains have finished. Forking the chains
+    # loads no process pool's modules either, and leaves no child behind.
     args = base_args(tmp_path / "run", total=1000) + ["--chains", "2"]
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from garchmc import cli\n"
         f"assert cli.main({args!r}) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print([m for m in ('numpy.ma', 'concurrent.futures', 'multiprocessing')\n"
+        "       if m in sys.modules])\n"
+        f"{PRINT_CHILD_LEFT}"
     )
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.splitlines() == ["[]", "no child"]
 
 
 def test_median_matches_numpy_bit_for_bit():

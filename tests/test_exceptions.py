@@ -18,7 +18,7 @@ def _snake(cls):
 
 @pytest.mark.parametrize("cls", ERRORS, ids=_snake)
 def test_error_survives_pickling(cls):
-    # A --chains worker hands its error to the parent process pickled.
+    # A --chains child hands its error to the parent process pickled.
     exc = cls("acceptance 0.100 not in band")
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is cls

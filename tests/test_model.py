@@ -478,7 +478,10 @@ class TestBatchThreads:
 
     def test_helper_runs_off_the_callers_cpu(self, compiled):
         # The calling thread scores the first range itself, so a helper that
-        # may take its CPU would take turns with it there.
+        # may take its CPU would take turns with it there. On a 2-CPU mask a
+        # helper pinned to the caller's own CPU also passes: its mask, too,
+        # lacks exactly one CPU of the mask. Only 3 CPUs or more tell the
+        # two apart.
         cpus = os.sched_getaffinity(0)
         if len(cpus) < 2:
             pytest.skip("the process may use one CPU only")
